@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 tests, trace-export smoke, simsan sanitize stage,
-# telemetry-overhead guard, parallel-sweep smoke, simulator perf guard.
+# CI gate: simlint, tier-1 tests, trace-export and fault-injection
+# smokes, simsan sanitize stage, telemetry-overhead guard, SLO suite,
+# parallel-sweep and determinism smokes, simulator perf guards.
+#
+# The perf guards compare wall-clock numbers with BENCH_simulator.json;
+# on a host whose CPU affinity or Python version differs from the
+# baseline's, `repro perf --check` skips those floors and exits 2.
 #
 # Usage: scripts/ci.sh            (from the repo root)
 set -euo pipefail
@@ -113,16 +118,6 @@ cmp "$tmpdir/serial.csv" "$tmpdir/parallel.csv"
 echo "parallel sweep rows identical to serial"
 
 echo
-echo "== partitioned engine (fixed seed: serial vs 4-way byte-identical) =="
-# five write protocols through the conservative-window engine; the CSV
-# carries per-op completion times, final clocks, and every counter, so
-# cmp proves the cut changes nothing observable
-python -m repro parallel --partitions 1 --out "$tmpdir/eng-serial.csv" > /dev/null
-python -m repro parallel --partitions 4 --out "$tmpdir/eng-part4.csv" > /dev/null
-cmp "$tmpdir/eng-serial.csv" "$tmpdir/eng-part4.csv"
-echo "partitioned engine (4-way inline) identical to serial"
-
-echo
 echo "== coalesced events-per-packet budget (deterministic, 5% cap) =="
 # event/packet counts of the coalesced pipeline are fully deterministic:
 # any growth past +5% of the committed baseline is a real de-coalescing
@@ -209,11 +204,11 @@ echo "== simulator perf guard (vs committed BENCH_simulator.json) =="
 python -m repro perf --check BENCH_simulator.json --tolerance 0.30
 
 echo
-echo "== single-core kernel guard (serial events/s within 10%) =="
-# the partitioned engine must not tax the serial kernel: the kernel
+echo "== single-core kernel guard (events/s within 10%) =="
+# the dispatch loop is the hot path of every workload: the kernel
 # section's wall-clock gate runs at a tight 10% (2x the 5% CLI
-# tolerance), so a coordination-overhead leak into the hot dispatch
-# loop fails CI even when the wider 30% gate above would absorb it
+# tolerance), so a slowdown there fails CI even when the wider 30%
+# gate above would absorb it
 python -m repro perf --check BENCH_simulator.json --tolerance 0.05 \
     --section kernel
 

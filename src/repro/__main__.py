@@ -15,9 +15,6 @@ Subcommands:
 * ``lint``   — simulation-aware static analysis (determinism,
   coroutine-protocol, resource- and telemetry-hygiene rules; see
   ``docs/simlint.md``);
-* ``parallel`` — run a fixed-seed scenario on the serial or partitioned
-  engine and emit a deterministic CSV; CI diffs the two byte-for-byte
-  (see ``docs/parallel_engine.md``);
 * ``bench``  — alias pointing at the experiment runner.
 """
 
@@ -67,13 +64,17 @@ def _demo(argv=None) -> int:
                     help="fault-injection RNG seed (same seed = same drops)")
     args = ap.parse_args(argv)
 
-    faulty = args.loss > 0 or args.corrupt > 0
     params = SimParams()
+    if args.loss or args.corrupt:
+        try:
+            params = params.with_faults(
+                loss_prob=args.loss, corrupt_prob=args.corrupt, seed=args.seed,
+                retransmit=True,
+            )
+        except ValueError as e:
+            ap.error(str(e))
+    faulty = params.faults.active
     if faulty:
-        params = params.with_faults(
-            loss_prob=args.loss, corrupt_prob=args.corrupt, seed=args.seed,
-            retransmit=True,
-        )
         print(f"running the protocol demo under faults "
               f"(loss={args.loss:g}, corrupt={args.corrupt:g}, seed={args.seed})...\n")
     else:
@@ -239,71 +240,6 @@ def _trace(argv) -> int:
     return 0 if out.ok else 1
 
 
-def _parallel(argv) -> int:
-    """Fixed-seed determinism probe for the partitioned engine: the CSV
-    this emits must be byte-identical for every --partitions/--mode
-    combination (CI runs 1 vs 4 and ``cmp``s the files)."""
-    import numpy as np
-
-    from repro import DfsClient, EcSpec, ReplicationSpec, build_testbed
-    from repro.experiments.common import installer_for
-
-    ap = argparse.ArgumentParser(
-        prog="repro parallel",
-        description="Run a fixed-seed multi-protocol scenario and emit a "
-                    "deterministic CSV (engine-independent observables "
-                    "only: outcomes, sim timestamps, merged counters).")
-    ap.add_argument("--partitions", type=int, default=1, metavar="K",
-                    help="conservative-window partitions (1 = serial kernel)")
-    ap.add_argument("--mode", choices=["inline", "process"], default="inline",
-                    help="partition execution mode (ignored for K=1)")
-    ap.add_argument("--ops", type=int, default=4, metavar="N",
-                    help="writes per protocol (default 4)")
-    ap.add_argument("--out", default=None, metavar="PATH",
-                    help="CSV path (default: stdout)")
-    args = ap.parse_args(argv)
-
-    scenarios = [
-        ("spin", {}, {}),
-        ("raw", {}, {}),
-        ("rpc", {}, {}),
-        ("rdma-flat", {"replication": ReplicationSpec(k=3)}, {}),
-        ("inec", {"ec": EcSpec(k=3, m=2)}, {}),
-    ]
-    lines = ["kind,protocol,op,ok,t_end,latency_ns"]
-    for proto, create_kw, write_kw in scenarios:
-        tb = build_testbed(n_storage=8, n_clients=2, telemetry=True,
-                           partitions=args.partitions,
-                           parallel_mode=args.mode)
-        installer = installer_for(proto)
-        if installer is not None:
-            installer(tb)
-        c = DfsClient(tb)
-        size = 96 * 1024 if proto == "inec" else 64 * 1024
-        c.create("/f", size=size, **create_kw)
-        data = np.random.default_rng(1).integers(0, 256, size, dtype=np.uint8)
-        for i in range(args.ops):
-            out = c.write_sync("/f", data, protocol=proto, **write_kw)
-            lines.append(f"op,{proto},{i},{int(out.ok)},"
-                         f"{tb.sim.now!r},{out.latency_ns!r}")
-        # drain to a fixed horizon so trailing acks/sweeper ticks land
-        # identically, then fold in every engine-independent counter
-        tb.run(until=30_000_000.0)
-        tb.finish()
-        lines.append(f"now,{proto},,,{tb.sim.now!r},")
-        for name, ctr in sorted(tb.telemetry.metrics.counters.items()):
-            lines.append(f"counter,{proto},{name},,{ctr.value!r},")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {len(lines)} rows to {args.out} "
-              f"(partitions={args.partitions}, mode={args.mode})")
-    else:
-        print(text, end="")
-    return 0
-
-
 def _scenario(argv) -> int:
     """Run open-loop workload scenarios: one by name, a TOML file of
     specs, or the built-in matrix through the parallel sweep runner."""
@@ -353,7 +289,11 @@ def _scenario(argv) -> int:
 
     if args.toml or args.name:
         if args.toml:
-            specs = load_toml(args.toml)
+            try:
+                specs = load_toml(args.toml)
+            except (OSError, ValueError) as e:
+                print(e, file=sys.stderr)
+                return 2
             if args.quick:
                 from repro.scenarios import quick_variant
 
@@ -390,7 +330,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="repro")
     ap.add_argument("command",
                     choices=["info", "demo", "trace", "perf", "slo", "lint",
-                             "sanitize", "parallel", "scenario", "bench"],
+                             "sanitize", "scenario", "bench"],
                     nargs="?", default="info")
     args, rest = ap.parse_known_args(argv)
     if args.command == "info":
@@ -399,8 +339,6 @@ def main(argv=None) -> int:
         return _demo(rest)
     if args.command == "trace":
         return _trace(rest)
-    if args.command == "parallel":
-        return _parallel(rest)
     if args.command == "scenario":
         return _scenario(rest)
     if args.command == "perf":

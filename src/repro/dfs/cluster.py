@@ -48,18 +48,6 @@ class _LeafPlacementShim:
         return self.fabric.switch
 
 
-def _partition_assignment(n_storage: int, n_clients: int, k: int) -> Dict[str, int]:
-    """Role-aware k-way cut: clients (and late control-plane nodes, which
-    default to rank 0) share the driver partition so driver-side Python —
-    request issue, measurement, metadata — sees live state even in
-    process mode; storage nodes spread contiguously over ranks 1..k-1."""
-    assignment = {f"client{i}": 0 for i in range(n_clients)}
-    spread = k - 1
-    for i in range(n_storage):
-        assignment[f"sn{i}"] = 1 + (i * spread) // n_storage if spread else 0
-    return assignment
-
-
 class Testbed:
     """A wired cluster ready for protocol configuration."""
 
@@ -68,7 +56,6 @@ class Testbed:
                  uplink_gbps: Optional[float] = None, telemetry: bool = False,
                  placement: str = "roundrobin",
                  failure_domains: Optional[Dict[str, int]] = None,
-                 partitions: int = 1, parallel_mode: str = "inline",
                  sanitize: bool = False):
         # Restart packet/message/greq id allocation: the counters and the
         # derived-id memo are module-level, so without this a long sweep
@@ -76,42 +63,13 @@ class Testbed:
         # testbeds and produces history-dependent ids.
         reset_id_state()
         self.params = params
-        self.partitions = int(partitions)
-        if self.partitions > 1:
-            if topology != "star":
-                raise ValueError(
-                    "partitioned runs support only the star topology "
-                    "(the cut lives inside the single switch core)"
-                )
-            from ..simnet.parallel import ParallelSimulator, PartitionedNetwork
-            from ..simnet.topology import star_topology
-
-            names = [f"sn{i}" for i in range(n_storage)]
-            names += [f"client{i}" for i in range(n_clients)]
-            topo = star_topology(names, params.net)
-            spec = topo.partition(
-                self.partitions,
-                _partition_assignment(n_storage, n_clients, self.partitions),
-            )
-            self.sim = ParallelSimulator(
-                spec, mode=parallel_mode, sanitize=sanitize
-            )
-        else:
-            self.sim = Simulator(sanitize=sanitize)
+        self.sim = Simulator(sanitize=sanitize)
         # span/metric collection is off by default (zero overhead); flip
         # ``sim.telemetry.enabled`` at any time to start recording
         self.sim.telemetry.enabled = telemetry
         self.telemetry = self.sim.telemetry
         self.sim.coalescing = params.coalescing
-        if self.partitions > 1:
-            for s in self.sim.sims:
-                install_faults(s, params.faults)
-            # the driver partition's injector doubles as the testbed-level
-            # handle; per-partition injectors share the (seed, link name)
-            # RNG scheme, so verdict streams match the serial run's
-            self.faults = self.sim.faults = self.sim.driver_sim.faults
-            self.net = PartitionedNetwork(self.sim, params.net)
-        elif topology == "star":
+        if topology == "star":
             self.faults = install_faults(self.sim, params.faults)
             self.net = Network(self.sim, params.net)
         elif topology == "leafspine":
@@ -132,7 +90,7 @@ class Testbed:
         for i in range(n_storage):
             name = f"sn{i}"
             self.storage[name] = StorageNode(
-                self._sim_for(name), self.net, name, params,
+                self.sim, self.net, name, params,
                 storage_backend=storage_backend
             )
         self.metadata = MetadataService(
@@ -143,14 +101,9 @@ class Testbed:
             failure_domains=failure_domains,
         )
         self.clients: List[ClientNode] = [
-            ClientNode(self._sim_for(f"client{i}"), self.net, f"client{i}", params)
+            ClientNode(self.sim, self.net, f"client{i}", params)
             for i in range(n_clients)
         ]
-
-    def _sim_for(self, name: str) -> Simulator:
-        """The simulator a host named ``name`` must be built on: its
-        partition's kernel when partitioned, the single kernel otherwise."""
-        return self.sim.sim_for(name) if self.partitions > 1 else self.sim
 
     # ------------------------------------------------------------ helpers
     @property
@@ -171,36 +124,25 @@ class Testbed:
         """Drive the simulation until every event fires; return values."""
         return [self.sim.run_until_event(ev) for ev in events]
 
-    def finish(self) -> None:
-        """Join process-mode partition workers (no-op otherwise)."""
-        fin = getattr(self.sim, "finish", None)
-        if fin is not None:
-            fin()
-
     # ------------------------------------------------------- sanitizer
     @property
     def sanitizer(self):
-        """The (driver) kernel's sanitizer; None unless sanitize=True."""
-        return getattr(self.sim, "sanitizer", None)
+        """The kernel's sanitizer; None unless sanitize=True."""
+        return self.sim.sanitizer
 
     def sanitize_report(self, quiesce: bool = True):
-        """Run the quiesce sweep on every partition kernel and return the
-        merged :class:`repro.simsan.Report` (requires sanitize=True)."""
-        from ..simsan import report_for
-
-        if self.sanitizer is None:
+        """Run the quiesce sweep and return the kernel's
+        :class:`repro.simsan.Report` (requires sanitize=True)."""
+        san = self.sanitizer
+        if san is None:
             raise ValueError("testbed was not built with sanitize=True")
-        sims = getattr(self.sim, "sims", None) or [self.sim]
-        for s in sims:
-            if s.sanitizer is None:
-                continue
-            if quiesce:
-                s.sanitizer.check_quiesce()
-            else:
-                # never quiesced: leak sweeps would misfire on work still
-                # legitimately in flight, but orphan budgets still apply
-                s.sanitizer.check_orphans()
-        return report_for(self.sim)
+        if quiesce:
+            san.check_quiesce()
+        else:
+            # never quiesced: leak sweeps would misfire on work still
+            # legitimately in flight, but orphan budgets still apply
+            san.check_orphans()
+        return san.report()
 
 
 def build_testbed(
@@ -213,8 +155,6 @@ def build_testbed(
     telemetry: bool = False,
     placement: str = "roundrobin",
     failure_domains: Optional[Dict[str, int]] = None,
-    partitions: int = 1,
-    parallel_mode: str = "inline",
     sanitize: bool = False,
 ) -> Testbed:
     """Construct a testbed.  Defaults to the paper's flat network
@@ -225,12 +165,9 @@ def build_testbed(
     service's block-placement policy (``roundrobin`` / ``capacity`` /
     ``domain``; see :mod:`repro.dfs.placement`), and
     ``failure_domains`` assigns storage nodes to racks for the
-    domain-aware policy.  ``partitions > 1`` shards the simulation into
-    that many conservative-window partitions (clients with the driver,
-    storage spread over the rest; see :mod:`repro.simnet.parallel`), and
-    ``parallel_mode`` picks ``"inline"`` or ``"process"`` execution.
-    ``sanitize=True`` attaches the runtime sanitizer to every kernel
-    (see :mod:`repro.simsan`; the schedule is unchanged)."""
+    domain-aware policy.  ``sanitize=True`` attaches the runtime
+    sanitizer to the kernel (see :mod:`repro.simsan`; the schedule is
+    unchanged)."""
     return Testbed(
         params or SimParams(),
         n_storage=n_storage,
@@ -241,7 +178,5 @@ def build_testbed(
         telemetry=telemetry,
         placement=placement,
         failure_domains=failure_domains,
-        partitions=partitions,
-        parallel_mode=parallel_mode,
         sanitize=sanitize,
     )

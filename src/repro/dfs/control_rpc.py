@@ -37,10 +37,7 @@ class MetadataNode(StorageNode):
     """
 
     def __init__(self, testbed: Testbed, name: str = "mds"):
-        # partitioned testbeds hand out a coordinator facade as `sim`;
-        # the metadata node lives in the driver partition with the clients
-        sim = getattr(testbed.sim, "driver_sim", testbed.sim)
-        super().__init__(sim, testbed.net, name, testbed.params)
+        super().__init__(testbed.sim, testbed.net, name, testbed.params)
         self.testbed = testbed
         self.register_rpc("md_lookup", _md_lookup)
         self.register_rpc("md_create", _md_create)

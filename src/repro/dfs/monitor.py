@@ -74,10 +74,6 @@ class HeartbeatMonitor:
         self.beats_received = 0
         #: callbacks fired on each death declaration: f(node_name)
         self.on_death: List[Callable[[str], None]] = []
-        # each agent runs on its node's own simulator and the sweep on
-        # the metadata node's: under the partitioned engine a process
-        # must live where the state it drives lives (all one simulator
-        # in the serial case)
         for i, node in enumerate(testbed.storage.values()):
             node.sim.process(
                 self._beat(node, i * self.config.stagger_ns),

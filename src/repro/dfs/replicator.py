@@ -13,10 +13,8 @@ replica's node, whose handler reads the replica over local PCIe and
 posts a DFS write (service capability shipped in the RPC headers, same
 validation path as client writes) to a policy-picked replacement node.
 Recovery therefore shares wire, switch, and target resources with the
-foreground workload and shows up honestly in its tail latency — and,
-because the data never touches driver-side Python, the same path runs
-unchanged under the partitioned engine (the source node may live in
-any partition).  Erasure-coded objects delegate to the timed rebuild
+foreground workload and shows up honestly in its tail latency.
+Erasure-coded objects delegate to the timed rebuild
 coordinator (:func:`repro.protocols.recovery.rebuild_object`).
 
 Every step is deterministic: tasks are enqueued in namespace order,
@@ -122,10 +120,7 @@ class ReReplicator:
     ):
         self.testbed = testbed
         self.config = config or ReplicatorConfig()
-        # the queue and workers are driver-side: under the partitioned
-        # engine they live on the driver partition's kernel
-        sim = getattr(testbed.sim, "driver_sim", testbed.sim)
-        self._queue: Store = Store(sim, name="replicator.q")
+        self._queue: Store = Store(testbed.sim, name="replicator.q")
         self.schedule: List[RepairRecord] = []
         self.failed_repairs: List[tuple] = []
         self.extents_repaired = 0
@@ -133,13 +128,13 @@ class ReReplicator:
         self.last_done_t = 0.0
         self.outstanding = 0
         self.peak_inflight = 0
-        #: the control-plane node commanding repairs (None -> legacy
-        #: driver-driven data path, serial engine only)
+        #: the control-plane node commanding repairs (None -> the legacy
+        #: path, where the replicator reads the source replica itself)
         self.commander = monitor.mds if monitor is not None else None
         for node in testbed.storage.values():
             node.register_rpc(REPAIR_RPC, _repair_rpc)
         for w in range(self.config.max_inflight):
-            sim.process(self._worker(), name=f"replicator.w{w}")
+            testbed.sim.process(self._worker(), name=f"replicator.w{w}")
         if monitor is not None:
             monitor.on_death.append(self.on_node_death)
 
@@ -227,7 +222,7 @@ class ReReplicator:
         )
         if self.commander is not None:
             # command the surviving replica's node over the control
-            # plane; its handler moves the bytes (works in any partition)
+            # plane; its handler moves the bytes
             res = yield self.commander.nic.post_rpc(
                 src_ext.node,
                 {
@@ -251,8 +246,8 @@ class ReReplicator:
                 )
                 return
         else:
-            # legacy driver-driven path: touches remote node state from
-            # driver-side Python, so it is valid on the serial engine only
+            # legacy path: the replicator reads the source replica's
+            # memory directly instead of commanding its node
             src_node = self.testbed.node(src_ext.node)
             data = src_node.memory.read(src_ext.addr, src_ext.length)
             yield src_node.pcie.dma(src_ext.length)

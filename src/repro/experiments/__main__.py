@@ -28,10 +28,6 @@ def main(argv=None) -> int:
     ap.add_argument("--cache-dir", metavar="DIR",
                     help="result cache location (default: $REPRO_CACHE_DIR "
                          "or .repro_cache)")
-    ap.add_argument("--partitions", type=int, default=1, metavar="K",
-                    help="run each simulation on the K-way partitioned "
-                         "engine (experiments that support it; rows are "
-                         "byte-identical to the serial engine)")
     args = ap.parse_args(argv)
 
     if args.experiment == "list":
@@ -50,18 +46,8 @@ def main(argv=None) -> int:
         # monotonic clock is immune to NTP steps mid-experiment
         t0 = time.perf_counter()  # simlint: disable=SIM101 -- harness elapsed time
         if hasattr(mod, "run_point"):
-            kw = {}
-            if args.partitions > 1:
-                import inspect
-
-                if "partitions" in inspect.signature(mod.run).parameters:
-                    kw["partitions"] = args.partitions
-                else:
-                    print(f"[{eid}: --partitions not supported; running serial]",
-                          file=sys.stderr)
             rows = mod.run(quick=args.quick, jobs=args.jobs,
-                           cache=not args.no_cache, cache_dir=args.cache_dir,
-                           **kw)
+                           cache=not args.no_cache, cache_dir=args.cache_dir)
             from .. import runner
 
             note = f" ({runner.LAST_STATS.summary()})"

@@ -27,7 +27,6 @@ __all__ = [
     "KiB",
     "MiB",
     "fresh_client",
-    "engine_neutral",
     "installer_for",
     "measure_anatomy",
     "measure_latency",
@@ -37,13 +36,6 @@ __all__ = [
 
 KiB = 1024
 MiB = 1024 * 1024
-
-
-def engine_neutral(point: dict) -> dict:
-    """The point minus engine-selection keys (``partitions``): the seed
-    must depend only on *what* is simulated, never on which engine runs
-    it — partitioned rows have to match serial rows byte-for-byte."""
-    return {k: v for k, v in point.items() if k != "partitions"}
 
 
 def installer_for(protocol: str) -> Optional[Callable[[Testbed], None]]:

@@ -63,8 +63,8 @@ def victims() -> list[str]:
             if i // N_DOMAINS == KILL_DOMAIN]
 
 
-def points(quick: bool = False, partitions: int = 1) -> list[dict]:
-    pts = [
+def points(quick: bool = False) -> list[dict]:
+    return [
         {
             "protocol": proto,
             "n_bg": 16 if quick else 48,
@@ -74,24 +74,15 @@ def points(quick: bool = False, partitions: int = 1) -> list[dict]:
         }
         for proto in PROTOCOLS
     ]
-    if partitions > 1:
-        # engine selection rides in the point (so cached partitioned
-        # rows key separately) but never reaches the seed — rows must be
-        # byte-identical to the serial engine's
-        for p in pts:
-            p["partitions"] = partitions
-    return pts
 
 
 def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     from ..runner import point_seed
     from ..simnet.trace import summarize
     from ..telemetry.anatomy import decompose, phase_summary
-    from .common import engine_neutral
 
     proto = point["protocol"]
-    k = point.get("partitions", 1)
-    seed = point_seed(ID, engine_neutral(point))
+    seed = point_seed(ID, point)
     # small per-node capacity keeps capability lengths tight; the
     # reliability layer (retransmit on, zero wire loss) is what turns a
     # write against a crashed node into a bounded-time timeout nack
@@ -107,7 +98,6 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
         telemetry=True,
         placement="domain",
         failure_domains={f"sn{i}": i // N_DOMAINS for i in range(N_STORAGE)},
-        partitions=k,
     )
     installer = installer_for(proto)
     if installer is not None:
@@ -147,18 +137,12 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     t_load0 = tb.sim.now
     t_kill = t_load0 + spec.warmup_ns + point["kill_offset_ns"]
 
-    if k > 1:
-        # a crash is partition-local state: schedule each victim's
-        # fail() on the partition that owns the node
+    def killer():
+        yield tb.sim.timeout(t_kill - tb.sim.now)
         for v in doomed:
-            tb.sim.call_at(t_kill, tb.node(v).fail, rank=tb.sim.rank_of(v))
-    else:
-        def killer():
-            yield tb.sim.timeout(t_kill - tb.sim.now)
-            for v in doomed:
-                tb.node(v).fail()
+            tb.node(v).fail()
 
-        tb.sim.process(killer(), name="rack-killer")
+    tb.sim.process(killer(), name="rack-killer")
     res = closed_loop_write_load(
         tb, FG_SIZE, proto, spec, replication=ReplicationSpec(k=K)
     )
@@ -247,11 +231,10 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
 
 
 def run(params: Optional[SimParams] = None, quick: bool = False,
-        jobs: int = 1, cache: bool = False, cache_dir: Optional[str] = None,
-        partitions: int = 1) -> list[dict]:
+        jobs: int = 1, cache: bool = False, cache_dir: Optional[str] = None) -> list[dict]:
     from ..runner import run_sweep
 
-    return run_sweep(ID, points(quick, partitions=partitions), params=params,
+    return run_sweep(ID, points(quick), params=params,
                      jobs=jobs, cache=cache, cache_dir_override=cache_dir)
 
 

@@ -27,7 +27,7 @@ from ..dfs.cluster import build_testbed
 from ..params import SimParams
 from ..slo import SloSpec, evaluate
 from ..workloads import LoadSpec, closed_loop_write_load
-from .common import KiB, engine_neutral, installer_for, render_rows, size_label
+from .common import KiB, installer_for, render_rows, size_label
 
 ID = "throughput_sweep"
 TITLE = "Closed-loop throughput vs. client population (8 KiB writes)"
@@ -52,9 +52,9 @@ SLOS = {
 }
 
 
-def points(quick: bool = False, partitions: int = 1) -> list[dict]:
+def points(quick: bool = False) -> list[dict]:
     populations = QUICK_CLIENTS if quick else CLIENTS
-    pts = [
+    return [
         {
             "protocol": proto,
             "n_clients": n,
@@ -64,14 +64,6 @@ def points(quick: bool = False, partitions: int = 1) -> list[dict]:
         for proto in PROTOCOLS
         for n in populations
     ]
-    if partitions > 1:
-        # only in the key when partitioned, so existing caches (and
-        # their seeds, derived from the point) stay valid for the
-        # default serial run — rows are identical either way, which
-        # test_experiment_partitions_differential proves
-        for p in pts:
-            p["partitions"] = partitions
-    return pts
 
 
 def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
@@ -81,8 +73,7 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     # telemetry on: spans only observe (timestamps are byte-identical
     # either way), and they buy the row its latency anatomy below
     tb = build_testbed(n_storage=4, n_clients=min(n, 4), params=params,
-                       telemetry=True,
-                       partitions=point.get("partitions", 1))
+                       telemetry=True)
     installer = installer_for(proto)
     if installer is not None:
         installer(tb)
@@ -92,7 +83,7 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
         think_ns=2_000.0,
         warmup_ns=50_000.0,
         measure_ns=point["measure_ns"],
-        seed=point_seed(ID, engine_neutral(point)),
+        seed=point_seed(ID, point),
     )
     res = closed_loop_write_load(tb, point["size"], proto, spec)
     phases = res.phase_latency or {}
@@ -121,11 +112,10 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
 
 
 def run(params: Optional[SimParams] = None, quick: bool = False,
-        jobs: int = 1, cache: bool = False, cache_dir: Optional[str] = None,
-        partitions: int = 1) -> list[dict]:
+        jobs: int = 1, cache: bool = False, cache_dir: Optional[str] = None) -> list[dict]:
     from ..runner import run_sweep
 
-    return run_sweep(ID, points(quick, partitions=partitions), params=params,
+    return run_sweep(ID, points(quick), params=params,
                      jobs=jobs, cache=cache, cache_dir_override=cache_dir)
 
 

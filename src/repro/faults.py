@@ -84,6 +84,14 @@ class FaultParams:
     #: retransmission budget before the op fails with a "timeout" nack
     max_retransmits: int = 8
 
+    def __post_init__(self) -> None:
+        # 1.0 is legal: total loss is how a link that never delivers is
+        # modelled (the give-up path of the reliability layer)
+        for name in ("loss_prob", "corrupt_prob"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
+
     @property
     def active(self) -> bool:
         """True when any wire/endpoint fault can actually occur."""

@@ -151,52 +151,70 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
     return _prune(d)
 
 
-def _arrival_from(d: Optional[dict]) -> Optional[ArrivalSpec]:
-    return None if d is None else ArrivalSpec(**d)
+def _build(cls, d: dict, table: str):
+    """``cls(**d)``, with unknown or missing keys reported as a
+    ``ValueError`` naming the key and its TOML table."""
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in d:
+        if key not in names:
+            raise ValueError(f"unknown field {key!r} in [{table}]")
+    for f in fields:
+        required = (f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING)
+        if required and f.name not in d:
+            raise ValueError(f"missing field {f.name!r} in [{table}]")
+    return cls(**d)
 
 
-def _size_from(d: Optional[dict]) -> Optional[SizeSpec]:
-    return None if d is None else SizeSpec(**d)
+def _arrival_from(d: Optional[dict], table: str) -> Optional[ArrivalSpec]:
+    return None if d is None else _build(ArrivalSpec, d, f"{table}.arrival")
+
+
+def _size_from(d: Optional[dict], table: str) -> Optional[SizeSpec]:
+    return None if d is None else _build(SizeSpec, d, f"{table}.size")
 
 
 def workload_from_dict(d: dict) -> OpenLoopSpec:
+    table = "scenario.workload"
     d = dict(d)
     if "arrival" in d:
-        d["arrival"] = _arrival_from(d["arrival"])
+        d["arrival"] = _arrival_from(d["arrival"], table)
     if "popularity" in d:
-        d["popularity"] = PopularitySpec(**d["popularity"])
+        d["popularity"] = _build(PopularitySpec, d["popularity"],
+                                 f"{table}.popularity")
     if "size" in d:
-        d["size"] = _size_from(d["size"])
+        d["size"] = _size_from(d["size"], table)
     if "classes" in d:
-        d["classes"] = tuple(
-            WorkloadClass(
-                name=c["name"],
-                fraction=c["fraction"],
-                arrival=_arrival_from(c.get("arrival")),
-                size=_size_from(c.get("size")),
-            )
-            for c in d["classes"]
-        )
-    return OpenLoopSpec(**d)
+        ctable = f"{table}.classes"
+        classes = []
+        for c in d["classes"]:
+            c = dict(c)
+            c["arrival"] = _arrival_from(c.get("arrival"), ctable)
+            c["size"] = _size_from(c.get("size"), ctable)
+            classes.append(_build(WorkloadClass, c, ctable))
+        d["classes"] = tuple(classes)
+    return _build(OpenLoopSpec, d, table)
 
 
 def spec_from_dict(d: dict) -> ScenarioSpec:
     """Rebuild a :class:`ScenarioSpec` from :func:`spec_to_dict` output
-    (all fields optional except ``name``; validation runs)."""
+    (all fields optional except ``name``; validation runs).  Unknown or
+    missing keys raise ``ValueError`` naming the key and its table."""
     d = dict(d)
     if "topology" in d:
-        d["topology"] = TopologySpec(**d["topology"])
+        d["topology"] = _build(TopologySpec, d["topology"], "scenario.topology")
     if "workload" in d:
         d["workload"] = workload_from_dict(d["workload"])
     if "faults" in d:
-        d["faults"] = FaultCampaign(**d["faults"])
+        d["faults"] = _build(FaultCampaign, d["faults"], "scenario.faults")
     if "slo_budgets" in d:
         budgets = d["slo_budgets"]
         if isinstance(budgets, dict):
             d["slo_budgets"] = tuple(sorted(budgets.items()))
         else:
             d["slo_budgets"] = tuple((k, v) for k, v in budgets)
-    spec = ScenarioSpec(**d)
+    spec = _build(ScenarioSpec, d, "scenario")
     spec.validate()
     return spec
 
@@ -210,6 +228,10 @@ def load_toml(path: str) -> List[ScenarioSpec]:
     tables = doc.get("scenario")
     if not tables:
         raise ValueError(f"{path}: no [[scenario]] tables")
+    if not isinstance(tables, list):
+        raise ValueError(
+            f"{path}: [scenario] must be an array of tables: write [[scenario]]"
+        )
     return [spec_from_dict(t) for t in tables]
 
 

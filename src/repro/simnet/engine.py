@@ -365,7 +365,7 @@ class Simulator:
         #: ``sim.telemetry.enabled`` to start recording spans/metrics)
         self.telemetry = Telemetry(enabled=False)
         #: runtime sanitizer (see repro.simsan); None = off, zero cost.
-        #: When set, run()/run_window()/run_until_event() delegate to the
+        #: When set, run()/run_until_event() delegate to the
         #: sanitizer's instrumented loops and the resource primitives
         #: record acquisition backtraces.
         self.sanitizer = None
@@ -451,31 +451,15 @@ class Simulator:
         return ev
 
     # -- running ---------------------------------------------------------
-    def _step(self) -> None:
-        heap = self._heap
-        if len(heap) > self._heap_high_water:
-            self._heap_high_water = len(heap)
-        entry = heapq.heappop(heap)
-        t = entry[0]
-        if t < self.now - 1e-9:
-            raise SimulationError("time went backwards")
-        self.now = t
-        self.events_dispatched += 1
-        item = entry[2]
-        if isinstance(item, Event):
-            self._dispatch(item)
-        elif len(entry) == 3:
-            item()
-        else:
-            item(entry[3])
-
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the event heap drains or ``until`` (exclusive) is hit.
+        """Run until the event heap drains or the clock would pass ``until``.
 
-        Returns the final simulation time.  Unhandled process failures
-        are re-raised here.  Note: background service processes (egress
-        servers, sweepers) can keep the heap non-empty forever — use
-        :meth:`run_until_event` to wait for a specific outcome.
+        Events scheduled at exactly ``until`` still fire; the clock then
+        stops at ``until``.  Returns the final simulation time.
+        Unhandled process failures are re-raised here.  Note: background
+        service processes (egress servers, sweepers) can keep the heap
+        non-empty forever — use :meth:`run_until_event` to wait for a
+        specific outcome.
         """
         if self.sanitizer is not None:
             return self.sanitizer.run(until)
@@ -487,7 +471,9 @@ class Simulator:
         # run_until_event): one method call per event is measurable at
         # millions of events per run.  High-water and dispatch counters
         # run on locals and are written back on exit for the same
-        # reason.  Keep in sync with _step()/_dispatch().
+        # reason.  Keep in sync with run_until_event().  An Event popped
+        # with no callbacks and a failure re-raises: crashes are never
+        # silently swallowed (an unobserved failed Process included).
         heap = self._heap
         pop = heapq.heappop
         hw = self._heap_high_water
@@ -530,63 +516,6 @@ class Simulator:
             self._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
         return self.now
 
-    def run_window(self, horizon: float, inclusive: bool = False) -> float:
-        """Process events with ``t < horizon`` (``t <= horizon`` when
-        ``inclusive``), then stop WITHOUT advancing ``now`` to the bound.
-
-        The conservative-window primitive of the partitioned engine
-        (:mod:`repro.simnet.parallel`): between windows the coordinator
-        injects cross-partition packets, so ``now`` must stay at the last
-        *dispatched* event — jumping it to the horizon (as ``run(until)``
-        does) would put later boundary injections in this partition's
-        past.  Events at or beyond the bound stay queued untouched.
-        """
-        if self.sanitizer is not None:
-            return self.sanitizer.run_window(horizon, inclusive)
-        if self._running:
-            raise SimulationError("run() called re-entrantly")
-        self._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        # inlined stepping + dispatch — keep in sync with _step()/_dispatch()
-        heap = self._heap
-        pop = heapq.heappop
-        hw = self._heap_high_water
-        ndisp = self.events_dispatched
-        try:
-            while heap:
-                t0 = heap[0][0]
-                if t0 > horizon or (t0 == horizon and not inclusive):
-                    break
-                entry = pop(heap)
-                n = len(heap)
-                if n >= hw:
-                    hw = n + 1
-                t = entry[0]
-                if t < self.now - 1e-9:
-                    raise SimulationError("time went backwards")
-                self.now = t
-                ndisp += 1
-                item = entry[2]
-                if isinstance(item, Event):
-                    callbacks = item.callbacks
-                    item.callbacks = _DISPATCHED
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(item)
-                    elif item._exc is not None:
-                        if not isinstance(item, Process) or not item._observed:
-                            raise item._exc
-                elif len(entry) == 3:
-                    item()
-                else:
-                    item(entry[3])
-        finally:
-            self._heap_high_water = hw
-            self.events_dispatched = ndisp
-            self._running = False
-            self._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
-        return self.now
-
     def run_until_event(self, ev: Event, limit: Optional[float] = None) -> Any:
         """Run until ``ev`` fires; return its value (or raise its error).
 
@@ -599,7 +528,7 @@ class Simulator:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        # inlined stepping + dispatch — keep in sync with _step()/_dispatch()
+        # inlined stepping + dispatch — keep in sync with run()
         heap = self._heap
         pop = heapq.heappop
         hw = self._heap_high_water
@@ -650,18 +579,6 @@ class Simulator:
         """Run until ``proc`` finishes; return its value or raise its error."""
         proc._observed = True
         return self.run_until_event(proc, limit=until)
-
-    def _dispatch(self, ev: Event) -> None:
-        callbacks = ev.callbacks
-        ev.callbacks = _DISPATCHED
-        if callbacks:
-            for cb in callbacks:
-                cb(ev)
-        elif ev._exc is not None:
-            # Nobody was waiting: crashes are never silently swallowed
-            # (an unobserved failed Process re-raises here too).
-            if not isinstance(ev, Process) or not ev._observed:
-                raise ev._exc
 
     def peek(self) -> float:
         """Time of the next scheduled item, or +inf if the heap is empty."""

@@ -3,8 +3,8 @@
 The dynamic counterpart to :mod:`repro.simlint`: where simlint proves
 properties of the *source* (no wall-clock, no unseeded RNG, coroutine
 protocol), simsan checks properties of a *run* — schedule-order
-hazards, leaked resource claims, orphaned request spans, and
-cross-partition boundary divergence.  Opt in per simulator::
+hazards, leaked resource claims, and orphaned request spans.
+Opt in per simulator::
 
     sim = Simulator(sanitize=True)
     ... drive the workload ...
@@ -15,44 +15,12 @@ or per testbed / scenario (``build_testbed(sanitize=True)``,
 
     python -m repro sanitize            # quick scenario matrix
     python -m repro sanitize --demo     # protocol demo (+ faults)
-    python -m repro sanitize --partitions 4   # boundary audit
 
 When off the kernel pays nothing (see docs/simsan.md for the measured
 overhead when on).
 """
 
-from .audit import BoundaryAudit, first_divergence
 from .findings import Finding, Report
 from .runtime import Sanitizer
 
-__all__ = [
-    "BoundaryAudit",
-    "Finding",
-    "Report",
-    "Sanitizer",
-    "first_divergence",
-    "report_for",
-]
-
-
-def report_for(sim) -> Report:
-    """Aggregate report for a Simulator or ParallelSimulator.
-
-    For partitioned runs, folds every partition's findings and stats
-    into one report (findings keep their own partition-local times).
-    """
-    sims = getattr(sim, "sims", None)
-    if sims is None:
-        san = sim.sanitizer
-        if san is None:
-            raise ValueError("simulator was not built with sanitize=True")
-        return san.report()
-    out = Report()
-    for s in sims:
-        if s.sanitizer is not None:
-            out.merge(s.sanitizer.report())
-    audit = getattr(sim, "audit", None)
-    if audit is not None:
-        out.stats["boundary_messages_audited"] = audit.messages
-        out.stats["boundary_windows"] = len(audit.digests)
-    return out
+__all__ = ["Finding", "Report", "Sanitizer"]

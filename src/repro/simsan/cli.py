@@ -1,14 +1,11 @@
 """``python -m repro sanitize`` — run workloads under the sanitizer.
 
-Three modes, all exiting 0 only when every run is finding-free:
+Two modes, both exiting 0 only when every run is finding-free:
 
 * default: the scenario matrix (quick variants unless ``--full``)
   through :func:`repro.scenarios.run_scenario` with ``sanitize=True``;
 * ``--demo``: one protocol point (replicated spin write), optionally
-  under seeded faults — the CI stage runs this with ``--loss``;
-* ``--partitions K``: the fixed multi-protocol parallel scenario twice
-  under the boundary auditor, then digest comparison — a divergence is
-  reported as its first (window, rank) instead of "bytes differ".
+  under seeded faults — the CI stage runs this with ``--loss``.
 """
 
 from __future__ import annotations
@@ -47,22 +44,15 @@ def _run_matrix(args) -> int:
     return 0
 
 
-def _run_demo(args) -> int:
+def _run_demo(params, args) -> int:
     import numpy as np
 
     from ..dfs.client import DfsClient
     from ..dfs.cluster import build_testbed
     from ..dfs.layout import ReplicationSpec
     from ..experiments.common import installer_for
-    from ..params import SimParams
 
-    params = SimParams()
-    faulty = args.loss > 0 or args.corrupt > 0
-    if faulty:
-        params = params.with_faults(
-            loss_prob=args.loss, corrupt_prob=args.corrupt, seed=args.seed or 0,
-            retransmit=True,
-        )
+    faulty = params.faults.active
     tb = build_testbed(n_storage=8, params=params, telemetry=True,
                        sanitize=True)
     installer = installer_for(args.protocol)
@@ -99,55 +89,12 @@ def _run_demo(args) -> int:
     return 0 if report.ok else 1
 
 
-def _run_partitions(args) -> int:
-    import numpy as np
-
-    from . import first_divergence, report_for
-    from ..dfs.client import DfsClient
-    from ..dfs.cluster import build_testbed
-    from ..experiments.common import installer_for
-
-    def one_run():
-        tb = build_testbed(n_storage=8, n_clients=2, telemetry=True,
-                           partitions=args.partitions, sanitize=True)
-        installer = installer_for("spin")
-        if installer is not None:
-            installer(tb)
-        c = DfsClient(tb)
-        c.create("/f", size=64 * 1024)
-        data = np.random.default_rng(1).integers(0, 256, 64 * 1024,
-                                                 dtype=np.uint8)
-        for i in range(4):
-            assert c.write_sync("/f", data, protocol="spin").ok
-        tb.run(until=30_000_000.0)
-        return tb.sanitize_report(), tb.sim.audit
-
-    report_a, audit_a = one_run()
-    report_b, audit_b = one_run()
-    div = first_divergence(audit_a, audit_b)
-    print(f"partitioned audit ({args.partitions}-way): "
-          f"{audit_a.messages} boundary messages over "
-          f"{len(audit_a.digests)} (window, rank) digests per run")
-    ok = True
-    if div is not None:
-        w, r, da, db = div
-        print(f"DIVERGENCE at window {w}, rank {r}: "
-              f"{da[:16] or '<none>'} vs {db[:16] or '<none>'}")
-        ok = False
-    else:
-        print("runs byte-identical at every (window, rank)")
-    for tag, rep in (("run A", report_a), ("run B", report_b)):
-        print(f"{tag}: {rep.summary()}")
-        ok = ok and rep.ok
-    return 0 if ok else 1
-
-
 def main(argv: Optional[list] = None) -> int:
     ap = argparse.ArgumentParser(
         prog="repro sanitize",
         description="Run workloads under the repro.simsan runtime "
-                    "sanitizer (schedule races, leaks, orphaned spans, "
-                    "cross-partition divergence). Exit 0 = clean.")
+                    "sanitizer (schedule races, leaks, orphaned spans). "
+                    "Exit 0 = clean.")
     ap.add_argument("--demo", action="store_true",
                     help="one replicated protocol write instead of the "
                          "scenario matrix (combine with --loss)")
@@ -157,17 +104,23 @@ def main(argv: Optional[list] = None) -> int:
                     help="--demo per-packet drop probability")
     ap.add_argument("--corrupt", type=float, default=0.0, metavar="P",
                     help="--demo per-packet corruption probability")
-    ap.add_argument("--partitions", type=int, default=0, metavar="K",
-                    help="audit the K-way partitioned engine's boundary "
-                         "traffic across two runs")
     ap.add_argument("--full", action="store_true",
                     help="full-size scenarios (default: quick variants)")
     ap.add_argument("--seed", type=int, default=None,
                     help="seed override (default: per-point sweep seeds)")
     args = ap.parse_args(argv)
 
-    if args.partitions:
-        return _run_partitions(args)
     if args.demo:
-        return _run_demo(args)
+        from ..params import SimParams
+
+        params = SimParams()
+        if args.loss or args.corrupt:
+            try:
+                params = params.with_faults(
+                    loss_prob=args.loss, corrupt_prob=args.corrupt,
+                    seed=args.seed or 0, retransmit=True,
+                )
+            except ValueError as e:
+                ap.error(str(e))
+        return _run_demo(params, args)
     return _run_matrix(args)

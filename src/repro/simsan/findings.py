@@ -13,8 +13,6 @@ Kinds are stable strings (tests and CI match on them):
 ``schedule-race``      pop order vs a same-fire-time entry from a different
                        coroutine was decided by insertion order alone
 ``clock-rewind``       an entry was scheduled (or popped) behind the clock
-``stale-injection``    a cross-partition boundary message landed behind the
-                       destination partition's clock
 ``leak-resource``      Resource slot still held / waiter still queued at
                        quiesce
 ``leak-store``         Store getter/putter still blocked at quiesce
@@ -23,7 +21,6 @@ Kinds are stable strings (tests and CI match on them):
 ``leak-greq``          an RDMA logical request still pending at quiesce
 ``leak-accel``         accelerator messages still in flight at quiesce
 ``orphan-span``        request span opened but not closed within budget
-``boundary-divergence``  cross-partition audit digests diverged
 =====================  =====================================================
 """
 
@@ -70,15 +67,6 @@ class Report:
 
     def kinds(self) -> set[str]:
         return {f.kind for f in self.findings}
-
-    def merge(self, other: "Report") -> "Report":
-        self.findings.extend(other.findings)
-        for k, v in other.stats.items():
-            if isinstance(v, (int, float)) and isinstance(self.stats.get(k), (int, float)):
-                self.stats[k] += v
-            else:
-                self.stats.setdefault(k, v)
-        return self
 
     def summary(self, max_findings: Optional[int] = 20) -> str:
         if self.ok:

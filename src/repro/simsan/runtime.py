@@ -3,7 +3,7 @@
 Attached to a kernel via ``Simulator(sanitize=True)``.  The engine's
 hot loops are untouched when the sanitizer is off (``sim.sanitizer is
 None`` costs one attribute check per *run call*, not per event); when it
-is on, ``run()``/``run_window()``/``run_until_event()`` delegate to the
+is on, ``run()``/``run_until_event()`` delegate to the
 instrumented loops here, which preserve the serial kernel's semantics
 exactly — same clock contract, same exception behaviour, same
 self-profile counters — while observing every heap pop.
@@ -22,7 +22,7 @@ Detectors (see :mod:`repro.simsan.findings` for the kind strings):
   ``strict_ties`` is set.
 * **clock rewinds** — an entry scheduled behind its own push time, or
   popped behind ``now`` (recorded before the kernel's "time went
-  backwards" error propagates) — the parallel-engine bug class.
+  backwards" error propagates).
 * **resource leaks** — Resource/Store/Container register themselves at
   construction and record acquisition backtraces per claim; ports, NICs
   and accelerators adopt in with their in-flight state.  At
@@ -196,16 +196,8 @@ class Sanitizer:
                 grants[0][0] -= left
                 left = 0.0
 
-    # -------------------------------------------------- parallel support
-    def record_stale_injection(self, fire_t: float, dst: str, now: float) -> None:
-        self._find(
-            "stale-injection",
-            f"boundary message for {dst!r} fires at t={fire_t} "
-            f"behind destination clock now={now}",
-        )
-
     # ------------------------------------------------------ kernel loops
-    # These mirror Simulator.run/run_window/run_until_event exactly: the
+    # These mirror Simulator.run/run_until_event exactly: the
     # clock contracts and exception behaviour must be indistinguishable
     # from the uninstrumented kernel.  Keep in sync with engine.py.
     def run(self, until: Optional[float] = None) -> float:
@@ -226,26 +218,6 @@ class Sanitizer:
             else:
                 if until is not None:
                     sim.now = max(sim.now, until)
-        finally:
-            sim._running = False
-            sim._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
-        return sim.now
-
-    def run_window(self, horizon: float, inclusive: bool = False) -> float:
-        sim = self.sim
-        if sim._running:
-            raise SimulationError("run() called re-entrantly")
-        sim._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        heap = sim._heap
-        pop = heapq.heappop
-        step = self._step
-        try:
-            while heap:
-                t0 = heap[0][0]
-                if t0 > horizon or (t0 == horizon and not inclusive):
-                    break
-                step(pop(heap))
         finally:
             sim._running = False
             sim._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile

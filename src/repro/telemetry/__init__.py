@@ -37,20 +37,17 @@ from .anatomy import (
     phase_summary,
 )
 from .export import dump_metrics, metrics_snapshot, utilization_report
-from .merge import PARTITION_ID_STRIDE, MergedTelemetry, merge_telemetry
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .perfetto import chrome_trace, trace_events, write_chrome_trace
 from .spans import Span, Telemetry, TraceContext
 
 __all__ = [
-    "PARTITION_ID_STRIDE",
     "PHASES",
     "PRIORITY",
     "Counter",
     "CriticalStep",
     "Gauge",
     "Histogram",
-    "MergedTelemetry",
     "MetricsRegistry",
     "OpAnatomy",
     "Span",
@@ -61,7 +58,6 @@ __all__ = [
     "decompose",
     "decompose_trace",
     "dump_metrics",
-    "merge_telemetry",
     "metrics_snapshot",
     "phase_summary",
     "trace_events",

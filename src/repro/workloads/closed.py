@@ -277,12 +277,7 @@ def run_closed_loop(
     from ..simnet.trace import summarize
 
     sim = testbed.sim
-    # The load workers live with the client hosts on the driver
-    # partition: under the partitioned engine their clock reads must
-    # come from that kernel (the coordinator facade's ``now`` is only
-    # window-exact mid-round).  Serial testbeds: ksim is sim.
-    ksim = getattr(sim, "driver_sim", sim)
-    t_start = ksim.now
+    t_start = sim.now
     t_warm = t_start + spec.warmup_ns
     t_stop = t_warm + spec.measure_ns
     stats = [ClientLoadStats(client_id=c) for c in range(spec.n_clients)]
@@ -298,8 +293,8 @@ def run_closed_loop(
                 spec.think_ns * slot / max(spec.outstanding, 1)
             )
             if d > 0.0:
-                yield ksim.timeout(d)
-        while ksim.now < t_stop:
+                yield sim.timeout(d)
+        while sim.now < t_stop:
             i = next_op[cid]
             next_op[cid] = i + 1
             st.issued += 1
@@ -307,7 +302,7 @@ def run_closed_loop(
             failed = isinstance(out, WriteOutcome) and not out.ok
             if failed and not spec.allow_failures:
                 raise RuntimeError(f"client {cid} op {i} failed: {out.nacks}")
-            if t_warm <= ksim.now < t_stop:
+            if t_warm <= sim.now < t_stop:
                 if failed:
                     st.failures += 1
                 else:
@@ -319,10 +314,10 @@ def run_closed_loop(
             if spec.think_ns > 0.0:
                 d = rng.exponential(spec.think_ns) if spec.think_jitter else spec.think_ns
                 if d > 0.0:
-                    yield ksim.timeout(d)
+                    yield sim.timeout(d)
 
     procs = [
-        ksim.process(_worker(cid, slot), name=f"load.c{cid}.s{slot}")
+        sim.process(_worker(cid, slot), name=f"load.c{cid}.s{slot}")
         for cid in range(spec.n_clients)
         for slot in range(spec.outstanding)
     ]
@@ -352,7 +347,7 @@ def run_closed_loop(
         bytes=sum(st.bytes for st in stats),
         issued=sum(st.issued for st in stats),
         failures=sum(st.failures for st in stats),
-        elapsed_ns=ksim.now - t_start,
+        elapsed_ns=sim.now - t_start,
         latency=summarize(all_lat),
         per_client=[st.summary(spec.measure_ns) for st in stats],
         quiesced=quiesced,

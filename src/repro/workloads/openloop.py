@@ -391,9 +391,8 @@ class _Run:
         self.testbed = testbed
         self.issue = issue
         self.spec = spec
-        sim = testbed.sim
-        self.ksim = getattr(sim, "driver_sim", sim)
-        self.t0 = self.ksim.now
+        self.sim = testbed.sim
+        self.t0 = self.sim.now
         self.t_warm = self.t0 + spec.warmup_ns
         self.t_stop = self.t0 + spec.horizon_ns
         self.zipf = ZipfSampler(spec.popularity.n_objects, spec.popularity.alpha)
@@ -417,7 +416,7 @@ class _Run:
         self.obj_counts: Dict[int, int] = {}
         self.digest = hashlib.sha256()
         self.schedule: Optional[List[tuple]] = [] if record else None
-        tel = sim.telemetry
+        tel = self.sim.telemetry
         # one resolved handle, sampled on every level change (SIM401)
         self._gauge = (
             tel.metrics.gauge("workload.openloop.inflight") if tel.enabled else None
@@ -441,20 +440,20 @@ class _Run:
         if self.inflight > self.inflight_peak:
             self.inflight_peak = self.inflight
         if self._gauge is not None:
-            self._gauge.set(self.ksim.now, float(self.inflight))
+            self._gauge.set(self.sim.now, float(self.inflight))
         ev = self.issue(cid, n, obj, size)
         ev.add_callback(lambda e, _size=size: self._done(e, _size))
 
     def _done(self, ev: Event, size: int) -> None:
         self.inflight -= 1
         if self._gauge is not None:
-            self._gauge.set(self.ksim.now, float(self.inflight))
+            self._gauge.set(self.sim.now, float(self.inflight))
         out = ev.value
         ok = getattr(out, "ok", True)
         self.completed_total += 1
         if not ok:
             self.failures_total += 1
-        now = self.ksim.now
+        now = self.sim.now
         if self.t_warm <= now < self.t_stop:
             if not ok:
                 self.failures += 1
@@ -469,7 +468,7 @@ class _Run:
     def finish(self, procs: List) -> OpenLoopResult:
         from ..simnet.trace import summarize
 
-        sim = self.testbed.sim
+        sim = self.sim
         done = sim.all_of(procs)
         sim.run_until_event(done)
         # open loop: generators stop at the horizon, but completions may
@@ -478,7 +477,7 @@ class _Run:
         for _ in range(5000):
             if drained:
                 break
-            self.testbed.run(until=self.ksim.now + 200_000.0)
+            self.testbed.run(until=sim.now + 200_000.0)
             drained = self.inflight == 0
         quiesced = drained and all(p.triggered for p in procs)
 
@@ -501,7 +500,7 @@ class _Run:
             failures_total=self.failures_total,
             bytes=self.bytes,
             completed_total=self.completed_total,
-            elapsed_ns=self.ksim.now - self.t0,
+            elapsed_ns=sim.now - self.t0,
             latency=summarize(self.latencies),
             inflight_peak=self.inflight_peak,
             active_users=sum(1 for n in self.reqno if n),
@@ -529,7 +528,7 @@ def run_open_loop(
     each generator heap-merges its clients' arrival streams.
     """
     run = _Run(testbed, issue, spec, record)
-    ksim = run.ksim
+    sim = run.sim
     k_buckets = n_buckets or max(len(getattr(testbed, "clients", [])) or 1, 1)
     k_buckets = min(k_buckets, spec.n_users)
     n_classes = len(run.class_names)
@@ -557,7 +556,7 @@ def run_open_loop(
         heapify(heap)
         while heap:
             t, cid = heappop(heap)
-            yield ksim.timeout_at(t0 + t)
+            yield sim.timeout_at(t0 + t)
             cls = cls_of[cid]
             run.issue_one(cid, t0 + t, cls)
             step = run.steppers[cls][1]
@@ -567,7 +566,7 @@ def run_open_loop(
                 heappush(heap, (t2, cid))
 
     procs = [
-        ksim.process(_generator(heap), name=f"openloop.b{b}.{run.class_names[c]}")
+        sim.process(_generator(heap), name=f"openloop.b{b}.{run.class_names[c]}")
         for (b, c), heap in sorted(heaps.items())
     ]
     return run.finish(procs)
@@ -587,7 +586,7 @@ def run_open_loop_reference(
     Keep populations small here.
     """
     run = _Run(testbed, issue, spec, record)
-    ksim = run.ksim
+    sim = run.sim
     horizon = spec.horizon_ns
     t0 = run.t0
 
@@ -596,12 +595,12 @@ def run_open_loop_reference(
         init, step = run.steppers[cls]
         t, st = step(cid, 0.0, init)
         while t < horizon:
-            yield ksim.timeout_at(t0 + t)
+            yield sim.timeout_at(t0 + t)
             run.issue_one(cid, t0 + t, cls)
             t, st = step(cid, t, st)
 
     procs = [
-        ksim.process(_client(cid), name=f"openloop.c{cid}")
+        sim.process(_client(cid), name=f"openloop.c{cid}")
         for cid in range(spec.n_users)
     ]
     return run.finish(procs)

@@ -251,3 +251,30 @@ def test_fault_params_inactive_by_default():
     assert SimParams().faults is FaultParams() or not SimParams().faults.active
     tb = build_testbed(n_storage=1)
     assert tb.faults is None and tb.sim.faults is None
+
+
+@pytest.mark.parametrize("field", ["loss_prob", "corrupt_prob"])
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_fault_probability_outside_unit_interval_rejected(field, p):
+    with pytest.raises(ValueError, match=field):
+        FaultParams(**{field: p})
+    with pytest.raises(ValueError, match=field):
+        SimParams().with_faults(**{field: p})
+
+
+@pytest.mark.parametrize("argv", [
+    ["demo", "--loss", "2"],
+    ["demo", "--loss", "-1"],
+    ["demo", "--corrupt", "1.5"],
+    ["sanitize", "--demo", "--loss", "2"],
+    ["sanitize", "--demo", "--corrupt", "-1"],
+])
+def test_demo_cli_rejects_bad_probability(argv, capsys):
+    """An out-of-range probability is an argparse error (exit 2) naming the
+    field, not a traceback or a silently lossless run."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "_prob must be in [0, 1]" in capsys.readouterr().err

@@ -101,7 +101,6 @@ def _run(engine: str, kind: str, n_users: int, record: bool = False):
     res, nodes = open_loop_write_load(
         tb, _spec(kind, n_users), protocol="raw", engine=engine, record=record
     )
-    tb.finish()
     return res, nodes
 
 

@@ -121,6 +121,34 @@ def test_toml_missing_tables(tmp_path):
         load_toml(str(path))
 
 
+@pytest.mark.parametrize("text, message", [
+    ('[[scenario]]\nname = "x"\n[scenario.workload]\nn_userz = 5\n',
+     "unknown field 'n_userz' in [scenario.workload]"),
+    ('[[scenario]]\nname = "x"\nprotocl = "spin"\n',
+     "unknown field 'protocl' in [scenario]"),
+    ('[[scenario]]\nname = "x"\n[scenario.workload.arrival]\nkinds = "burst"\n',
+     "unknown field 'kinds' in [scenario.workload.arrival]"),
+    ('[[scenario]]\nprotocol = "spin"\n',
+     "missing field 'name' in [scenario]"),
+    ('[scenario]\nname = "x"\n',
+     "must be an array of tables: write [[scenario]]"),
+    (None, "No such file or directory"),
+])
+def test_toml_errors_name_the_problem(tmp_path, capsys, text, message):
+    """Malformed scenario files raise a ValueError naming the offending key
+    or table, and ``repro scenario --toml`` prints it and exits 2."""
+    from repro.__main__ import main
+
+    path = tmp_path / "bad.toml"
+    if text is not None:
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            load_toml(str(path))
+        assert message in str(err.value)
+    assert main(["scenario", "--toml", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- matrix
 def test_hot_shard_pins_majority():
     row = run_scenario(get("hot_shard", quick=True), seed=77)

@@ -777,8 +777,8 @@ class TestTreeGate:
             by_rule.setdefault(d.rule, set()).add(os.path.basename(d.path))
         assert set(by_rule) == {"SIM101", "SIM401"}
         assert by_rule["SIM101"] == {
-            "engine.py", "parallel.py", "runner.py", "perfsnap.py",
-            "__main__.py", "runtime.py",
+            "engine.py", "runner.py", "perfsnap.py", "__main__.py",
+            "runtime.py",
         }
         assert by_rule["SIM401"] == {"accelerator.py"}
 

@@ -1,6 +1,6 @@
 """Sanitizer efficacy tests: revert-style regression fixtures.
 
-The quick-matrix / demo / partition gates prove the committed tree is
+The quick-matrix / demo gates prove the committed tree is
 *currently clean*; these tests prove the sanitizer would actually catch
 the bug classes it was built for.  Each fixture re-introduces, in a
 throwaway fixture sim (never in the real code), a bug class from this
@@ -15,9 +15,8 @@ repository's history:
   (``leak-greq`` / ``orphan-span``);
 
 plus direct positives/negatives for the schedule-race and clock-rewind
-detectors, the zero-perturbation guarantee (a sanitized run's schedule
-is byte-identical to an unsanitized one), and the cross-partition
-boundary auditor's ``first_divergence``.
+detectors and the zero-perturbation guarantee (a sanitized run's
+schedule is byte-identical to an unsanitized one).
 """
 
 import numpy as np
@@ -28,7 +27,6 @@ from repro.dfs.cluster import build_testbed
 from repro.protocols import install_spin_targets
 from repro.simnet.engine import Interrupt, SimulationError, Simulator
 from repro.simnet.resources import Container, Resource, Store
-from repro.simsan import BoundaryAudit, first_divergence
 
 
 def _quiesce_report(sim):
@@ -332,53 +330,3 @@ class TestZeroPerturbation:
         report = sane.sanitize_report()
         assert report.ok, report.summary()
         assert report.stats["pops"] == sane.sim.events_dispatched
-
-
-# ===================================================================
-# cross-partition boundary auditor
-# ===================================================================
-
-class _Pkt:
-    def __init__(self, src, dst, op, msg_id, seq):
-        self.src, self.dst, self.op = src, dst, op
-        self.msg_id, self.seq = msg_id, seq
-
-
-def _msgs(window, seq0=0, op="write"):
-    # (fire_t, src_rank, src_seq, dst_rank, dst, pkt)
-    return [
-        (window * 1000.0 + i, rank, seq0 + i, 1 - rank, f"sn{rank}",
-         _Pkt("cl0", f"sn{rank}", op, 7, seq0 + i))
-        for i in range(3)
-        for rank in (0, 1)
-    ]
-
-
-class TestBoundaryAudit:
-    def test_identical_traffic_has_no_divergence(self):
-        a, b = BoundaryAudit(), BoundaryAudit()
-        for w in range(4):
-            a.record(w, _msgs(w))
-            b.record(w, _msgs(w))
-        assert a.messages == b.messages == 24
-        assert first_divergence(a, b) is None
-
-    def test_first_divergent_window_and_rank_is_named(self):
-        a, b = BoundaryAudit(), BoundaryAudit()
-        for w in range(4):
-            a.record(w, _msgs(w))
-            # window 2: one packet differs in run b (a retransmit seq)
-            b.record(w, _msgs(w, op="write" if w != 2 else "rtx"))
-        div = first_divergence(a, b)
-        assert div is not None
-        window, rank, da, db = div
-        assert (window, rank) == (2, 0)
-        assert da and db and da != db
-
-    def test_missing_traffic_shows_empty_digest(self):
-        a, b = BoundaryAudit(), BoundaryAudit()
-        a.record(1, _msgs(1))
-        div = first_divergence(a, b)
-        assert div is not None
-        window, rank, da, db = div
-        assert window == 1 and da and db == ""
