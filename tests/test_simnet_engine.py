@@ -41,33 +41,6 @@ def test_tie_break_is_fifo():
     assert log == list(range(10))
 
 
-class TestHeapTieBreak:
-    """Same-timestamp entries dispatch in insertion order, and the order
-    is the same on every fresh kernel."""
-
-    N = 32
-    T = 100.0
-
-    def _schedule(self, sim, log):
-        for i in range(self.N):
-            sim._call_at1(log.append, f"{i}", self.T)
-
-    def test_insertion_order_on_one_kernel(self):
-        sim, log = Simulator(), []
-        self._schedule(sim, log)
-        sim.run(until=self.T)
-        assert log == [f"{i}" for i in range(self.N)]
-
-    def test_order_survives_kernel_restart(self):
-        runs = []
-        for _ in range(3):
-            sim, log = Simulator(), []
-            self._schedule(sim, log)
-            sim.run(until=self.T)
-            runs.append(log)
-        assert runs[0] == runs[1] == runs[2] == [f"{i}" for i in range(self.N)]
-
-
 def test_process_return_value():
     sim = Simulator()
 
