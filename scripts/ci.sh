@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # CI gate: simlint, tier-1 tests, trace-export and fault-injection
-# smokes, simsan sanitize stage, telemetry-overhead guard, SLO suite,
-# parallel-sweep and determinism smokes, simulator perf guards.
+# smokes, simsan sanitize stage, SLO suite, parallel-sweep and
+# determinism smokes, simulator perf guards (including the
+# telemetry disabled-overhead guard).
 #
 # The perf guards compare wall-clock numbers with BENCH_simulator.json;
 # on a host whose CPU affinity or Python version differs from the
-# baseline's, `repro perf --check` skips those floors and exits 2.
+# baseline's, `repro perf --check` skips those floors and exits 2.  The
+# telemetry off/on ratio compares two runs on the same host, so it is
+# checked on every host.
 #
 # Usage: scripts/ci.sh            (from the repo root)
 set -euo pipefail
@@ -95,11 +98,6 @@ assert report.ok, f"sanitizer findings on hot_shard quick:\n{report.summary()}"
 print(f"hot_shard quick sanitized clean: {report.summary()}")
 PY
 python -m repro sanitize --demo --loss 1e-3 --seed 2
-
-echo
-echo "== telemetry disabled-overhead guard (<3%) =="
-python -m pytest benchmarks/bench_simulator_perf.py::test_telemetry_disabled_overhead \
-    -q --no-header -p no:cacheprovider
 
 echo
 echo "== SLO suite (fixed-seed latency anatomy vs BENCH_slo.json) =="
@@ -200,7 +198,9 @@ echo "scenario matrix deterministic: repeated run byte-identical"
 echo
 echo "== simulator perf guard (vs committed BENCH_simulator.json) =="
 # wide 30% wall-clock tolerance absorbs CI machine noise; the
-# events-per-packet count is deterministic and capped at +5%
+# events-per-packet count is deterministic and capped at +5%; the
+# pipeline section's telemetry-off time may exceed telemetry-on time by
+# at most 3% (collection must cost nothing when off)
 python -m repro perf --check BENCH_simulator.json --tolerance 0.30
 
 echo

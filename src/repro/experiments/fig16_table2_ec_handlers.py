@@ -88,6 +88,11 @@ def check(rows: list[dict]) -> None:
                                 "RS(3,2) PH ~11672 instructions")
     shapes.assert_ratio_between(rs63["PH_instr"], 16028, 0.97, 1.03,
                                 "RS(6,3) PH ~16028 instructions")
+    # 5 instr/byte (RS(3,2)) and 7 instr/byte (RS(6,3)) on 2 KiB payloads
+    shapes.check(11300 <= rs32["PH_instr"] <= 12050,
+                 f"RS(3,2) PH in 11300-12050 instructions (got {rs32['PH_instr']:.0f})")
+    shapes.check(15550 <= rs63["PH_instr"] <= 16500,
+                 f"RS(6,3) PH in 15550-16500 instructions (got {rs63['PH_instr']:.0f})")
     # durations within tolerance of Table II
     shapes.assert_ratio_between(rs32["PH_ns"], 16681, 0.8, 1.35, "RS(3,2) PH ~16.7 us")
     shapes.assert_ratio_between(rs63["PH_ns"], 23018, 0.8, 1.35, "RS(6,3) PH ~23 us")

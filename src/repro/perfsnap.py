@@ -6,7 +6,10 @@
   discrete-event engine (no network stack);
 * **pipeline** — a burst of steady-state full-stack 64 KiB sPIN writes:
   per-write events dispatched, packets through the switch, and the
-  derived events-per-packet cost of the packet pipeline;
+  derived events-per-packet cost of the packet pipeline; plus the
+  telemetry-off / telemetry-on time ratio of a replicated spin write,
+  which must stay at or below :data:`TELEMETRY_OFF_ON_CAP` (collection
+  must cost nothing when off);
 * **sweep** — a small experiment sweep run serially and with two worker
   processes, recording the parallel speedup of :mod:`repro.runner`;
 * **workload** — the million-user open-loop ``hot_shard_1m`` scenario
@@ -23,7 +26,8 @@ the full suite).
 machine-independent event counts grew or throughput dropped below
 ``(1 - tolerance)`` of the committed baseline.  Events-per-packet is
 deterministic, so it gets a tight 5% bound; throughput numbers get the
-wide default (30%).  Kernel and pipeline throughput are timed with
+wide default (30%).  The telemetry ratio compares two runs on the same
+host, so its cap applies on any host, baseline or not.  Kernel and pipeline throughput are timed with
 ``time.process_time`` — per consumed CPU second, which equals wall time
 on a quiet machine but stays stable when a shared CI box throttles or
 preempts the process (the sweep comparison is genuinely wall-clock:
@@ -52,10 +56,9 @@ __all__ = ["collect_snapshot", "check_against", "host_mismatch", "main"]
 
 
 def _kernel_events_per_s(repeats: int = 8) -> float:
-    """Best-of-N event throughput of the bare engine (matches the shape
-    of benchmarks/bench_simulator_perf.py::test_kernel_event_throughput,
-    scaled up so one run is long enough to time without a harness).
-    The first run is interpreter warm-up and is discarded."""
+    """Best-of-N event throughput of the bare engine: ten processes
+    each sleeping 2000 one-nanosecond timeouts.  The first run is
+    interpreter warm-up and is discarded."""
     from .simnet import Simulator
 
     def once() -> float:
@@ -110,7 +113,45 @@ def _pipeline_snapshot(repeats: int = 5, inner: int = 10) -> Dict[str, Any]:
         "events_per_packet": round(events / packets, 3),
         "events_per_wall_s": round(events / best_wall),
         "packets_per_wall_s": round(packets / best_wall),
+        "telemetry_off_on_ratio": _telemetry_off_on_ratio(),
     }
+
+
+#: telemetry-off time may exceed telemetry-on time by at most 3%: every
+#: instrumentation site must be one attribute load and a branch when off
+TELEMETRY_OFF_ON_CAP = 1.03
+
+
+def _replicated_write_s(telemetry: bool) -> float:
+    """CPU seconds of eight 64 KiB 3-way replicated spin writes."""
+    import numpy as np
+
+    from .dfs.client import DfsClient
+    from .dfs.cluster import build_testbed
+    from .dfs.layout import ReplicationSpec
+    from .protocols import install_spin_targets
+
+    tb = build_testbed(n_storage=4, telemetry=telemetry)
+    install_spin_targets(tb)
+    c = DfsClient(tb)
+    c.create("/f", size=128 * 1024, replication=ReplicationSpec(k=3))
+    data = np.zeros(64 * 1024, np.uint8)
+    t0 = time.process_time()
+    for _ in range(8):
+        assert c.write_sync("/f", data, protocol="spin").ok
+    return time.process_time() - t0
+
+
+def _telemetry_off_on_ratio(repeats: int = 5) -> float:
+    """Min-of-N time with telemetry off over min-of-N with it on.  On
+    does strictly more work, so a ratio above 1 beyond noise means the
+    disabled path got slower.  The two sides are interleaved so drift
+    in clock speed or cache state hits both."""
+    off, on = [], []
+    for _ in range(repeats):
+        off.append(_replicated_write_s(telemetry=False))
+        on.append(_replicated_write_s(telemetry=True))
+    return round(min(off) / min(on), 3)
 
 
 def _sweep_snapshot(jobs: int = 2) -> Dict[str, Any]:
@@ -284,6 +325,12 @@ def check_against(snap: Dict[str, Any], base: Dict[str, Any],
             failures.append(
                 f"pipeline.events_per_packet: {got_epp} > baseline {base_epp} (+5% cap)"
             )
+    ratio = snap.get("pipeline", {}).get("telemetry_off_on_ratio")
+    if ratio is not None and ratio > TELEMETRY_OFF_ON_CAP:
+        failures.append(
+            f"pipeline.telemetry_off_on_ratio: {ratio} > {TELEMETRY_OFF_ON_CAP} "
+            f"(telemetry costs time when off)"
+        )
     if "workload" in snap and "workload" in base:
         floor("workload.users_per_wall_s",
               snap["workload"]["users_per_wall_s"],
@@ -331,7 +378,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"pipeline : {pipe['events_per_wall_s']:,.0f} events/s, "
               f"{pipe['packets_per_wall_s']:,.0f} packets/s, "
               f"{pipe['events_per_packet']} events/packet "
-              f"({pipe['events']} events / {pipe['packets']} packets)")
+              f"({pipe['events']} events / {pipe['packets']} packets), "
+              f"telemetry off/on {pipe['telemetry_off_on_ratio']}")
     if "sweep" in snap:
         sweep = snap["sweep"]
         print(f"sweep    : {sweep['experiment']} x{sweep['points']} serial "
@@ -366,7 +414,8 @@ def main(argv: Optional[list] = None) -> int:
                   f"deterministic checks passed")
             return 2
         print(f"perf check vs {args.check} passed "
-              f"(tolerance {args.tolerance:.0%} on wall-clock, 5% on events/packet)")
+              f"(tolerance {args.tolerance:.0%} on wall-clock, 5% on events/packet, "
+              f"telemetry off/on <= {TELEMETRY_OFF_ON_CAP})")
     return 0
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, NoReturn, Optional
 
 from ..telemetry import Telemetry
 
@@ -166,6 +166,10 @@ class Event:
 
 
 _DISPATCHED: list = []  # sentinel assigned to Event.callbacks after dispatch
+
+_INF = float("inf")
+# why Simulator._loop stopped
+_TRIGGERED, _DRAINED, _BOUND = "triggered", "drained", "bound"
 
 
 class Timeout(Event):
@@ -365,14 +369,17 @@ class Simulator:
         #: ``sim.telemetry.enabled`` to start recording spans/metrics)
         self.telemetry = Telemetry(enabled=False)
         #: runtime sanitizer (see repro.simsan); None = off, zero cost.
-        #: When set, run()/run_until_event() delegate to the
-        #: sanitizer's instrumented loops and the resource primitives
-        #: record acquisition backtraces.
+        #: When set, its per-pop hook dispatches every heap entry and the
+        #: resource primitives record acquisition backtraces.
         self.sanitizer = None
+        self._hook: Optional[Callable[[tuple], None]] = None
         if sanitize:
             from ..simsan import Sanitizer
 
             self.sanitizer = Sanitizer(self)
+            self._hook = self.sanitizer._step
+        #: stop event of an unbounded run(): never triggered
+        self._never = Event(self, "never")
         #: fault oracle (see repro.faults.install_faults); None = no faults
         self.faults = None
         #: packet-train coalescing switch (see repro.simnet.link): ports
@@ -455,66 +462,21 @@ class Simulator:
         """Run until the event heap drains or the clock would pass ``until``.
 
         Events scheduled at exactly ``until`` still fire; the clock then
-        stops at ``until``.  Returns the final simulation time.
-        Unhandled process failures are re-raised here.  Note: background
-        service processes (egress servers, sweepers) can keep the heap
-        non-empty forever — use :meth:`run_until_event` to wait for a
-        specific outcome.
+        stops at ``until``.  Returns the final simulation time.  A bound
+        in the past raises :class:`SimulationError` (the clock never moves
+        backwards).  Unhandled process failures are re-raised here.
+        Note: background service processes (egress servers, sweepers) can
+        keep the heap non-empty forever — use :meth:`run_until_event` to
+        wait for a specific outcome.
         """
-        if self.sanitizer is not None:
-            return self.sanitizer.run(until)
-        if self._running:
-            raise SimulationError("run() called re-entrantly")
-        self._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        # Stepping AND the dispatch body are inlined here (and in
-        # run_until_event): one method call per event is measurable at
-        # millions of events per run.  High-water and dispatch counters
-        # run on locals and are written back on exit for the same
-        # reason.  Keep in sync with run_until_event().  An Event popped
-        # with no callbacks and a failure re-raises: crashes are never
-        # silently swallowed (an unobserved failed Process included).
-        heap = self._heap
-        pop = heapq.heappop
-        hw = self._heap_high_water
-        ndisp = self.events_dispatched
-        try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self.now = until
-                    break
-                entry = pop(heap)
-                n = len(heap)
-                if n >= hw:
-                    hw = n + 1
-                t = entry[0]
-                if t < self.now - 1e-9:
-                    raise SimulationError("time went backwards")
-                self.now = t
-                ndisp += 1
-                item = entry[2]
-                if isinstance(item, Event):
-                    callbacks = item.callbacks
-                    item.callbacks = _DISPATCHED
-                    if callbacks:
-                        for cb in callbacks:
-                            cb(item)
-                    elif item._exc is not None:
-                        if not isinstance(item, Process) or not item._observed:
-                            raise item._exc
-                elif len(entry) == 3:
-                    item()
-                else:
-                    item(entry[3])
-            else:
-                if until is not None:
-                    self.now = max(self.now, until)
-        finally:
-            self._heap_high_water = hw
-            self.events_dispatched = ndisp
-            self._running = False
-            self._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
-        return self.now
+        if until is None:
+            self._loop(self._never, _INF)
+            return self.now
+        if until < self.now:
+            raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
+        self._loop(self._never, until)
+        self.now = until
+        return until
 
     def run_until_event(self, ev: Event, limit: Optional[float] = None) -> Any:
         """Run until ``ev`` fires; return its value (or raise its error).
@@ -522,36 +484,57 @@ class Simulator:
         ``limit`` bounds simulated time; exceeding it raises
         :class:`SimulationError`, as does a drained heap (deadlock).
         """
-        if self.sanitizer is not None:
-            return self.sanitizer.run_until_event(ev, limit)
+        why = self._loop(ev, _INF if limit is None else limit)
+        if why == _DRAINED:
+            raise SimulationError(
+                f"deadlock: event {ev.name!r} can never fire (heap empty)"
+            )
+        if why == _BOUND:
+            raise SimulationError(f"event {ev.name!r} did not fire by t={limit} ns")
+        if ev.exception is not None:
+            raise ev.exception
+        return ev.value
+
+    def _loop(self, stop: Event, bound: float) -> str:
+        """Pop and dispatch until ``stop`` triggers, the heap drains, or
+        the next entry lies past ``bound``; return which of the three
+        (``_TRIGGERED``, ``_DRAINED``, ``_BOUND``) ended the run.
+
+        The dispatch body is inlined: one method call per event is
+        measurable at millions of events per run.  High-water and
+        dispatch counters run on locals and are written back on exit for
+        the same reason.  With a sanitizer attached, ``self._hook``
+        dispatches each popped entry instead.  An Event popped with no
+        callbacks and a failure re-raises: crashes are never silently
+        swallowed (an unobserved failed Process included).
+        """
         if self._running:
             raise SimulationError("run() called re-entrantly")
         self._running = True
         wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        # inlined stepping + dispatch — keep in sync with run()
         heap = self._heap
         pop = heapq.heappop
+        hook = self._hook
         hw = self._heap_high_water
         ndisp = self.events_dispatched
         try:
-            while not ev.triggered:
+            while not stop.triggered:
                 if not heap:
-                    raise SimulationError(
-                        f"deadlock: event {ev.name!r} can never fire (heap empty)"
-                    )
-                if limit is not None and heap[0][0] > limit:
-                    raise SimulationError(
-                        f"event {ev.name!r} did not fire by t={limit} ns"
-                    )
+                    return _DRAINED
+                if heap[0][0] > bound:
+                    return _BOUND
                 entry = pop(heap)
                 n = len(heap)
                 if n >= hw:
                     hw = n + 1
                 t = entry[0]
                 if t < self.now - 1e-9:
-                    raise SimulationError("time went backwards")
+                    self._time_went_backwards(entry)
                 self.now = t
                 ndisp += 1
+                if hook is not None:
+                    hook(entry)
+                    continue
                 item = entry[2]
                 if isinstance(item, Event):
                     callbacks = item.callbacks
@@ -566,14 +549,19 @@ class Simulator:
                     item()
                 else:
                     item(entry[3])
+            return _TRIGGERED
         finally:
             self._heap_high_water = hw
             self.events_dispatched = ndisp
             self._running = False
             self._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
-        if ev.exception is not None:
-            raise ev.exception
-        return ev.value
+
+    def _time_went_backwards(self, entry: tuple) -> NoReturn:
+        if self.sanitizer is not None:
+            self.sanitizer.record_rewind(entry)
+        raise SimulationError(
+            f"time went backwards: entry at t={entry[0]} popped at now={self.now}"
+        )
 
     def run_until_complete(self, proc: Process, until: Optional[float] = None) -> Any:
         """Run until ``proc`` finishes; return its value or raise its error."""

@@ -1,12 +1,12 @@
-"""The runtime sanitizer: instrumented kernel loops + claim tracking.
+"""The runtime sanitizer: a per-pop kernel hook + claim tracking.
 
-Attached to a kernel via ``Simulator(sanitize=True)``.  The engine's
-hot loops are untouched when the sanitizer is off (``sim.sanitizer is
-None`` costs one attribute check per *run call*, not per event); when it
-is on, ``run()``/``run_until_event()`` delegate to the
-instrumented loops here, which preserve the serial kernel's semantics
-exactly — same clock contract, same exception behaviour, same
-self-profile counters — while observing every heap pop.
+Attached to a kernel via ``Simulator(sanitize=True)``, which installs
+:meth:`Sanitizer._step` as the kernel's per-pop hook.  The kernel's one
+dispatch loop keeps the clock, the bounds, the exception contract and
+the self-profile counters either way; with the hook installed it hands
+each popped entry to ``_step``, which observes it and dispatches it
+with push attribution.  When the sanitizer is off the hook is ``None``
+and the loop dispatches inline.
 
 Detectors (see :mod:`repro.simsan.findings` for the kind strings):
 
@@ -39,19 +39,10 @@ produces byte-identical schedules/digests to an unsanitized one.
 from __future__ import annotations
 
 import hashlib
-import heapq
-import time
 import traceback
 from typing import Any, Optional
 
-from ..simnet.engine import (
-    _DISPATCHED,
-    Event,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
+from ..simnet.engine import _DISPATCHED, Event, Process, Simulator, Timeout
 from .findings import Finding, Report
 
 __all__ = ["Sanitizer"]
@@ -196,81 +187,40 @@ class Sanitizer:
                 grants[0][0] -= left
                 left = 0.0
 
-    # ------------------------------------------------------ kernel loops
-    # These mirror Simulator.run/run_until_event exactly: the
-    # clock contracts and exception behaviour must be indistinguishable
-    # from the uninstrumented kernel.  Keep in sync with engine.py.
-    def run(self, until: Optional[float] = None) -> float:
-        sim = self.sim
-        if sim._running:
-            raise SimulationError("run() called re-entrantly")
-        sim._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        heap = sim._heap
-        pop = heapq.heappop
-        step = self._step
-        try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    sim.now = until
-                    break
-                step(pop(heap))
-            else:
-                if until is not None:
-                    sim.now = max(sim.now, until)
-        finally:
-            sim._running = False
-            sim._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
-        return sim.now
-
-    def run_until_event(self, ev: Event, limit: Optional[float] = None) -> Any:
-        sim = self.sim
-        if sim._running:
-            raise SimulationError("run() called re-entrantly")
-        sim._running = True
-        wall0 = time.perf_counter()  # simlint: disable=SIM101 -- kernel self-profile
-        heap = sim._heap
-        pop = heapq.heappop
-        step = self._step
-        try:
-            while not ev.triggered:
-                if not heap:
-                    raise SimulationError(
-                        f"deadlock: event {ev.name!r} can never fire (heap empty)"
-                    )
-                if limit is not None and heap[0][0] > limit:
-                    raise SimulationError(
-                        f"event {ev.name!r} did not fire by t={limit} ns"
-                    )
-                step(pop(heap))
-        finally:
-            sim._running = False
-            sim._wall_s += time.perf_counter() - wall0  # simlint: disable=SIM101 -- kernel self-profile
-        if ev.exception is not None:
-            raise ev.exception
-        return ev.value
-
-    # ------------------------------------------------------- per-pop step
-    def _step(self, entry: tuple) -> None:
-        sim = self.sim
-        heap = sim._heap
-        n = len(heap) + 1  # heap size before this pop
-        if n > sim._heap_high_water:
-            sim._heap_high_water = n
-        t = entry[0]
-        seq = entry[1]
-        item = entry[2]
-        origin = self._origins.pop(seq, _DRIVER)
+    # ------------------------------------------------------ per-pop hook
+    def _pushed_into_past(self, t: float, origin: tuple, item: Any) -> None:
         olabel, opush_t = origin
-        self.pops += 1
-
-        # -- schedule-race detector -----------------------------------
         if opush_t is not None and t < opush_t - 1e-9:
             self._find(
                 "clock-rewind",
                 f"entry {_item_label(item)} fires at t={t} but was pushed "
                 f"by {olabel} at now={opush_t} (scheduled into the past)",
             )
+
+    def record_rewind(self, entry: tuple) -> None:
+        """Called by the kernel, before it raises "time went backwards",
+        for an entry popped behind the clock."""
+        t, item = entry[0], entry[2]
+        self._pushed_into_past(t, self._origins.pop(entry[1], _DRIVER), item)
+        self._find(
+            "clock-rewind",
+            f"pop {_item_label(item)} at t={t} behind clock now={self.sim.now}",
+        )
+
+    def _step(self, entry: tuple) -> None:
+        """Observe and dispatch one popped entry.  The kernel has already
+        advanced the clock, counted the dispatch and updated the heap
+        high-water mark."""
+        sim = self.sim
+        heap = sim._heap
+        t = entry[0]
+        item = entry[2]
+        origin = self._origins.pop(entry[1], _DRIVER)
+        olabel, opush_t = origin
+        self.pops += 1
+
+        # -- schedule-race detector -----------------------------------
+        self._pushed_into_past(t, origin, item)
         if heap and heap[0][0] == t:
             self.ties_seen += 1
             nxt = self._origins.get(heap[0][1], _DRIVER)
@@ -305,15 +255,7 @@ class Sanitizer:
         self._h.update(f"{t!r}|{olabel}|{_item_label(item)};".encode())
         self._win_pops += 1
 
-        # -- dispatch (mirrors the engine, with push attribution) -----
-        if t < sim.now - 1e-9:
-            self._find(
-                "clock-rewind",
-                f"pop {_item_label(item)} at t={t} behind clock now={sim.now}",
-            )
-            raise SimulationError("time went backwards")
-        sim.now = t
-        sim.events_dispatched += 1
+        # -- dispatch, attributing each callback's pushes -------------
         dlabel = _item_label(item)
         if isinstance(item, Event):
             callbacks = item.callbacks

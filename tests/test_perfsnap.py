@@ -1,5 +1,6 @@
 """``repro perf --check``: wall-clock floors apply only on the baseline's
-host; the deterministic checks apply everywhere."""
+host; the deterministic checks and the same-host telemetry ratio apply
+everywhere."""
 
 import copy
 
@@ -8,7 +9,8 @@ from repro.perfsnap import check_against, host_mismatch
 BASE = {
     "meta": {"cpus_affinity": 2, "python": "3.11.7"},
     "kernel_events_per_s": 1_000_000,
-    "pipeline": {"events_per_wall_s": 500_000, "events_per_packet": 6.0},
+    "pipeline": {"events_per_wall_s": 500_000, "events_per_packet": 6.0,
+                 "telemetry_off_on_ratio": 0.95},
     "workload": {"users_per_wall_s": 10_000, "events_per_wall_s": 400_000,
                  "schedule_digest": "7eb71d331881a1a4"},
 }
@@ -51,3 +53,13 @@ def test_other_host_still_runs_deterministic_checks():
     assert len(failures) == 2
     assert failures[0].startswith("pipeline.events_per_packet")
     assert failures[1].startswith("workload: schedule digest drifted")
+
+
+def test_telemetry_off_slower_than_on_fails_on_any_host():
+    for meta in ({}, {"python": "3.12.1"}):
+        snap = copy.deepcopy(BASE)
+        snap["meta"].update(meta)
+        snap["pipeline"]["telemetry_off_on_ratio"] = 1.031
+        failures = check_against(snap, BASE)
+        assert len(failures) == 1
+        assert failures[0].startswith("pipeline.telemetry_off_on_ratio: 1.031 > 1.03")

@@ -778,7 +778,6 @@ class TestTreeGate:
         assert set(by_rule) == {"SIM101", "SIM401"}
         assert by_rule["SIM101"] == {
             "engine.py", "runner.py", "perfsnap.py", "__main__.py",
-            "runtime.py",
         }
         assert by_rule["SIM401"] == {"accelerator.py"}
 

@@ -289,15 +289,19 @@ def test_reentrant_run_rejected():
         sim.run()
 
 
-def test_run_until_event_deadlock_detected():
-    sim = Simulator()
+def test_run_until_event_deadlock_detected(sanitize=False):
+    sim = Simulator(sanitize=sanitize)
     never = sim.event()
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_event(never)
 
 
-def test_run_until_event_limit():
-    sim = Simulator()
+def test_sanitized_run_until_event_deadlock_detected():
+    test_run_until_event_deadlock_detected(sanitize=True)
+
+
+def test_run_until_event_limit(sanitize=False):
+    sim = Simulator(sanitize=sanitize)
     ev = sim.event()
 
     def late():
@@ -309,6 +313,10 @@ def test_run_until_event_limit():
         sim.run_until_event(ev, limit=10.0)
     # and it can still complete afterwards
     assert sim.run_until_event(ev) == "v"
+
+
+def test_sanitized_run_until_event_limit():
+    test_run_until_event_limit(sanitize=True)
 
 
 def test_run_until_event_raises_event_failure():
