@@ -173,27 +173,28 @@ echo
 echo "== recovery-storm smoke (fixed seed, byte-identical schedule) =="
 # kills a whole failure domain mid-load: heartbeat detection, bounded
 # re-replication through the data plane, and shape checks must all
-# pass; a second run must reproduce the rows (incl. the repair-schedule
-# digest) byte-for-byte
+# pass; a second run on two worker processes must reproduce the serial
+# rows (incl. the repair-schedule digest) byte-for-byte
 python -m repro.experiments recovery_storm --quick --no-cache \
     --csv "$tmpdir/storm1.csv"
 python -m repro.experiments recovery_storm --quick --no-cache --no-check \
-    --csv "$tmpdir/storm2.csv" > /dev/null
+    --jobs 2 --csv "$tmpdir/storm2.csv" > /dev/null
 cmp "$tmpdir/storm1.csv" "$tmpdir/storm2.csv"
-echo "recovery storm deterministic: repeated run byte-identical"
+echo "recovery storm deterministic: --jobs 2 rerun byte-identical to serial"
 
 echo
 echo "== scenario-matrix smoke (3-scenario mini-matrix, byte-identical) =="
 # hot_shard / incast / uniform_onoff through the aggregated flow
 # generators at a fixed seed: shape checks (skew lands on the pinned
-# node, incast backlog spikes) must pass, and a second run must
-# reproduce the rows — including every schedule digest — byte-for-byte
+# node, incast backlog spikes) must pass, and a second run on two worker
+# processes must reproduce the serial rows — including every schedule
+# digest — byte-for-byte
 python -m repro.experiments scenario_matrix --quick --no-cache \
     --csv "$tmpdir/matrix1.csv"
 python -m repro.experiments scenario_matrix --quick --no-cache --no-check \
-    --csv "$tmpdir/matrix2.csv" > /dev/null
+    --jobs 2 --csv "$tmpdir/matrix2.csv" > /dev/null
 cmp "$tmpdir/matrix1.csv" "$tmpdir/matrix2.csv"
-echo "scenario matrix deterministic: repeated run byte-identical"
+echo "scenario matrix deterministic: --jobs 2 rerun byte-identical to serial"
 
 echo
 echo "== simulator perf guard (vs committed BENCH_simulator.json) =="

@@ -241,13 +241,13 @@ def _trace(argv) -> int:
 
 
 def _scenario(argv) -> int:
-    """Run open-loop workload scenarios: one by name, a TOML file of
-    specs, or the built-in matrix through the parallel sweep runner."""
+    """Run open-loop workload scenarios: one by name or a TOML file of
+    specs (the built-in matrix runs as the ``scenario_matrix``
+    experiment)."""
     import csv as _csv
     import sys
 
     from repro.scenarios import (
-        MATRIX_NAMES,
         SCENARIOS,
         get,
         load_toml,
@@ -255,31 +255,31 @@ def _scenario(argv) -> int:
         scenario_row_keys,
     )
 
+    # argparse prints the usage line with every usage error, so the
+    # pointer to the matrix experiment goes there
     ap = argparse.ArgumentParser(
         prog="repro scenario",
+        usage="%(prog)s (--name NAME | --toml PATH) [options]\n"
+              "the built-in matrix: python -m repro.experiments "
+              "scenario_matrix [--quick] [--jobs N]",
         description="Open-loop workload scenarios (aggregated flow "
-                    "generators): hot_shard, incast, the full matrix, or "
-                    "your own TOML specs.")
-    ap.add_argument("--name", metavar="NAME", default=None,
-                    help="run one built-in scenario "
-                         f"({', '.join(sorted(SCENARIOS))}); default: the "
-                         f"matrix ({', '.join(MATRIX_NAMES)}) via the sweep "
-                         "runner")
-    ap.add_argument("--toml", metavar="PATH", default=None,
-                    help="run every [[scenario]] spec in a TOML file")
+                    "generators): one built-in scenario or your own TOML "
+                    "specs.")
+    which = ap.add_mutually_exclusive_group(required=True)
+    which.add_argument("--name", metavar="NAME",
+                       help="run one built-in scenario "
+                            f"({', '.join(sorted(SCENARIOS))})")
+    which.add_argument("--toml", metavar="PATH",
+                       help="run every [[scenario]] spec in a TOML file")
     ap.add_argument("--quick", action="store_true",
                     help="~10x smaller populations and horizons")
     ap.add_argument("--seed", type=int, default=None, metavar="S",
-                    help="override the seed for --name/--toml runs "
-                         "(default: the sweep runner's per-point seed)")
+                    help="override the seed (default: the sweep runner's "
+                         "per-point seed)")
     ap.add_argument("--engine", choices=["aggregated", "explicit"],
                     default="aggregated",
                     help="flow-generator engine (explicit is the per-client "
                          "reference; keep populations small)")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="matrix mode: sweep points over N processes")
-    ap.add_argument("--no-cache", action="store_true",
-                    help="matrix mode: ignore the result cache")
     ap.add_argument("--out", default=None, metavar="PATH",
                     help="write rows as CSV")
     args = ap.parse_args(argv)
@@ -287,34 +287,27 @@ def _scenario(argv) -> int:
     from repro.experiments.scenario_matrix import ID, render
     from repro.runner import point_seed
 
-    if args.toml or args.name:
-        if args.toml:
-            try:
-                specs = load_toml(args.toml)
-            except (OSError, ValueError) as e:
-                print(e, file=sys.stderr)
-                return 2
-            if args.quick:
-                from repro.scenarios import quick_variant
+    if args.toml:
+        try:
+            specs = load_toml(args.toml)
+        except (OSError, ValueError) as e:
+            print(e, file=sys.stderr)
+            return 2
+        if args.quick:
+            from repro.scenarios import quick_variant
 
-                specs = [quick_variant(s) for s in specs]
-        else:
-            try:
-                specs = [get(args.name, quick=args.quick)]
-            except KeyError as e:
-                print(e.args[0], file=sys.stderr)
-                return 2
-        rows = []
-        for spec in specs:
-            seed = args.seed if args.seed is not None else point_seed(
-                ID, {"scenario": spec.name, "quick": args.quick})
-            rows.append(run_scenario(spec, seed=seed, engine=args.engine))
+            specs = [quick_variant(s) for s in specs]
     else:
-        from repro.experiments import scenario_matrix
-
-        rows = scenario_matrix.run(quick=args.quick, jobs=args.jobs,
-                                   cache=not args.no_cache)
-        scenario_matrix.check(rows)
+        try:
+            specs = [get(args.name, quick=args.quick)]
+        except KeyError as e:
+            print(e.args[0], file=sys.stderr)
+            return 2
+    rows = []
+    for spec in specs:
+        seed = args.seed if args.seed is not None else point_seed(
+            ID, {"scenario": spec.name, "quick": args.quick})
+        rows.append(run_scenario(spec, seed=seed, engine=args.engine))
 
     print(render(rows))
     if args.out:

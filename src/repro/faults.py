@@ -37,7 +37,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from .simnet.engine import Simulator
     from .simnet.packet import Packet
 
-__all__ = ["DownWindow", "FaultParams", "FaultInjector", "install_faults"]
+__all__ = ["DownWindow", "FaultParams", "FaultInjector", "check_probability",
+           "install_faults"]
+
+
+def check_probability(name: str, p: float) -> None:
+    """Reject a fault probability outside ``[0, 1]``, naming the field.
+    1.0 is legal: total loss is how a link that never delivers is
+    modelled (the give-up path of the reliability layer)."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -85,12 +94,8 @@ class FaultParams:
     max_retransmits: int = 8
 
     def __post_init__(self) -> None:
-        # 1.0 is legal: total loss is how a link that never delivers is
-        # modelled (the give-up path of the reliability layer)
-        for name in ("loss_prob", "corrupt_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
+        check_probability("loss_prob", self.loss_prob)
+        check_probability("corrupt_prob", self.corrupt_prob)
 
     @property
     def active(self) -> bool:

@@ -10,8 +10,6 @@
   telemetry-off / telemetry-on time ratio of a replicated spin write,
   which must stay at or below :data:`TELEMETRY_OFF_ON_CAP` (collection
   must cost nothing when off);
-* **sweep** — a small experiment sweep run serially and with two worker
-  processes, recording the parallel speedup of :mod:`repro.runner`;
 * **workload** — the million-user open-loop ``hot_shard_1m`` scenario
   through the aggregated flow generators: simulated-users and kernel
   events per wall-second on one core, plus the schedule digest as a
@@ -27,11 +25,10 @@ machine-independent event counts grew or throughput dropped below
 ``(1 - tolerance)`` of the committed baseline.  Events-per-packet is
 deterministic, so it gets a tight 5% bound; throughput numbers get the
 wide default (30%).  The telemetry ratio compares two runs on the same
-host, so its cap applies on any host, baseline or not.  Kernel and pipeline throughput are timed with
-``time.process_time`` — per consumed CPU second, which equals wall time
-on a quiet machine but stays stable when a shared CI box throttles or
-preempts the process (the sweep comparison is genuinely wall-clock:
-it measures multi-process parallelism).
+host, so its cap applies on any host, baseline or not.  Kernel and
+pipeline throughput are timed with ``time.process_time`` — per consumed
+CPU second, which equals wall time on a quiet machine but stays stable
+when a shared CI box throttles or preempts the process.
 
 Wall-clock floors only mean something on the host that recorded the
 baseline: when ``meta.cpus_affinity`` or ``meta.python`` differs,
@@ -154,58 +151,6 @@ def _telemetry_off_on_ratio(repeats: int = 5) -> float:
     return round(min(off) / min(on), 3)
 
 
-def _sweep_snapshot(jobs: int = 2) -> Dict[str, Any]:
-    """Serial vs parallel wall time for a sweep heavy enough that pool
-    startup does not dominate (fig09 --quick)."""
-    from .experiments import fig09_replication_latency as mod
-
-    t0 = time.perf_counter()
-    rows_serial = mod.run(quick=True, jobs=1, cache=False)
-    serial = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    rows_par = mod.run(quick=True, jobs=jobs, cache=False)
-    par = time.perf_counter() - t0
-    assert json.dumps(rows_serial, sort_keys=True) == json.dumps(rows_par, sort_keys=True)
-    from .runner import LAST_STATS
-
-    return {
-        "experiment": mod.ID,
-        "points": len(rows_serial),
-        "jobs": jobs,
-        # effective worker count after the runner's cpu/point clamping
-        "cpus_used": LAST_STATS.jobs,
-        "serial_wall_s": round(serial, 3),
-        "parallel_wall_s": round(par, 3),
-        "speedup": round(serial / par, 2) if par > 0 else 0.0,
-    }
-
-
-def _physical_cpus() -> Optional[int]:
-    """Distinct (physical id, core id) pairs from /proc/cpuinfo, or None
-    when the platform does not expose it (SMT makes this differ from the
-    logical count)."""
-    pairs = set()
-    phys = core = None
-    try:
-        with open("/proc/cpuinfo") as fh:
-            for line in fh:
-                if ":" not in line:
-                    phys = core = None
-                    continue
-                key, _, val = line.partition(":")
-                key = key.strip()
-                if key == "physical id":
-                    phys = val.strip()
-                elif key == "core id":
-                    core = val.strip()
-                if phys is not None and core is not None:
-                    pairs.add((phys, core))
-                    phys = core = None
-    except OSError:
-        return None
-    return len(pairs) or None
-
-
 def _meta() -> Dict[str, Any]:
     try:
         affinity: Optional[int] = len(os.sched_getaffinity(0))
@@ -218,13 +163,7 @@ def _meta() -> Dict[str, Any]:
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
-        # the sweep pool's speedup is bounded by these; on a 1-CPU box
-        # extra workers can only
-        # add overhead — record all of it so a snapshot says what the
-        # box could possibly have delivered
         "cpus": os.cpu_count(),
-        "cpus_logical": os.cpu_count(),
-        "cpus_physical": _physical_cpus(),
         "cpus_affinity": affinity,
         "loadavg": loadavg,
     }
@@ -261,19 +200,16 @@ def _workload_snapshot() -> Dict[str, Any]:
     }
 
 
-SECTIONS = ("kernel", "pipeline", "sweep", "workload")
+SECTIONS = ("kernel", "pipeline", "workload")
 
 
-def collect_snapshot(sweep_jobs: int = 2,
-                     sections: Optional[List[str]] = None) -> Dict[str, Any]:
+def collect_snapshot(sections: Optional[List[str]] = None) -> Dict[str, Any]:
     want = set(sections or SECTIONS)
     snap: Dict[str, Any] = {"meta": _meta()}
     if "kernel" in want:
         snap["kernel_events_per_s"] = round(_kernel_events_per_s())
     if "pipeline" in want:
         snap["pipeline"] = _pipeline_snapshot()
-    if "sweep" in want:
-        snap["sweep"] = _sweep_snapshot(jobs=sweep_jobs)
     if "workload" in want:
         snap["workload"] = _workload_snapshot()
     return snap
@@ -362,15 +298,13 @@ def main(argv: Optional[list] = None) -> int:
                          "baseline's (wall-clock floors skipped)")
     ap.add_argument("--tolerance", type=float, default=0.30, metavar="FRAC",
                     help="allowed wall-clock slowdown vs baseline (default 0.30)")
-    ap.add_argument("--sweep-jobs", type=int, default=2, metavar="N",
-                    help="worker processes for the sweep comparison (default 2)")
     ap.add_argument("--section", action="append", choices=list(SECTIONS),
                     metavar="NAME", dest="sections",
                     help="collect/check only this section (repeatable); "
                          f"default: all of {', '.join(SECTIONS)}")
     args = ap.parse_args(argv)
 
-    snap = collect_snapshot(sweep_jobs=args.sweep_jobs, sections=args.sections)
+    snap = collect_snapshot(sections=args.sections)
     if "kernel_events_per_s" in snap:
         print(f"kernel   : {snap['kernel_events_per_s']:,.0f} events/s")
     if "pipeline" in snap:
@@ -380,11 +314,6 @@ def main(argv: Optional[list] = None) -> int:
               f"{pipe['events_per_packet']} events/packet "
               f"({pipe['events']} events / {pipe['packets']} packets), "
               f"telemetry off/on {pipe['telemetry_off_on_ratio']}")
-    if "sweep" in snap:
-        sweep = snap["sweep"]
-        print(f"sweep    : {sweep['experiment']} x{sweep['points']} serial "
-              f"{sweep['serial_wall_s']}s vs jobs={sweep['jobs']} "
-              f"{sweep['parallel_wall_s']}s ({sweep['speedup']}x)")
     if "workload" in snap:
         wl = snap["workload"]
         print(f"workload : {wl['scenario']}: {wl['n_users']:,} users / "

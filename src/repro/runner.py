@@ -21,33 +21,32 @@ Three ingredients make ``--jobs N`` byte-identical to ``--jobs 1``:
 Result cache
 ------------
 Rows are cached on disk keyed by a content hash of (experiment id,
-point, params, experiment module source).  Editing the experiment
-module or changing ``SimParams`` invalidates automatically; delete the
-cache directory (default ``.repro_cache/``, override with
-``$REPRO_CACHE_DIR`` or ``--cache-dir``) to force a full re-run.
+point, params, source of every ``.py`` file in the ``repro`` package).
+Any code edit — to the experiment or to the simulator under it —
+invalidates every cached row; so does passing different ``SimParams``.
+The ``params=None`` default resolves to ``SimParams()`` inside the
+simulator, so a changed default is a source edit and is covered too.
+Delete the cache directory (default ``.repro_cache/``, override with
+``$REPRO_CACHE_DIR`` or ``--cache-dir``) to reclaim the space.
 
 Worker pool
 -----------
-The worker pool is *persistent*: the first parallel sweep forks it, and
-later :func:`run_sweep` calls reuse the warm workers (``atexit`` tears
-it down).  Whether a sweep uses the pool at all is a measured
-break-even decision: the runner keeps a per-experiment EMA of the
-per-point compute cost and goes parallel only when the estimated serial
-time exceeds the pool's spin-up + dispatch overhead — a sweep of
-millisecond points runs serially instead of paying fork costs for a
-sub-1x "speedup".  The verdict is recorded in
-:attr:`SweepStats.pool_decision`.
+Each sweep runs its cache misses on ``min(jobs, os.cpu_count(),
+misses)`` workers.  With more than one, the sweep forks its own
+``ProcessPoolExecutor`` and shuts it down before returning; otherwise
+the points run serially in this process.  No pool outlives its sweep.
 """
 
 from __future__ import annotations
 
-import atexit
+import functools
 import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "SweepStats",
@@ -56,7 +55,7 @@ __all__ = [
     "point_key",
     "point_seed",
     "run_sweep",
-    "shutdown_pool",
+    "source_hash",
 ]
 
 #: bump when the cache entry layout changes (invalidates old entries)
@@ -77,15 +76,6 @@ class SweepStats:
     jobs: int = 1
     wall_s: float = 0.0
     cache_dir: Optional[str] = None
-    errors: List[str] = field(default_factory=list)
-    #: True when this sweep ran on already-forked (warm) pool workers
-    pool_reused: bool = False
-    #: how the pool-vs-serial break-even came out: ``pool:warm``,
-    #: ``pool:cold``, ``serial:jobs=1``, ``serial:few-points``,
-    #: ``serial:break-even``, or ``serial:custom-fn``
-    pool_decision: str = "serial:jobs=1"
-    #: the per-point cost estimate (EMA seconds) the decision used, if any
-    est_point_s: Optional[float] = None
 
     def summary(self) -> str:
         src = f"{self.n_cached} cached + {self.n_computed} computed"
@@ -105,19 +95,17 @@ def cache_dir(override: Optional[str] = None) -> str:
     return override or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
 
 
-def _module_source_hash(eid: str) -> str:
-    """Hash of the experiment module's source, so code edits invalidate
-    cached rows for that experiment automatically."""
-    import inspect
-
-    from .experiments import REGISTRY
-
-    mod = REGISTRY[eid]
-    try:
-        src = inspect.getsource(mod)
-    except (OSError, TypeError):
-        return "nosource"
-    return hashlib.sha256(src.encode()).hexdigest()[:16]
+@functools.lru_cache(maxsize=None)
+def source_hash() -> str:
+    """Hash of every ``.py`` file in the ``repro`` package (paths and
+    contents), computed once per process: any code edit invalidates
+    every cached row."""
+    root = Path(__file__).resolve().parent
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()[:16]
 
 
 def point_key(eid: str, point: Dict[str, Any], params: Any, src_hash: str) -> str:
@@ -175,67 +163,12 @@ def _cache_store(cdir: str, key: str, eid: str, point: Dict[str, Any], row: Any)
             pass
 
 
-# --------------------------------------------------------- worker pool
-#: cold-pool spin-up cost (fork + package import + IPC handshake); the
-#: persistent pool pays this once per process instead of once per sweep
-POOL_SPINUP_S = 0.25
-#: per-point pickle/IPC overhead of the pool path
-POOL_DISPATCH_S = 0.002
-#: EMA weight of the newest per-point cost sample
-_COST_ALPHA = 0.5
-
-_POOL: Any = None
-_POOL_WORKERS = 0
-#: per-experiment EMA of per-point compute seconds (the break-even input)
-_COST_EMA: Dict[str, float] = {}
-
-
-def shutdown_pool() -> None:
-    """Tear down the persistent worker pool (atexit; tests)."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None:
-        _POOL.shutdown(wait=True)
-        _POOL = None
-        _POOL_WORKERS = 0
-
-
-atexit.register(shutdown_pool)
-
-
-def _acquire_pool(jobs: int):
-    """Return a pool with >= ``jobs`` workers, reusing the warm one when
-    it is big enough (growing replaces it)."""
-    global _POOL, _POOL_WORKERS
-    if _POOL is not None and _POOL_WORKERS >= jobs:
-        return _POOL, True
-    shutdown_pool()
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork keeps the already-imported repro package (and is the only
-    # start method that works without a __main__ guard in arbitrary
-    # callers); fall back to the platform default.
-    try:
-        ctx = mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        ctx = mp.get_context()
-    _POOL = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
-    _POOL_WORKERS = jobs
-    return _POOL, False
-
-
-def _note_point_cost(eid: str, per_point_s: float) -> None:
-    old = _COST_EMA.get(eid)
-    _COST_EMA[eid] = (per_point_s if old is None
-                      else _COST_ALPHA * per_point_s + (1 - _COST_ALPHA) * old)
-
-
 # ------------------------------------------------------------- execution
 def _exec_point(eid: str, point: Dict[str, Any], params: Any) -> Any:
     """Run one sweep point (this is the pool-worker entry point, so it
     must be a picklable module-level function).  The id-state reset makes
     the point's result independent of whatever this interpreter — a
-    reused pool worker or the serial path — ran before."""
+    pool worker or the serial path — ran before."""
     from .experiments import REGISTRY
     from .simnet.packet import reset_id_state
 
@@ -250,96 +183,52 @@ def run_sweep(
     jobs: int = 1,
     cache: bool = False,
     cache_dir_override: Optional[str] = None,
-    run_point: Optional[Callable[[Dict[str, Any], Any], Any]] = None,
 ) -> List[Any]:
     """Run ``REGISTRY[eid].run_point(point, params)`` for every point.
 
     Results come back in ``points`` order regardless of ``jobs``.  With
     ``cache=True``, previously computed rows are returned from disk and
-    only the misses are (re)simulated.  ``run_point`` overrides the
-    registry lookup for ad-hoc sweeps (serial path only).
+    only the misses are (re)simulated.
     """
     global LAST_STATS
     t0 = time.perf_counter()  # simlint: disable=SIM101 -- sweep wall-clock stats
-    # More workers than cores only adds scheduler churn; clamp silently.
-    jobs = min(max(1, jobs), os.cpu_count() or 1)
-    stats = SweepStats(experiment=eid, n_points=len(points), jobs=jobs)
     cdir = cache_dir(cache_dir_override) if cache else None
-    stats.cache_dir = cdir
+    stats = SweepStats(experiment=eid, n_points=len(points), cache_dir=cdir)
 
     results: List[Any] = [None] * len(points)
-    todo: List[int] = []
-
-    if cache:
-        src_hash = _module_source_hash(eid)
-        keys = [point_key(eid, pt, params, src_hash) for pt in points]
+    keys: List[str] = []
+    todo = list(range(len(points)))
+    if cdir is not None:
+        keys = [point_key(eid, pt, params, source_hash()) for pt in points]
+        todo = []
         for i, key in enumerate(keys):
             entry = _cache_load(cdir, key)
-            if entry is not None:
-                results[i] = entry["row"]
-                stats.n_cached += 1
-            else:
+            if entry is None:
                 todo.append(i)
+            else:
+                results[i] = entry["row"]
+        stats.n_cached = len(points) - len(todo)
+
+    # more workers than cores or points only adds fork and scheduler churn
+    stats.jobs = max(1, min(jobs, os.cpu_count() or 1, len(todo)))
+    if stats.jobs > 1:
+        import multiprocessing as mp
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork keeps the already-imported repro package and works
+        # without a __main__ guard in arbitrary callers
+        with ProcessPoolExecutor(max_workers=stats.jobs,
+                                 mp_context=mp.get_context("fork")) as ex:
+            futs = [ex.submit(_exec_point, eid, points[i], params) for i in todo]
+            for i, fut in zip(todo, futs):
+                results[i] = fut.result()
     else:
-        keys = []
-        todo = list(range(len(points)))
-
-    if todo:
-        n = len(todo)
-        workers = min(jobs, n)
-        est = _COST_EMA.get(eid)
-        stats.est_point_s = est
-        use_pool = jobs > 1 and n >= 2 and run_point is None
-        if run_point is not None and jobs > 1:
-            stats.pool_decision = "serial:custom-fn"
-        if use_pool:
-            warm = _POOL is not None and _POOL_WORKERS >= jobs
-            if est is not None:
-                # break-even: go parallel only when the estimated serial
-                # time beats the pool path (spin-up amortized away once
-                # the persistent pool is warm)
-                serial_s = est * n
-                pool_s = (est * n / workers
-                          + (0.0 if warm else POOL_SPINUP_S)
-                          + POOL_DISPATCH_S * n)
-                if serial_s <= pool_s:
-                    use_pool = False
-                    stats.pool_decision = "serial:break-even"
-            elif not warm and n < 2 * jobs:
-                # no cost estimate yet: only pay a cold fork when every
-                # worker gets at least two points
-                use_pool = False
-                stats.pool_decision = "serial:few-points"
-        t_compute0 = time.perf_counter()  # simlint: disable=SIM101 -- sweep wall-clock stats
-        if use_pool:
-            ex, reused = _acquire_pool(jobs)
-            stats.pool_reused = reused
-            stats.pool_decision = "pool:warm" if reused else "pool:cold"
-            futs = {
-                i: ex.submit(_exec_point, eid, points[i], params)
-                for i in todo
-            }
-            for i in todo:
-                results[i] = futs[i].result()
-        else:
-            stats.jobs = 1
-            fn = run_point
-            for i in todo:
-                if fn is not None:
-                    from .simnet.packet import reset_id_state
-
-                    reset_id_state()
-                    results[i] = fn(points[i], params)
-                else:
-                    results[i] = _exec_point(eid, points[i], params)
-        t_compute = time.perf_counter() - t_compute0  # simlint: disable=SIM101 -- sweep wall-clock stats
-        # update the per-point cost EMA (pool runs approximate per-point
-        # cost as wall * workers / n)
-        _note_point_cost(eid, t_compute * (workers if use_pool else 1) / n)
-        stats.n_computed = n
-        if cache:
-            for i in todo:
-                _cache_store(cdir, keys[i], eid, points[i], results[i])
+        for i in todo:
+            results[i] = _exec_point(eid, points[i], params)
+    stats.n_computed = len(todo)
+    if cdir is not None:
+        for i in todo:
+            _cache_store(cdir, keys[i], eid, points[i], results[i])
 
     stats.wall_s = time.perf_counter() - t0  # simlint: disable=SIM101 -- sweep wall-clock stats
     LAST_STATS = stats

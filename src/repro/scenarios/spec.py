@@ -35,6 +35,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..faults import check_probability
 from ..workloads.openloop import (
     ArrivalSpec,
     OpenLoopSpec,
@@ -84,8 +85,8 @@ class FaultCampaign:
             or self.kill_node_index is not None
 
     def validate(self) -> None:
-        if not (0.0 <= self.loss < 1.0 and 0.0 <= self.corrupt < 1.0):
-            raise ValueError("fault probabilities must be in [0, 1)")
+        check_probability("scenario.faults.loss", self.loss)
+        check_probability("scenario.faults.corrupt", self.corrupt)
 
 
 @dataclass(frozen=True)

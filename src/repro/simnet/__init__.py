@@ -25,7 +25,7 @@ from .packet import (
 )
 from .resources import Container, Request, Resource, Store
 from .topology import LeafSpineNetwork
-from .trace import Timeline, Tracer, summarize
+from .trace import summarize
 
 __all__ = [
     "AllOf",
@@ -46,9 +46,7 @@ __all__ = [
     "Simulator",
     "Store",
     "Switch",
-    "Timeline",
     "Timeout",
-    "Tracer",
     "TRANSPORT_HEADER_BYTES",
     "as_payload",
     "fresh_msg_id",

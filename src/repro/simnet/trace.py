@@ -1,78 +1,11 @@
-"""Lightweight tracing and statistics collection.
-
-A :class:`Tracer` records typed events with timestamps.  Components emit
-into it opportunistically; experiments query it afterwards.  Keeping the
-trace as parallel flat lists (not per-event objects) keeps the hot path
-allocation-light, per the HPC Python guide.
-"""
+"""Distribution statistics for latency samples: :func:`percentile` and
+:func:`summarize`."""
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-__all__ = ["Tracer", "Timeline", "summarize", "percentile"]
-
-
-@dataclass
-class Timeline:
-    """A named series of (t, value) samples."""
-
-    name: str
-    times: List[float] = field(default_factory=list)
-    values: List[Any] = field(default_factory=list)
-
-    def add(self, t: float, value: Any = None) -> None:
-        self.times.append(t)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __iter__(self) -> Iterator[Tuple[float, Any]]:
-        return zip(self.times, self.values)
-
-
-class Tracer:
-    """Sink for named event streams; cheap when disabled."""
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self.timelines: Dict[str, Timeline] = {}
-        self.counters: Dict[str, int] = defaultdict(int)
-
-    def emit(self, stream: str, t: float, value: Any = None) -> None:
-        if not self.enabled:
-            return
-        tl = self.timelines.get(stream)
-        if tl is None:
-            tl = self.timelines[stream] = Timeline(stream)
-        tl.add(t, value)
-
-    def count(self, counter: str, n: int = 1) -> None:
-        if self.enabled:
-            self.counters[counter] += n
-
-    def get(self, stream: str) -> Timeline:
-        """Get-or-create the stream's timeline.
-
-        The returned timeline is registered, so samples added through it
-        are visible to later lookups (a fresh unregistered Timeline used
-        to be returned for unknown streams, silently dropping writes).
-        """
-        tl = self.timelines.get(stream)
-        if tl is None:
-            tl = self.timelines[stream] = Timeline(stream)
-        return tl
-
-    def peek(self, stream: str) -> Timeline:
-        """Read-only lookup: unknown streams yield an empty, *unregistered*
-        timeline (the tracer is not mutated)."""
-        return self.timelines.get(stream) or Timeline(stream)
-
-    def values(self, stream: str) -> List[Any]:
-        return list(self.peek(stream).values)
+__all__ = ["summarize", "percentile"]
 
 
 def percentile(sorted_samples: List[float], p: float) -> float:

@@ -25,7 +25,6 @@ from .closed import (
     optimal_chunk_size,
     payload_bytes,
     run_closed_loop,
-    sweep,
 )
 from .openloop import (
     ArrivalSpec,
@@ -53,7 +52,6 @@ __all__ = [
     "LoadResult",
     "run_closed_loop",
     "closed_loop_write_load",
-    "sweep",
     "optimal_chunk_size",
     "payload_bytes",
     # open-loop

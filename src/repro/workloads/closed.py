@@ -42,7 +42,6 @@ __all__ = [
     "LoadResult",
     "run_closed_loop",
     "closed_loop_write_load",
-    "sweep",
     "optimal_chunk_size",
     "payload_bytes",
 ]
@@ -386,11 +385,6 @@ def closed_loop_write_load(
         return endpoints[cid].write(paths[cid], data, protocol=protocol, **write_kw)
 
     return run_closed_loop(testbed, issue, spec, op_bytes=size)
-
-
-def sweep(fn: Callable[[int], float], points: Iterable[int]) -> dict[int, float]:
-    """Evaluate ``fn`` over a parameter sweep; returns {point: value}."""
-    return {p: fn(p) for p in points}
 
 
 def optimal_chunk_size(

@@ -155,8 +155,12 @@ def test_api_doc_generator_runs(tmp_path):
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    committed = mod.OUT.read_text()
     mod.OUT = tmp_path / "API.md"
     assert mod.main() == 0
     text = mod.OUT.read_text()
     assert "repro.core.handlers" in text
     assert "DfsPolicy" in text
+    # docs/API.md is generated: regenerate it with scripts/gen_api_docs.py
+    # after any public API change
+    assert text == committed, "docs/API.md is stale: run scripts/gen_api_docs.py"

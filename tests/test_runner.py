@@ -1,6 +1,11 @@
 """Parallel sweep runner: determinism, caching, key derivation."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,36 +21,30 @@ def _dumps(rows):
 def test_parallel_rows_identical_to_serial(monkeypatch):
     """--jobs N must be byte-identical to --jobs 1 (same rows, same order)."""
     serial = fig06.run(quick=True, jobs=1, cache=False)
-    # pretend to have cores so the clamp doesn't serialize us on 1-CPU CI,
-    # and a costly point so the break-even heuristic picks the pool
+    # pretend to have cores so the clamp doesn't serialize us on 1-CPU CI
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(runner, "_COST_EMA", {"fig06": 1.0})
-    try:
-        parallel = fig06.run(quick=True, jobs=2, cache=False)
-    finally:
-        runner.shutdown_pool()
+    parallel = fig06.run(quick=True, jobs=2, cache=False)
     assert _dumps(serial) == _dumps(parallel)
     assert runner.LAST_STATS.jobs == 2
     assert runner.LAST_STATS.n_computed == len(serial)
 
 
-def test_small_sweeps_skip_the_pool():
-    """Pool spin-up is skipped (and recorded as serial) when workers
-    would get fewer than two points each."""
+def test_small_sweeps_skip_the_pool(monkeypatch, tmp_path):
+    """Workers are clamped to the points left to compute: four misses
+    get four workers, and a sweep with one miss runs serially."""
+    monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
     rows = fig06.run(quick=True, jobs=16, cache=False)
-    assert len(rows) < 2 * 16
-    assert runner.LAST_STATS.jobs == 1
+    assert runner.LAST_STATS.jobs == len(rows) == 4
+    cdir = str(tmp_path / "cache")
+    pts = fig06.points(quick=True)[:2]
+    runner.run_sweep(fig06.ID, pts[:1], cache=True, cache_dir_override=cdir)
+    runner.run_sweep(fig06.ID, pts, jobs=16, cache=True, cache_dir_override=cdir)
+    assert (runner.LAST_STATS.n_cached, runner.LAST_STATS.jobs) == (1, 1)
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
-    # a costly estimate keeps the break-even heuristic out of the way:
-    # this test is about the core-count clamp only
-    monkeypatch.setattr(runner, "_COST_EMA", {"fig06": 1.0})
-    try:
-        rows = fig06.run(quick=True, jobs=64, cache=False)
-    finally:
-        runner.shutdown_pool()
+    rows = fig06.run(quick=True, jobs=64, cache=False)
     assert rows
     assert runner.LAST_STATS.jobs == 2
 
@@ -78,13 +77,50 @@ def test_cached_rows_really_come_from_disk(tmp_path):
 
 
 def test_cache_keys_depend_on_point_params_and_source():
-    src = runner._module_source_hash(fig06.ID)
+    src = runner.source_hash()
     k1 = runner.point_key(fig06.ID, {"size": 1024}, None, src)
     assert k1 == runner.point_key(fig06.ID, {"size": 1024}, None, src)
     assert k1 != runner.point_key(fig06.ID, {"size": 2048}, None, src)
     assert k1 != runner.point_key(fig06.ID, {"size": 1024}, SimParams(), src)
     assert k1 != runner.point_key(fig06.ID, {"size": 1024}, None, "othersrc")
     assert k1 != runner.point_key("other", {"size": 1024}, None, src)
+
+
+_FIG06_CACHED = """
+import json, sys
+from repro import runner
+from repro.experiments import fig06_auth_latency as fig06
+rows = fig06.run(quick=True, cache=True, cache_dir=sys.argv[1])
+print(json.dumps({"n_cached": runner.LAST_STATS.n_cached,
+                  "rpc": [r["rpc"] for r in rows]}))
+"""
+
+
+def test_simulator_edit_invalidates_cached_rows(tmp_path):
+    """The cache key covers the whole package, not just the experiment
+    module: editing the RPC protocol's cost model must miss the cache."""
+    pkg = tmp_path / "src" / "repro"
+    shutil.copytree(Path(runner.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(pkg.parent))
+    cdir = str(tmp_path / "cache")
+
+    def run():
+        out = subprocess.run([sys.executable, "-c", _FIG06_CACHED, cdir],
+                             env=env, cwd=tmp_path, capture_output=True,
+                             text=True, check=True)
+        return json.loads(out.stdout)
+
+    before = run()
+    assert run() == dict(before, n_cached=len(before["rpc"]))
+    rpc = pkg / "protocols" / "rpc.py"
+    src = rpc.read_text()
+    cost = "p.rpc_validate_cycles / p.cpu_freq_ghz"
+    assert cost in src
+    rpc.write_text(src.replace(cost, f"10 * {cost}"))
+    after = run()
+    assert after["n_cached"] == 0
+    assert after["rpc"] != before["rpc"]
 
 
 def test_corrupt_cache_entry_is_recomputed(tmp_path):
@@ -125,46 +161,3 @@ def test_single_point_matches_full_sweep_row(eid):
     rows = mod.run(quick=True, jobs=1, cache=False)
     row = runner._exec_point(eid, mod.points(quick=True)[0], None)
     assert _dumps([rows[0]]) == _dumps([row])
-
-
-# ------------------------------------------------ warm pool + break-even
-
-def test_pool_decision_and_cost_ema_recorded(monkeypatch):
-    """A serial sweep records its decision and seeds the per-experiment
-    cost estimate the break-even heuristic feeds on."""
-    monkeypatch.setattr(runner, "_COST_EMA", {})
-    fig06.run(quick=True, jobs=1, cache=False)
-    assert runner.LAST_STATS.pool_decision == "serial:jobs=1"
-    assert runner.LAST_STATS.est_point_s is None  # nothing known yet
-    assert runner._COST_EMA["fig06"] > 0.0  # ...but now there is
-
-
-def test_break_even_keeps_cheap_sweeps_serial(monkeypatch):
-    """With a known tiny per-point cost, forking can never pay off: the
-    sweep runs serial and says why."""
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(runner, "_COST_EMA", {"fig06": 1e-6})
-    rows = fig06.run(quick=True, jobs=2, cache=False)
-    assert rows
-    assert runner.LAST_STATS.pool_decision == "serial:break-even"
-    assert runner.LAST_STATS.jobs == 1
-    assert runner.LAST_STATS.est_point_s == 1e-6
-
-
-def test_warm_pool_is_reused_across_sweeps(monkeypatch):
-    """The worker pool persists between run_sweep calls: the first
-    parallel sweep pays the fork, the second reuses it."""
-    monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-    # a (fake) expensive point makes the pool path the clear winner
-    monkeypatch.setattr(runner, "_COST_EMA", {"fig06": 1.0})
-    runner.shutdown_pool()
-    try:
-        fig06.run(quick=True, jobs=2, cache=False)
-        assert runner.LAST_STATS.pool_decision == "pool:cold"
-        assert not runner.LAST_STATS.pool_reused
-        monkeypatch.setitem(runner._COST_EMA, "fig06", 1.0)
-        fig06.run(quick=True, jobs=2, cache=False)
-        assert runner.LAST_STATS.pool_decision == "pool:warm"
-        assert runner.LAST_STATS.pool_reused
-    finally:
-        runner.shutdown_pool()

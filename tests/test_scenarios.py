@@ -61,8 +61,13 @@ def test_spec_validation_errors():
             name="x", topology=TopologySpec(n_storage=2),
             faults=FaultCampaign(kill_node_index=5),
         ).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"scenario\.faults\.loss must be in \[0, 1\], got 1\.5"):
         FaultCampaign(loss=1.5).validate()
+    with pytest.raises(ValueError,
+                       match=r"scenario\.faults\.corrupt must be in \[0, 1\], got -0\.1"):
+        FaultCampaign(corrupt=-0.1).validate()
+    FaultCampaign(loss=1.0, corrupt=1.0).validate()  # total loss is legal
 
 
 def test_toml_round_trip(tmp_path):
@@ -147,6 +152,17 @@ def test_toml_errors_name_the_problem(tmp_path, capsys, text, message):
         assert message in str(err.value)
     assert main(["scenario", "--toml", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_scenario_cli_needs_a_name_or_toml(capsys):
+    """``repro scenario`` runs one named scenario or a TOML file; without
+    either it is a usage error that points at the matrix experiment."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario"])
+    assert exc.value.code == 2
+    assert "python -m repro.experiments scenario_matrix" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- matrix

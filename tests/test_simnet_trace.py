@@ -1,60 +1,8 @@
-"""Tracer / Timeline / summarize tests."""
+"""summarize / percentile tests."""
 
 import pytest
 
-from repro.simnet.trace import Timeline, Tracer, summarize
-
-
-def test_timeline_accumulates():
-    tl = Timeline("x")
-    tl.add(1.0, "a")
-    tl.add(2.0, "b")
-    assert len(tl) == 2
-    assert list(tl) == [(1.0, "a"), (2.0, "b")]
-
-
-def test_tracer_emit_and_get():
-    t = Tracer()
-    t.emit("lat", 1.0, 100)
-    t.emit("lat", 2.0, 200)
-    t.emit("other", 5.0)
-    assert t.values("lat") == [100, 200]
-    assert len(t.get("other")) == 1
-    assert len(t.get("missing")) == 0
-
-
-def test_tracer_get_registers_timeline():
-    # Regression: get() used to return a fresh unregistered Timeline for
-    # unknown streams, so samples added through it were silently lost.
-    t = Tracer()
-    tl = t.get("new-stream")
-    tl.add(1.0, 42)
-    assert t.values("new-stream") == [42]
-    assert t.get("new-stream") is tl
-
-
-def test_tracer_peek_does_not_register():
-    t = Tracer()
-    tl = t.peek("ghost")
-    assert len(tl) == 0
-    assert "ghost" not in t.timelines
-    tl.add(1.0, 1)  # mutating the ephemeral timeline leaves the tracer alone
-    assert t.values("ghost") == []
-
-
-def test_tracer_counters():
-    t = Tracer()
-    t.count("drops")
-    t.count("drops", 4)
-    assert t.counters["drops"] == 5
-
-
-def test_tracer_disabled_is_noop():
-    t = Tracer(enabled=False)
-    t.emit("lat", 1.0, 100)
-    t.count("drops")
-    assert t.values("lat") == []
-    assert t.counters == {}
+from repro.simnet.trace import summarize
 
 
 def test_summarize_empty():

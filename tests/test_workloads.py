@@ -11,7 +11,6 @@ from repro.workloads import (
     measure_write_latency,
     optimal_chunk_size,
     payload_bytes,
-    sweep,
 )
 
 KiB = 1024
@@ -70,10 +69,6 @@ def test_goodput_window_speedup():
         ).goodput_gbps
 
     assert run(8) > 2 * run(1)
-
-
-def test_sweep():
-    assert sweep(lambda x: x * 2, [1, 2, 3]) == {1: 2, 2: 4, 3: 6}
 
 
 def test_optimal_chunk_size_picks_minimum():
