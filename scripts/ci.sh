@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: simlint, tier-1 tests, trace-export and fault-injection
 # smokes, simsan sanitize stage, SLO suite, parallel-sweep and
-# determinism smokes, simulator perf guards (including the
-# telemetry disabled-overhead guard).
+# determinism smokes, benchmark smoke, simulator perf guards (including
+# the telemetry disabled-overhead guard).
 #
 # The perf guards compare wall-clock numbers with BENCH_simulator.json;
 # on a host whose CPU affinity or Python version differs from the
@@ -195,6 +195,20 @@ python -m repro.experiments scenario_matrix --quick --no-cache --no-check \
     --jobs 2 --csv "$tmpdir/matrix2.csv" > /dev/null
 cmp "$tmpdir/matrix1.csv" "$tmpdir/matrix2.csv"
 echo "scenario matrix deterministic: --jobs 2 rerun byte-identical to serial"
+
+echo
+echo "== benchmark smoke (bench/run.py --quick, digests vs bench/baseline.json) =="
+# all five benchmark workloads once at ~1/20 size: every rep's checks
+# must pass, including the schedule digests pinned in bench/baseline.json.
+# Any nonzero exit fails the stage: 1 is a CHECK FAILED, 2 means the
+# benchmark produced no result, and a stage that did not run is no pass
+bench_status=0
+python bench/run.py --quick --reps 1 > "$tmpdir/bench.txt" 2>&1 || bench_status=$?
+grep -v '^{"correct"' "$tmpdir/bench.txt" || true
+if [ "$bench_status" -ne 0 ] || grep -q "CHECK FAILED" "$tmpdir/bench.txt"; then
+    echo "benchmark smoke failed (exit $bench_status)"
+    exit 1
+fi
 
 echo
 echo "== simulator perf guard (vs committed BENCH_simulator.json) =="

@@ -19,9 +19,13 @@ process per (client-host, class) bucket**: the bucket keeps a binary
 heap of ``(next_arrival, client)`` pairs and repeatedly pops the
 earliest arrival, sleeps to its absolute timestamp, stamps the request
 with the virtual client id, and pushes the client's next arrival.
-Scheduling is O(log N) per *request* — idle clients cost one heap slot,
-not a parked coroutine — so a million-user population runs at the speed
-of its aggregate request rate.
+Scheduling is O(log N) per *request*, and set-up is O(active clients):
+one vectorized pass over the clients' first draws
+(:func:`_first_arrival_candidates`) keeps only the clients whose first
+arrival may fall before the horizon, and only those run the scalar
+stepper.  A client that stays idle for the whole run costs no heap slot
+and no coroutine, so a million-user population runs at the speed of its
+aggregate request rate.
 
 Exactness guarantee
 -------------------
@@ -31,7 +35,8 @@ one-coroutine-per-client engine would: :func:`run_open_loop` (heap
 merge) and :func:`run_open_loop_reference` (explicit coroutines)
 produce **byte-identical request schedules** — and therefore identical
 completions — for any spec; ``tests/test_openloop.py`` proves it at
-N ∈ {1, 4, 32}.  Both engines sleep with ``timeout_at(t)`` (absolute
+N ∈ {1, 4, 32} for every arrival kind, on sparse populations and on
+two-class mixes.  Both engines sleep with ``timeout_at(t)`` (absolute
 time), so no floating-point re-accumulation can skew a wake-up, and
 arrival timestamps are continuous draws, so cross-client ties (where
 the two engines' heap tie-breaks could differ) occur with probability
@@ -52,12 +57,17 @@ Arrival processes (per client)
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
+import numpy as np
+
+from ..faults import check_probability
 from ..simnet.engine import Event
 from .streams import (
     TAG_CLASS,
@@ -69,6 +79,7 @@ from .streams import (
     lognormal,
     pareto,
     u01,
+    u01_array,
 )
 
 __all__ = [
@@ -87,6 +98,11 @@ __all__ = [
 
 
 # ------------------------------------------------------------------ specs
+def _check_positive(name: str, value: float) -> None:
+    if not value > 0.0:
+        raise ValueError(f"{name} must be > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArrivalSpec:
     """Per-client arrival process parameters."""
@@ -110,10 +126,16 @@ class ArrivalSpec:
             raise ValueError(f"unknown arrival kind {self.kind!r}")
         if self.rate_hz <= 0.0:
             raise ValueError("arrival rate_hz must be positive")
-        if self.kind == "burst" and self.burst_jitter_ns <= 0.0:
-            # zero jitter would stamp whole bursts at one timestamp and
-            # void the tie-free exactness guarantee (module docstring)
-            raise ValueError("burst_jitter_ns must be > 0")
+        if self.kind == "burst":
+            if self.burst_jitter_ns <= 0.0:
+                # zero jitter would stamp whole bursts at one timestamp and
+                # void the tie-free exactness guarantee (module docstring)
+                raise ValueError("burst_jitter_ns must be > 0")
+            _check_positive("burst_period_ns", self.burst_period_ns)
+            check_probability("burst_join", self.burst_join)
+        if self.kind == "onoff":
+            for name in ("on_alpha", "on_min_ns", "off_alpha", "off_min_ns"):
+                _check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -154,6 +176,8 @@ class SizeSpec:
             raise ValueError("need 0 < min_bytes <= max_bytes")
         if self.quantum < 1:
             raise ValueError("quantum must be >= 1")
+        if self.dist == "pareto":
+            _check_positive("size alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -193,6 +217,8 @@ class OpenLoopSpec:
             raise ValueError("need at least one user")
         if self.measure_ns <= 0.0:
             raise ValueError("measure_ns must be positive")
+        if self.warmup_ns < 0.0:
+            raise ValueError(f"warmup_ns must be >= 0, got {self.warmup_ns!r}")
         self.arrival.validate()
         self.popularity.validate()
         self.size.validate()
@@ -329,6 +355,59 @@ def _class_of(seed: int, cid: int, cum: List[float]) -> int:
     if len(cum) == 1:
         return 0
     return bisect_right(cum, u01(seed, cid, 0, TAG_CLASS))
+
+
+#: clients per vectorized block of the first-arrival pass: bounds the
+#: numpy temporaries (a few MB) whatever the population
+_CHUNK = 1 << 16
+
+
+def _first_arrival_candidates(
+    spec: OpenLoopSpec,
+) -> Iterator[Tuple[int, List[int], Optional[List[int]]]]:
+    """Yield ``(cls, cids, starts)``: the clients of class ``cls`` whose
+    first arrival *may* come before the horizon, each with the stepper
+    state to start it from (``starts=None``: the stepper's initial state).
+
+    The filter works on whole arrays of ``u01`` draws and never computes
+    an arrival time (``np.log`` and ``math.log`` disagree in the last
+    bit on some draws): the caller runs the scalar ``step`` from each
+    start and applies the exact ``t < horizon`` test.  So the yielded
+    set must be a superset of the clients that arrive in time:
+
+    * ``poisson`` — the first gap is ``-log(u)/rate`` with ``u`` draw 0,
+      so ``t < horizon`` needs ``u > exp(-horizon*rate)``; the threshold
+      is lowered by a relative 1e-9, far above the rounding error;
+    * ``burst`` — a client's first arrival lies in the first burst it
+      joins: scan the bursts that start before the horizon over the
+      shrinking set of clients that have joined none yet, start each
+      client at its burst, and drop those that join none of them;
+    * ``onoff`` — the first arrival follows a chain of Pareto phase
+      draws: every client is a candidate.
+    """
+    seed, horizon = spec.seed, spec.horizon_ns
+    _, class_cum, arrivals, _ = _class_tables(spec)
+    cum = np.asarray(class_cum)
+    for lo in range(0, spec.n_users, _CHUNK):
+        cids = np.arange(lo, min(lo + _CHUNK, spec.n_users), dtype=np.uint64)
+        if len(arrivals) > 1:
+            of_cls = np.searchsorted(
+                cum, u01_array(seed, cids, 0, TAG_CLASS), side="right")
+        for cls, a in enumerate(arrivals):
+            members = cids if len(arrivals) == 1 else cids[of_cls == cls]
+            if a.kind == "poisson":
+                keep = math.exp(-horizon * a.rate_hz / 1e9) * (1.0 - 1e-9)
+                members = members[u01_array(seed, members, 0, TAG_GAP) > keep]
+                yield cls, members.tolist(), None
+            elif a.kind == "burst":
+                b = 0
+                while len(members) and b * a.burst_period_ns < horizon:
+                    joined = u01_array(seed, members, b, TAG_GAP) < a.burst_join
+                    yield cls, members[joined].tolist(), [b] * int(joined.sum())
+                    members = members[~joined]
+                    b += 1
+            else:
+                yield cls, members.tolist(), None
 
 
 # ---------------------------------------------------------------- results
@@ -512,6 +591,26 @@ class _Run:
         )
 
 
+def _first_arrivals(
+    spec: OpenLoopSpec, steppers: List[Tuple[Any, Callable]], k_buckets: int,
+) -> Tuple[Dict[Tuple[int, int], List[Tuple[float, int]]], List[Any]]:
+    """First arrivals bucketed by ``(cid % k_buckets, class)``, plus the
+    per-client stepper states.  Only the candidates of
+    :func:`_first_arrival_candidates` are stepped; a client whose first
+    arrival lies at or beyond the horizon never enters a heap."""
+    horizon = spec.horizon_ns
+    states: List[Any] = [None] * spec.n_users
+    heaps: Dict[Tuple[int, int], List[Tuple[float, int]]] = {}
+    for cls, cids, starts in _first_arrival_candidates(spec):
+        init, step = steppers[cls]
+        for cid, start in zip(cids, repeat(init) if starts is None else starts):
+            t, st = step(cid, 0.0, start)
+            if t < horizon:
+                states[cid] = st
+                heaps.setdefault((cid % k_buckets, cls), []).append((t, cid))
+    return heaps, states
+
+
 def run_open_loop(
     testbed,
     issue: Callable[[int, int, int, int], Event],
@@ -531,42 +630,24 @@ def run_open_loop(
     sim = run.sim
     k_buckets = n_buckets or max(len(getattr(testbed, "clients", [])) or 1, 1)
     k_buckets = min(k_buckets, spec.n_users)
-    n_classes = len(run.class_names)
     horizon = spec.horizon_ns
     t0 = run.t0
+    heaps, states = _first_arrivals(spec, run.steppers, k_buckets)
 
-    # per-client arrival state + class, resolved once up front
-    cls_of = [0] * spec.n_users if n_classes == 1 else [
-        _class_of(spec.seed, cid, run.class_cum) for cid in range(spec.n_users)
-    ]
-    states: List = [None] * spec.n_users
-
-    # first arrivals, bucketed: clients whose first arrival already lies
-    # beyond the horizon consume their draw but never enter a heap
-    heaps: Dict[Tuple[int, int], List[Tuple[float, int]]] = {}
-    for cid in range(spec.n_users):
-        cls = cls_of[cid]
-        init, step = run.steppers[cls]
-        t, st = step(cid, 0.0, init)
-        if t < horizon:
-            states[cid] = st
-            heaps.setdefault((cid % k_buckets, cls), []).append((t, cid))
-
-    def _generator(heap: List[Tuple[float, int]]) -> Generator:
+    def _generator(heap: List[Tuple[float, int]], cls: int) -> Generator:
+        step = run.steppers[cls][1]
         heapify(heap)
         while heap:
             t, cid = heappop(heap)
             yield sim.timeout_at(t0 + t)
-            cls = cls_of[cid]
             run.issue_one(cid, t0 + t, cls)
-            step = run.steppers[cls][1]
             t2, st2 = step(cid, t, states[cid])
             if t2 < horizon:
                 states[cid] = st2
                 heappush(heap, (t2, cid))
 
     procs = [
-        sim.process(_generator(heap), name=f"openloop.b{b}.{run.class_names[c]}")
+        sim.process(_generator(heap, c), name=f"openloop.b{b}.{run.class_names[c]}")
         for (b, c), heap in sorted(heaps.items())
     ]
     return run.finish(procs)

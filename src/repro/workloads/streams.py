@@ -22,6 +22,12 @@ any order, which is the exactness guarantee the aggregation relies on.
 
 All uniforms land in the *open* interval (0, 1): the transforms below
 take logs and reciprocals, and an exact 0.0 or 1.0 must be impossible.
+
+:func:`u01_array` evaluates the same function for a whole array of
+clients at once.  ``uint64`` arithmetic wraps modulo 2^64 exactly like
+the masked Python ints, and the top 53 bits convert to ``float64``
+exactly, so its draws are bit-identical to :func:`u01`'s; the scalar
+form stays the reference.
 """
 
 from __future__ import annotations
@@ -29,8 +35,11 @@ from __future__ import annotations
 import math
 from statistics import NormalDist
 
+import numpy as np
+
 __all__ = [
     "u01",
+    "u01_array",
     "exp_gap",
     "pareto",
     "lognormal",
@@ -72,6 +81,22 @@ def u01(seed: int, client: int, k: int, tag: int) -> float:
     # map to (0, 1): use the top 53 bits, then nudge 0 to the smallest
     # representable draw so log()/reciprocal transforms never see 0
     return ((z >> 11) + 0.5) * (1.0 / (1 << 53))
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix` over a ``uint64`` array (products wrap mod 2^64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def u01_array(seed: int, clients: np.ndarray, k: int, tag: int) -> np.ndarray:
+    """:func:`u01` for every client id in ``clients`` (draw ``k`` of each
+    stream ``(seed, client, tag)``), as a ``float64`` array."""
+    c = np.asarray(clients, dtype=np.uint64)
+    z = _mix_array(c + np.uint64(seed * _GAMMA & _MASK))
+    z = _mix_array(z + np.uint64((k * _GAMMA + tag) & _MASK))
+    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * (1.0 / (1 << 53))
 
 
 def exp_gap(u: float, rate_hz: float) -> float:

@@ -1,8 +1,10 @@
 """Open-loop workload engine: determinism, aggregation exactness,
 samplers, and the payload cache."""
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.dfs.cluster import build_testbed
@@ -15,10 +17,21 @@ from repro.workloads.openloop import (
     SizeSpec,
     WorkloadClass,
     ZipfSampler,
+    _first_arrival_candidates,
+    _first_arrivals,
+    _make_stepper,
     open_loop_write_load,
     sample_size,
 )
-from repro.workloads.streams import TAG_GAP, TAG_OBJ, u01
+from repro.workloads.streams import (
+    TAG_CLASS,
+    TAG_GAP,
+    TAG_OBJ,
+    TAG_SIZE,
+    TAG_STATE,
+    u01,
+    u01_array,
+)
 
 
 # ------------------------------------------------------------------ streams
@@ -31,6 +44,15 @@ def test_u01_open_interval_and_pure():
     assert u01(3, 7, 11, TAG_GAP) != u01(3, 7, 11, TAG_OBJ)
     # roughly uniform: the mean of 1000 draws is near 1/2
     assert abs(sum(vals) / len(vals) - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_u01_array_bit_identical_to_u01(seed):
+    clients = np.r_[np.arange(0, 512), np.arange(10**6 - 512, 10**6 + 1)]
+    for tag in (TAG_GAP, TAG_OBJ, TAG_SIZE, TAG_STATE, TAG_CLASS):
+        for k in (0, 1, 3, 2**20 + 7, 2**40):
+            bulk = u01_array(seed, clients, k, tag).tolist()
+            assert bulk == [u01(seed, c, k, tag) for c in clients.tolist()]
 
 
 def test_zipf_sampler_skew_and_bounds():
@@ -75,6 +97,22 @@ def test_spec_validation():
         OpenLoopSpec(
             classes=(WorkloadClass("a", 0.5), WorkloadClass("b", 0.9)),
         ).validate()
+    bad_arrivals = [
+        (dict(kind="burst", burst_period_ns=0.0), r"burst_period_ns must be > 0, got 0\.0"),
+        (dict(kind="burst", burst_join=1.5), r"burst_join must be in \[0, 1\], got 1\.5"),
+        (dict(kind="onoff", on_alpha=0.0), r"on_alpha must be > 0, got 0\.0"),
+        (dict(kind="onoff", off_alpha=-1.0), r"off_alpha must be > 0, got -1\.0"),
+        (dict(kind="onoff", on_min_ns=0.0), r"on_min_ns must be > 0, got 0\.0"),
+        (dict(kind="onoff", off_min_ns=-5.0), r"off_min_ns must be > 0, got -5\.0"),
+    ]
+    for kw, message in bad_arrivals:
+        with pytest.raises(ValueError, match=message):
+            OpenLoopSpec(arrival=ArrivalSpec(**kw)).validate()
+    with pytest.raises(ValueError, match=r"size alpha must be > 0, got 0\.0"):
+        OpenLoopSpec(size=SizeSpec(dist="pareto", alpha=0.0)).validate()
+    with pytest.raises(ValueError, match=r"warmup_ns must be >= 0, got -1\.0"):
+        OpenLoopSpec(warmup_ns=-1.0).validate()
+    ArrivalSpec(kind="burst", burst_join=1.0).validate()  # every burst joined
 
 
 # ------------------------------------------------------- engine differential
@@ -104,20 +142,45 @@ def _run(engine: str, kind: str, n_users: int, record: bool = False):
     return res, nodes
 
 
-@pytest.mark.parametrize("kind", ["poisson", "onoff", "burst"])
-@pytest.mark.parametrize("n_users", [1, 4, 32])
-def test_aggregated_matches_explicit(kind, n_users):
-    """The exactness gate: the aggregated heap-merge generator must
-    produce the byte-identical request schedule — and therefore the
-    identical completions — of the per-client reference engine."""
-    a, na = _run("aggregated", kind, n_users)
-    b, nb = _run("explicit", kind, n_users)
+def _assert_engines_agree(spec: OpenLoopSpec):
+    runs = []
+    for engine in ("aggregated", "explicit"):
+        tb = build_testbed(n_storage=4, n_clients=2)
+        runs.append(open_loop_write_load(tb, spec, protocol="raw", engine=engine))
+    (a, na), (b, nb) = runs
     assert a.schedule_digest == b.schedule_digest
     assert a.issued == b.issued
     assert (a.ops, a.failures, a.bytes) == (b.ops, b.failures, b.bytes)
     assert a.latency == b.latency
     assert a.obj_counts == b.obj_counts
     assert na == nb
+    return a
+
+
+_DIFFERENTIAL = [
+    (kind, n_users, {})
+    for n_users in (1, 4, 32) for kind in ("poisson", "onoff", "burst")
+] + [
+    # sparse populations, where the first-arrival pass drops most
+    # clients: ~5% draw a first gap inside the 1.1 ms horizon ...
+    ("poisson", 400, dict(rate_hz=46.6)),
+    # ... or scans many bursts: 22 start inside it, each joined by 5%
+    ("burst", 400, dict(burst_period_ns=50_000.0, burst_join=0.05)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,n_users,arrival", _DIFFERENTIAL,
+    ids=[f"{n}-{k}" + ("-sparse" if a else "") for k, n, a in _DIFFERENTIAL],
+)
+def test_aggregated_matches_explicit(kind, n_users, arrival):
+    """The exactness gate: the aggregated heap-merge generator must
+    produce the byte-identical request schedule — and therefore the
+    identical completions — of the per-client reference engine."""
+    spec = _spec(kind, n_users)
+    spec = dataclasses.replace(
+        spec, arrival=dataclasses.replace(spec.arrival, **arrival))
+    assert _assert_engines_agree(spec).issued > 0
 
 
 def test_schedule_deterministic_across_runs():
@@ -167,17 +230,55 @@ def test_workload_classes_differential():
         measure_ns=2_000_000.0,
         seed=5,
     )
-
-    def go(engine):
-        tb = build_testbed(n_storage=4, n_clients=2)
-        res, nodes = open_loop_write_load(tb, spec, protocol="raw", engine=engine)
-        return res
-
-    a, b = go("aggregated"), go("explicit")
-    assert a.schedule_digest == b.schedule_digest
-    assert a.latency == b.latency
+    a = _assert_engines_agree(spec)
     # both class sizes actually occur
     assert a.bytes % 2048 != 0 or a.bytes >= 8192
+
+    # two arrival kinds: the first-arrival pass filters each class its
+    # own way (poisson threshold, burst scan)
+    mixed = dataclasses.replace(spec, n_users=64, classes=(
+        WorkloadClass("steady", 0.6),
+        WorkloadClass(
+            "incast", 0.4,
+            arrival=ArrivalSpec(kind="burst", burst_period_ns=200_000.0,
+                                burst_jitter_ns=20_000.0, burst_join=0.1),
+            size=SizeSpec(dist="fixed", fixed_bytes=8192),
+        ),
+    ))
+    a = _assert_engines_agree(mixed)
+    assert a.bytes % 2048 != 0 or a.bytes >= 8192
+
+
+def test_first_arrival_pass_is_o_active():
+    """The bulk pass hands the scalar stepper every client that arrives
+    before the horizon and at most 1% more; a client whose first arrival
+    equals the horizon is excluded, as the scalar ``t < horizon`` does."""
+    spec = OpenLoopSpec(
+        n_users=200_000,
+        arrival=ArrivalSpec(kind="poisson", rate_hz=0.02),
+        measure_ns=1e9,
+        seed=3,
+    )
+    init, step = _make_stepper(spec.arrival, spec.seed, spec.horizon_ns)
+    first = [step(cid, 0.0, init)[0] for cid in range(spec.n_users)]
+    arriving = {cid for cid, t in enumerate(first) if t < spec.horizon_ns}
+
+    def candidates(s):
+        return {cid for _, cids, _ in _first_arrival_candidates(s) for cid in cids}
+
+    found = candidates(spec)
+    assert arriving <= found
+    assert len(found) <= 1.01 * len(arriving)
+    assert 0.01 * spec.n_users < len(arriving) < 0.03 * spec.n_users
+
+    last = max(arriving, key=first.__getitem__)
+    edge = dataclasses.replace(spec, measure_ns=first[last])
+    assert edge.horizon_ns == first[last]
+    assert last in candidates(edge)
+    heaps, states = _first_arrivals(edge, [(init, step)], 4)
+    entered = {cid for heap in heaps.values() for _, cid in heap}
+    assert entered == arriving - {last}
+    assert states[last] is None
 
 
 def test_quiet_client_beyond_horizon():

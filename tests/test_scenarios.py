@@ -174,6 +174,19 @@ def test_hot_shard_pins_majority():
     assert row["quiesced"]
 
 
+@pytest.mark.parametrize("name,digest", [
+    ("hot_shard", "e2abaacde1994991"),
+    ("incast", "3266e0b68318ee21"),
+    ("uniform_onoff", "7c3ef0498289dae2"),
+    ("hot_shard_lossy", "338a9a289417b7f9"),
+])
+def test_quick_schedule_digest_pinned(name, digest):
+    """Golden request schedules of the quick scenarios, one per arrival
+    kind plus a lossy run: any change to the draw streams, the arrival
+    steppers or the first-arrival pass shows up here."""
+    assert run_scenario(get(name, quick=True), seed=1)["schedule_digest"] == digest
+
+
 def test_row_determinism_and_engine_equivalence():
     spec = get("incast", quick=True)
     r1 = run_scenario(spec, seed=5)
