@@ -15,7 +15,11 @@ Subcommands:
 * ``lint``   — simulation-aware static analysis (determinism,
   coroutine-protocol, resource- and telemetry-hygiene rules; see
   ``docs/simlint.md``);
-* ``bench``  — alias pointing at the experiment runner.
+* ``sanitize`` — run scenarios under the runtime sanitizer (see
+  ``docs/simsan.md``);
+* ``scenario`` — run one workload scenario by name or TOML spec.
+
+Figure and table experiments run through ``python -m repro.experiments``.
 """
 
 from __future__ import annotations
@@ -323,7 +327,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="repro")
     ap.add_argument("command",
                     choices=["info", "demo", "trace", "perf", "slo", "lint",
-                             "sanitize", "scenario", "bench"],
+                             "sanitize", "scenario"],
                     nargs="?", default="info")
     args, rest = ap.parse_known_args(argv)
     if args.command == "info":
@@ -346,13 +350,9 @@ def main(argv=None) -> int:
         from repro.simlint.cli import main as lint_main
 
         return lint_main(rest)
-    if args.command == "sanitize":
-        from repro.simsan.cli import main as sanitize_main
+    from repro.simsan.cli import main as sanitize_main
 
-        return sanitize_main(rest)
-    from repro.experiments.__main__ import main as exp_main
-
-    return exp_main(rest or ["list"])
+    return sanitize_main(rest)
 
 
 if __name__ == "__main__":

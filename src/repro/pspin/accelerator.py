@@ -28,6 +28,7 @@ Two emergent effects the model must produce (not hard-code):
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
@@ -172,6 +173,42 @@ class _AccelTrain:
         self.stage = [0] * n      # 0 none,1 in,2 f1,3 s2,4 gate,5 act,6 done
         self.built = False        # part B (g/t0/e) computed at hh time
         self.dead = False
+
+
+_INF = float("inf")
+
+
+#: simulator -> its cleanup-sweep clock (weak: it goes with the simulator)
+_sweep_clocks: "weakref.WeakKeyDictionary[Simulator, _SweepClock]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+class _SweepClock:
+    """The cleanup sweepers' shared timer, one per simulator.
+
+    Each distinct grid instant takes one heap entry, however many
+    accelerators are due there, and ticks them in install order.  Per-
+    accelerator timers armed at different times would tie at common grid
+    instants, and their order would then hang on heap insertion order.
+    The clock holds its accelerators weakly, so it keeps no testbed alive.
+    """
+
+    __slots__ = ("due", "installed")
+
+    def __init__(self) -> None:
+        #: grid instant -> [(install rank, weak accelerator)] due there
+        self.due: Dict[float, list] = {}
+        self.installed = 0
+
+    def fire(self, t: float) -> None:
+        due = self.due.pop(t)
+        if len(due) > 1:
+            due.sort()  # ranks are unique: the weakrefs never compare
+        for _rank, ref in due:
+            accel = ref()
+            if accel is not None:
+                accel._sweep_tick()
 
 
 class HandlerApi:
@@ -365,7 +402,14 @@ class PsPinAccelerator:
         self.forwarded_packets = 0
         self.nacks_sent = 0
         self._queued = 0
-        self._cleanup_proc = None
+        #: lazy cleanup sweeper (see _sweep_arm): the shared grid clock,
+        #: this accelerator's (install rank, weak self) key on it, the
+        #: last grid point visited, and whether an arm is wanted at the
+        #: next run creation (installed, not armed, no batch running)
+        self._sweep_clock: Optional[_SweepClock] = None
+        self._sweep_key: Optional[tuple] = None
+        self._sweep_t = 0.0
+        self._sweep_idle = False
         #: active paced packet train, if any (see ingest_train)
         self._train: Optional[_AccelTrain] = None
         #: issue time of the handler currently being replayed by a train
@@ -411,10 +455,14 @@ class PsPinAccelerator:
                 min(ctx.hpu_quota, self.params.n_hpus),
                 name=f"{self.node_name}.quota.{ctx.name}",
             )
-        if self._cleanup_proc is None and ctx.handlers.cleanup is not None:
-            self._cleanup_proc = self.sim.process(
-                self._cleanup_sweeper(), name=f"{self.node_name}.cleanup"
-            )
+        if self._sweep_clock is None and ctx.handlers.cleanup is not None:
+            clock = _sweep_clocks.get(self.sim)
+            if clock is None:
+                clock = _sweep_clocks[self.sim] = _SweepClock()
+            clock.installed += 1
+            self._sweep_clock = clock
+            self._sweep_key = (clock.installed, weakref.ref(self))
+            self._sweep_restart()
 
     def match(self, pkt: Packet) -> Optional[ExecutionContext]:
         for ctx in self.contexts:
@@ -539,6 +587,8 @@ class PsPinAccelerator:
             self._next_cluster = (self._next_cluster + 1) % p.n_clusters
             run = _MessageRun(sim, pkt.msg_id, ctx, cluster)
             self._runs[pkt.msg_id] = run
+            if self._sweep_idle:
+                self._sweep_arm(sim.now)
         if run.trace is None and pkt.trace is not None:
             run.trace = pkt.trace
         run.expected = pkt.nseq
@@ -556,7 +606,7 @@ class PsPinAccelerator:
         if pkt.is_header:
             yield from self._exec(run, "header", pkt, run.cluster)
             if not run.hh_done.triggered:
-                run.hh_done.succeed(None)
+                run.hh_done.succeed_quiet(None)
             at = self._train
             if at is not None and pkt is at.pkts[0]:
                 # Hand the lead packet's payload handler to the train
@@ -587,7 +637,7 @@ class PsPinAccelerator:
             and len(run.ph_seqs) >= run.expected
             and not run.phs_done.triggered
         ):
-            run.phs_done.succeed(None)
+            run.phs_done.succeed_quiet(None)
 
         if pkt.is_completion:
             if not run.phs_done.triggered:
@@ -1034,7 +1084,7 @@ class PsPinAccelerator:
             and len(run.ph_seqs) >= run.expected
             and not run.phs_done.triggered
         ):
-            run.phs_done.succeed(None)
+            run.phs_done.succeed_quiet(None)
 
     # ------------------------------------------- de-coalescing (interrupt)
     def _train_interrupt(self) -> None:
@@ -1121,7 +1171,7 @@ class PsPinAccelerator:
             and len(run.ph_seqs) >= run.expected
             and not run.phs_done.triggered
         ):
-            run.phs_done.succeed(None)
+            run.phs_done.succeed_quiet(None)
 
     def _train_cont_f1(self, at: _AccelTrain, j: int):
         """Materialize a packet still in its F1 (buffer+scheduler) stage."""
@@ -1202,21 +1252,64 @@ class PsPinAccelerator:
         self._runs.pop(run.msg_id, None)
 
     # ------------------------------------------------------------- cleanup
-    def _cleanup_sweeper(self):
-        """Fire cleanup handlers for messages inactive beyond the
-        timeout (§VII: clients failing mid-write leave dangling state)."""
+    #
+    # Cleanup handlers fire for messages inactive beyond the timeout
+    # (§VII: clients failing mid-write leave dangling state).  The sweep
+    # checks on a grid of period P = timeout / 2 that starts when the
+    # first cleanup handler is installed and restarts where each cleanup
+    # batch ends.  Only grid points at which some run could be stale
+    # are scheduled, so an idle NIC costs no events; the points skipped
+    # are exactly those whose check would have found nothing.
+
+    def _sweep_arm(self, oldest: float) -> None:
+        """Wake at the first grid point ``G`` past the last one visited
+        with ``G - timeout >= oldest`` (the grid is walked by repeated
+        addition, so ``G`` is bit-identical to a tick-every-P timer)."""
+        timeout = self.params.cleanup_timeout_ns
+        period = timeout / 2
+        t = self._sweep_t + period
+        while t - timeout < oldest:
+            t += period
+        self._sweep_idle = False
+        due = self._sweep_clock.due
+        if t in due:
+            due[t].append(self._sweep_key)
+        else:
+            due[t] = [self._sweep_key]
+            self.sim._call_at1(self._sweep_clock.fire, t, t)
+
+    def _sweep_tick(self) -> None:
+        """A scheduled grid point: clean up every stale run, or re-arm
+        for the oldest remaining one."""
         sim = self.sim
-        period = self.params.cleanup_timeout_ns / 2
-        while True:
-            yield sim.timeout(period)
-            deadline = sim.now - self.params.cleanup_timeout_ns
-            stale = [
-                run
-                for run in self._runs.values()
-                if run.last_activity <= deadline and not run.finished
-            ]
-            for run in stale:
-                yield from self._exec_cleanup(run)
+        self._sweep_t = now = sim.now
+        deadline = now - self.params.cleanup_timeout_ns
+        stale = []
+        oldest = _INF
+        for run in self._runs.values():
+            la = run.last_activity
+            if la <= deadline:
+                stale.append(run)
+            elif la < oldest:
+                oldest = la
+        if stale:
+            sim.process(self._cleanup_batch(stale), name=f"{self.node_name}.cleanup")
+        elif self._runs:
+            self._sweep_arm(oldest)
+        else:
+            self._sweep_idle = True  # the next run creation arms
+
+    def _cleanup_batch(self, stale: List[_MessageRun]):
+        for run in stale:
+            yield from self._exec_cleanup(run)
+        self._sweep_restart()
+
+    def _sweep_restart(self) -> None:
+        """Move the grid origin to now and arm for the runs in flight."""
+        self._sweep_t = self.sim.now
+        self._sweep_idle = True
+        if self._runs:
+            self._sweep_arm(min(run.last_activity for run in self._runs.values()))
 
     def _exec_cleanup(self, run: _MessageRun):
         handler = run.ctx.handlers.cleanup
@@ -1240,9 +1333,9 @@ class PsPinAccelerator:
         # Release every pipeline parked on this run's gates, or packets
         # that arrived before the sweep stay blocked forever.
         if not run.hh_done.triggered:
-            run.hh_done.succeed(None)
+            run.hh_done.succeed_quiet(None)
         if not run.phs_done.triggered:
-            run.phs_done.succeed(None)
+            run.phs_done.succeed_quiet(None)
         self._finish(run)
 
     # --------------------------------------------------------------- stats

@@ -425,12 +425,15 @@ class RdmaNic:
     def _tx_message(self, msg: Message, post_overhead: bool):
         sim = self.sim
         t0 = sim.now
+        # WQE construction + doorbell on the initiating host, then the NIC
+        # tx pipeline latency (once per message; packets then stream at
+        # line rate through the fixed-depth pipeline).  Nothing happens
+        # between the two delays, so they share one wake-up at the float
+        # the two sequential timeouts would reach.
         if post_overhead:
-            # WQE construction + doorbell on the initiating host.
-            yield sim.timeout(self.params.client_post_ns)
-        # NIC tx pipeline latency (once per message; packets then stream
-        # at line rate through the fixed-depth pipeline).
-        yield sim.timeout(self.params.nic_tx_ns)
+            yield sim.timeout_at(t0 + self.params.client_post_ns + self.params.nic_tx_ns)
+        else:
+            yield sim.timeout(self.params.nic_tx_ns)
         t_submit = sim.now
         self.tx_messages += 1
         pkts = segment_message(msg, self.params.net.mtu)

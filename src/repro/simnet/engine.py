@@ -121,17 +121,21 @@ class Event:
         With no callbacks registered there is nothing for the dispatch to
         run: the event is marked already-dispatched, so later waiters are
         rescheduled through ``_call_soon1`` exactly as they would be after
-        a real dispatch.  With callbacks attached this degrades to
-        :meth:`succeed`.  Fire-and-forget completions (DMA posts whose
-        event is only inspected later) save one heap event each.
+        a real dispatch.  With callbacks attached this is :meth:`succeed`,
+        its push inlined.  Fire-and-forget completions (DMA posts whose
+        event is only inspected later, processes nobody joins) save one
+        heap event each.
         """
-        if self.callbacks:
-            return self.succeed(value)
         if self.triggered:
             raise SimulationError(f"event {self.name!r} triggered twice")
         self.triggered = True
         self._value = value
-        self.callbacks = _DISPATCHED
+        if self.callbacks:
+            sim = self.sim
+            sim._seq += 1
+            heapq.heappush(sim._heap, (sim.now, sim._seq, self))
+        else:
+            self.callbacks = _DISPATCHED
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -205,9 +209,12 @@ class Process(Event):
     """A running generator; completes when the generator returns.
 
     The generator's ``return`` value becomes the process's event value.
-    Exceptions escaping the generator fail the process event; if nobody
-    waits on the process, the exception is re-raised by
-    :meth:`Simulator.run` (crashes are never silently swallowed).
+    A successful finish is quiet (:meth:`Event.succeed_quiet`): most
+    processes are never joined, so it costs a heap event only when a
+    waiter is already attached.  Exceptions escaping the generator fail
+    the process event; if nobody waits on the process, the exception is
+    re-raised by :meth:`Simulator.run` (crashes are never silently
+    swallowed).
     """
 
     __slots__ = ("gen", "_waiting_on", "_observed")
@@ -255,7 +262,7 @@ class Process(Event):
                 value = trigger._value if trigger is not None else None
                 nxt = self.gen.send(value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self.succeed_quiet(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self.fail(exc)
@@ -269,7 +276,7 @@ class Process(Event):
         try:
             nxt = self.gen.throw(exc)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self.succeed_quiet(stop.value)
             return
         except BaseException as err:  # noqa: BLE001
             self.fail(err)
@@ -465,9 +472,11 @@ class Simulator:
         stops at ``until``.  Returns the final simulation time.  A bound
         in the past raises :class:`SimulationError` (the clock never moves
         backwards).  Unhandled process failures are re-raised here.
-        Note: background service processes (egress servers, sweepers) can
+        Note: periodic service processes (the DFS heartbeat monitor) can
         keep the heap non-empty forever — use :meth:`run_until_event` to
-        wait for a specific outcome.
+        wait for a specific outcome.  The PsPIN cleanup sweeper is lazy:
+        it schedules nothing while its accelerator has no message in
+        flight.
         """
         if until is None:
             self._loop(self._never, _INF)

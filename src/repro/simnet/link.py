@@ -172,7 +172,7 @@ class Port:
             nbytes.inc(pkt.size)
             npkts.inc()
             gauge.set(sim.now, len(self._q))
-        done.succeed(pkt)
+        done.succeed_quiet(pkt)
         # Start serializing the next queued packet before dealing with
         # this one's fate on the wire (pipelined wire: propagation never
         # blocks the serializer).

@@ -75,11 +75,13 @@ from .streams import (
     TAG_OBJ,
     TAG_SIZE,
     TAG_STATE,
+    client_key,
     exp_gap,
     lognormal,
     pareto,
     u01,
     u01_array,
+    u01_keyed,
 )
 
 __all__ = [
@@ -299,14 +301,15 @@ def _make_stepper(
         ) -> Tuple[float, Tuple[int, float]]:
             k, on_end = st
             t = t_prev
+            key = client_key(seed, cid)  # one step draws several numbers
             while True:
                 if on_end < 0.0:  # draw OFF gap, then a fresh ON window
-                    t += pareto(u01(seed, cid, k, TAG_STATE), off_alpha, off_min)
+                    t += pareto(u01_keyed(key, k, TAG_STATE), off_alpha, off_min)
                     k += 1
-                    on_end = t + pareto(u01(seed, cid, k, TAG_STATE),
+                    on_end = t + pareto(u01_keyed(key, k, TAG_STATE),
                                         on_alpha, on_min)
                     k += 1
-                gap = exp_gap(u01(seed, cid, k, TAG_GAP), rate)
+                gap = exp_gap(u01_keyed(key, k, TAG_GAP), rate)
                 k += 1
                 if t + gap <= on_end:
                     return t + gap, (k, on_end)

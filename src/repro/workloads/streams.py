@@ -23,6 +23,10 @@ any order, which is the exactness guarantee the aggregation relies on.
 All uniforms land in the *open* interval (0, 1): the transforms below
 take logs and reciprocals, and an exact 0.0 or 1.0 must be impossible.
 
+:func:`client_key` and :func:`u01_keyed` split :func:`u01` in two: the
+first ``_mix`` depends only on ``(seed, client)``, so a loop drawing
+many numbers for one client computes it once.
+
 :func:`u01_array` evaluates the same function for a whole array of
 clients at once.  ``uint64`` arithmetic wraps modulo 2^64 exactly like
 the masked Python ints, and the top 53 bits convert to ``float64``
@@ -39,6 +43,8 @@ import numpy as np
 
 __all__ = [
     "u01",
+    "client_key",
+    "u01_keyed",
     "u01_array",
     "exp_gap",
     "pareto",
@@ -80,6 +86,18 @@ def u01(seed: int, client: int, k: int, tag: int) -> float:
     z = _mix((z + k * _GAMMA + tag) & _MASK)
     # map to (0, 1): use the top 53 bits, then nudge 0 to the smallest
     # representable draw so log()/reciprocal transforms never see 0
+    return ((z >> 11) + 0.5) * (1.0 / (1 << 53))
+
+
+def client_key(seed: int, client: int) -> int:
+    """The per-client half of :func:`u01`'s key derivation."""
+    return _mix((seed * _GAMMA + client) & _MASK)
+
+
+def u01_keyed(key: int, k: int, tag: int) -> float:
+    """``u01(seed, client, k, tag)`` given ``key = client_key(seed,
+    client)``: bit-identical, one ``_mix`` per draw instead of two."""
+    z = _mix((key + k * _GAMMA + tag) & _MASK)
     return ((z >> 11) + 0.5) * (1.0 / (1 << 53))
 
 

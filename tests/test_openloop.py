@@ -29,8 +29,10 @@ from repro.workloads.streams import (
     TAG_OBJ,
     TAG_SIZE,
     TAG_STATE,
+    client_key,
     u01,
     u01_array,
+    u01_keyed,
 )
 
 
@@ -53,6 +55,15 @@ def test_u01_array_bit_identical_to_u01(seed):
         for k in (0, 1, 3, 2**20 + 7, 2**40):
             bulk = u01_array(seed, clients, k, tag).tolist()
             assert bulk == [u01(seed, c, k, tag) for c in clients.tolist()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_u01_keyed_bit_identical_to_u01(seed):
+    for c in (0, 1, 2, 777, 10**6 - 1, 10**6, 2**64 - 1):
+        key = client_key(seed, c)
+        for tag in (TAG_GAP, TAG_OBJ, TAG_SIZE, TAG_STATE, TAG_CLASS):
+            for k in (0, 1, 3, 2**20 + 7, 2**40, 2**64 - 1):
+                assert u01_keyed(key, k, tag) == u01(seed, c, k, tag)
 
 
 def test_zipf_sampler_skew_and_bounds():

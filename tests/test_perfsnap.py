@@ -9,10 +9,10 @@ from repro.perfsnap import check_against, host_mismatch
 BASE = {
     "meta": {"cpus_affinity": 2, "python": "3.11.7"},
     "kernel_events_per_s": 1_000_000,
-    "pipeline": {"events_per_wall_s": 500_000, "events_per_packet": 6.0,
-                 "telemetry_off_on_ratio": 0.95},
+    "pipeline": {"events_per_wall_s": 500_000, "packets_per_wall_s": 80_000,
+                 "events_per_packet": 6.0, "telemetry_off_on_ratio": 0.95},
     "workload": {"users_per_wall_s": 10_000, "events_per_wall_s": 400_000,
-                 "schedule_digest": "7eb71d331881a1a4"},
+                 "events": 1_000_000, "schedule_digest": "7eb71d331881a1a4"},
 }
 
 
@@ -22,6 +22,7 @@ def _slow_snapshot(**meta):
     snap["meta"].update(meta)
     snap["kernel_events_per_s"] //= 10
     snap["pipeline"]["events_per_wall_s"] //= 10
+    snap["pipeline"]["packets_per_wall_s"] //= 10
     snap["workload"]["users_per_wall_s"] //= 10
     snap["workload"]["events_per_wall_s"] //= 10
     return snap
@@ -32,9 +33,26 @@ def test_same_host_gates_wall_clock():
     assert host_mismatch(snap, BASE) is None
     failures = check_against(snap, BASE)
     assert {f.split(":")[0] for f in failures} == {
-        "kernel_events_per_s", "pipeline.events_per_wall_s",
-        "workload.users_per_wall_s", "workload.events_per_wall_s",
+        "kernel_events_per_s", "pipeline.packets_per_wall_s",
+        "workload.users_per_wall_s",
     }
+
+
+def test_fewer_events_for_the_same_work_passes():
+    """The floors count work done (packets, users) per second, not
+    events: removing cheap events at the same wall time drops events/s
+    but is no regression.  More events is one, whatever the wall time."""
+    snap = copy.deepcopy(BASE)
+    snap["pipeline"]["events_per_wall_s"] //= 2
+    snap["pipeline"]["events_per_packet"] = 3.0
+    snap["workload"]["events_per_wall_s"] //= 2
+    snap["workload"]["events"] //= 2
+    assert check_against(snap, BASE) == []
+    snap["workload"]["events"] = 1_050_001
+    snap["workload"]["users_per_wall_s"] *= 2
+    assert check_against(snap, BASE) == [
+        "workload.events: 1050001 > baseline 1000000 (+5% cap)"
+    ]
 
 
 def test_other_host_skips_wall_clock_floors():
@@ -48,11 +66,13 @@ def test_other_host_skips_wall_clock_floors():
 def test_other_host_still_runs_deterministic_checks():
     snap = _slow_snapshot(python="3.12.1")
     snap["pipeline"]["events_per_packet"] = 7.0
+    snap["workload"]["events"] = 2_000_000
     snap["workload"]["schedule_digest"] = "0000000000000000"
     failures = check_against(snap, BASE)
-    assert len(failures) == 2
+    assert len(failures) == 3
     assert failures[0].startswith("pipeline.events_per_packet")
-    assert failures[1].startswith("workload: schedule digest drifted")
+    assert failures[1].startswith("workload.events")
+    assert failures[2].startswith("workload: schedule digest drifted")
 
 
 def test_telemetry_off_slower_than_on_fails_on_any_host():

@@ -8,12 +8,14 @@ from repro.core.context import ExecutionContext, Handler, HandlerSet
 from repro.core.handlers import DfsPolicy, build_dfs_context
 from repro.core.request import DfsHeader, WriteRequestHeader
 from repro.core.state import DfsState
+from repro.dfs.cluster import build_testbed
 from repro.params import PsPinParams, SimParams
+from repro.protocols import install_spin_targets
 from repro.pspin.accelerator import PsPinAccelerator
 from repro.pspin.isa import HandlerCost
 from repro.pspin.memory import NicMemory
 from repro.simnet import Simulator
-from repro.simnet.packet import Message, Packet, segment_message
+from repro.simnet.packet import Message, Packet, fresh_msg_id, segment_message
 
 
 class Harness:
@@ -285,6 +287,73 @@ def test_cleanup_does_not_touch_active_requests():
     h.sim.run(until=500_000)
     assert h.state.requests_cleaned == 0
     assert h.state.requests_completed == 1
+
+
+def _abandon(h, msg_id, n):
+    """A client dies after sending the first ``n`` packets of a write."""
+    for pkt in h.write_packets(50_000, msg_id=msg_id)[:n]:
+        h.accel.ingest(pkt)
+
+
+def test_cleanup_fires_on_the_sweep_grid():
+    """The sweep checks at g + k*P (P = timeout / 2, built by repeated
+    addition), with the origin g at install and then at the end of each
+    cleanup batch.  The lazy sweeper schedules only the points where a
+    run can be stale; the times are those of a sweep that ticks at every
+    grid point.  msg 2's time checks that the origin moved."""
+    h = Harness(PsPinParams(cleanup_timeout_ns=10_000.0))
+    h.install_policy()
+    _abandon(h, 1, 3)
+    h.sim.run(until=37_000)
+    _abandon(h, 2, 2)
+    h.sim.run(until=200_000)
+    assert [
+        (e["greq_id"], e["t"])
+        for e in h.state.drain_host_events()
+        if e["type"] == "write_interrupted"
+    ] == [(1, 15154.8), (2, 50309.600000000006)]
+    assert h.accel.in_flight_messages == 0
+
+
+def test_idle_accelerator_dispatches_nothing():
+    """With no message in flight the sweeper schedules no event."""
+    h = Harness(PsPinParams(cleanup_timeout_ns=10_000.0))
+    h.install_policy()
+    h.sim.run(until=1e6)
+    assert h.sim.peek() == float("inf")  # the egress pump is parked
+    _abandon(h, 1, 3)
+    h.sim.run(until=2e6)
+    assert h.state.requests_cleaned == 1
+    assert h.sim.peek() == float("inf")
+    n = h.sim.events_dispatched
+    h.sim.run(until=1e9)
+    assert h.sim.events_dispatched == n
+
+
+def test_sweeps_of_many_accelerators_share_one_clock():
+    """Abandoned writes on two of four sPIN nodes, opened at different
+    times but stale at the same grid instant: one heap entry serves both
+    sweeps, so the sanitizer sees no insertion-order tie."""
+    tb = build_testbed(n_storage=4, sanitize=True)
+    install_spin_targets(tb)
+    client = tb.clients[0]
+    for i, node in enumerate(("sn1", "sn2")):
+        tb.run(until=tb.sim.now + 10_000 * i)
+        msg = Message(
+            src=client.name, dst=node, op="write",
+            data=np.zeros(16_384, dtype=np.uint8),
+            headers={"dfs": DfsHeader(greq_id=fresh_msg_id(), op="write",
+                                      client_id=1, capability=None,
+                                      reply_to=client.name),
+                     "wrh": WriteRequestHeader(addr=0), "write_len": 16_384},
+            header_bytes=80,
+        )
+        for pkt in segment_message(msg, tb.params.net.mtu)[:2]:
+            client.nic.port.send(pkt)
+    tb.run(until=tb.sim.now + 3 * tb.params.pspin.cleanup_timeout_ns)
+    assert [tb.node(f"sn{i}").dfs_state.requests_cleaned for i in range(4)] == [0, 1, 1, 0]
+    report = tb.sanitize_report()
+    assert report.ok, report.summary()
 
 
 def test_stats_record_instruction_counts():

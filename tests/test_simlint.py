@@ -761,17 +761,24 @@ class TestCli:
 
 
 # -------------------------------------------------------------- tree gate
+@pytest.fixture(scope="module")
+def tree_lint():
+    """One full-tree lint shared by the checks that only read different
+    fields of the same result."""
+    return lint_paths([SRC])
+
+
 class TestTreeGate:
-    def test_src_repro_lints_clean(self):
-        res = lint_paths([SRC])
+    def test_src_repro_lints_clean(self, tree_lint):
+        res = tree_lint
         assert res.files_checked > 90
         msgs = "\n".join(d.format() for d in res.findings)
         assert res.findings == [], f"unsuppressed findings:\n{msgs}"
 
-    def test_suppressions_are_the_committed_whitelist(self):
+    def test_suppressions_are_the_committed_whitelist(self, tree_lint):
         # the zero baseline is honest: every silenced finding is one of
         # the deliberate harness/miss-path sites, not a blanket mute
-        res = lint_paths([SRC])
+        res = tree_lint
         by_rule = {}
         for d in res.suppressed:
             by_rule.setdefault(d.rule, set()).add(os.path.basename(d.path))
@@ -781,8 +788,8 @@ class TestTreeGate:
         }
         assert by_rule["SIM401"] == {"accelerator.py"}
 
-    def test_output_is_deterministic(self):
-        a = lint_paths([SRC])
+    def test_output_is_deterministic(self, tree_lint):
+        a = tree_lint
         b = lint_paths([SRC])
         assert [d.to_dict() for d in a.suppressed] == [
             d.to_dict() for d in b.suppressed

@@ -41,8 +41,9 @@ def test_events_per_packet_budget():
 
 
 def test_timeout_costs_one_event():
-    """The kernel core loop: N timeouts dispatch exactly N+2 events
-    (process start + N timeouts + process completion)."""
+    """The kernel core loop: N timeouts dispatch exactly N+1 events
+    (process start + N timeouts; nobody joins the process, so its
+    completion is quiet and dispatches nothing)."""
     sim = Simulator()
 
     def ping():
@@ -51,8 +52,36 @@ def test_timeout_costs_one_event():
 
     sim.process(ping())
     sim.run()
-    assert sim.events_dispatched == 102
+    assert sim.events_dispatched == 101
     assert sim.now == 100.0
+
+
+def test_process_completion_dispatches_only_when_joined():
+    """A joined process's completion is one event; joining an already
+    finished process still resumes the joiner, with the return value."""
+    sim = Simulator()
+    got = []
+
+    def child():
+        yield sim.timeout(1.0)
+        return "v"
+
+    def parent(proc):
+        got.append((yield proc))
+
+    early = sim.process(child())
+    sim.process(parent(early))
+    sim.run()
+    # 2 starts + 1 timeout + the joined completion
+    assert sim.events_dispatched == 4 and got == ["v"]
+
+    late = sim.process(child())
+    sim.run()
+    n0 = sim.events_dispatched
+    sim.process(parent(late))
+    sim.run()
+    # start + the resume scheduled by joining the finished process
+    assert sim.events_dispatched - n0 == 2 and got == ["v", "v"]
 
 
 def test_identical_writes_identical_event_counts():
