@@ -215,8 +215,11 @@ echo "== simulator perf guard (vs committed BENCH_simulator.json) =="
 # wide 30% wall-clock tolerance absorbs CI machine noise; the
 # events-per-packet count is deterministic and capped at +5%; the
 # pipeline section's telemetry-off time may exceed telemetry-on time by
-# at most 3% (collection must cost nothing when off)
-python -m repro perf --check BENCH_simulator.json --tolerance 0.30
+# at most 3% (collection must cost nothing when off).  Both perf guards
+# always run and report; the stage fails after them if either did
+perf_status=0
+python -m repro perf --check BENCH_simulator.json --tolerance 0.30 \
+    || perf_status=$?
 
 echo
 echo "== single-core kernel guard (events/s within 10%) =="
@@ -224,8 +227,17 @@ echo "== single-core kernel guard (events/s within 10%) =="
 # section's wall-clock gate runs at a tight 10% (2x the 5% CLI
 # tolerance), so a slowdown there fails CI even when the wider 30%
 # gate above would absorb it
+kernel_status=0
 python -m repro perf --check BENCH_simulator.json --tolerance 0.05 \
-    --section kernel
+    --section kernel || kernel_status=$?
+
+echo
+echo "perf guard exit $perf_status, kernel guard exit $kernel_status" \
+    "(1 = regression, 2 = host differs from the baseline's)"
+if [ "$perf_status" -ne 0 ] || [ "$kernel_status" -ne 0 ]; then
+    echo "perf guards failed"
+    exit 1
+fi
 
 echo
 echo "CI gate passed."

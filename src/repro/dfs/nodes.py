@@ -69,11 +69,7 @@ class Host:
     def fail(self) -> None:
         """Crash the node: it stops reacting to traffic (§VII)."""
         self.failed = True
-        self.nic.receive = lambda pkt: None  # type: ignore[method-assign]
-        # coalesced packet trains are delivered through a separate entry
-        # point; without this stub a train would bypass the crash and the
-        # "dead" node would keep committing writes and sending acks
-        self.nic.receive_train = lambda st: None  # type: ignore[method-assign]
+        self.nic.crash()
 
     def host_exec(self, duration_ns: float) -> Event:
         """Run ``duration_ns`` of work on a CPU core; returns a Process

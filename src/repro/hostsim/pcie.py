@@ -26,6 +26,14 @@ from ..telemetry.metrics import HandleCache
 __all__ = ["Pcie"]
 
 
+class _Flush(Event):
+    """A DMA's durability event, tagged with the channel that serialized
+    it: one channel's flushes fire in post order, so a waiter on several
+    of them needs only the last (see ``HandlerApi.all_dma_flushed``)."""
+
+    __slots__ = ("channel",)
+
+
 class Pcie:
     """A serializing DMA channel with per-transaction latency.
 
@@ -80,7 +88,8 @@ class Pcie:
         if nbytes < 0:
             raise ValueError("negative DMA size")
         sim = self.sim
-        done = Event(sim, name=self._dma_name)
+        done = _Flush(sim, name=self._dma_name)
+        done.channel = self
         if not sim.telemetry.enabled:
             # Closed-form scheduling: with telemetry off the callback
             # chain's only externally visible effects are the completion

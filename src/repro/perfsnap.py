@@ -12,8 +12,8 @@
   :data:`TELEMETRY_OFF_ON_CAP` (collection must cost nothing when off);
 * **workload** — the million-user open-loop ``hot_shard_1m`` scenario
   through the aggregated flow generators: kernel events dispatched,
-  simulated users per wall-second on one core, plus the schedule digest
-  as a determinism gate.
+  simulated users per wall-second on one core, plus the schedule and
+  outcome digests as determinism gates.
 
 ``--section`` restricts both collection and checking (CI gates the
 machine-sensitive kernel number at a tight tolerance without paying for
@@ -37,7 +37,7 @@ box throttles or preempts the process.
 Wall-clock floors only mean something on the host that recorded the
 baseline: when ``meta.cpus_affinity`` or ``meta.python`` differs,
 ``--check`` skips them, prints which values differ, still runs the
-deterministic checks (event counts, schedule digest) and exits 2
+deterministic checks (event counts, digests) and exits 2
 if those pass.
 """
 
@@ -201,6 +201,7 @@ def _workload_snapshot() -> Dict[str, Any]:
         "requests_per_wall_s": round(row["issued"] / wall),
         "events_per_wall_s": round(timings["events"] / wall),
         "schedule_digest": row["schedule_digest"],
+        "outcome_digest": row["outcome_digest"],
     }
 
 
@@ -276,14 +277,16 @@ def check_against(snap: Dict[str, Any], base: Dict[str, Any],
               base["workload"]["users_per_wall_s"])
         cap("workload.events", snap["workload"]["events"],
             base["workload"]["events"])
-        # the schedule is a pure function of the spec + seed: any digest
-        # drift is a determinism regression, not a perf one
-        if snap["workload"]["schedule_digest"] != base["workload"]["schedule_digest"]:
-            failures.append(
-                "workload: schedule digest drifted from baseline "
-                f"({snap['workload']['schedule_digest']} != "
-                f"{base['workload']['schedule_digest']})"
-            )
+        # the schedule and every request's outcome are pure functions of
+        # the spec + seed: digest drift is a determinism (or simulation)
+        # regression, not a perf one
+        for key in ("schedule_digest", "outcome_digest"):
+            got, want = snap["workload"].get(key), base["workload"].get(key)
+            if got != want:
+                failures.append(
+                    f"workload: {key.replace('_', ' ')} drifted from baseline "
+                    f"({got} != {want})"
+                )
     return failures
 
 

@@ -152,7 +152,9 @@ def wrap_result(
             m.counter(f"protocol.{protocol}.requests").inc()
             if not outcome.ok:
                 m.counter(f"protocol.{protocol}.nacked").inc()
-        out.succeed(outcome)
+        # the outcome's waiters run in this dispatch: nothing happens
+        # between the NIC completion and the outcome it is adapted into
+        out.succeed_inline(outcome)
 
     done.add_callback(convert)
     return out

@@ -78,6 +78,16 @@ class _Cluster:
         self.idx = idx
         self.hpus = Resource(sim, params.hpus_per_cluster, name=f"cluster{idx}.hpus")
         self.active = 0  # handlers currently in their compute phase
+        #: ``(t0, seq)`` of each running handler that took the one-wake-up
+        #: path (see ``_exec``): active from ``t0`` on, ordered among the
+        #: entries due at ``t0`` by ``seq``, until the handler ends
+        self.pending: List[tuple] = []
+
+    def active_at(self, own: tuple) -> int:
+        """Handlers in their compute phase as seen by the heap entry
+        ``own = (t, seq)`` being dispatched now: ``active`` plus every
+        one-wake-up activation that would have been dispatched first."""
+        return self.active + sum(1 for act in self.pending if act < own)
 
 
 class _MessageRun:
@@ -302,13 +312,24 @@ class HandlerApi:
         self._accel.host_write_fn(addr, payload)
 
     def all_dma_flushed(self) -> Event:
-        """Event firing when every DMA issued for this message is durable."""
+        """Event firing when every DMA issued for this message is durable.
+
+        When every pending flush is a completion of one PCIe channel,
+        this is the last one posted: the channel serializes FIFO, so
+        durable instants never decrease in post order.  Any other set
+        (NVMe flash completions can fail or reorder) waits on all."""
         sim = self._accel.sim
         pending = [e for e in self._run.dma_events if not e.triggered]
         if not pending:
             ev = sim.event()
             ev.succeed(None)
             return ev
+        last = pending[-1]
+        chan = getattr(last, "channel", None)
+        if chan is not None and all(
+            getattr(e, "channel", None) is chan for e in pending
+        ):
+            return last
         return sim.all_of(pending)
 
     def compute(self, cycles: float) -> Event:
@@ -402,6 +423,9 @@ class PsPinAccelerator:
         self.forwarded_packets = 0
         self.nacks_sent = 0
         self._queued = 0
+        #: msg_id -> header/completion/cleanup handlers of that message
+        #: running now (they write its request entry; see ``_exec``)
+        self._writers: Dict[int, int] = {}
         #: lazy cleanup sweeper (see _sweep_arm): the shared grid clock,
         #: this accelerator's (install rank, weak self) key on it, the
         #: last grid point visited, and whether an arm is wanted at the
@@ -543,23 +567,26 @@ class PsPinAccelerator:
             h = self._handles.get(tel.metrics)
             h["ingested"].inc()
             h["queued"].set(self.sim.now, self._queued)
-        self.sim.process(self._pipeline(ctx, pkt))
+        # 1+2. packet buffer copy, then the hardware scheduler pick —
+        # strictly sequential with nothing observable in between, so the
+        # pipeline starts where F1 ends (same timestamp, one event).
+        p = self.params
+        cyc = p.cycle_ns
+        sim = self.sim
+        sim.process(
+            self._pipeline(ctx, pkt, -(-pkt.size // p.l1_copy_bytes_per_cycle) * cyc),
+            at=sim.now
+            + (-(-pkt.size // p.pkt_buffer_bytes_per_cycle) + p.sched_cycles) * cyc,
+        )
         return True
 
     # ------------------------------------------------------------ pipeline
-    def _pipeline(self, ctx: ExecutionContext, pkt: Packet):
-        sim = self.sim
-        p = self.params
-        cyc = p.cycle_ns
-        # 1+2. packet buffer copy, then the hardware scheduler pick —
-        # strictly sequential with nothing observable in between, so one
-        # fused timeout covers both stages (same timestamps, one event).
-        yield sim.timeout(
-            (-(-pkt.size // p.pkt_buffer_bytes_per_cycle) + p.sched_cycles) * cyc
-        )
+    def _pipeline(self, ctx: ExecutionContext, pkt: Packet, l1_ns: float):
+        """A packet's pipeline from the end of F1 (see ``ingest``);
+        ``l1_ns`` is its L1 copy time."""
         run, exec_cluster = self._pipeline_front(ctx, pkt)
         # 3. copy into cluster L1
-        yield sim.timeout(-(-pkt.size // p.l1_copy_bytes_per_cycle) * cyc)
+        yield self.sim.timeout(l1_ns)
         if self._train is not None and pkt is self._train.pkts[0]:
             # The lead packet of a paced train runs the real pipeline:
             # apply agenda effects due by now (arrivals of later train
@@ -651,7 +678,15 @@ class PsPinAccelerator:
             self._finish(run)
 
     def _exec(self, run: _MessageRun, htype: str, pkt: Packet, cluster_idx: Optional[int] = None):
-        """Run one handler on an HPU of the given (or home) cluster."""
+        """Run one handler on an HPU of the given (or home) cluster.
+
+        An HPU dispatch (1 ns) is followed by the compute phase.  With
+        telemetry off and a cost that is not memory-intensive nothing
+        observes the instant between them, so the handler wakes once,
+        at the float the two sleeps would reach; its activation is
+        recorded in ``cluster.pending`` for memory-intensive handlers
+        that read the cluster's activity (``_Cluster.active_at``).
+        """
         sim = self.sim
         p = self.params
         handler = getattr(run.ctx.handlers, htype)
@@ -668,25 +703,64 @@ class PsPinAccelerator:
         # (SIM301); the success path schedules identical events.
         try:
             req = cluster.hpus.request()
-            yield req
+            if not req.triggered:
+                yield req  # an idle HPU grants at once
             try:
-                yield sim.timeout(p.hpu_dispatch_ns)
-                t0 = sim.now
                 tel = sim.telemetry
-                cluster.active += 1
-                if tel.enabled:
-                    self._handles.get(tel.metrics)["active"][cluster.idx].set(
-                        sim.now, cluster.active
-                    )
+                writers = self._writers
+                mid = run.msg_id
+                # The cost reads this message's request entry, which only
+                # header, completion and cleanup handler bodies write.
+                # With none of them running, nothing can rewrite the
+                # entry before this handler's own dispatch ends (a writer
+                # granted later runs its body after a dispatch and a
+                # compute phase of its own), so the cost is taken now.
+                cost = None if mid in writers else handler.cost(run.task, pkt)
+                writer = htype != "payload"
+                if writer:
+                    writers[mid] = writers.get(mid, 0) + 1
                 try:
-                    cost = handler.cost(run.task, pkt)
-                    contention = 1.0 + p.l1_contention_per_hpu * max(0, cluster.active - 1)
-                    yield sim.timeout(cost.compute_ns(p.freq_ghz, contention))
-                    gen = handler.run(HandlerApi(self, run), run.task, pkt)
-                    if gen is not None:
-                        yield from gen
+                    if cost is not None and not tel.enabled and not cost.mem_intensive:
+                        t0 = sim.now + p.hpu_dispatch_ns
+                        wake = sim.timeout_at(t0 + cost.compute_ns(p.freq_ghz))
+                        act: Optional[tuple] = (t0, sim.last_seq)
+                        cluster.pending.append(act)
+                    else:
+                        act = None
+                        dispatch = sim.timeout(p.hpu_dispatch_ns)
+                        # this wake-up's place among same-instant entries
+                        own = (sim.now + p.hpu_dispatch_ns, sim.last_seq)
+                        yield dispatch
+                        t0 = sim.now
+                        cluster.active += 1
+                        if tel.enabled:
+                            self._handles.get(tel.metrics)["active"][cluster.idx].set(
+                                sim.now, cluster.active
+                            )
+                    try:
+                        if act is None:
+                            if cost is None:
+                                cost = handler.cost(run.task, pkt)
+                            contention = 1.0
+                            if cost.mem_intensive:
+                                contention += p.l1_contention_per_hpu * max(
+                                    0, cluster.active_at(own) - 1
+                                )
+                            wake = sim.timeout(cost.compute_ns(p.freq_ghz, contention))
+                        yield wake
+                        gen = handler.run(HandlerApi(self, run), run.task, pkt)
+                        if gen is not None:
+                            yield from gen
+                    finally:
+                        if act is None:
+                            cluster.active -= 1
+                        else:
+                            cluster.pending.remove(act)
                 finally:
-                    cluster.active -= 1
+                    if writer:
+                        n = writers.pop(mid) - 1
+                        if n:
+                            writers[mid] = n
             finally:
                 cluster.hpus.release(req)
         finally:
@@ -814,8 +888,8 @@ class PsPinAccelerator:
             return
         run = self._runs.get(at.msg_id)
         if run is None:
-            # The header's own F1 timeout shares this timestamp but was
-            # pushed after our wake-up; one zero-delay hop lands past it.
+            # The header's pipeline starts at this timestamp; should it
+            # be due after our wake-up, one zero-delay hop lands past it.
             yield sim.timeout(0.0)
             if at.dead:
                 return
@@ -1318,9 +1392,12 @@ class PsPinAccelerator:
             return
         sim = self.sim
         cluster = self.clusters[run.cluster]
+        writers = self._writers
+        mid = run.msg_id
         req = cluster.hpus.request()
         yield req
         t0 = sim.now
+        writers[mid] = writers.get(mid, 0) + 1
         try:
             cost = handler.cost(run.task, None)
             yield sim.timeout(cost.compute_ns(self.params.freq_ghz))
@@ -1328,6 +1405,9 @@ class PsPinAccelerator:
             if gen is not None:
                 yield from gen
         finally:
+            n = writers.pop(mid) - 1
+            if n:
+                writers[mid] = n
             cluster.hpus.release(req)
         self._record_stats("cleanup", run.ctx.name, sim.now - t0, cost.instructions)
         # Release every pipeline parked on this run's gates, or packets

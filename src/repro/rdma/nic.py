@@ -43,6 +43,7 @@ from ..telemetry.metrics import HandleCache
 __all__ = ["RdmaNic", "OpResult", "PendingOp"]
 
 _greq_ids = itertools.count(1)
+_INF = float("inf")
 
 
 def fresh_greq_id() -> int:
@@ -146,6 +147,9 @@ class RdmaNic:
         self.dup_completions = 0
         self.incomplete_drops = 0
         self.rx_dropped = 0
+        #: when the node crashed (``crash``): packets arriving at or after
+        #: it are dropped at every delivery entry
+        self.crashed_at = _INF
         san = sim.sanitizer
         if san is not None:
             san.adopt("nic", self)
@@ -163,6 +167,10 @@ class RdmaNic:
 
     def attach_accelerator(self, accel) -> None:
         self.accelerator = accel
+
+    def crash(self) -> None:
+        """The node dies now: it stops taking packets off the wire."""
+        self.crashed_at = min(self.crashed_at, self.sim.now)
 
     # =================================================== initiator side
     def post_write(
@@ -203,7 +211,7 @@ class RdmaNic:
                 event=done, t_start=self.sim.now, greq_id=gid, expected_acks=expected_acks
             )
             self._track_pending(gid, op)
-        self.sim.process(self._tx_message(msg, post_overhead), name=self._pname_tx)
+        self._spawn_tx(msg, post_overhead, self._pname_tx)
         self._track_for_retry(gid, msg)
         return done
 
@@ -219,7 +227,7 @@ class RdmaNic:
         op.acks = 0  # bytes received accumulate in op
         self._pending[gid] = op
         self._track_pending(gid, "read")
-        self.sim.process(self._tx_message(msg, True), name=self._pname_tx)
+        self._spawn_tx(msg, True, self._pname_tx)
         self._track_for_retry(gid, msg)
         return done
 
@@ -247,7 +255,7 @@ class RdmaNic:
         done = self.sim.event(name="rpc")
         self._pending[gid] = PendingOp(event=done, t_start=self.sim.now, greq_id=gid)
         self._track_pending(gid, "rpc")
-        self.sim.process(self._tx_message(msg, post_overhead), name=self._pname_tx)
+        self._spawn_tx(msg, post_overhead, self._pname_tx)
         self._track_for_retry(gid, msg)
         return done
 
@@ -285,7 +293,7 @@ class RdmaNic:
             headers=dict(headers),
             header_bytes=header_bytes,
         )
-        self.sim.process(self._tx_message(msg, post_overhead), name=self._pname_tx)
+        self._spawn_tx(msg, post_overhead, self._pname_tx)
         gid = self._greq_of(msg.headers)
         if gid is not None and gid in self._pending:
             # Part of a tracked transaction (open_transaction): the
@@ -392,7 +400,7 @@ class RdmaNic:
                     self._handles.get(tel.metrics)[2].inc(n)
                     self._backoff_span(tel, pending, gid, gave_up=False)
                 for msg in pending.messages:
-                    sim.process(self._tx_message(msg, False), name=self._pname_rtx)
+                    self._spawn_tx(msg, False, self._pname_rtx)
                 pending.last_progress = sim.now
                 rto = min(rto * fp.rto_backoff, fp.rto_max_ns)
         except Interrupt:
@@ -422,18 +430,28 @@ class RdmaNic:
             phase="retransmit",
         )
 
-    def _tx_message(self, msg: Message, post_overhead: bool):
+    def _spawn_tx(self, msg: Message, post_overhead: bool, name: str) -> None:
+        """Start sending ``msg`` at its submit instant.
+
+        WQE construction + doorbell on the initiating host (when
+        ``post_overhead``), then the NIC tx pipeline latency (once per
+        message; packets then stream at line rate through the fixed-depth
+        pipeline).  Nothing happens in between, so the sender process
+        starts at the float the two sequential sleeps would reach.
+        """
         sim = self.sim
+        p = self.params
         t0 = sim.now
-        # WQE construction + doorbell on the initiating host, then the NIC
-        # tx pipeline latency (once per message; packets then stream at
-        # line rate through the fixed-depth pipeline).  Nothing happens
-        # between the two delays, so they share one wake-up at the float
-        # the two sequential timeouts would reach.
         if post_overhead:
-            yield sim.timeout_at(t0 + self.params.client_post_ns + self.params.nic_tx_ns)
+            at = t0 + p.client_post_ns + p.nic_tx_ns
         else:
-            yield sim.timeout(self.params.nic_tx_ns)
+            at = t0 + p.nic_tx_ns
+        sim.process(self._tx_message(msg, t0), name=name, at=at)
+
+    def _tx_message(self, msg: Message, t0: float):
+        """Stream ``msg`` onto the wire from its submit instant; ``t0``
+        is when it was posted (see ``_spawn_tx``)."""
+        sim = self.sim
         t_submit = sim.now
         self.tx_messages += 1
         pkts = segment_message(msg, self.params.net.mtu)
@@ -486,6 +504,8 @@ class RdmaNic:
     # ==================================================== target side
     def receive(self, pkt: Packet) -> None:
         """Network delivery entry point (called by the link layer)."""
+        if self.sim.now >= self.crashed_at:
+            return
         if pkt.corrupted:
             # failed CRC: drop at the NIC, initiator will retransmit
             self.rx_dropped += 1
@@ -498,10 +518,31 @@ class RdmaNic:
         # rx pipeline latency, then dispatch (closure-free scheduling)
         self.sim._call_soon1(self._dispatch, pkt, delay=self.params.nic_rx_ns)
 
+    def arrive(self, pkt: Packet, t_arr: float) -> None:
+        """Fused delivery from a fault-free wire, at the sender's tx-done:
+        the packet arrives at ``t_arr`` and is dispatched after the rx
+        pipeline latency, from one heap entry.  No corruption or
+        node-down checks, as for trains; the crash check runs at the
+        dispatch, since the node may die while the packet is in flight."""
+        self.sim._call_at1(
+            self._dispatch_arrived, (pkt, t_arr), t_arr + self.params.nic_rx_ns
+        )
+
+    def _dispatch_arrived(self, arg: tuple) -> None:
+        pkt, t_arr = arg
+        if t_arr >= self.crashed_at:
+            return
+        self.rx_packets += 1
+        self._dispatch(pkt)
+
     def receive_train(self, st: PacketTrain) -> None:
         """Coalesced delivery: the train's packets arrive at their
         precomputed times.  No corruption / node-down checks — trains
-        only form when ``sim.faults is None``, so neither can occur."""
+        only form when ``sim.faults is None``, so neither can occur.  A
+        train that reaches a crashed node is dropped whole; one taken in
+        before the crash is delivered whole."""
+        if self.sim.now >= self.crashed_at:
+            return
         self.sim._call_soon1(self._dispatch_train, st, delay=self.params.nic_rx_ns)
 
     def _dispatch_train(self, st: PacketTrain) -> None:
@@ -776,9 +817,10 @@ class RdmaNic:
             data=pending.data,
             info=pending.info,
         )
-        # Completion is visible to the application after the CQ poll.
+        # Completion is visible to the application after the CQ poll,
+        # which wakes the waiters itself (one dispatch, not two).
         self.sim._call_soon1(
-            pending.event.succeed, res, delay=self.params.client_completion_ns
+            pending.event.succeed_inline, res, delay=self.params.client_completion_ns
         )
 
     # ------------------------------------------------------------ misc

@@ -5,7 +5,8 @@ campaign), creates the Zipf namespace (optionally pinning the hottest
 objects onto one node — the hot-shard lever), drives the open-loop
 engine, and reduces the run to a flat, CSV-friendly row: throughput,
 latency percentiles, per-node skew, overload and fault counters, the
-schedule digest (the CI determinism handle) and — when the spec carries
+schedule digest (the CI determinism handle), the outcome digest (every
+request's completion instant and verdict) and — when the spec carries
 budgets — a per-phase SLO verdict via :mod:`repro.slo`.
 
 Rows are deterministic functions of ``(spec, seed)``: everything the
@@ -29,7 +30,7 @@ scenario_row_keys = (
     "issued", "ops", "failures", "offered_kops_s", "kops_s",
     "goodput_gbps", "p50_ns", "p99_ns", "p999_ns",
     "active_users", "peak_inflight", "hot_node", "hot_share",
-    "slo_ok", "slo_failed", "quiesced", "schedule_digest",
+    "slo_ok", "slo_failed", "quiesced", "schedule_digest", "outcome_digest",
 )
 
 
@@ -169,6 +170,7 @@ def run_scenario(
         "slo_failed": slo_failed,
         "quiesced": res.quiesced,
         "schedule_digest": res.schedule_digest[:16],
+        "outcome_digest": res.outcome_digest,
     }
     assert tuple(row) == scenario_row_keys
     return row

@@ -138,6 +138,27 @@ class Event:
             self.callbacks = _DISPATCHED
         return self
 
+    def succeed_inline(self, value: Any = None) -> "Event":
+        """Succeed and run the attached callbacks now, in the caller's
+        dispatch, instead of from a heap entry of their own.
+
+        For hand-offs with nothing observable between the trigger and
+        its waiters (a CQ poll waking the application, an outcome
+        adapter): the waiters run at the same instant, one kernel
+        dispatch earlier.  Later waiters are rescheduled through
+        ``_call_soon1`` as after any dispatch.
+        """
+        if self.triggered:
+            raise SimulationError(f"event {self.name!r} triggered twice")
+        self.triggered = True
+        self._value = value
+        callbacks = self.callbacks
+        self.callbacks = _DISPATCHED
+        if callbacks:
+            for cb in callbacks:
+                cb(self)
+        return self
+
     def fail(self, exc: BaseException) -> "Event":
         """Mark the event failed; waiters will see ``exc`` raised."""
         if self.triggered:
@@ -219,12 +240,22 @@ class Process(Event):
 
     __slots__ = ("gen", "_waiting_on", "_observed")
 
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
+    def __init__(
+        self, sim: "Simulator", gen: Generator, name: str = "",
+        at: Optional[float] = None,
+    ) -> None:
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self.gen = gen
         self._waiting_on: Optional[Event] = None
         self._observed = False
-        sim._call_soon1(self._resume, None)
+        if at is None:
+            sim._call_soon1(self._resume, None)
+        else:
+            if at < sim.now:
+                raise SimulationError(
+                    f"process {self.name!r} cannot start at {at} (now={sim.now})"
+                )
+            sim._call_at1(self._resume, None, at)
 
     # -- public --------------------------------------------------------
     @property
@@ -406,12 +437,17 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, gen: Generator, name: str = "") -> Process:
+    def process(
+        self, gen: Generator, name: str = "", at: Optional[float] = None
+    ) -> Process:
+        """Run ``gen`` as a process.  Its first step runs now, or at the
+        ABSOLUTE time ``at`` (>= now): a process whose first act would
+        be a sleep starts late instead, from one heap entry."""
         if not isinstance(gen, Generator):
             raise SimulationError(
                 f"Simulator.process() needs a generator, got {type(gen).__name__}"
             )
-        return Process(self, gen, name=name)
+        return Process(self, gen, name=name, at=at)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -463,6 +499,13 @@ class Simulator:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, ev))
         return ev
+
+    @property
+    def last_seq(self) -> int:
+        """Sequence number of the latest heap push.  Read right after a
+        push, it is that entry's rank among entries due at the same
+        instant (lower dispatches first)."""
+        return self._seq
 
     # -- running ---------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:

@@ -11,16 +11,20 @@ observed IPC collapse (Table I, IPC 0.06 for PBT payload handlers).
 The egress path is a fused callback chain rather than a server process:
 ``send`` starts serialization immediately when the wire is idle,
 otherwise appends to a deque; a single ``tx-done`` kernel event per
-packet fires the sender's completion, schedules the (closure-free)
-delivery, and starts the next packet.  That is 3 heap events per packet
-(tx-done, sender completion, delivery) versus the 5+ of the old
-Store+process design, with identical simulated timestamps.
+packet fires the sender's completion (quietly, when nobody waits on
+it), hands the packet on, and starts the next packet.  With no fault
+injector armed nothing can happen to a packet in flight, so a peer with
+an ``arrive(pkt, t_arr)`` entry takes it at tx-done, with its arrival
+instant, and schedules its own next step from there: a hop costs the
+tx-done event plus the peer's next real step, with the same simulated
+timestamps as a separate delivery event.  Other peers get their
+``receive`` scheduled at the arrival instant.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Protocol, Tuple
+from typing import Callable, Deque, List, Optional, Protocol, Tuple
 
 from ..telemetry.metrics import HandleCache
 from .engine import Event, Simulator
@@ -39,7 +43,9 @@ def gbps_to_ns_per_byte(gbps: float) -> float:
 
 
 class Endpoint(Protocol):
-    """Anything that can terminate a link."""
+    """Anything that can terminate a link.  It may also define
+    ``arrive(pkt, t_arr)``, called at tx-done on a fault-free wire with
+    the packet's arrival instant (see :meth:`Port._tx_done`)."""
 
     name: str
 
@@ -70,6 +76,8 @@ class Port:
         self._train: Optional[PacketTrain] = None
         self.peer: Optional[Endpoint] = None
         self.latency_ns: float = 0.0
+        #: the peer's fused delivery entry, if it has one
+        self._arrive: Optional[Callable[[Packet, float], None]] = None
         # statistics
         self.tx_packets = 0
         self.tx_bytes = 0
@@ -96,6 +104,7 @@ class Port:
             raise RuntimeError(f"port of {self.owner_name} already connected")
         self.peer = peer
         self.latency_ns = latency_ns
+        self._arrive = getattr(peer, "arrive", None)
 
     # -- sending ---------------------------------------------------------
     def send(self, pkt: Packet) -> Event:
@@ -186,7 +195,12 @@ class Port:
         peer = self.peer
         assert peer is not None
         faults = sim.faults
-        if faults is not None:
+        if faults is None:
+            arrive = self._arrive
+            if arrive is not None:
+                arrive(pkt, sim.now + self.latency_ns)
+                return
+        else:
             # Wire faults strike after serialization (the sender paid
             # the egress cost either way) and before propagation.
             verdict = faults.egress_verdict(self.owner_name, pkt)

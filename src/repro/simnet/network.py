@@ -37,6 +37,7 @@ class _SwitchPortShim:
     def __init__(self, switch: "Switch", name: str) -> None:
         self.switch = switch
         self.name = name
+        self.arrive = switch.arrive  # fused delivery (see Port._tx_done)
 
     def receive(self, pkt: Packet) -> None:
         self.switch.forward(pkt)
@@ -60,6 +61,8 @@ class Switch:
         self.cfg = cfg
         self.name = name
         self._out_ports: Dict[str, Port] = {}
+        #: routing is the base class's local lookup (see ``arrive``)
+        self._local_forward = type(self).forward is Switch.forward
         self.rx_packets = 0
         self._handles = HandleCache(
             lambda m: (
@@ -105,6 +108,24 @@ class Switch:
             raise KeyError(f"{self.name}: no route to {pkt.dst!r}")
         # Fixed traversal latency, then output queueing (closure-free).
         self.sim._call_soon1(out.send, pkt, delay=self.cfg.switch_latency_ns)
+
+    def arrive(self, pkt: Packet, t_arr: float) -> None:
+        """Fused delivery from a fault-free wire, at the sender's tx-done.
+
+        The base ``forward`` only counts the packet and schedules the
+        output-port enqueue one traversal later.  With a local route and
+        telemetry off nothing observes the arrival instant, so the
+        enqueue is scheduled now, at ``t_arr + switch_latency_ns``.
+        Anything else (a subclass's routing, no route, telemetry
+        counters) runs ``forward`` at the arrival instant as before.
+        """
+        sim = self.sim
+        out = self._out_ports.get(pkt.dst) if self._local_forward else None
+        if out is None or sim.telemetry.enabled:
+            sim._call_at1(self.forward, pkt, t_arr)
+            return
+        self.rx_packets += 1
+        sim._call_at1(out.send, pkt, t_arr + self.cfg.switch_latency_ns)
 
     def forward_train(self, st: PacketTrain) -> None:
         """Forward a coalesced train: one traversal charge for the burst.

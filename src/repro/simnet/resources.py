@@ -43,7 +43,7 @@ class Resource:
     Usage::
 
         req = res.request()
-        yield req
+        yield req          # or: if not req.triggered: yield req
         ...critical section...
         res.release(req)
     """
@@ -74,7 +74,11 @@ class Resource:
             self.users.append(req)
             if san is not None:
                 san.claim("resource-slot", id(req), self.name)
-            req.succeed(req)
+            # Quiet grant: nothing is attached yet, so no dispatch is
+            # needed.  A caller that yields the request resumes through
+            # one ``_call_soon1`` pushed at the yield; one that checks
+            # ``triggered`` can carry on without waiting at all.
+            req.succeed_quiet(req)
         else:
             self.queue.append(req)
             req._abandon = lambda: self.cancel(req)

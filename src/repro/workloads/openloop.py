@@ -415,6 +415,8 @@ def _first_arrival_candidates(
 
 # ---------------------------------------------------------------- results
 _REQ_PACK = struct.Struct("<dqqqq")
+_OUT_PACK = struct.Struct("<qqd?")
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -429,6 +431,10 @@ class OpenLoopResult:
     completion-independent).  ``schedule_digest`` is the SHA-256 of the
     full ``(t, client, req, object, size)`` request stream — two runs
     (or two engines) agree on it iff their schedules are byte-identical.
+    ``outcome_digest`` covers what the schedule digest cannot see: the
+    sum mod 2^64 of a 64-bit hash of ``(client, req, completion instant,
+    ok)`` over every completed request.  A sum does not depend on the
+    order of same-instant completions and needs no per-request memory.
     """
 
     spec: OpenLoopSpec
@@ -443,6 +449,7 @@ class OpenLoopResult:
     inflight_peak: int
     active_users: int
     schedule_digest: str
+    outcome_digest: str
     obj_counts: Dict[int, int]
     quiesced: bool
     phase_latency: Optional[Dict[str, dict]] = None
@@ -497,6 +504,7 @@ class _Run:
         self.latencies: List[float] = []
         self.obj_counts: Dict[int, int] = {}
         self.digest = hashlib.sha256()
+        self.outcome_sum = 0
         self.schedule: Optional[List[tuple]] = [] if record else None
         tel = self.sim.telemetry
         # one resolved handle, sampled on every level change (SIM401)
@@ -524,18 +532,22 @@ class _Run:
         if self._gauge is not None:
             self._gauge.set(self.sim.now, float(self.inflight))
         ev = self.issue(cid, n, obj, size)
-        ev.add_callback(lambda e, _size=size: self._done(e, _size))
+        ev.add_callback(lambda e, _c=cid, _n=n, _size=size: self._done(e, _c, _n, _size))
 
-    def _done(self, ev: Event, size: int) -> None:
+    def _done(self, ev: Event, cid: int, n: int, size: int) -> None:
         self.inflight -= 1
+        now = self.sim.now
         if self._gauge is not None:
-            self._gauge.set(self.sim.now, float(self.inflight))
+            self._gauge.set(now, float(self.inflight))
         out = ev.value
-        ok = getattr(out, "ok", True)
+        ok = bool(getattr(out, "ok", True))
         self.completed_total += 1
         if not ok:
             self.failures_total += 1
-        now = self.sim.now
+        self.outcome_sum = (self.outcome_sum + int.from_bytes(
+            hashlib.blake2b(_OUT_PACK.pack(cid, n, now, ok), digest_size=8).digest(),
+            "little",
+        )) & _MASK64
         if self.t_warm <= now < self.t_stop:
             if not ok:
                 self.failures += 1
@@ -587,6 +599,7 @@ class _Run:
             inflight_peak=self.inflight_peak,
             active_users=sum(1 for n in self.reqno if n),
             schedule_digest=self.digest.hexdigest(),
+            outcome_digest=f"{self.outcome_sum:016x}",
             obj_counts=self.obj_counts,
             quiesced=quiesced,
             phase_latency=phase_latency,

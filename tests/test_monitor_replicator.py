@@ -86,9 +86,12 @@ def test_fail_also_stops_coalesced_trains():
     tb, _, _ = storm_testbed()
     node = tb.node("sn0")
     node.fail()
-    # both delivery entry points are stubbed; a train must be swallowed
-    assert node.nic.receive_train.__name__ == "<lambda>"
+    # the crash is NIC state checked at every delivery entry: a train
+    # reaching the dead node is swallowed without scheduling anything
+    assert node.nic.crashed_at == tb.sim.now
+    heap = len(tb.sim._heap)
     assert node.nic.receive_train(object()) is None
+    assert len(tb.sim._heap) == heap
 
 
 # ------------------------------------------------------------------- repair

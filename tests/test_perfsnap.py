@@ -83,3 +83,19 @@ def test_telemetry_off_slower_than_on_fails_on_any_host():
         failures = check_against(snap, BASE)
         assert len(failures) == 1
         assert failures[0].startswith("pipeline.telemetry_off_on_ratio: 1.031 > 1.03")
+
+
+def test_outcome_digest_drift_fails_on_any_host():
+    """Every request's completion is a pure function of spec + seed, so a
+    moved completion fails the check like a changed schedule does."""
+    base = copy.deepcopy(BASE)
+    base["workload"]["outcome_digest"] = "2ec8535927108066"
+    for meta in ({}, {"python": "3.12.1"}):
+        snap = copy.deepcopy(base)
+        snap["meta"].update(meta)
+        assert check_against(snap, base) == []
+        snap["workload"]["outcome_digest"] = "0000000000000000"
+        assert check_against(snap, base) == [
+            "workload: outcome digest drifted from baseline "
+            "(0000000000000000 != 2ec8535927108066)"
+        ]

@@ -366,3 +366,76 @@ def test_stats_record_instruction_counts():
     assert hh.n == 1 and hh.mean_instructions() == 120
     assert hh.mean_duration() == pytest.approx(211, abs=2)
     assert hh.mean_ipc(1.0) == pytest.approx(0.57, abs=0.02)
+
+
+# ------------------------------------------------------- one-step hand-offs
+class _FixedCost(Handler):
+    """A straight-line handler whose cost depends on the packet: odd
+    seqs run the (memory-intensive) EC encode loop, even seqs a plain
+    compute phase."""
+
+    def cost(self, task, pkt):
+        from repro.pspin.isa import ec_data_payload_cost
+
+        if pkt.seq % 2:
+            return ec_data_payload_cost(2, 2048)
+        return HandlerCost(instructions=200 + 37 * pkt.seq, cpi=1.5)
+
+
+def _exec_harness(n_hpus):
+    from repro.pspin.accelerator import _MessageRun
+
+    sim = Simulator()
+    params = PsPinParams(n_clusters=1, hpus_per_cluster=n_hpus)
+    accel = PsPinAccelerator(sim, params, "node", lambda p: None, lambda a, b: None)
+    h = _FixedCost()
+    ctx = ExecutionContext(
+        name="ec", handlers=HandlerSet(header=h, payload=h, completion=h),
+        state=DfsState(NicMemory(sim, params), params), match_ops=("write",),
+    )
+    run = _MessageRun(sim, 1, ctx, 0)
+
+    def start(t, seqs):
+        def go():
+            yield sim.timeout(t)
+            for s in seqs:
+                pkt = Packet(src="c", dst="node", op="write", msg_id=1, seq=s,
+                             nseq=16, payload=None)
+                sim.process(accel._exec(run, "payload", pkt, 0))
+        sim.process(go())
+
+    return sim, accel, start
+
+
+def test_idle_hpu_handler_costs_one_wakeup():
+    """A plain handler granted an idle HPU sleeps once, through its
+    1 ns dispatch and its compute phase: the process start plus one
+    wake-up, finishing at the float the two sleeps would reach."""
+    sim, accel, start = _exec_harness(n_hpus=1)
+    sim.run()  # the egress pump parks on its empty queue
+    n0 = sim.events_dispatched
+    start(0.0, [0])
+    sim.run()
+    # the starter's two steps + the handler's start + one wake-up
+    assert sim.events_dispatched - n0 == 4
+    assert sim.now == (0.0 + 1.0) + 300.0
+    assert accel.stats["payload:ec"].durations_ns == [300.0]
+    assert accel.clusters[0].pending == []
+
+
+def test_ec_contention_sees_same_instant_fused_activations():
+    """Memory-intensive EC encode handlers share a cluster with
+    one-wake-up handlers that activate at the same instants.  Each EC
+    handler must count exactly the activations an explicit dispatch
+    event would have put before it, so its compute time (L1 contention)
+    stays what it was with a dispatch event per handler."""
+    sim, accel, start = _exec_harness(n_hpus=8)
+    start(0.0, range(6))
+    start(250.0, range(6, 10))
+    sim.run()
+    assert accel.stats["payload:ec"].durations_ns == [
+        300.0, 411.0, 522.0, 633.0, 744.0,
+        17012.873760000002, 17680.045280000002, 18347.216800000002,
+        19014.388320000002, 19014.388320000002,
+    ]
+    assert accel.clusters[0].pending == [] and accel.clusters[0].active == 0

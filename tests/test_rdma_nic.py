@@ -139,6 +139,40 @@ def test_failed_node_ignores_traffic(tb):
         tb.run_until(ev, timeout_ns=1_000_000)
 
 
+def test_crash_between_tx_done_and_arrival_drops_the_packet():
+    """On a fault-free wire the switch port hands a packet to the NIC at
+    tx-done.  A crash landing after that but before the packet arrives
+    must still drop it: the crash instant is checked at dispatch."""
+
+    def run(crash_after_ns=None):
+        tb = build_testbed(n_storage=1, n_clients=1)
+        port = tb.net.switch.out_port("sn0")
+        sn0 = tb.node("sn0")
+        tx_done = []
+        orig = port._tx_done
+
+        def spy(ser):
+            tx_done.append(tb.sim.now)
+            orig(ser)
+            if crash_after_ns is not None:
+                tb.sim._call_soon(sn0.fail, delay=crash_after_ns)
+
+        port._tx_done = spy
+        ev = tb.clients[0].nic.post_write("sn0", _data(100), headers={"addr": 0})
+        tb.run(until=100_000)
+        return tb, ev, tx_done
+
+    tb, ev, tx_done = run()
+    assert ev.triggered and ev.value.ok  # the reference run lands
+    lat = tb.net.cfg.link_latency_ns
+    tb, ev, tx_done = run(crash_after_ns=lat / 2)
+    (t_done,) = tx_done
+    sn0 = tb.node("sn0")
+    assert t_done < sn0.nic.crashed_at < t_done + lat
+    assert sn0.nic.rx_packets == 0 and not ev.triggered
+    assert not sn0.memory.view(0, 100).any()
+
+
 def test_large_write_segments_and_reassembles(tb):
     client = tb.clients[0]
     data = _data(300_000, seed=11)

@@ -1,5 +1,6 @@
 """Scenario specs, the matrix runner, and placement pinning."""
 
+import dataclasses
 import textwrap
 
 import pytest
@@ -185,6 +186,45 @@ def test_quick_schedule_digest_pinned(name, digest):
     kind plus a lossy run: any change to the draw streams, the arrival
     steppers or the first-arrival pass shows up here."""
     assert run_scenario(get(name, quick=True), seed=1)["schedule_digest"] == digest
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("hot_shard", "afe7d22e49ba88da"),
+    ("incast", "ae7fd30ad366eaa7"),
+    ("uniform_onoff", "0b15cecedc7a4167"),
+    ("hot_shard_lossy", "abf17a411641c175"),
+])
+def test_quick_outcome_digest_pinned(name, digest):
+    """Golden outcomes of the quick scenarios: every request's completion
+    instant and verdict.  The schedule digest only covers what was
+    issued, so a change that moves a completion shows up here alone."""
+    assert run_scenario(get(name, quick=True), seed=1)["outcome_digest"] == digest
+
+
+def test_fault_free_hops_match_an_armed_idle_injector():
+    """With no fault injector armed, wire hops hand packets straight to
+    the peer; an armed injector that can never fire takes the per-hop
+    path (and no packet trains).  Every outcome must agree."""
+    from repro.faults import DownWindow, FaultParams
+    from repro.params import SimParams
+
+    spec = get("incast", quick=True)
+    idle = SimParams(faults=FaultParams(
+        node_down=(DownWindow("no-such-node", 0.0, 0.0),)))
+    plain = run_scenario(spec, seed=3)
+    armed = run_scenario(spec, seed=3, params_base=idle)
+    assert armed["outcome_digest"] == plain["outcome_digest"]
+    assert armed == plain
+
+
+def test_telemetry_does_not_move_outcomes():
+    """Telemetry turns off the one-wake-up handler path and the fused
+    switch hop; the outcomes must not notice."""
+    spec = get("hot_shard", quick=True)
+    off = run_scenario(spec, seed=4)
+    on = run_scenario(dataclasses.replace(spec, telemetry=True), seed=4)
+    assert on["outcome_digest"] == off["outcome_digest"]
+    assert on == off
 
 
 def test_row_determinism_and_engine_equivalence():

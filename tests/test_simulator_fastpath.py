@@ -90,3 +90,89 @@ def test_identical_writes_identical_event_counts():
     a, b = _spin_write_64k(), _spin_write_64k()
     assert a.sim.events_dispatched == b.sim.events_dispatched
     assert a.sim.now == b.sim.now
+
+
+# ------------------------------------------------------- one-step hand-offs
+def test_process_at_starts_late_with_one_dispatch():
+    """``process(gen, at=t)`` takes its first step at exactly ``t``,
+    from one heap entry, instead of starting now and sleeping."""
+    import pytest
+
+    from repro.simnet import SimulationError
+
+    sim = Simulator()
+    seen = []
+
+    def gen():
+        seen.append(sim.now)
+        return
+        yield  # pragma: no cover
+
+    sim.process(gen(), at=0.1 + 0.2)
+    sim.run()
+    assert seen == [0.1 + 0.2] and sim.events_dispatched == 1
+    with pytest.raises(SimulationError):
+        sim.process(gen(), at=0.0)
+
+
+def test_flush_over_one_channel_costs_one_wakeup():
+    """A completion handler waiting on three DMAs of one PCIe channel
+    waits on the last one posted (FIFO: it is durable last) and wakes
+    once, at its durable instant.  A set with any other event (an NVMe
+    completion) still waits on all of them."""
+    from types import SimpleNamespace
+
+    from repro.hostsim import Pcie
+    from repro.params import HostParams
+    from repro.pspin.accelerator import HandlerApi
+
+    sim = Simulator()
+    pcie = Pcie(sim, HostParams())
+    run = SimpleNamespace(dma_events=[pcie.dma(n) for n in (4096, 512, 2048)])
+    api = HandlerApi(SimpleNamespace(sim=sim), run)
+    flushed = api.all_dma_flushed()
+    assert flushed is run.dma_events[-1]
+    woke = []
+
+    def waiter():
+        yield flushed
+        woke.append(sim.now)
+
+    sim.process(waiter())
+    sim.run()
+    # three channel completions + the waiter's start + one wake-up
+    assert sim.events_dispatched == 5
+    ser = pcie._ns_per_byte
+    assert woke == [(4096 + 512 + 2048) * ser + HostParams().pcie_latency_ns]
+
+    run.dma_events = [pcie.dma(64), sim.event()]
+    assert type(api.all_dma_flushed()).__name__ == "AllOf"
+
+
+def test_cq_poll_runs_the_application_callback():
+    """One dispatch from the NIC's CQ poll to the open-loop ``_done``:
+    the write event and the outcome adapter run their waiters inside
+    the poll's heap entry instead of one dispatch each."""
+    from repro.simnet.engine import Event
+
+    tb = build_testbed(n_storage=2, sanitize=True)
+    install_spin_targets(tb)
+    c = DfsClient(tb)
+    c.create("/f", size=4096)
+    sim = tb.sim
+    popped = []
+    step = sim._hook
+
+    def hook(entry):
+        popped.append(entry)
+        step(entry)
+
+    sim._hook = hook
+    done = []
+    out = c.write("/f", np.zeros(2048, np.uint8), protocol="spin")
+    out.add_callback(lambda ev: done.append(popped[-1]))
+    sim.run_until_event(out)
+    (entry,) = done
+    assert getattr(entry[2], "__func__", None) is Event.succeed_inline
+    assert entry[2].__self__.name == "write"
+    assert out.value.ok and out.value.t_end == sim.now
