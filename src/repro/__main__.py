@@ -27,6 +27,19 @@ from __future__ import annotations
 import argparse
 
 
+def _int_at_least(lo: int):
+    """argparse type: an int no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
 def _info() -> int:
     import repro
     from repro.params import SimParams
@@ -64,7 +77,7 @@ def _demo(argv=None) -> int:
                     help="per-packet drop probability on every link")
     ap.add_argument("--corrupt", type=float, default=0.0, metavar="P",
                     help="per-packet corruption probability on every link")
-    ap.add_argument("--seed", type=int, default=0,
+    ap.add_argument("--seed", type=_int_at_least(0), default=0,
                     help="fault-injection RNG seed (same seed = same drops)")
     args = ap.parse_args(argv)
 
@@ -191,18 +204,23 @@ def _trace(argv) -> int:
     ap.add_argument("--protocol", default="spin",
                     choices=["spin", "raw", "rpc", "rpc+rdma", "cpu", "rdma-flat",
                              "rdma-hyperloop", "inec"])
-    ap.add_argument("--replication", type=int, metavar="K", default=None,
+    ap.add_argument("--replication", type=_int_at_least(1), metavar="K", default=None,
                     help="replicate across K nodes")
-    ap.add_argument("--ec", type=int, nargs=2, metavar=("K", "M"), default=None,
-                    help="erasure-code as RS(K, M)")
-    ap.add_argument("--size", type=int, default=64 * 1024, help="write size in bytes")
-    ap.add_argument("--storage", type=int, default=8, help="number of storage nodes")
+    ap.add_argument("--ec", type=_int_at_least(1), nargs=2, metavar=("K", "M"),
+                    default=None, help="erasure-code as RS(K, M)")
+    ap.add_argument("--size", type=_int_at_least(0), default=64 * 1024,
+                    help="write size in bytes")
+    ap.add_argument("--storage", type=_int_at_least(1), default=8,
+                    help="number of storage nodes")
     ap.add_argument("--out", default=None, help="output path (default <protocol>.trace.json)")
     ap.add_argument("--metrics", default=None,
                     help="also dump the metrics registry (json or csv by extension)")
     args = ap.parse_args(argv)
     if args.replication and args.ec:
         ap.error("--replication and --ec are mutually exclusive")
+    need = args.replication or (sum(args.ec) if args.ec else 1)
+    if need > args.storage:
+        ap.error(f"--storage {args.storage}: the file layout needs {need} storage nodes")
 
     tb = build_testbed(n_storage=args.storage, telemetry=True)
     installer = installer_for(args.protocol)
@@ -277,7 +295,7 @@ def _scenario(argv) -> int:
                        help="run every [[scenario]] spec in a TOML file")
     ap.add_argument("--quick", action="store_true",
                     help="~10x smaller populations and horizons")
-    ap.add_argument("--seed", type=int, default=None, metavar="S",
+    ap.add_argument("--seed", type=_int_at_least(0), default=None, metavar="S",
                     help="override the seed (default: the sweep runner's "
                          "per-point seed)")
     ap.add_argument("--engine", choices=["aggregated", "explicit"],

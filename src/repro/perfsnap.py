@@ -308,6 +308,15 @@ def main(argv: Optional[list] = None) -> int:
                     help="collect/check only this section (repeatable); "
                          f"default: all of {', '.join(SECTIONS)}")
     args = ap.parse_args(argv)
+    base = None
+    if args.check:
+        # read the baseline before the (slow) measurement, so a bad path
+        # fails at once
+        try:
+            with open(args.check) as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:
+            ap.error(f"--check: cannot read baseline {args.check!r}: {exc}")
 
     snap = collect_snapshot(sections=args.sections)
     if "kernel_events_per_s" in snap:
@@ -333,9 +342,7 @@ def main(argv: Optional[list] = None) -> int:
             fh.write("\n")
         print(f"snapshot written to {args.out}")
 
-    if args.check:
-        with open(args.check) as fh:
-            base = json.load(fh)
+    if base is not None:
         failures = check_against(snap, base, tolerance=args.tolerance)
         if failures:
             print("PERF REGRESSION:")

@@ -455,17 +455,7 @@ class RdmaNic:
         t_submit = sim.now
         self.tx_messages += 1
         pkts = segment_message(msg, self.params.net.mtu)
-        train = self.port.try_send_train(pkts) if len(pkts) >= 2 else None
-        if train is not None:
-            # One wakeup for the whole burst; if cross-traffic aborted
-            # the train mid-stream, resume the per-packet loop exactly
-            # where the wire left off.
-            yield train.ev
-            for pkt in pkts[train.cut :]:
-                yield self.port.send(pkt)
-        else:
-            for pkt in pkts:
-                yield self.port.send(pkt)
+        yield from self._send_packets(pkts)
         tel = sim.telemetry
         if tel.enabled:
             nbytes = msg.data.nbytes if msg.data is not None else 0
@@ -500,6 +490,19 @@ class RdmaNic:
             h = self._handles.get(tel.metrics)
             h[0].inc()
             h[1].inc(nbytes)
+
+    def _send_packets(self, pkts: list):
+        """Put ``pkts`` on the wire back to back, returning when the last
+        one has been serialized."""
+        train = self.port.try_send_train(pkts) if len(pkts) >= 2 else None
+        if train is not None:
+            # One wakeup for the whole burst; if cross-traffic aborted
+            # the train mid-stream, resume the per-packet loop exactly
+            # where the wire left off.
+            yield train.ev
+            pkts = pkts[train.cut :]
+        for pkt in pkts:
+            yield self.port.send(pkt)
 
     # ==================================================== target side
     def receive(self, pkt: Packet) -> None:
@@ -695,15 +698,7 @@ class RdmaNic:
             header_bytes=16,
         )
         yield sim.timeout(self.params.nic_tx_ns)
-        pkts = segment_message(msg, self.params.net.mtu)
-        train = self.port.try_send_train(pkts) if len(pkts) >= 2 else None
-        if train is not None:
-            yield train.ev
-            for p in pkts[train.cut :]:
-                yield self.port.send(p)
-        else:
-            for p in pkts:
-                yield self.port.send(p)
+        yield from self._send_packets(segment_message(msg, self.params.net.mtu))
 
     def _rx_read_resp(self, pkt: Packet) -> None:
         key = (pkt.msg_id, "rgreq")

@@ -164,34 +164,14 @@ class Port:
         self.busy_ns += ser
         tel = sim.telemetry
         if tel.enabled:
-            t0 = sim.now - ser
-            tel.span(
-                f"{pkt.op} m{pkt.msg_id} {pkt.seq + 1}/{pkt.nseq}",
-                pid="net",
-                tid=self.owner_name,
-                t0=t0,
-                t1=sim.now,
-                cat="net",
-                trace=pkt.trace,
-                args={"bytes": pkt.size, "queued_ns": t0 - pkt.enqueue_t},
-                phase="ack" if pkt.op in _ACK_OPS else "wire",
-            )
-            gauge, busy, nbytes, npkts = self._handles.get(tel.metrics)
-            busy.inc(ser)
-            nbytes.inc(pkt.size)
-            npkts.inc()
-            gauge.set(sim.now, len(self._q))
+            h = self._handles.get(tel.metrics)
+            self._tx_telemetry(tel, h, pkt, ser, sim.now)
+            h[0].set(sim.now, len(self._q))
         done.succeed_quiet(pkt)
         # Start serializing the next queued packet before dealing with
         # this one's fate on the wire (pipelined wire: propagation never
         # blocks the serializer).
-        if self._q:
-            nxt, nxt_done = self._q.popleft()
-            self._start(nxt, nxt_done)
-        else:
-            self._busy = False
-            self._cur_pkt = None
-            self._cur_done = None
+        self._start_next()
         peer = self.peer
         assert peer is not None
         faults = sim.faults
@@ -209,6 +189,16 @@ class Port:
             if verdict == "corrupt":
                 pkt.corrupted = True
         sim._call_soon1(peer.receive, pkt, delay=self.latency_ns)
+
+    def _start_next(self) -> None:
+        """Serialize the next queued packet, or leave the wire idle."""
+        if self._q:
+            nxt, nxt_done = self._q.popleft()
+            self._start(nxt, nxt_done)
+        else:
+            self._busy = False
+            self._cur_pkt = None
+            self._cur_done = None
 
     # -- packet-train coalescing -----------------------------------------
     #
@@ -287,9 +277,7 @@ class Port:
             return  # aborted; the abort path owns the bookkeeping
         self._train = None
         self._apply_train_stats(st, st.cut)
-        self._busy = False
-        self._cur_pkt = None
-        self._cur_done = None
+        self._start_next()  # nothing queues behind a live train
         if st.ev is not None:
             st.ev.succeed(st.pkts[-1])
 
@@ -312,42 +300,47 @@ class Port:
         c = st.applied
         while c < cut_old and st.done[c] <= now:
             c += 1
-        self._apply_train_stats(st, c)
-        if c < cut_old and st.s[c] <= now:
+        mid = c < cut_old and st.s[c] <= now
+        # A forwarding hop still forwards packets [c + mid, owed).  Those
+        # that already reached it go back into the real queue behind the
+        # one in service and ahead of the competing sender, as FIFO
+        # demands, with their enqueue samples applied here; the others
+        # re-enter via send() at their availability times.
+        owed = min(cut_old, st.have) if st.avail is not None else c + mid
+        reached = c + mid
+        while reached < owed and st.avail[reached] <= now:
+            reached += 1
+        self._apply_train_stats(st, c, reached)
+        for j in range(c + mid, reached):
+            self._q.append((st.pkts[j], Event(sim)))
+        late = range(reached, owed)
+        if mid:
             # Packet c is mid-serialization: it completes at done[c] on
             # the real clock and the train still delivers it.
             st.cut = c + 1
             self._busy = True
             self._cur_pkt = st.pkts[c]
             self._cur_done = None
-            tel = sim.telemetry
-            if tel.enabled:
-                if st.enq_depth is None:
-                    self._compute_train_depths(st)
-                enq_t = st.avail if st.avail is not None else st.s
-                self._handles.get(tel.metrics)[0].set(enq_t[c], st.enq_depth[c])
+            # An enqueue tied with done[c] ran first on the slow path when
+            # its callback was pushed before c started serializing.
+            ep = st.enq_push
+            split = late.start
+            while split < late.stop and ep is not None and ep[split] < st.s[c]:
+                sim._call_at1(self._train_late_send, (st, split), st.avail[split])
+                split += 1
+            late = range(split, late.stop)
             sim._call_at1(self._train_cur_done, (st, c), st.done[c])
         else:
             # Nothing in service (a gap before the next available packet,
             # or the uncut train already drained): free the wire now.
             st.cut = min(cut_old, c)
-            self._busy = False
-            self._cur_pkt = None
-            self._cur_done = None
+            self._start_next()
             if st.ev is not None and not st.ev.triggered:
                 # sender-paced: wake the sender so it resumes its
                 # per-packet loop at ``cut``
                 st.ev.succeed(None)
-        if st.avail is not None:
-            # Forwarding hop: packets that already reached this port go
-            # back into the real queue ahead of the competing sender (as
-            # FIFO demands); not-yet-arrived ones re-enter via send() at
-            # their availability times.
-            for j in range(st.cut, min(cut_old, st.have)):
-                if st.avail[j] <= now:
-                    self.send(st.pkts[j])
-                else:
-                    sim._call_at1(self._train_late_send, (st, j), st.avail[j])
+        for j in late:
+            sim._call_at1(self._train_late_send, (st, j), st.avail[j])
         if st.on_abort is not None:
             st.on_abort(st)
 
@@ -366,33 +359,13 @@ class Port:
         self.tx_bytes += pkt.size
         self.busy_ns += ser
         if tel.enabled:
-            t0 = st.done[c] - ser
-            tel.span(
-                f"{pkt.op} m{pkt.msg_id} {pkt.seq + 1}/{pkt.nseq}",
-                pid="net",
-                tid=self.owner_name,
-                t0=t0,
-                t1=st.done[c],
-                cat="net",
-                trace=pkt.trace,
-                args={"bytes": pkt.size, "queued_ns": t0 - pkt.enqueue_t},
-                phase="ack" if pkt.op in _ACK_OPS else "wire",
-            )
-            gauge, busy, nbytes, npkts = self._handles.get(tel.metrics)
-            busy.inc(ser)
-            nbytes.inc(pkt.size)
-            npkts.inc()
-            gauge.set(self.sim.now, len(self._q))
+            h = self._handles.get(tel.metrics)
+            self._tx_telemetry(tel, h, pkt, ser, st.done[c])
+            h[0].set(self.sim.now, len(self._q))
         st.applied = c + 1
         if st.ev is not None:
             st.ev.succeed(pkt)
-        if self._q:
-            nxt, nxt_done = self._q.popleft()
-            self._start(nxt, nxt_done)
-        else:
-            self._busy = False
-            self._cur_pkt = None
-            self._cur_done = None
+        self._start_next()
 
     def _train_late_send(self, arg: Tuple[PacketTrain, int]) -> None:
         st, j = arg
@@ -400,11 +373,16 @@ class Port:
             return  # an upstream abort cut it; the origin re-sends it
         self.send(st.pkts[j])
 
-    def _apply_train_stats(self, st: PacketTrain, upto: int) -> None:
+    def _apply_train_stats(
+        self, st: PacketTrain, upto: int, enq_upto: Optional[int] = None
+    ) -> None:
         """Apply per-packet tx statistics/telemetry for ``[applied, upto)``
-        with the exact timestamps the per-packet path would have used."""
+        with the exact timestamps the per-packet path would have used;
+        enqueue samples run to ``enq_upto`` (default ``upto``), covering
+        packets that reached the port but have not left it."""
         a = st.applied
-        if upto <= a:
+        n_enq = upto if enq_upto is None else enq_upto
+        if n_enq <= a:
             return
         st.applied = upto
         sim = self.sim
@@ -412,16 +390,17 @@ class Port:
         npb = self._ns_per_byte
         pkts = st.pkts
         done = st.done
+        for i in range(a, upto):
+            size = pkts[i].size
+            self.tx_packets += 1
+            self.tx_bytes += size
+            self.busy_ns += size * npb
         if not tel.enabled:
-            for i in range(a, upto):
-                size = pkts[i].size
-                self.tx_packets += 1
-                self.tx_bytes += size
-                self.busy_ns += size * npb
             return
         if st.enq_depth is None:
             self._compute_train_depths(st)
-        gauge, busy, nbytes, npkts = self._handles.get(tel.metrics)
+        h = self._handles.get(tel.metrics)
+        gauge = h[0]
         enq_t = st.avail if st.avail is not None else st.s
         ep = st.enq_push
         s = st.s
@@ -431,9 +410,10 @@ class Port:
         # order: the enqueue callback wins only if it was pushed before
         # packet ``di``'s tx-done callback (pushed at serialization start).
         ei, di = a, a
-        while di < upto:
-            if ei < upto and (
-                enq_t[ei] < done[di]
+        while di < upto or ei < n_enq:
+            if ei < n_enq and (
+                di == upto
+                or enq_t[ei] < done[di]
                 or (enq_t[ei] == done[di] and ep is not None and ep[ei] < s[di])
             ):
                 gauge.set(enq_t[ei], st.enq_depth[ei])
@@ -442,26 +422,27 @@ class Port:
                 gauge.set(done[di], st.done_depth[di])
                 di += 1
         for i in range(a, upto):
-            pkt = pkts[i]
-            ser = pkt.size * npb
-            self.tx_packets += 1
-            self.tx_bytes += pkt.size
-            self.busy_ns += ser
-            t0 = done[i] - ser
-            tel.span(
-                f"{pkt.op} m{pkt.msg_id} {pkt.seq + 1}/{pkt.nseq}",
-                pid="net",
-                tid=self.owner_name,
-                t0=t0,
-                t1=done[i],
-                cat="net",
-                trace=pkt.trace,
-                args={"bytes": pkt.size, "queued_ns": t0 - pkt.enqueue_t},
-                phase="ack" if pkt.op in _ACK_OPS else "wire",
-            )
-            busy.inc(ser)
-            nbytes.inc(pkt.size)
-            npkts.inc()
+            self._tx_telemetry(tel, h, pkts[i], pkts[i].size * npb, done[i])
+
+    def _tx_telemetry(self, tel, h, pkt: Packet, ser: float, t1: float) -> None:
+        """Wire span and tx counters of ``pkt``, serialized over the
+        ``ser`` ns ending at ``t1``; ``h`` holds this port's handles."""
+        t0 = t1 - ser
+        tel.span(
+            f"{pkt.op} m{pkt.msg_id} {pkt.seq + 1}/{pkt.nseq}",
+            pid="net",
+            tid=self.owner_name,
+            t0=t0,
+            t1=t1,
+            cat="net",
+            trace=pkt.trace,
+            args={"bytes": pkt.size, "queued_ns": t0 - pkt.enqueue_t},
+            phase="ack" if pkt.op in _ACK_OPS else "wire",
+        )
+        _gauge, busy, nbytes, npkts = h
+        busy.inc(ser)
+        nbytes.inc(pkt.size)
+        npkts.inc()
 
     def _compute_train_depths(self, st: PacketTrain) -> None:
         """Queue-depth gauge values per packet, matching what the slow

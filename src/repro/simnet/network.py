@@ -10,7 +10,7 @@ can be composed for sensitivity studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..telemetry.metrics import HandleCache
 from .engine import Simulator
@@ -151,7 +151,9 @@ class Switch:
             # uplinks, spine down-routing) sees the exact slow-path
             # sequence — and routing failures raise where they would.
             for j in range(k):
-                self.sim._call_at1(self._forward_train_slow_step, (st, j), st.arr[j])
+                self.sim._call_at1(
+                    self._forward_train_step, (st, j, self.forward), st.arr[j]
+                )
             return
         self.rx_packets += k
         tel = self.sim.telemetry
@@ -171,9 +173,7 @@ class Switch:
             # De-coalesce at this hop: one event per packet, at the same
             # times the per-packet path would use (arrival + traversal).
             for j in range(k):
-                self.sim._call_at1(
-                    self._forward_train_step, (st, j, out), st.arr[j] + sl
-                )
+                self.sim._call_at1(self._forward_train_step, (st, j, out.send), st.arr[j] + sl)
         counted = [k]
 
         def _on_upstream_abort(u_st: PacketTrain) -> None:
@@ -199,17 +199,13 @@ class Switch:
 
         st.on_abort = _on_upstream_abort
 
-    def _forward_train_step(self, arg: Tuple[Any, int, Port]) -> None:
-        st, j, out = arg
+    def _forward_train_step(self, arg: Tuple[Any, int, Callable[[Packet], Any]]) -> None:
+        """Hand packet ``j`` of a de-coalesced train to ``step`` (an output
+        port's ``send``, or ``forward`` when the route is not local)."""
+        st, j, step = arg
         if j >= st.cut:
             return  # cut upstream; the origin re-sends it the slow way
-        out.send(st.pkts[j])
-
-    def _forward_train_slow_step(self, arg: Tuple[Any, int]) -> None:
-        st, j = arg
-        if j >= st.cut:
-            return
-        self.forward(st.pkts[j])
+        step(st.pkts[j])
 
     def out_port(self, node_name: str) -> Port:
         return self._out_ports[node_name]

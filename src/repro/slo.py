@@ -328,20 +328,22 @@ def compare_snapshots(snap: Dict[str, object], base: Dict[str, object],
     """Phase-level regression check of ``snap`` against ``base``.
 
     A tracked statistic regresses when it exceeds the noise band
-    ``base * (1 + rtol) + atol_ns``.  Missing scenarios and newly
-    violated budgets are failures too; improvements never are.
-    Returns human-readable failure strings (empty = pass).
+    ``base * (1 + rtol) + atol_ns``.  Missing scenarios and violated
+    budgets (of every scenario that ran, baselined or not) are failures
+    too; improvements never are.  Returns human-readable failure
+    strings (empty = pass).
     """
     failures: List[str] = []
     base_sc = base.get("scenarios", {})
     snap_sc = snap.get("scenarios", {})
+    for name, sdata in sorted(snap_sc.items()):
+        if not sdata["slo_ok"]:
+            failures.append(f"{name}: SLO budget violated")
     for name, bdata in sorted(base_sc.items()):
         sdata = snap_sc.get(name)
         if sdata is None:
             failures.append(f"{name}: scenario missing from this run")
             continue
-        if not sdata["slo_ok"]:
-            failures.append(f"{name}: SLO budget violated")
         for phase, bstats in sorted(bdata.get("phases", {}).items()):
             sstats = sdata.get("phases", {}).get(phase, {})
             for stat in TRACKED_STATS:
@@ -402,6 +404,15 @@ def main(argv: Optional[list] = None) -> int:
     ap.add_argument("--atol", type=float, default=200.0, metavar="NS",
                     help="absolute noise band in ns for --check (default 200)")
     args = ap.parse_args(argv)
+    base = None
+    if args.check:
+        # read the baseline before the (slow) measurement, so a bad path
+        # fails at once
+        try:
+            with open(args.check) as fh:
+                base = json.load(fh)
+        except (OSError, ValueError) as exc:
+            ap.error(f"--check: cannot read baseline {args.check!r}: {exc}")
 
     reports = run_suite(quick=args.quick)
     print(_render(reports))
@@ -422,18 +433,17 @@ def main(argv: Optional[list] = None) -> int:
             fh.write("\n")
         print(f"\nsnapshot written to {out_path}")
 
-    if args.check:
-        with open(args.check) as fh:
-            base = json.load(fh)
+    rc = 0
+    if base is not None:
         failures = compare_snapshots(snap, base, rtol=args.rtol, atol_ns=args.atol)
         if failures:
             print("\nSLO REGRESSION:")
             for f in failures:
                 print(f"  - {f}")
-            return 1
-        print(f"\nslo check vs {args.check} passed "
-              f"(noise band +{args.rtol:.0%} / +{args.atol:.0f} ns per phase stat)")
-        return 0
+            rc = 1
+        else:
+            print(f"\nslo check vs {args.check} passed "
+                  f"(noise band +{args.rtol:.0%} / +{args.atol:.0f} ns per phase stat)")
 
     blown = [r for r in reports if not r.slo_ok]
     if blown:
@@ -444,7 +454,7 @@ def main(argv: Optional[list] = None) -> int:
                     print(f"  - {r.scenario}: {key} {got:,.0f} ns > "
                           f"budget {budget:,.0f} ns")
         return 1
-    return 0
+    return rc
 
 
 if __name__ == "__main__":

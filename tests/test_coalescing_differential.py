@@ -319,3 +319,86 @@ def test_teardown_after_completion_commit_still_acks(delay_ns):
     tb.run(until=5_000_000)
     assert all(e.triggered for e in evs), "a write never completed"
     assert all(e.value.ok for e in evs)
+
+
+# ------------------------------------------- train teardown branches
+#
+# A torn-down accelerator train hands each packet back to the per-packet
+# pipeline at the stage it nominally reached (``_train_materialize``).
+# Each case below pins one (lead?, stage, built) branch, proven to run by
+# a spy, and checks that the outcome and handler statistics match the
+# forced slow path.  Stages: 0 not yet ingested, 1 in F1, 2 in the L1
+# copy, 3 past the L1 copy, 5 computing, 6 committed.  Stage 4 (the
+# completion gate, rank 3) is set only on the completion packet, and a
+# train's lead packet is never one (``ingest_train`` requires a header
+# that is not also the completion), so no lead packet reaches stage 4.
+# ``hpus_per_cluster=1`` makes the build-time HPU sweep fail, so the
+# driver tears the train down at the header handler's end: the lead is
+# then past its hand-off and later packets are still arriving.
+
+TEARDOWN_CASES = [
+    # (lead, stage, built), competing write (bytes, delay ns), pspin params
+    ((True, 3, False), None, {"hpus_per_cluster": 1}),
+    ((False, 0, False), None, {"hpus_per_cluster": 1}),
+    ((False, 1, False), (16, 260.0), {}),
+    ((False, 1, True), (16, 340.0), {}),
+    ((False, 2, True), (16, 340.0), {}),
+    ((False, 3, True), (16, 410.5), {}),
+]
+
+
+def _teardown_run(coalescing, small, pspin, telemetry):
+    """A 16 KiB sPIN write to ``sn0``, optionally followed by a small
+    write from a second client that tears the paced train down."""
+    params = SimParams(coalescing=coalescing)
+    if pspin:
+        params = params.with_pspin(**pspin)
+    tb = build_testbed(n_storage=2, n_clients=2, params=params, telemetry=telemetry)
+    install_spin_targets(tb)
+    a = DfsClient(tb, client_index=0, principal="a")
+    b = DfsClient(tb, client_index=1, principal="b")
+    tb.metadata.create("/big", size=16384, pin_nodes=["sn0"])
+    a.open("/big")
+    if small is not None:
+        tb.metadata.create("/small", size=small[0], pin_nodes=["sn0"])
+        b.open("/small")
+    evs = []
+
+    def go():
+        evs.append(a.write("/big", _data(16384), protocol="spin"))
+        if small is not None:
+            yield tb.sim.timeout(small[1])
+            evs.append(b.write("/small", _data(small[0], seed=1), protocol="spin"))
+
+    tb.sim.process(go())
+    tb.run(until=5_000_000)
+    assert all(e.triggered for e in evs), "a write never completed"
+    outcome = [(e.value.ok, e.value.latency_ns) for e in evs]
+    acc = tb.storage["sn0"].accelerator
+    stats = {k: (v.durations_ns, v.instructions) for k, v in acc.stats.items()}
+    return outcome, stats, _hw_sig(tb), _tel_sig(tb) if telemetry else None
+
+
+@pytest.mark.parametrize("telemetry", [False, True], ids=["teloff", "telon"])
+@pytest.mark.parametrize(
+    "branch,small,pspin", TEARDOWN_CASES,
+    ids=[f"{'lead' if b[0] else 'later'}-s{b[1]}-{'built' if b[2] else 'unbuilt'}"
+         for b, _s, _p in TEARDOWN_CASES],
+)
+def test_teardown_branch_matches_slow_path(monkeypatch, branch, small, pspin, telemetry):
+    from repro.pspin.accelerator import PsPinAccelerator
+
+    seen = set()
+    orig = PsPinAccelerator._train_materialize
+
+    def spy(self, at):
+        for j in range(len(at.pkts)):
+            if j == 0 or j < at.wire.cut:
+                seen.add((j == 0, at.stage[j], at.built))
+        return orig(self, at)
+
+    monkeypatch.setattr(PsPinAccelerator, "_train_materialize", spy)
+    fast = _teardown_run(True, small, pspin, telemetry)
+    assert branch in seen, f"branch {branch} not materialized: {sorted(seen)}"
+    assert all(ok for ok, _lat in fast[0])
+    assert fast == _teardown_run(False, small, pspin, telemetry)

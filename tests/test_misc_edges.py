@@ -110,6 +110,37 @@ def test_top_level_cli_info(capsys):
     assert "400 Gbit/s" in out and "77 B/request" in out
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["demo", "--loss", "0.01", "--seed", "-1"], "--seed"),
+    (["scenario", "--name", "incast", "--seed", "-1"], "--seed"),
+    (["trace", "--size", "-5"], "--size"),
+    (["trace", "--ec", "0", "0"], "--ec"),
+    (["trace", "--storage", "0"], "--storage"),
+    (["trace", "--replication", "-2"], "--replication"),
+    (["trace", "--replication", "3", "--storage", "2"], "--storage"),
+    (["perf", "--check", "MISSING"], "--check"),
+    (["slo", "--check", "MISSING"], "--check"),
+], ids=["demo-seed", "scenario-seed", "trace-size", "trace-ec", "trace-storage",
+        "trace-replication", "trace-storage-vs-layout", "perf-check", "slo-check"])
+def test_cli_bad_number_or_path_is_usage_error(argv, flag, capsys, tmp_path, monkeypatch):
+    """A bad number or baseline path is an argparse error (exit 2) naming
+    the flag, raised before any simulation runs."""
+    import repro.perfsnap
+    import repro.slo
+    from repro.__main__ import main
+
+    def measured(*a, **kw):
+        raise AssertionError("measured before the arguments were checked")
+
+    monkeypatch.setattr(repro.perfsnap, "collect_snapshot", measured)
+    monkeypatch.setattr(repro.slo, "run_suite", measured)
+    argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- hyperloop
 def test_hyperloop_requires_config_before_data():
     """Data arriving for an unconfigured ring is dropped gracefully by

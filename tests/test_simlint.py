@@ -777,16 +777,15 @@ class TestTreeGate:
 
     def test_suppressions_are_the_committed_whitelist(self, tree_lint):
         # the zero baseline is honest: every silenced finding is one of
-        # the deliberate harness/miss-path sites, not a blanket mute
+        # the deliberate harness sites (SIM101), not a blanket mute
         res = tree_lint
         by_rule = {}
         for d in res.suppressed:
             by_rule.setdefault(d.rule, set()).add(os.path.basename(d.path))
-        assert set(by_rule) == {"SIM101", "SIM401"}
+        assert set(by_rule) == {"SIM101"}
         assert by_rule["SIM101"] == {
             "engine.py", "runner.py", "perfsnap.py", "__main__.py",
         }
-        assert by_rule["SIM401"] == {"accelerator.py"}
 
     def test_output_is_deterministic(self, tree_lint):
         a = tree_lint

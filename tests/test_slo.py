@@ -8,6 +8,7 @@ from repro.slo import (
     QUICK_NAMES,
     SCENARIOS,
     SUM_TOLERANCE_NS,
+    SloReport,
     SloSpec,
     compare_snapshots,
     evaluate,
@@ -122,6 +123,12 @@ def test_compare_flags_missing_scenario_and_blown_budget():
     assert any("budget" in f for f in compare_snapshots(got, base))
 
 
+def test_compare_flags_blown_budget_of_unbaselined_scenario():
+    got = _snap()
+    got["scenarios"]["s2"] = dict(got["scenarios"]["s1"], slo_ok=False)
+    assert compare_snapshots(got, _snap()) == ["s2: SLO budget violated"]
+
+
 def test_compare_skips_none_stats():
     base, got = _snap(), _snap()
     base["scenarios"]["s1"]["phases"]["hpu"]["p99"] = None
@@ -144,6 +151,27 @@ def test_cli_check_fails_on_injected_regression(tmp_path):
     ph["p99"] = ph["p99"] * 0.5
     out.write_text(json.dumps(base))
     assert main(["--quick", "--check", str(out)]) == 1
+
+
+def test_cli_check_prints_blown_budgets(tmp_path, monkeypatch, capsys):
+    """--check applies every budget verdict of the run, also for a
+    scenario the baseline lacks, and prints which budget blew."""
+    import repro.slo
+
+    blown = SloReport(
+        scenario="new_scenario",
+        n_ops=1,
+        phases={"end_to_end": {"p50": 900.0, "p99": 900.0, "p999": None}},
+        max_sum_error_ns=0.0,
+        checks=[("end_to_end.p99", 900.0, 500.0, False)],
+    )
+    monkeypatch.setattr(repro.slo, "run_suite", lambda quick=False: [blown])
+    base = tmp_path / "slo.json"
+    base.write_text(json.dumps({"scenarios": {}}))
+    assert main(["--check", str(base)]) == 1
+    out = capsys.readouterr().out
+    assert "new_scenario: SLO budget violated" in out
+    assert "new_scenario: end_to_end.p99 900 ns > budget 500 ns" in out
 
 
 def test_committed_baseline_matches(request):
