@@ -83,23 +83,11 @@ echo "== fault-injection smoke (seeded loss, all protocols, quiesce) =="
 python -m repro demo --loss 1e-3 --seed 2
 
 echo
-echo "== simsan gate (quick scenario + faulty protocol point, zero findings) =="
-# the runtime sanitizer must come back clean on a live schedule and on
+echo "== simsan gate (quick scenario matrix + faulty protocol point, zero findings) =="
+# the runtime sanitizer must come back clean on live schedules and on
 # a seeded-loss protocol point (schedule races, quiesce leaks, orphan
-# spans); see docs/simsan.md
-python - <<'PY'
-from repro.runner import point_seed
-from repro.scenarios import get, run_scenario
-
-spec = get("hot_shard", quick=True)
-seed = point_seed("scenario_matrix", {"scenario": spec.name, "quick": True})
-timings = {}
-row = run_scenario(spec, seed=seed, timings=timings, sanitize=True)
-report = timings["sanitizer"]
-assert row["quiesced"], "hot_shard quick failed to quiesce"
-assert report.ok, f"sanitizer findings on hot_shard quick:\n{report.summary()}"
-print(f"hot_shard quick sanitized clean: {report.summary()}")
-PY
+# spans), and every scenario must quiesce; see docs/simsan.md
+python -m repro sanitize
 python -m repro sanitize --demo --loss 1e-3 --seed 2
 
 echo

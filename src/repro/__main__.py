@@ -65,8 +65,8 @@ def _info() -> int:
 def _demo(argv=None) -> int:
     import numpy as np
 
-    from repro import DfsClient, EcSpec, ReplicationSpec, build_testbed
-    from repro.experiments.common import installer_for
+    from repro import EcSpec, ReplicationSpec
+    from repro.experiments.common import fresh_client
     from repro.params import SimParams
 
     ap = argparse.ArgumentParser(prog="repro demo",
@@ -101,11 +101,7 @@ def _demo(argv=None) -> int:
     fault_totals = {"drops": 0, "corrupted": 0, "retransmits": 0, "timeouts": 0}
 
     def run(protocol, **create_kw):
-        tb = build_testbed(n_storage=8, params=params, telemetry=True)
-        installer = installer_for(protocol)
-        if installer:
-            installer(tb)
-        c = DfsClient(tb)
+        tb, c = fresh_client(protocol, params, n_storage=8, telemetry=True)
         c.create("/demo", size=data.nbytes, **create_kw)
         kw = {"chunk_bytes": 32 * 1024} if protocol == "cpu" else {}
         # transport-level retransmits are bounded; if an op gives up
@@ -115,34 +111,12 @@ def _demo(argv=None) -> int:
             if out.ok:
                 break
         assert out.ok, (protocol, out.nacks)
-
-        def quiesced():
-            if any(h.nic.pending_count() for h in [tb.clients[0], *tb.storage_nodes]):
-                return False
-            for node in tb.storage_nodes:
-                acc = node.accelerator
-                if acc is not None and (
-                    acc.in_flight_messages or any(cl.hpus.users for cl in acc.clusters)
-                ):
-                    return False
-            return True
-
-        # drain trailing acks / parity traffic / retransmit watchdogs;
-        # under loss a server-side chain can need several RTO backoffs
-        tb.run(until=tb.sim.now + 200_000)
-        deadline = tb.sim.now + 200_000_000
-        while faulty and not quiesced() and tb.sim.now < deadline:
-            tb.run(until=tb.sim.now + 1_000_000)
+        # drain trailing acks / parity traffic / retransmit watchdogs
+        tb.drain()
         got = c.read_back("/demo")
         assert np.array_equal(got[: data.nbytes], data), protocol
         # quiesce: no leaked ops, handler runs, or HPU slots anywhere
-        for host in [tb.clients[0], *tb.storage_nodes]:
-            assert host.nic.pending_count() == 0, (protocol, host.name)
-        for node in tb.storage_nodes:
-            if node.accelerator is not None:
-                assert node.accelerator.in_flight_messages == 0, (protocol, node.name)
-                for cl in node.accelerator.clusters:
-                    assert not cl.hpus.users, (protocol, node.name)
+        assert tb.idle(), protocol
         nics = [tb.clients[0].nic, *(n.nic for n in tb.storage_nodes)]
         fault_totals["retransmits"] += sum(n.retransmits for n in nics)
         fault_totals["timeouts"] += sum(n.timeouts for n in nics)
@@ -192,10 +166,8 @@ def _demo(argv=None) -> int:
 def _trace(argv) -> int:
     import numpy as np
 
-    from repro.dfs.client import DfsClient
     from repro.dfs.layout import EcSpec, ReplicationSpec
-    from repro.experiments.common import installer_for
-    from repro.dfs.cluster import build_testbed
+    from repro.experiments.common import fresh_client
     from repro.telemetry import dump_metrics, write_chrome_trace
 
     ap = argparse.ArgumentParser(prog="repro trace",
@@ -222,11 +194,7 @@ def _trace(argv) -> int:
     if need > args.storage:
         ap.error(f"--storage {args.storage}: the file layout needs {need} storage nodes")
 
-    tb = build_testbed(n_storage=args.storage, telemetry=True)
-    installer = installer_for(args.protocol)
-    if installer is not None:
-        installer(tb)
-    client = DfsClient(tb)
+    tb, client = fresh_client(args.protocol, n_storage=args.storage, telemetry=True)
     create_kw = {}
     if args.replication:
         create_kw["replication"] = ReplicationSpec(k=args.replication)
@@ -236,7 +204,7 @@ def _trace(argv) -> int:
     data = np.random.default_rng(7).integers(0, 256, args.size, dtype=np.uint8)
     out = client.write_sync("/traced", data, protocol=args.protocol)
     # let trailing DMAs / acks / parity traffic land in the trace
-    tb.run(until=tb.sim.now + 200_000)
+    tb.drain()
 
     tel = tb.telemetry
     path = args.out or f"{args.protocol.replace('+', '-')}.trace.json"

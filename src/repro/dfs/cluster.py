@@ -24,6 +24,14 @@ from .nodes import ClientNode, StorageNode
 
 __all__ = ["Testbed", "build_testbed"]
 
+#: ``Testbed.drain``: the fixed tail that lets trailing acks, DMAs and
+#: parity traffic land, the step between idle checks after it, and the
+#: simulated-time budget for those steps (under loss a server-side
+#: chain can need several retransmit-timeout backoffs)
+DRAIN_TAIL_NS = 200_000
+DRAIN_STEP_NS = 1_000_000
+DRAIN_BUDGET_NS = 200_000_000
+
 
 class _LeafPlacementShim:
     """Adapter giving a LeafSpineNetwork the Network.register interface:
@@ -120,9 +128,31 @@ class Testbed:
         """Drive the simulation until ``event`` fires; return its value."""
         return self.sim.run_until_event(event, limit=timeout_ns)
 
-    def run_all(self, events) -> list:
-        """Drive the simulation until every event fires; return values."""
-        return [self.sim.run_until_event(ev) for ev in events]
+    def idle(self) -> bool:
+        """Whether the testbed is done: no op pending on any host's NIC,
+        no accelerator message run open and no HPU held.  An RDMA write
+        is acked before its PCIe flush lands, and a failed write's
+        handler state waits for the cleanup sweeper, so a completed
+        request does not imply an idle testbed."""
+        if any(h.nic.pending_count() for h in [*self.clients, *self.storage_nodes]):
+            return False
+        for node in self.storage_nodes:
+            acc = node.accelerator
+            if acc is not None and (
+                acc.in_flight_messages or any(cl.hpus.users for cl in acc.clusters)
+            ):
+                return False
+        return True
+
+    def drain(self) -> bool:
+        """Run until :meth:`idle`: a 200 µs tail, then 1 ms steps until
+        idle or 200 ms of simulated time have passed.  Returns
+        :meth:`idle`."""
+        self.run(until=self.sim.now + DRAIN_TAIL_NS)
+        deadline = self.sim.now + DRAIN_BUDGET_NS
+        while not self.idle() and self.sim.now < deadline:
+            self.run(until=self.sim.now + DRAIN_STEP_NS)
+        return self.idle()
 
     # ------------------------------------------------------- sanitizer
     @property

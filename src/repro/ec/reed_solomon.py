@@ -12,7 +12,6 @@ contributions (§VI-B2/B3, Fig. 14).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,12 +24,6 @@ __all__ = ["RSCode", "pad_to_chunks", "DecodeError"]
 
 class DecodeError(ValueError):
     """Raised when too many chunks are missing to decode."""
-
-
-@dataclass(frozen=True)
-class _Scheme:
-    k: int
-    m: int
 
 
 class RSCode:

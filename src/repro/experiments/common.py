@@ -64,17 +64,15 @@ def installer_for(protocol: str) -> Optional[Callable[[Testbed], None]]:
     }[protocol]
 
 
-# retained alias for older call sites
-_installer_for = installer_for
-
-
 def fresh_client(
     protocol: str,
     params: Optional[SimParams] = None,
     n_storage: int = 10,
     telemetry: bool = False,
 ) -> tuple[Testbed, DfsClient]:
-    """A new testbed configured for ``protocol`` plus a client."""
+    """A new testbed configured for ``protocol`` plus a client: the one
+    single-protocol set-up (build, install the target personality,
+    attach a :class:`DfsClient` to the first client host)."""
     tb = build_testbed(n_storage=n_storage, params=params, telemetry=telemetry)
     installer = installer_for(protocol)
     if installer is not None:
@@ -125,7 +123,7 @@ def measure_anatomy(
         if not out.ok:
             raise RuntimeError(f"write failed: {out.nacks}")
     # let trailing acks / commits close their spans
-    tb.run(until=tb.sim.now + 200_000)
+    tb.drain()
     ops = [op for op in decompose(tb.telemetry) if op.op == "write" and op.ok]
     return ops[-1]
 

@@ -20,10 +20,8 @@ from typing import Optional
 import numpy as np
 
 from ..analysis import shapes
-from ..dfs.client import DfsClient
-from ..dfs.cluster import build_testbed
 from ..params import SimParams
-from .common import KiB, installer_for, render_rows
+from .common import KiB, fresh_client, render_rows
 
 ID = "loss"
 TITLE = "Loss sweep — 64 KiB writes under injected packet loss"
@@ -48,11 +46,7 @@ def _measure(protocol: str, loss: float, repeats: int,
     params = base or SimParams()
     if loss > 0:
         params = params.with_faults(loss_prob=loss, seed=seed, retransmit=True)
-    tb = build_testbed(n_storage=8, params=params)
-    installer = installer_for(protocol)
-    if installer is not None:
-        installer(tb)
-    client = DfsClient(tb)
+    tb, client = fresh_client(protocol, params, n_storage=8)
     client.create("/bench", size=SIZE * 2)
     data = np.random.default_rng(3).integers(0, 256, SIZE, dtype=np.uint8)
     lats, completed = [], 0

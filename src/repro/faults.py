@@ -107,11 +107,6 @@ class FaultParams:
             or bool(self.node_down)
         )
 
-    @classmethod
-    def for_loss(cls, loss_prob: float, seed: int = 0, **kw) -> "FaultParams":
-        """Uniform per-link loss with the reliability layer enabled."""
-        return cls(seed=seed, loss_prob=loss_prob, retransmit=True, **kw)
-
 
 class FaultInjector:
     """Per-simulation fault oracle, installed as ``sim.faults``."""
@@ -162,16 +157,6 @@ class FaultInjector:
                 tel.metrics.counter("faults.corrupted").inc()
             return "corrupt"
         return None
-
-    def allows_coalescing(self) -> bool:
-        """Whether the packet-train fast path may run while this injector
-        is armed.  Always False: an installed injector means loss,
-        corruption, or down windows can strike any packet, so every
-        packet must traverse the per-packet path where
-        :meth:`egress_verdict` is consulted.  (``install_faults`` leaves
-        ``sim.faults = None`` when nothing can fire, so fault-free runs
-        still coalesce at full speed.)"""
-        return False
 
     def node_is_down(self, name: str, now_ns: Optional[float] = None) -> bool:
         now = self.sim.now if now_ns is None else now_ns

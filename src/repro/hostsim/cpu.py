@@ -75,8 +75,5 @@ class Cpu:
             busy.inc(duration_ns)
             cores_busy.set(self.sim.now, self.cores.count)
 
-    def run_cycles(self, cycles: float, trace=None):
-        yield from self.run(self.cycles_ns(cycles), trace=trace)
-
     def utilisation(self) -> float:
         return self.cores.utilisation()

@@ -127,6 +127,3 @@ class NvmeTarget(MemoryTarget):
             ncmds.inc()
             sq_depth.set(self.sim.now, len(self._sq))
         done.succeed(None)
-
-    def submission_queue_depth(self) -> int:
-        return len(self._sq)

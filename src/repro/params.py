@@ -12,7 +12,6 @@ it everywhere, so sweeps and ablations are pure parameter changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .faults import FaultParams
 from .simnet.network import NetConfig
@@ -150,9 +149,3 @@ class SimParams:
     def with_faults(self, **kw) -> "SimParams":
         return replace(self, faults=replace(self.faults, **kw))
 
-
-def default_params(mtu: Optional[int] = None) -> SimParams:
-    p = SimParams()
-    if mtu is not None:
-        p = p.with_net(mtu=mtu)
-    return p

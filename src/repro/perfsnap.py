@@ -86,17 +86,13 @@ def _pipeline_snapshot(repeats: int = 5, inner: int = 10) -> Dict[str, Any]:
     a single write sub-millisecond, too short to time reliably."""
     import numpy as np
 
-    from .dfs.client import DfsClient
-    from .dfs.cluster import build_testbed
-    from .protocols import install_spin_targets
+    from .experiments.common import fresh_client
 
     events = packets = 0
     best_wall = float("inf")
     data = np.zeros(64 * 1024, np.uint8)
     for _ in range(repeats):
-        tb = build_testbed(n_storage=2)
-        install_spin_targets(tb)
-        c = DfsClient(tb)
+        tb, c = fresh_client("spin", n_storage=2)
         c.create("/f", size=64 * 1024)
         assert c.write_sync("/f", data, protocol="spin").ok  # warm-up
         ev0, pk0 = tb.sim.events_dispatched, tb.net.switch.rx_packets
@@ -127,14 +123,10 @@ def _replicated_write_s(telemetry: bool) -> float:
     """CPU seconds of eight 64 KiB 3-way replicated spin writes."""
     import numpy as np
 
-    from .dfs.client import DfsClient
-    from .dfs.cluster import build_testbed
     from .dfs.layout import ReplicationSpec
-    from .protocols import install_spin_targets
+    from .experiments.common import fresh_client
 
-    tb = build_testbed(n_storage=4, telemetry=telemetry)
-    install_spin_targets(tb)
-    c = DfsClient(tb)
+    tb, c = fresh_client("spin", n_storage=4, telemetry=telemetry)
     c.create("/f", size=128 * 1024, replication=ReplicationSpec(k=3))
     data = np.zeros(64 * 1024, np.uint8)
     t0 = time.process_time()

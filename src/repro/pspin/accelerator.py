@@ -1330,12 +1330,6 @@ class PsPinAccelerator:
             st = self._stats_memo[key] = self.stats[f"{htype}:{ctx_name}"]
         st.record(duration_ns, instructions)
 
-    def stats_for(self, htype: str, ctx_name: str) -> HandlerStats:
-        return self.stats[f"{htype}:{ctx_name}"]
-
-    def hpu_utilisation(self) -> float:
-        return sum(c.hpus.utilisation() for c in self.clusters) / len(self.clusters)
-
     @property
     def in_flight_messages(self) -> int:
         return len(self._runs)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..faults import check_probability
 from ..workloads.openloop import (
@@ -235,11 +235,3 @@ def load_toml(path: str) -> List[ScenarioSpec]:
         )
     return [spec_from_dict(t) for t in tables]
 
-
-def scenario_index(specs: List[ScenarioSpec]) -> Dict[str, ScenarioSpec]:
-    out: Dict[str, ScenarioSpec] = {}
-    for s in specs:
-        if s.name in out:
-            raise ValueError(f"duplicate scenario name {s.name!r}")
-        out[s.name] = s
-    return out

@@ -130,15 +130,6 @@ def analyze_function(func: FunctionNode) -> FunctionInfo:
     return info
 
 
-def names_loaded(nodes: Iterator[ast.AST]) -> Set[str]:
-    """All Name ids read (Load context) across ``nodes``."""
-    out: Set[str] = set()
-    for node in nodes:
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
-    return out
-
-
 def handler_catches(handler: ast.ExceptHandler, exc_name: str) -> bool:
     """Whether an ``except`` clause names ``exc_name`` (directly, via an
     attribute like ``engine.Interrupt``, or inside a tuple)."""

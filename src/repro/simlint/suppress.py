@@ -25,7 +25,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Set
+from typing import Dict, Set
 
 _MARKER = re.compile(
     r"#\s*simlint:\s*disable(?P<scope>-file)?\s*=\s*"
@@ -71,11 +71,3 @@ class SuppressionIndex:
             return True
         on_line = self.by_line.get(line)
         return on_line is not None and (_ALL in on_line or rule in on_line)
-
-    def rules_mentioned(self) -> FrozenSet[str]:
-        """Every rule id named in any suppression (for --show-suppressed
-        accounting and docs cross-checks)."""
-        out: Set[str] = set(self.file_wide)
-        for rules in self.by_line.values():
-            out |= rules
-        return frozenset(out)

@@ -180,9 +180,6 @@ class Event:
         else:
             cbs.append(fn)
 
-    def _dispatched(self) -> bool:
-        return self.triggered and self.callbacks is _DISPATCHED
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending"
         if self.triggered:

@@ -143,9 +143,6 @@ class Port:
             return None
         return self.send(pkt)
 
-    def serialization_ns(self, nbytes: int) -> float:
-        return nbytes * self._ns_per_byte
-
     # -- egress fast path -------------------------------------------------
     def _start(self, pkt: Packet, done: Event) -> None:
         self._busy = True

@@ -229,9 +229,3 @@ class Network:
             raise ValueError(f"duplicate endpoint name {endpoint.name!r}")
         self.endpoints[endpoint.name] = endpoint
         return self.switch.attach(endpoint)
-
-    def min_rtt_ns(self) -> float:
-        """Lower-bound round trip for a tiny request and response
-        (propagation + switch traversal only; serialization excluded)."""
-        one_way = 2 * self.cfg.link_latency_ns + self.cfg.switch_latency_ns
-        return 2 * one_way

@@ -60,7 +60,6 @@ class Resource:
         # occupancy bookkeeping for utilisation statistics
         self._busy_time = 0.0
         self._last_change = 0.0
-        self._peak_queue = 0
         san = sim.sanitizer
         if san is not None:
             san.adopt("resource", self)
@@ -82,7 +81,6 @@ class Resource:
         else:
             self.queue.append(req)
             req._abandon = lambda: self.cancel(req)
-            self._peak_queue = max(self._peak_queue, len(self.queue))
             if san is not None:
                 san.claim("resource-wait", id(req), self.name)
         return req
@@ -129,10 +127,6 @@ class Resource:
     @property
     def count(self) -> int:
         return len(self.users)
-
-    @property
-    def peak_queue(self) -> int:
-        return self._peak_queue
 
 
 class Store:

@@ -4,6 +4,7 @@ Two modes, both exiting 0 only when every run is finding-free:
 
 * default: the scenario matrix (quick variants unless ``--full``)
   through :func:`repro.scenarios.run_scenario` with ``sanitize=True``;
+  a scenario that did not quiesce fails too;
 * ``--demo``: one protocol point (replicated spin write), optionally
   under seeded faults — the CI stage runs this with ``--loss``.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 from typing import Optional
+
+from ..__main__ import _int_at_least
 
 __all__ = ["main"]
 
@@ -34,11 +37,12 @@ def _run_matrix(args) -> int:
               f"(events={timings['events']}, quiesced={row['quiesced']}, "
               f"digest={row['schedule_digest']})")
         if not report.ok:
-            failures += 1
             print(report.summary())
+        if not (report.ok and row["quiesced"]):
+            failures += 1
     if failures:
         print(f"\nsanitize: FAIL — {failures}/{len(MATRIX_NAMES)} scenarios "
-              f"reported findings")
+              f"reported findings or did not quiesce")
         return 1
     print(f"\nsanitize: {len(MATRIX_NAMES)} scenarios clean")
     return 0
@@ -52,7 +56,6 @@ def _run_demo(params, args) -> int:
     from ..dfs.layout import ReplicationSpec
     from ..experiments.common import installer_for
 
-    faulty = params.faults.active
     tb = build_testbed(n_storage=8, params=params, telemetry=True,
                        sanitize=True)
     installer = installer_for(args.protocol)
@@ -69,18 +72,7 @@ def _run_demo(params, args) -> int:
     # drain trailing acks, retransmit watchdogs and accelerator message
     # runs (a late duplicate can re-open a run that only closes once the
     # transport re-delivers its header) before the leak sweep
-    def busy() -> bool:
-        if any(h.nic.pending_count() for h in [tb.clients[0], *tb.storage_nodes]):
-            return True
-        return any(
-            sn.accelerator is not None and sn.accelerator.in_flight_messages
-            for sn in tb.storage_nodes
-        )
-
-    tb.run(until=tb.sim.now + 200_000)
-    deadline = tb.sim.now + 200_000_000
-    while faulty and tb.sim.now < deadline and busy():
-        tb.run(until=tb.sim.now + 1_000_000)
+    tb.drain()
     report = tb.sanitize_report()
     print(f"demo: {args.protocol} k=3 write "
           f"(loss={args.loss:g}, corrupt={args.corrupt:g}), "
@@ -106,7 +98,7 @@ def main(argv: Optional[list] = None) -> int:
                     help="--demo per-packet corruption probability")
     ap.add_argument("--full", action="store_true",
                     help="full-size scenarios (default: quick variants)")
-    ap.add_argument("--seed", type=int, default=None,
+    ap.add_argument("--seed", type=_int_at_least(0), default=None,
                     help="seed override (default: per-point sweep seeds)")
     args = ap.parse_args(argv)
 

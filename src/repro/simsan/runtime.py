@@ -18,8 +18,7 @@ Detectors (see :mod:`repro.simsan.findings` for the kind strings):
   order-dependent: the tie-break (insertion order) is the only thing
   keeping the schedule stable, and refactoring either coroutine flips
   it.  Fan-out ties pushed in the same instant (broadcast wake-ups,
-  synchronized bursts) share a common cause and are not flagged unless
-  ``strict_ties`` is set.
+  synchronized bursts) share a common cause and are not flagged.
 * **clock rewinds** — an entry scheduled behind its own push time, or
   popped behind ``now`` (recorded before the kernel's "time went
   backwards" error propagates).
@@ -29,7 +28,7 @@ Detectors (see :mod:`repro.simsan.findings` for the kind strings):
   :meth:`check_quiesce` anything still held is reported with the
   backtrace of the call site that took it.
 * **orphaned completions** — request spans opened in telemetry but not
-  closed within ``span_budget_ns`` of simulated time.
+  closed within ``SPAN_BUDGET_NS`` of simulated time.
 
 The sanitizer only observes: it never creates events, never touches
 ``_seq``, and therefore never perturbs the schedule — a sanitized run
@@ -48,6 +47,13 @@ from .findings import Finding, Report
 __all__ = ["Sanitizer"]
 
 _DRIVER = ("driver", None)
+
+#: width of one pop-order digest window
+WINDOW_NS = 100_000.0
+#: a request span still open this long at a sweep is an orphan
+SPAN_BUDGET_NS = 5_000_000.0
+#: findings kept per run; later ones are dropped
+MAX_FINDINGS = 1000
 
 
 def _item_label(item: Any) -> str:
@@ -78,19 +84,8 @@ def _callback_label(cb: Any, fallback: str) -> str:
 class Sanitizer:
     """Per-simulator runtime sanitizer (see module docstring)."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        window_ns: float = 100_000.0,
-        span_budget_ns: float = 5_000_000.0,
-        strict_ties: bool = False,
-        max_findings: int = 1000,
-    ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.window_ns = window_ns
-        self.span_budget_ns = span_budget_ns
-        self.strict_ties = strict_ties
-        self.max_findings = max_findings
         self.findings: list[Finding] = []
         #: per-window sha256 digests of the heap-pop order:
         #: list of (window_index, hexdigest)
@@ -117,7 +112,7 @@ class Sanitizer:
 
     # ------------------------------------------------------------ findings
     def _find(self, kind: str, message: str, where: str = "") -> None:
-        if len(self.findings) < self.max_findings:
+        if len(self.findings) < MAX_FINDINGS:
             self.findings.append(Finding(kind, self.sim.now, message, where))
 
     def report(self) -> Report:
@@ -238,7 +233,7 @@ class Sanitizer:
                     and olabel not in self._coincident
                     and nxt[0] not in self._coincident
                 )
-                if (both_procs and independent) or self.strict_ties:
+                if both_procs and independent:
                     self._find(
                         "schedule-race",
                         f"pop order at t={t} decided by insertion order: "
@@ -248,7 +243,7 @@ class Sanitizer:
                     )
 
         # -- per-window pop-order digest ------------------------------
-        w = int(t // self.window_ns)
+        w = int(t // WINDOW_NS)
         if w != self._cur_window:
             self._flush_window()
             self._cur_window = w
@@ -309,11 +304,11 @@ class Sanitizer:
             return
         for span in tele.spans:
             if span.t1 is None and span.cat == "request":
-                if self.sim.now - span.t0 > self.span_budget_ns:
+                if self.sim.now - span.t0 > SPAN_BUDGET_NS:
                     self._find(
                         "orphan-span",
                         f"request span {span.name!r} opened at t={span.t0} "
-                        f"never closed (budget {self.span_budget_ns}ns, "
+                        f"never closed (budget {SPAN_BUDGET_NS}ns, "
                         f"now={self.sim.now})",
                     )
 

@@ -224,10 +224,8 @@ def _ops_for(tel, protocol: str) -> Tuple[List, float]:
 
 def run_scenario(sc: Scenario) -> SloReport:
     """Run one scenario with telemetry on; decompose and evaluate."""
-    from .dfs.client import DfsClient
-    from .dfs.cluster import build_testbed
     from .dfs.layout import EcSpec, ReplicationSpec
-    from .experiments.common import installer_for
+    from .experiments.common import fresh_client
     from .params import SimParams
     from .telemetry.anatomy import phase_summary
     from .workloads import LoadSpec, closed_loop_write_load, payload_bytes
@@ -235,10 +233,7 @@ def run_scenario(sc: Scenario) -> SloReport:
     params = SimParams()
     if sc.loss > 0.0:
         params = params.with_faults(seed=SEED, loss_prob=sc.loss, retransmit=True)
-    tb = build_testbed(n_storage=6, params=params, telemetry=True)
-    installer = installer_for(sc.protocol)
-    if installer is not None:
-        installer(tb)
+    tb, client = fresh_client(sc.protocol, params, n_storage=6, telemetry=True)
 
     if sc.load:
         spec = LoadSpec(n_clients=8, outstanding=2, think_ns=2_000.0,
@@ -275,7 +270,6 @@ def run_scenario(sc: Scenario) -> SloReport:
         assert ores.phase_latency is not None
         return evaluate(sc.slo, ores.phase_latency, sc.name, ores.ops, max_err)
 
-    client = DfsClient(tb)
     create_kw: dict = {}
     if sc.replication:
         create_kw["replication"] = ReplicationSpec(k=sc.replication)
@@ -295,12 +289,7 @@ def run_scenario(sc: Scenario) -> SloReport:
             raise RuntimeError(f"{sc.name}: write failed: {out.nacks}")
     # drain trailing acks / parity traffic / retransmission watchdogs so
     # every child span of the last request is closed
-    deadline = tb.sim.now + 100_000_000
-    tb.run(until=tb.sim.now + 200_000)
-    while sc.loss > 0.0 and tb.sim.now < deadline and any(
-        h.nic.pending_count() for h in [tb.clients[0], *tb.storage_nodes]
-    ):
-        tb.run(until=tb.sim.now + 1_000_000)
+    tb.drain()
 
     ops, max_err = _ops_for(tb.telemetry, sc.protocol)
     if len(ops) < sc.repeats:

@@ -5,10 +5,9 @@ deterministic, and nothing leaks after quiesce."""
 import numpy as np
 import pytest
 
-from repro.dfs.client import DfsClient
 from repro.dfs.cluster import build_testbed
 from repro.dfs.layout import EcSpec, ReplicationSpec
-from repro.experiments.common import installer_for
+from repro.experiments.common import fresh_client
 from repro.faults import DownWindow, FaultInjector, FaultParams
 from repro.params import SimParams
 from repro.simnet.engine import Simulator
@@ -33,43 +32,10 @@ ALL_PROTOCOLS = [
 ]
 
 
-def _quiesced(tb):
-    if any(h.nic.pending_count() for h in [tb.clients[0], *tb.storage_nodes]):
-        return False
-    for node in tb.storage_nodes:
-        acc = node.accelerator
-        if acc is not None and (
-            acc.in_flight_messages or any(cl.hpus.users for cl in acc.clusters)
-        ):
-            return False
-    return True
-
-
-def _drain(tb, budget_ns=200_000_000):
-    tb.run(until=tb.sim.now + 200_000)
-    deadline = tb.sim.now + budget_ns
-    while not _quiesced(tb) and tb.sim.now < deadline:
-        tb.run(until=tb.sim.now + 1_000_000)
-
-
-def _assert_quiesced(tb, label):
-    for host in [tb.clients[0], *tb.storage_nodes]:
-        assert host.nic.pending_count() == 0, (label, host.name)
-    for node in tb.storage_nodes:
-        if node.accelerator is not None:
-            assert node.accelerator.in_flight_messages == 0, (label, node.name)
-            for cl in node.accelerator.clusters:
-                assert not cl.hpus.users, (label, node.name)
-
-
 def _run_write(protocol, create_kw, params, app_retries=3, telemetry=False):
     """One verified write under ``params``; returns the testbed + stats."""
-    tb = build_testbed(n_storage=8, params=params, telemetry=telemetry)
     wire_protocol = protocol.replace("-repl", "").replace("-ec", "")
-    installer = installer_for(wire_protocol)
-    if installer:
-        installer(tb)
-    c = DfsClient(tb)
+    tb, c = fresh_client(wire_protocol, params, n_storage=8, telemetry=telemetry)
     c.create("/f", size=SIZE, **create_kw)
     kw = {"chunk_bytes": 32 * 1024} if wire_protocol == "cpu" else {}
     out = None
@@ -77,7 +43,7 @@ def _run_write(protocol, create_kw, params, app_retries=3, telemetry=False):
         out = c.write_sync("/f", DATA, protocol=wire_protocol, **kw)
         if out.ok:
             break
-    _drain(tb)
+    tb.drain()
     return tb, c, out
 
 
@@ -90,7 +56,7 @@ def test_write_completes_under_loss(protocol, create_kw):
     assert out.ok, (protocol, out.nacks)
     got = c.read_back("/f")
     assert np.array_equal(got[:SIZE], DATA), protocol
-    _assert_quiesced(tb, protocol)
+    assert tb.idle(), protocol
 
 
 def test_loss_actually_recovers_via_retransmit():
@@ -102,7 +68,24 @@ def test_loss_actually_recovers_via_retransmit():
     nics = [tb.clients[0].nic, *(n.nic for n in tb.storage_nodes)]
     assert sum(n.retransmits for n in nics) > 0
     assert np.array_equal(c.read_back("/f")[:SIZE], DATA)
-    _assert_quiesced(tb, "spin@1e-2")
+    assert tb.idle(), "spin@1e-2"
+
+
+def test_idle_waits_for_accelerator_runs_not_just_nic_ops():
+    """Idle means no NIC op, no accelerator message run and no HPU held.
+    Under loss a replicated sPIN write leaves message runs open after
+    every NIC op has completed; only the cleanup sweeper reaps them, and
+    ``drain`` waits for it."""
+    params = SimParams().with_faults(loss_prob=1e-2, seed=1, retransmit=True)
+    tb, c = fresh_client("spin", params, n_storage=8)
+    c.create("/f", size=SIZE, replication=ReplicationSpec(k=3))
+    assert c.write_sync("/f", DATA, protocol="spin").ok
+    while any(h.nic.pending_count() for h in [*tb.clients, *tb.storage_nodes]):
+        tb.run(until=tb.sim.now + 1_000_000)
+    open_runs = sum(n.accelerator.in_flight_messages for n in tb.storage_nodes)
+    assert open_runs == 2
+    assert not tb.idle()
+    assert tb.drain()
 
 
 # -------------------------------------- trace context across retransmissions
@@ -185,7 +168,7 @@ def test_total_loss_gives_up_cleanly():
     assert out.nacks and out.nacks[0]["reason"] == "timeout"
     assert out.nacks[0]["attempts"] == 4  # original + max_retransmits
     assert tb.clients[0].nic.timeouts == 1
-    _assert_quiesced(tb, "total-loss")
+    assert tb.idle(), "total-loss"
 
 
 # ------------------------------------------------------------ down windows
@@ -199,7 +182,7 @@ def test_node_down_window_recovers():
     assert out.ok, out.nacks
     assert tb.faults.node_drops > 0
     assert np.array_equal(c.read_back("/f")[:SIZE], DATA)
-    _assert_quiesced(tb, "node-down")
+    assert tb.idle(), "node-down"
 
 
 def test_link_down_window_recovers():
@@ -212,7 +195,7 @@ def test_link_down_window_recovers():
     assert tb.faults.drops > 0
     assert all("->sn" in link for link in tb.faults.drops_by_link)
     assert np.array_equal(c.read_back("/f")[:SIZE], DATA)
-    _assert_quiesced(tb, "link-down")
+    assert tb.idle(), "link-down"
 
 
 # ------------------------------------------------------------- corruption
@@ -226,7 +209,7 @@ def test_corruption_dropped_at_receiver_and_recovered():
     nics = [tb.clients[0].nic, *(n.nic for n in tb.storage_nodes)]
     assert sum(n.rx_dropped for n in nics) == tb.faults.corrupted
     assert np.array_equal(c.read_back("/f")[:SIZE], DATA)
-    _assert_quiesced(tb, "corrupt")
+    assert tb.idle(), "corrupt"
 
 
 # ----------------------------------------------------- injector unit tests
@@ -278,3 +261,24 @@ def test_demo_cli_rejects_bad_probability(argv, capsys):
         main(argv)
     assert err.value.code == 2
     assert "_prob must be in [0, 1]" in capsys.readouterr().err
+
+
+# ------------------------------------------------------ CI smokes, pinned
+def test_demo_under_loss_pinned(capsys):
+    """The CI fault-injection smoke: seed 2 drops packets at p=1e-3 and
+    every protocol recovers and quiesces."""
+    from repro.__main__ import main
+
+    assert main(["demo", "--loss", "1e-3", "--seed", "2"]) == 0
+    assert ("faults: 10 packets dropped, 0 corrupted; clients recovered "
+            "with 18 retransmits (0 ops gave up)") in capsys.readouterr().out
+
+
+def test_sanitize_demo_under_loss_pinned(capsys):
+    """The CI simsan smoke: the seeded-loss replicated write is clean."""
+    from repro.__main__ import main
+
+    assert main(["sanitize", "--demo", "--loss", "1e-3", "--seed", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "2521 events" in out
+    assert "simsan clean" in out

@@ -120,8 +120,10 @@ def test_top_level_cli_info(capsys):
     (["trace", "--replication", "3", "--storage", "2"], "--storage"),
     (["perf", "--check", "MISSING"], "--check"),
     (["slo", "--check", "MISSING"], "--check"),
+    (["sanitize", "--seed", "-1"], "--seed"),
 ], ids=["demo-seed", "scenario-seed", "trace-size", "trace-ec", "trace-storage",
-        "trace-replication", "trace-storage-vs-layout", "perf-check", "slo-check"])
+        "trace-replication", "trace-storage-vs-layout", "perf-check", "slo-check",
+        "sanitize-seed"])
 def test_cli_bad_number_or_path_is_usage_error(argv, flag, capsys, tmp_path, monkeypatch):
     """A bad number or baseline path is an argparse error (exit 2) naming
     the flag, raised before any simulation runs."""
@@ -139,6 +141,25 @@ def test_cli_bad_number_or_path_is_usage_error(argv, flag, capsys, tmp_path, mon
         main(argv)
     assert err.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_sanitize_matrix_fails_a_scenario_that_did_not_quiesce(capsys, monkeypatch):
+    """``repro sanitize`` exits 1 when a scenario leaves work in flight,
+    even when the sanitizer itself reports no findings."""
+    import repro.scenarios
+    from repro.__main__ import main
+    from repro.simsan.findings import Report
+
+    def run_scenario(spec, seed, timings, sanitize):
+        timings["sanitizer"] = Report()
+        timings["events"] = 0
+        return {"quiesced": spec.name != "incast", "schedule_digest": "0"}
+
+    monkeypatch.setattr(repro.scenarios, "run_scenario", run_scenario)
+    assert main(["sanitize"]) == 1
+    out = capsys.readouterr().out
+    assert "incast             clean" in out and "quiesced=False" in out
+    assert "FAIL — 1/4 scenarios" in out
 
 
 # ---------------------------------------------------------------- hyperloop
