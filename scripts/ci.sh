@@ -107,27 +107,6 @@ cmp "$tmpdir/serial.csv" "$tmpdir/parallel.csv"
 echo "parallel sweep rows identical to serial"
 
 echo
-echo "== load-engine smoke (8 clients, fixed seed, quiesce) =="
-python - <<'PY'
-from repro.dfs.cluster import build_testbed
-from repro.protocols import install_spin_targets
-from repro.workloads import LoadSpec, closed_loop_write_load
-
-tb = build_testbed(n_storage=4, n_clients=4)
-install_spin_targets(tb)
-spec = LoadSpec(n_clients=8, outstanding=2, think_ns=2_000.0,
-                warmup_ns=50_000.0, measure_ns=400_000.0, seed=7)
-res = closed_loop_write_load(tb, 8192, "spin", spec)
-assert res.quiesced, "load engine failed to quiesce"
-# fixed seed => exact deterministic op counts
-assert res.ops == 1399, f"aggregate measured ops drifted: {res.ops} != 1399"
-assert res.issued == 1568, f"issued ops drifted: {res.issued} != 1568"
-assert all(pc["ops"] > 0 for pc in res.per_client), "a client starved"
-print(f"load engine OK: {res.ops} ops, {res.kops_per_s:.0f} kops/s, "
-      f"p99 {res.latency['p99']:.0f} ns, quiesced")
-PY
-
-echo
 echo "== recovery-storm smoke (fixed seed, byte-identical schedule) =="
 # kills a whole failure domain mid-load: heartbeat detection, bounded
 # re-replication through the data plane, and shape checks must all

@@ -9,18 +9,19 @@
 * :mod:`repro.workloads.openloop` — open-system load for huge
   populations: aggregated flow generators, Zipf popularity,
   heavy-tailed sizes.
+* :mod:`repro.workloads.window` — the measured window and the finish
+  step (drain to :meth:`~repro.dfs.cluster.Testbed.idle`, latency and
+  phase summaries) both engines share.
 * :mod:`repro.workloads.streams` — the counter-based deterministic
   uniform streams both engines share.
 """
 
 from .closed import (
-    ClientLoadStats,
     GoodputResult,
     LoadResult,
     LoadSpec,
     closed_loop_write_load,
     measure_goodput,
-    measure_latency_distribution,
     measure_write_latency,
     optimal_chunk_size,
     payload_bytes,
@@ -40,15 +41,14 @@ from .openloop import (
     sample_size,
 )
 from .streams import u01
+from .window import WindowStats
 
 __all__ = [
     # closed-loop (historic repro.workloads surface)
     "measure_write_latency",
     "GoodputResult",
     "measure_goodput",
-    "measure_latency_distribution",
     "LoadSpec",
-    "ClientLoadStats",
     "LoadResult",
     "run_closed_loop",
     "closed_loop_write_load",
@@ -66,5 +66,7 @@ __all__ = [
     "run_open_loop",
     "run_open_loop_reference",
     "open_loop_write_load",
+    # the measured window both engines share
+    "WindowStats",
     "u01",
 ]

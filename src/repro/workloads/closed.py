@@ -22,7 +22,8 @@ completions, aggregated over huge client populations — lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Iterable, List, Optional
 
 import numpy as np
@@ -31,14 +32,13 @@ from ..dfs.client import DfsClient
 from ..dfs.cluster import Testbed
 from ..protocols.base import WriteOutcome
 from ..simnet.engine import Event
+from .window import Rates, WindowStats, finish, latency_summary
 
 __all__ = [
     "measure_write_latency",
     "measure_goodput",
-    "measure_latency_distribution",
     "GoodputResult",
     "LoadSpec",
-    "ClientLoadStats",
     "LoadResult",
     "run_closed_loop",
     "closed_loop_write_load",
@@ -101,6 +101,7 @@ class GoodputResult:
     bytes_completed: int
     elapsed_ns: float
     n_ops: int
+    latency: dict                 # summarize() over every op's latency
 
     @property
     def goodput_gbps(self) -> float:
@@ -117,62 +118,31 @@ def measure_goodput(
     """Window-based goodput: keep ``window`` operations in flight.
 
     ``issue(i)`` posts operation ``i`` and returns its completion event.
-    Elapsed time runs from the first issue to the last completion.
+    Elapsed time runs from the first issue to the last completion; the
+    result also carries the latency distribution of the operations
+    (tail behaviour under contention: p99 vs median).
     """
     sim = testbed.sim
     t0 = sim.now
+    # an unbounded window: every op counts; goodput is over elapsed time
+    stats = WindowStats(t_warm=t0, t_stop=math.inf, measure_ns=0.0)
     in_flight: List[Event] = [issue(i) for i in range(min(window, n_ops))]
     issued = len(in_flight)
-    completed = 0
-    while completed < n_ops:
+    while in_flight:
         # wait for the oldest op (FIFO window, deterministic)
-        ev = in_flight.pop(0)
-        out = sim.run_until_event(ev)
+        out = sim.run_until_event(in_flight.pop(0))
         if isinstance(out, WriteOutcome) and not out.ok:
             raise RuntimeError(f"write failed mid-window: {out.nacks}")
-        completed += 1
+        stats.record(sim.now, out, op_bytes)
         if issued < n_ops:
             in_flight.append(issue(issued))
             issued += 1
     return GoodputResult(
-        bytes_completed=completed * op_bytes,
+        bytes_completed=stats.bytes,
         elapsed_ns=sim.now - t0,
         n_ops=n_ops,
+        latency=latency_summary([stats]),
     )
-
-
-def measure_latency_distribution(
-    testbed: Testbed,
-    issue: Callable[[int], Event],
-    n_ops: int,
-    window: int = 16,
-) -> dict:
-    """Per-operation latency distribution under load.
-
-    Unlike :func:`measure_goodput` this records every operation's
-    latency (from the outcome objects), returning the
-    :func:`~repro.simnet.trace.summarize` statistics — useful for tail
-    behaviour under contention (p99 vs median).
-    """
-    from ..simnet.trace import summarize
-
-    sim = testbed.sim
-    in_flight: List[Event] = [issue(i) for i in range(min(window, n_ops))]
-    issued = len(in_flight)
-    latencies: List[float] = []
-    while in_flight:
-        ev = in_flight.pop(0)
-        out = sim.run_until_event(ev)
-        lat = getattr(out, "latency_ns", None)
-        if lat is None:
-            raise TypeError("issue() must yield outcomes with latency_ns")
-        if isinstance(out, WriteOutcome) and not out.ok:
-            raise RuntimeError(f"operation failed: {out.nacks}")
-        latencies.append(lat)
-        if issued < n_ops:
-            in_flight.append(issue(issued))
-            issued += 1
-    return summarize(latencies)
 
 
 # --------------------------------------------------------------------------
@@ -208,30 +178,7 @@ class LoadSpec:
 
 
 @dataclass
-class ClientLoadStats:
-    """Per-client view of one closed-loop run."""
-
-    client_id: int
-    ops: int = 0
-    bytes: int = 0
-    issued: int = 0
-    failures: int = 0
-    latencies: List[float] = field(default_factory=list)
-
-    def summary(self, measure_ns: float) -> dict:
-        from ..simnet.trace import summarize
-
-        out = summarize(self.latencies)
-        out["ops"] = self.ops
-        out["issued"] = self.issued
-        out["failures"] = self.failures
-        out["kops_per_s"] = self.ops / measure_ns * 1e6 if measure_ns else 0.0
-        out["goodput_gbps"] = self.bytes * 8.0 / measure_ns if measure_ns else 0.0
-        return out
-
-
-@dataclass
-class LoadResult:
+class LoadResult(Rates):
     """Aggregate + per-client statistics of a closed-loop run."""
 
     spec: LoadSpec
@@ -240,22 +187,18 @@ class LoadResult:
     bytes: int
     issued: int                   # total issued, incl. warm-up/drain ops
     failures: int                 # failed ops in the measure window
-    elapsed_ns: float             # first issue -> full quiesce
+    elapsed_ns: float             # first issue -> last worker done
     latency: dict                 # summarize() over measured latencies
     per_client: List[dict]
-    quiesced: bool
+    quiesced: bool                # Testbed.drain() reached Testbed.idle()
     #: per-phase latency anatomy over the measured operations
     #: (:func:`repro.telemetry.phase_summary` shape) — populated only
     #: when the testbed ran with telemetry enabled, else None
     phase_latency: Optional[Dict[str, dict]] = None
 
     @property
-    def kops_per_s(self) -> float:
-        return self.ops / self.spec.measure_ns * 1e6 if self.spec.measure_ns else 0.0
-
-    @property
-    def goodput_gbps(self) -> float:
-        return self.bytes * 8.0 / self.spec.measure_ns if self.spec.measure_ns else 0.0
+    def measure_ns(self) -> float:
+        return self.spec.measure_ns
 
 
 def run_closed_loop(
@@ -273,13 +216,11 @@ def run_closed_loop(
     think times from its own seeded generator, and the simulator's event
     order does the rest.
     """
-    from ..simnet.trace import summarize
-
     sim = testbed.sim
     t_start = sim.now
     t_warm = t_start + spec.warmup_ns
     t_stop = t_warm + spec.measure_ns
-    stats = [ClientLoadStats(client_id=c) for c in range(spec.n_clients)]
+    stats = [WindowStats(t_warm, t_stop, spec.measure_ns) for _ in range(spec.n_clients)]
     next_op: List[int] = [0] * spec.n_clients
 
     def _worker(cid: int, slot: int) -> Generator:
@@ -298,18 +239,8 @@ def run_closed_loop(
             next_op[cid] = i + 1
             st.issued += 1
             out = yield issue(cid, i)
-            failed = isinstance(out, WriteOutcome) and not out.ok
-            if failed and not spec.allow_failures:
+            if not st.record(sim.now, out, op_bytes) and not spec.allow_failures:
                 raise RuntimeError(f"client {cid} op {i} failed: {out.nacks}")
-            if t_warm <= sim.now < t_stop:
-                if failed:
-                    st.failures += 1
-                else:
-                    st.ops += 1
-                    st.bytes += op_bytes
-                    lat = getattr(out, "latency_ns", None)
-                    if lat is not None:
-                        st.latencies.append(lat)
             if spec.think_ns > 0.0:
                 d = rng.exponential(spec.think_ns) if spec.think_jitter else spec.think_ns
                 if d > 0.0:
@@ -320,25 +251,7 @@ def run_closed_loop(
         for cid in range(spec.n_clients)
         for slot in range(spec.outstanding)
     ]
-    done = sim.all_of(procs)
-    sim.run_until_event(done)
-    quiesced = all(p.triggered for p in procs)
-    all_lat: List[float] = []
-    for st in stats:
-        all_lat.extend(st.latencies)
-    # Latency anatomy of the measured window: with telemetry on, every
-    # request left a span tree; decompose the ones that *completed*
-    # inside the window (same population the latency stats count).
-    phase_latency = None
-    tel = sim.telemetry
-    if tel.enabled:
-        from ..telemetry.anatomy import decompose, phase_summary
-
-        measured = [
-            op for op in decompose(tel) if op.ok and t_warm <= op.t1 < t_stop
-        ]
-        if measured:
-            phase_latency = phase_summary(measured)
+    t_done, quiesced, latency, phase_latency = finish(testbed, procs, stats)
     return LoadResult(
         spec=spec,
         op_bytes=op_bytes,
@@ -346,9 +259,9 @@ def run_closed_loop(
         bytes=sum(st.bytes for st in stats),
         issued=sum(st.issued for st in stats),
         failures=sum(st.failures for st in stats),
-        elapsed_ns=sim.now - t_start,
-        latency=summarize(all_lat),
-        per_client=[st.summary(spec.measure_ns) for st in stats],
+        elapsed_ns=t_done - t_start,
+        latency=latency,
+        per_client=[st.summary() for st in stats],
         quiesced=quiesced,
         phase_latency=phase_latency,
     )

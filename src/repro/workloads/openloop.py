@@ -63,6 +63,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import repeat
+from numbers import Integral, Real
 from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -83,6 +84,7 @@ from .streams import (
     u01_array,
     u01_keyed,
 )
+from .window import Rates, WindowStats, finish
 
 __all__ = [
     "ArrivalSpec",
@@ -100,9 +102,18 @@ __all__ = [
 
 
 # ------------------------------------------------------------------ specs
-def _check_positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise ValueError(f"{name} must be > 0, got {value!r}")
+def _check_positive(name: str, value: float, zero_ok: bool = False) -> None:
+    """Reject a value that is not a finite number > 0 (>= 0 when
+    ``zero_ok``), naming the field."""
+    if not (isinstance(value, Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if value < 0.0 or (value == 0.0 and not zero_ok):
+        raise ValueError(f"{name} must be {'>=' if zero_ok else '>'} 0, got {value!r}")
+
+
+def _check_int(name: str, value: int, lo: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -126,13 +137,11 @@ class ArrivalSpec:
     def validate(self) -> None:
         if self.kind not in ("poisson", "onoff", "burst"):
             raise ValueError(f"unknown arrival kind {self.kind!r}")
-        if self.rate_hz <= 0.0:
-            raise ValueError("arrival rate_hz must be positive")
+        _check_positive("rate_hz", self.rate_hz)
         if self.kind == "burst":
-            if self.burst_jitter_ns <= 0.0:
-                # zero jitter would stamp whole bursts at one timestamp and
-                # void the tie-free exactness guarantee (module docstring)
-                raise ValueError("burst_jitter_ns must be > 0")
+            # zero jitter would stamp whole bursts at one timestamp and
+            # void the tie-free exactness guarantee (module docstring)
+            _check_positive("burst_jitter_ns", self.burst_jitter_ns)
             _check_positive("burst_period_ns", self.burst_period_ns)
             check_probability("burst_join", self.burst_join)
         if self.kind == "onoff":
@@ -152,10 +161,8 @@ class PopularitySpec:
     alpha: float = 1.0
 
     def validate(self) -> None:
-        if self.n_objects < 1:
-            raise ValueError("need at least one object")
-        if self.alpha < 0.0:
-            raise ValueError("zipf alpha must be >= 0")
+        _check_int("n_objects", self.n_objects, 1)
+        _check_positive("zipf alpha", self.alpha, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -174,10 +181,13 @@ class SizeSpec:
     def validate(self) -> None:
         if self.dist not in ("fixed", "lognormal", "pareto"):
             raise ValueError(f"unknown size dist {self.dist!r}")
-        if not (0 < self.min_bytes <= self.max_bytes):
+        for name in ("fixed_bytes", "min_bytes", "max_bytes", "quantum"):
+            _check_int(name, getattr(self, name), 1)
+        if self.min_bytes > self.max_bytes:
             raise ValueError("need 0 < min_bytes <= max_bytes")
-        if self.quantum < 1:
-            raise ValueError("quantum must be >= 1")
+        if self.dist == "lognormal":
+            _check_positive("median_bytes", self.median_bytes)
+            _check_positive("sigma", self.sigma, zero_ok=True)
         if self.dist == "pareto":
             _check_positive("size alpha", self.alpha)
 
@@ -215,12 +225,10 @@ class OpenLoopSpec:
         return self.warmup_ns + self.measure_ns
 
     def validate(self) -> None:
-        if self.n_users < 1:
-            raise ValueError("need at least one user")
-        if self.measure_ns <= 0.0:
-            raise ValueError("measure_ns must be positive")
-        if self.warmup_ns < 0.0:
-            raise ValueError(f"warmup_ns must be >= 0, got {self.warmup_ns!r}")
+        _check_int("n_users", self.n_users, 1)
+        _check_int("seed", self.seed, 0)
+        _check_positive("measure_ns", self.measure_ns)
+        _check_positive("warmup_ns", self.warmup_ns, zero_ok=True)
         self.arrival.validate()
         self.popularity.validate()
         self.size.validate()
@@ -228,6 +236,7 @@ class OpenLoopSpec:
         if self.classes and not (0.0 < total <= 1.0 + 1e-9):
             raise ValueError("class fractions must sum into (0, 1]")
         for c in self.classes:
+            _check_positive(f"class {c.name!r} fraction", c.fraction, zero_ok=True)
             if c.arrival is not None:
                 c.arrival.validate()
             if c.size is not None:
@@ -420,7 +429,7 @@ _MASK64 = (1 << 64) - 1
 
 
 @dataclass
-class OpenLoopResult:
+class OpenLoopResult(Rates):
     """Statistics of one open-loop run.
 
     ``ops``/``failures``/``bytes``/``latency`` count operations
@@ -428,8 +437,10 @@ class OpenLoopResult:
     counts failed completions anywhere in the run — under a fault
     campaign, timeout nacks often straggle past the window); ``issued`` counts every
     request the generators stamped (the open-loop schedule is
-    completion-independent).  ``schedule_digest`` is the SHA-256 of the
-    full ``(t, client, req, object, size)`` request stream — two runs
+    completion-independent).  ``quiesced``: every request completed and
+    :meth:`~repro.dfs.cluster.Testbed.drain` reached
+    :meth:`~repro.dfs.cluster.Testbed.idle`.  ``schedule_digest`` is the
+    SHA-256 of the full ``(t, client, req, object, size)`` request stream — two runs
     (or two engines) agree on it iff their schedules are byte-identical.
     ``outcome_digest`` covers what the schedule digest cannot see: the
     sum mod 2^64 of a 64-bit hash of ``(client, req, completion instant,
@@ -443,8 +454,6 @@ class OpenLoopResult:
     failures: int
     failures_total: int
     bytes: int
-    completed_total: int
-    elapsed_ns: float
     latency: dict
     inflight_peak: int
     active_users: int
@@ -456,12 +465,8 @@ class OpenLoopResult:
     schedule: Optional[List[tuple]] = None
 
     @property
-    def kops_per_s(self) -> float:
-        return self.ops / self.spec.measure_ns * 1e6 if self.spec.measure_ns else 0.0
-
-    @property
-    def goodput_gbps(self) -> float:
-        return self.bytes * 8.0 / self.spec.measure_ns if self.spec.measure_ns else 0.0
+    def measure_ns(self) -> float:
+        return self.spec.measure_ns
 
     @property
     def offered_kops_per_s(self) -> float:
@@ -482,8 +487,9 @@ class _Run:
         self.spec = spec
         self.sim = testbed.sim
         self.t0 = self.sim.now
-        self.t_warm = self.t0 + spec.warmup_ns
-        self.t_stop = self.t0 + spec.horizon_ns
+        self.window = WindowStats(
+            self.t0 + spec.warmup_ns, self.t0 + spec.horizon_ns, spec.measure_ns
+        )
         self.zipf = ZipfSampler(spec.popularity.n_objects, spec.popularity.alpha)
         names, cum, arrivals, sizes = _class_tables(spec)
         self.class_names = names
@@ -493,15 +499,9 @@ class _Run:
             _make_stepper(a, spec.seed, spec.horizon_ns) for a in arrivals
         ]
         self.reqno = [0] * spec.n_users
-        self.issued = 0
-        self.ops = 0
-        self.failures = 0
         self.failures_total = 0
-        self.bytes = 0
-        self.completed_total = 0
         self.inflight = 0
         self.inflight_peak = 0
-        self.latencies: List[float] = []
         self.obj_counts: Dict[int, int] = {}
         self.digest = hashlib.sha256()
         self.outcome_sum = 0
@@ -524,7 +524,7 @@ class _Run:
         self.digest.update(_REQ_PACK.pack(rel_t, cid, n, obj, size))
         if self.schedule is not None:
             self.schedule.append((rel_t, cid, n, obj, size))
-        self.issued += 1
+        self.window.issued += 1
         self.obj_counts[obj] = self.obj_counts.get(obj, 0) + 1
         self.inflight += 1
         if self.inflight > self.inflight_peak:
@@ -539,69 +539,34 @@ class _Run:
         now = self.sim.now
         if self._gauge is not None:
             self._gauge.set(now, float(self.inflight))
-        out = ev.value
-        ok = bool(getattr(out, "ok", True))
-        self.completed_total += 1
+        ok = self.window.record(now, ev.value, size)
         if not ok:
             self.failures_total += 1
         self.outcome_sum = (self.outcome_sum + int.from_bytes(
             hashlib.blake2b(_OUT_PACK.pack(cid, n, now, ok), digest_size=8).digest(),
             "little",
         )) & _MASK64
-        if self.t_warm <= now < self.t_stop:
-            if not ok:
-                self.failures += 1
-                return
-            self.ops += 1
-            self.bytes += size
-            lat = getattr(out, "latency_ns", None)
-            if lat is not None:
-                self.latencies.append(lat)
 
     # ------------------------------------------------------------- finish
     def finish(self, procs: List) -> OpenLoopResult:
-        from ..simnet.trace import summarize
-
-        sim = self.sim
-        done = sim.all_of(procs)
-        sim.run_until_event(done)
-        # open loop: generators stop at the horizon, but completions may
-        # straggle (retransmission backoff under faults) — drain bounded
-        drained = self.inflight == 0
-        for _ in range(5000):
-            if drained:
-                break
-            self.testbed.run(until=sim.now + 200_000.0)
-            drained = self.inflight == 0
-        quiesced = drained and all(p.triggered for p in procs)
-
-        phase_latency = None
-        tel = sim.telemetry
-        if tel.enabled:
-            from ..telemetry.anatomy import decompose, phase_summary
-
-            measured = [
-                op for op in decompose(tel)
-                if op.ok and self.t_warm <= op.t1 < self.t_stop
-            ]
-            if measured:
-                phase_latency = phase_summary(measured)
+        # generators stop at the horizon, but completions may straggle
+        # (retransmission backoff under faults): finish() drains them
+        win = self.window
+        _, idle, latency, phase_latency = finish(self.testbed, procs, [win])
         return OpenLoopResult(
             spec=self.spec,
-            issued=self.issued,
-            ops=self.ops,
-            failures=self.failures,
+            issued=win.issued,
+            ops=win.ops,
+            failures=win.failures,
             failures_total=self.failures_total,
-            bytes=self.bytes,
-            completed_total=self.completed_total,
-            elapsed_ns=sim.now - self.t0,
-            latency=summarize(self.latencies),
+            bytes=win.bytes,
+            latency=latency,
             inflight_peak=self.inflight_peak,
             active_users=sum(1 for n in self.reqno if n),
             schedule_digest=self.digest.hexdigest(),
             outcome_digest=f"{self.outcome_sum:016x}",
             obj_counts=self.obj_counts,
-            quiesced=quiesced,
+            quiesced=idle and self.inflight == 0,
             phase_latency=phase_latency,
             schedule=self.schedule,
         )

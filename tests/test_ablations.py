@@ -31,7 +31,6 @@ from repro.protocols.base import WriteContext
 from repro.protocols.threat import install_threat_targets, threat_write
 from repro.workloads import (
     measure_goodput,
-    measure_latency_distribution,
     payload_bytes,
 )
 
@@ -158,7 +157,8 @@ def _light_tenant_latency(heavy_quota):
         )
         return wrap_result(tb.sim, done, light_data.nbytes, "light")
 
-    stats = measure_latency_distribution(tb, issue_light, n_ops=24, window=4)
+    stats = measure_goodput(tb, issue_light, n_ops=24,
+                            op_bytes=light_data.nbytes, window=4).latency
     for ev in background:
         assert tb.sim.run_until_event(ev).ok
     return stats

@@ -71,6 +71,27 @@ def test_spec_validation_errors():
     FaultCampaign(loss=1.0, corrupt=1.0).validate()  # total loss is legal
 
 
+@pytest.mark.parametrize("workload,field", [
+    ({"arrival": {"rate_hz": float("inf")}}, "rate_hz"),
+    ({"arrival": {"rate_hz": float("nan")}}, "rate_hz"),
+    ({"measure_ns": float("nan")}, "measure_ns"),
+    ({"measure_ns": float("inf")}, "measure_ns"),
+    ({"warmup_ns": float("inf")}, "warmup_ns"),
+    ({"size": {"fixed_bytes": 0}}, "fixed_bytes"),
+    ({"size": {"fixed_bytes": -512}}, "fixed_bytes"),
+    ({"size": {"quantum": 2.5}}, "quantum"),
+    ({"n_users": 2.5}, "n_users"),
+    ({"popularity": {"n_objects": 2.5}}, "n_objects"),
+    ({"classes": [{"name": "a", "fraction": -0.5},
+                  {"name": "b", "fraction": 1.0}]}, "fraction"),
+])
+def test_workload_field_errors_name_the_field(workload, field):
+    """Non-finite, non-positive and non-integer workload fields fail at
+    validation, naming the field, before anything runs."""
+    with pytest.raises(ValueError, match=field):
+        spec_from_dict({"name": "bad", "workload": workload})
+
+
 def test_toml_round_trip(tmp_path):
     path = tmp_path / "scenarios.toml"
     path.write_text(textwrap.dedent("""\
