@@ -77,18 +77,18 @@ print(f"trace schema OK: {len(slices)} spans across {sorted(cats)}")
 PY
 
 echo
-echo "== fault-injection smoke (seeded loss, all protocols, quiesce) =="
+echo "== fault-injection smoke (seeded loss, all protocols, quiesce, simsan) =="
 # seed 2 is known to drop packets at p=1e-3, so the retransmission
-# path is actually exercised, not just compiled
+# path is actually exercised, not just compiled; every protocol run is
+# sanitized and any finding fails the demo
 python -m repro demo --loss 1e-3 --seed 2
 
 echo
-echo "== simsan gate (quick scenario matrix + faulty protocol point, zero findings) =="
-# the runtime sanitizer must come back clean on live schedules and on
-# a seeded-loss protocol point (schedule races, quiesce leaks, orphan
-# spans), and every scenario must quiesce; see docs/simsan.md
+echo "== simsan gate (quick scenario matrix, zero findings) =="
+# the runtime sanitizer must come back clean on live schedules
+# (schedule races, quiesce leaks, orphan spans), and every scenario
+# must quiesce; see docs/simsan.md
 python -m repro sanitize
-python -m repro sanitize --demo --loss 1e-3 --seed 2
 
 echo
 echo "== SLO suite (fixed-seed latency anatomy vs BENCH_slo.json) =="

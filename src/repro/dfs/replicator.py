@@ -8,10 +8,12 @@ traffic competes with foreground load at a controlled intensity instead
 of an unthrottled storm (the HDFS ``replication streams`` knob).
 
 Repairs are *real* data-plane traffic, commanded over the control
-plane: the metadata node posts a ``md_repair`` RPC to the surviving
-replica's node, whose handler reads the replica over local PCIe and
-posts a DFS write (service capability shipped in the RPC headers, same
-validation path as client writes) to a policy-picked replacement node.
+plane, so the replicator needs the monitor: it takes the death events
+from it, and the monitor's metadata node posts one ``md_repair`` RPC
+per lost extent to a surviving replica's node.  That node's handler
+reads the replica over local PCIe and posts a DFS write (service
+capability shipped in the RPC headers, same validation path as client
+writes) to a policy-picked replacement node.
 Recovery therefore shares wire, switch, and target resources with the
 foreground workload and shows up honestly in its tail latency.
 Erasure-coded objects delegate to the timed rebuild
@@ -116,7 +118,8 @@ class ReReplicator:
         self,
         testbed: Testbed,
         config: Optional[ReplicatorConfig] = None,
-        monitor: Optional[HeartbeatMonitor] = None,
+        *,
+        monitor: HeartbeatMonitor,
     ):
         self.testbed = testbed
         self.config = config or ReplicatorConfig()
@@ -128,15 +131,13 @@ class ReReplicator:
         self.last_done_t = 0.0
         self.outstanding = 0
         self.peak_inflight = 0
-        #: the control-plane node commanding repairs (None -> the legacy
-        #: path, where the replicator reads the source replica itself)
-        self.commander = monitor.mds if monitor is not None else None
+        #: the control-plane node commanding repairs
+        self.commander = monitor.mds
         for node in testbed.storage.values():
             node.register_rpc(REPAIR_RPC, _repair_rpc)
         for w in range(self.config.max_inflight):
             testbed.sim.process(self._worker(), name=f"replicator.w{w}")
-        if monitor is not None:
-            monitor.on_death.append(self.on_node_death)
+        monitor.on_death.append(self.on_node_death)
 
     # ----------------------------------------------------------- intake
     def on_node_death(self, node: str) -> None:
@@ -220,57 +221,30 @@ class ReReplicator:
             length=self.testbed.params.storage_capacity_bytes,
             rights=Rights.WRITE,
         )
-        if self.commander is not None:
-            # command the surviving replica's node over the control
-            # plane; its handler moves the bytes
-            res = yield self.commander.nic.post_rpc(
-                src_ext.node,
-                {
-                    "rpc": REPAIR_RPC,
-                    "src_addr": src_ext.addr,
-                    "src_len": src_ext.length,
-                    "dst": new_ext.node,
-                    "dst_addr": new_ext.addr,
-                    "dst_len": new_ext.length,
-                    "object_id": layout.object_id,
-                    "cap": service_cap,
-                },
-                header_bytes=64,
+        # command the surviving replica's node over the control
+        # plane; its handler moves the bytes
+        res = yield self.commander.nic.post_rpc(
+            src_ext.node,
+            {
+                "rpc": REPAIR_RPC,
+                "src_addr": src_ext.addr,
+                "src_len": src_ext.length,
+                "dst": new_ext.node,
+                "dst_addr": new_ext.addr,
+                "dst_len": new_ext.length,
+                "object_id": layout.object_id,
+                "cap": service_cap,
+            },
+            header_bytes=64,
+        )
+        reply = getattr(res, "data", None) or {}
+        if not (getattr(res, "ok", False) and reply.get("ok", False)):
+            md.free_extent(new_ext)
+            self.failed_repairs.append(
+                (task.path, task.slot,
+                 f"write rejected: {reply.get('nacks')}")
             )
-            reply = getattr(res, "data", None) or {}
-            if not (getattr(res, "ok", False) and reply.get("ok", False)):
-                md.free_extent(new_ext)
-                self.failed_repairs.append(
-                    (task.path, task.slot,
-                     f"write rejected: {reply.get('nacks')}")
-                )
-                return
-        else:
-            # legacy path: the replicator reads the source replica's
-            # memory directly instead of commanding its node
-            src_node = self.testbed.node(src_ext.node)
-            data = src_node.memory.read(src_ext.addr, src_ext.length)
-            yield src_node.pcie.dma(src_ext.length)
-            greq = fresh_greq_id()
-            dfs = DfsHeader(
-                greq_id=greq, op="write", client_id=0,
-                capability=service_cap, reply_to=src_node.name,
-            )
-            wrh = WriteRequestHeader(addr=new_ext.addr)
-            res = yield src_node.nic.post_write(
-                new_ext.node,
-                data,
-                headers={"dfs": dfs, "wrh": wrh, "write_len": new_ext.length},
-                header_bytes=request_header_bytes(dfs, wrh),
-                greq_id=greq,
-            )
-            if not getattr(res, "ok", False):
-                md.free_extent(new_ext)
-                self.failed_repairs.append(
-                    (task.path, task.slot,
-                     f"write rejected: {getattr(res, 'nacks', None)}")
-                )
-                return
+            return
         # commit: swap the slot in the *fresh* layout (other slots may
         # have been repaired concurrently); update_layout frees the
         # dead extent

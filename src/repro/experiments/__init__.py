@@ -1,5 +1,15 @@
 """Experiment registry: one module per paper table/figure.
 
+Each module has one of two shapes, and :func:`run` is the one way to
+run either:
+
+* a **sweep** defines ``points(quick)`` and ``run_point(point, params)``
+  and runs through :func:`repro.runner.run_sweep` (``--jobs``, result
+  cache; every point builds its own testbed);
+* a **table** defines ``run(params, quick)``: the analytic experiments
+  (``fig04``, ``fig07``, ``fig16_budget``, ``table3``), which simulate
+  nothing.
+
 Run from the command line::
 
     python -m repro.experiments list
@@ -10,6 +20,9 @@ Run from the command line::
 from __future__ import annotations
 
 from types import ModuleType
+from typing import Optional
+
+from ..params import SimParams
 
 from . import (
     fig04_nic_memory,
@@ -52,4 +65,27 @@ REGISTRY: dict[str, ModuleType] = {
     )
 }
 
-__all__ = ["REGISTRY"]
+__all__ = ["REGISTRY", "run"]
+
+
+def run(
+    eid: str,
+    quick: bool = False,
+    params: Optional[SimParams] = None,
+    jobs: int = 1,
+    cache: bool = False,
+    cache_dir: Optional[str] = None,
+) -> list[dict]:
+    """Run experiment ``eid`` and return its rows.
+
+    A sweep fans its points out over ``jobs`` worker processes and, with
+    ``cache=True``, reuses rows cached under ``cache_dir``; its
+    wall-clock and cache accounting lands in ``runner.LAST_STATS``.  A
+    table ignores ``jobs`` and the cache."""
+    mod = REGISTRY[eid]
+    if hasattr(mod, "run_point"):
+        from ..runner import run_sweep
+
+        return run_sweep(eid, mod.points(quick), params=params, jobs=jobs,
+                         cache=cache, cache_dir_override=cache_dir)
+    return mod.run(params, quick)

@@ -6,7 +6,8 @@ import argparse
 import sys
 import time
 
-from . import REGISTRY
+from .. import runner
+from . import REGISTRY, run
 
 
 def main(argv=None) -> int:
@@ -45,15 +46,12 @@ def main(argv=None) -> int:
         # elapsed-time reporting for the human running the sweep; the
         # monotonic clock is immune to NTP steps mid-experiment
         t0 = time.perf_counter()  # simlint: disable=SIM101 -- harness elapsed time
-        if hasattr(mod, "run_point"):
-            rows = mod.run(quick=args.quick, jobs=args.jobs,
-                           cache=not args.no_cache, cache_dir=args.cache_dir)
-            from .. import runner
-
-            note = f" ({runner.LAST_STATS.summary()})"
-        else:
-            rows = mod.run(quick=args.quick)
-            note = ""
+        before = runner.LAST_STATS
+        rows = run(eid, quick=args.quick, jobs=args.jobs,
+                   cache=not args.no_cache, cache_dir=args.cache_dir)
+        # a sweep replaces LAST_STATS; a table leaves the previous one
+        stats = runner.LAST_STATS
+        note = f" ({stats.summary()})" if stats is not before else ""
         print(mod.render(rows))
         elapsed = time.perf_counter() - t0  # simlint: disable=SIM101 -- harness elapsed time
         print(f"[{eid}: {len(rows)} rows in {elapsed:.1f}s{note}]")

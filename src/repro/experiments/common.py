@@ -4,7 +4,9 @@ Each experiment module exposes:
 
 * ``ID``/``TITLE``/``CLAIMS`` — identification + the paper's qualitative
   claims it reproduces;
-* ``run(params=None, quick=False) -> rows`` — list of dict rows;
+* either ``points(quick)`` + ``run_point(point, params) -> row`` (a
+  sweep) or ``run(params=None, quick=False) -> rows`` (a table); run
+  either through :func:`repro.experiments.run`;
 * ``check(rows)`` — raises :class:`~repro.analysis.shapes.ShapeError`
   when a claimed shape fails;
 * ``render(rows) -> str`` — fixed-width table for humans.
@@ -69,11 +71,13 @@ def fresh_client(
     params: Optional[SimParams] = None,
     n_storage: int = 10,
     telemetry: bool = False,
+    sanitize: bool = False,
 ) -> tuple[Testbed, DfsClient]:
     """A new testbed configured for ``protocol`` plus a client: the one
     single-protocol set-up (build, install the target personality,
     attach a :class:`DfsClient` to the first client host)."""
-    tb = build_testbed(n_storage=n_storage, params=params, telemetry=telemetry)
+    tb = build_testbed(n_storage=n_storage, params=params, telemetry=telemetry,
+                       sanitize=sanitize)
     installer = installer_for(protocol)
     if installer is not None:
         installer(tb)

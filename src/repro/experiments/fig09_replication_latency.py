@@ -32,6 +32,7 @@ CLAIMS = [
     "ring == pbt for k=2 (single child)",
 ]
 
+KS = (2, 4)  # replication factors (Fig. 9 left: k=2, center: k=4)
 SIZES = [1 * KiB, 4 * KiB, 16 * KiB, 64 * KiB, 256 * KiB, 1 * MiB]
 QUICK_SIZES = [1 * KiB, 16 * KiB, 256 * KiB]
 CHUNK_CANDIDATES = [16 * KiB, 32 * KiB, 64 * KiB, 128 * KiB]
@@ -69,11 +70,11 @@ def _latency(col: str, proto: str, extra: dict, size: int, k: int, params, repea
     return measure_latency(proto, size, params=params, replication=repl, repeats=repeats, **kw)
 
 
-def points(quick: bool = False, ks=(2, 4)) -> list[dict]:
+def points(quick: bool = False) -> list[dict]:
     sizes = QUICK_SIZES if quick else SIZES
     return [
         {"k": k, "size": size, "repeats": 1 if quick else 2}
-        for k in ks
+        for k in KS
         for size in sizes
     ]
 
@@ -95,14 +96,6 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     row["spin_other_ns"] = an.phases["other"]
     row["anatomy_ok"] = abs(an.sum_error_ns) <= 1.0
     return row
-
-
-def run(params: Optional[SimParams] = None, quick: bool = False, ks=(2, 4),
-        jobs: int = 1, cache: bool = False, cache_dir: Optional[str] = None) -> list[dict]:
-    from ..runner import run_sweep
-
-    return run_sweep(ID, points(quick, ks), params=params, jobs=jobs,
-                     cache=cache, cache_dir_override=cache_dir)
 
 
 def check(rows: list[dict]) -> None:

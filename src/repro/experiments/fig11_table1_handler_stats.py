@@ -26,6 +26,7 @@ from typing import Optional
 from ..analysis import shapes
 from ..dfs.layout import ReplicationSpec
 from ..params import SimParams
+from ..simnet.trace import summarize
 from ..workloads import measure_goodput, payload_bytes
 from .common import KiB, fresh_client, render_rows
 
@@ -43,38 +44,41 @@ CONFIGS = [("k=1", 1, "ring"), ("k=4,Ring", 4, "ring"), ("k=4,PBT", 4, "pbt")]
 WRITE_BYTES = 512 * KiB
 
 
-def run(params: Optional[SimParams] = None, quick: bool = False) -> list[dict]:
-    rows = []
+def points(quick: bool = False) -> list[dict]:
     n_ops = 6 if quick else 16
-    for label, k, strategy in CONFIGS:
-        tb, client = fresh_client("spin", params)
-        repl = ReplicationSpec(k=k, strategy=strategy) if k > 1 else None
-        client.create("/bench", size=WRITE_BYTES, replication=repl)
-        data = payload_bytes(WRITE_BYTES)
-        measure_goodput(
-            tb,
-            lambda i: client.write("/bench", data, protocol="spin"),
-            n_ops=n_ops,
-            op_bytes=WRITE_BYTES,
-            window=8,
-        )
-        primary = tb.node(client.open("/bench").primary.node)
-        accel = primary.accelerator
-        freq = tb.params.pspin.freq_ghz
-        row: dict = {"type": label}
-        for htype, col in [("header", "HH"), ("payload", "PH"), ("completion", "CH")]:
-            st = accel.stats[f"{htype}:dfs"]
-            row[f"{col}_ns"] = st.mean_duration()
-            row[f"{col}_instr"] = st.mean_instructions()
-            row[f"{col}_ipc"] = st.mean_ipc(freq)
-        # Fig. 11 shows *distributions*; record the PH spread too
-        from ..simnet.trace import summarize
+    return [
+        {"type": label, "k": k, "strategy": strategy, "n_ops": n_ops}
+        for label, k, strategy in CONFIGS
+    ]
 
-        ph = summarize(accel.stats["payload:dfs"].durations_ns)
-        row["PH_p50"] = ph["median"]
-        row["PH_p99"] = ph["p99"]
-        rows.append(row)
-    return rows
+
+def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
+    k, strategy = point["k"], point["strategy"]
+    tb, client = fresh_client("spin", params)
+    repl = ReplicationSpec(k=k, strategy=strategy) if k > 1 else None
+    client.create("/bench", size=WRITE_BYTES, replication=repl)
+    data = payload_bytes(WRITE_BYTES)
+    measure_goodput(
+        tb,
+        lambda i: client.write("/bench", data, protocol="spin"),
+        n_ops=point["n_ops"],
+        op_bytes=WRITE_BYTES,
+        window=8,
+    )
+    primary = tb.node(client.open("/bench").primary.node)
+    accel = primary.accelerator
+    freq = tb.params.pspin.freq_ghz
+    row: dict = {"type": point["type"]}
+    for htype, col in [("header", "HH"), ("payload", "PH"), ("completion", "CH")]:
+        st = accel.stats[f"{htype}:dfs"]
+        row[f"{col}_ns"] = st.mean_duration()
+        row[f"{col}_instr"] = st.mean_instructions()
+        row[f"{col}_ipc"] = st.mean_ipc(freq)
+    # Fig. 11 shows *distributions*; record the PH spread too
+    ph = summarize(accel.stats["payload:dfs"].durations_ns)
+    row["PH_p50"] = ph["median"]
+    row["PH_p99"] = ph["p99"]
+    return row
 
 
 def check(rows: list[dict]) -> None:

@@ -61,8 +61,8 @@ def points(quick: bool = False) -> list[dict]:
 
 
 def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
-    # The 100 Gbit/s scaling happens here, not in run(): run_sweep hands
-    # workers (and the cache key) the caller's raw params.
+    # The 100 Gbit/s scaling happens per point: run_sweep hands workers
+    # (and the cache key) the caller's raw params.
     p = (params or SimParams()).scaled_network(100.0)
     k, m, size = point["k"], point["m"], point["size"]
     n_ops, window = point["n_ops"], point["window"]
@@ -76,14 +76,6 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
         "inec-triec": inec,
         "ratio": spin / inec,
     }
-
-
-def run(params: Optional[SimParams] = None, quick: bool = False,
-        jobs: int = 1, cache: bool = False, cache_dir: Optional[str] = None) -> list[dict]:
-    from ..runner import run_sweep
-
-    return run_sweep(ID, points(quick), params=params, jobs=jobs,
-                     cache=cache, cache_dir_override=cache_dir)
 
 
 def check(rows: list[dict]) -> None:

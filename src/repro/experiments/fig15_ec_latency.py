@@ -58,14 +58,6 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     }
 
 
-def run(params: Optional[SimParams] = None, quick: bool = False,
-        jobs: int = 1, cache: bool = False, cache_dir: Optional[str] = None) -> list[dict]:
-    from ..runner import run_sweep
-
-    return run_sweep(ID, points(quick), params=params, jobs=jobs,
-                     cache=cache, cache_dir_override=cache_dir)
-
-
 def check(rows: list[dict]) -> None:
     for r in rows:
         if r["size"] >= 64 * KiB:

@@ -38,46 +38,46 @@ SCHEMES = [(3, 2), (6, 3)]
 WRITE_BYTES = 256 * KiB
 
 
-def run(params: Optional[SimParams] = None, quick: bool = False) -> list[dict]:
-    rows = []
-    for k, m in SCHEMES:
-        tb, client = fresh_client("spin", params)
-        client.create("/bench", size=WRITE_BYTES, ec=EcSpec(k=k, m=m))
-        data = payload_bytes(WRITE_BYTES)
-        n = 2 if quick else 4
-        for _ in range(n):
-            out = client.write_sync("/bench", data, protocol="spin")
-            assert out.ok
-        layout = client.open("/bench")
-        freq = tb.params.pspin.freq_ghz
-        # aggregate over the data nodes (they run the encode loop)
-        durs, instrs = [], []
-        mtu = tb.params.net.mtu
-        full_instr_min = 5 * (mtu - 256)  # filter: full-ish payload packets
-        for ext in layout.extents:
-            st = tb.node(ext.node).accelerator.stats["payload:dfs"]
-            for d, i in zip(st.durations_ns, st.instructions):
-                if i >= full_instr_min:
-                    durs.append(d)
-                    instrs.append(i)
-        hh = tb.node(layout.primary.node).accelerator.stats["header:dfs"]
-        ch = tb.node(layout.primary.node).accelerator.stats["completion:dfs"]
-        mean_d = sum(durs) / len(durs)
-        mean_i = sum(instrs) / len(instrs)
-        rows.append(
-            {
-                "scheme": f"RS({k},{m})",
-                "HH_ns": hh.mean_duration(),
-                "PH_ns": mean_d,
-                "CH_ns": ch.mean_duration(),
-                "HH_instr": hh.mean_instructions(),
-                "PH_instr": mean_i,
-                "CH_instr": ch.mean_instructions(),
-                "PH_ipc": mean_i / (mean_d * freq),
-                "n_ph": len(durs),
-            }
-        )
-    return rows
+def points(quick: bool = False) -> list[dict]:
+    n_writes = 2 if quick else 4
+    return [{"k": k, "m": m, "n_writes": n_writes} for k, m in SCHEMES]
+
+
+def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
+    k, m = point["k"], point["m"]
+    tb, client = fresh_client("spin", params)
+    client.create("/bench", size=WRITE_BYTES, ec=EcSpec(k=k, m=m))
+    data = payload_bytes(WRITE_BYTES)
+    for _ in range(point["n_writes"]):
+        out = client.write_sync("/bench", data, protocol="spin")
+        assert out.ok
+    layout = client.open("/bench")
+    freq = tb.params.pspin.freq_ghz
+    # aggregate over the data nodes (they run the encode loop)
+    durs, instrs = [], []
+    mtu = tb.params.net.mtu
+    full_instr_min = 5 * (mtu - 256)  # filter: full-ish payload packets
+    for ext in layout.extents:
+        st = tb.node(ext.node).accelerator.stats["payload:dfs"]
+        for d, i in zip(st.durations_ns, st.instructions):
+            if i >= full_instr_min:
+                durs.append(d)
+                instrs.append(i)
+    hh = tb.node(layout.primary.node).accelerator.stats["header:dfs"]
+    ch = tb.node(layout.primary.node).accelerator.stats["completion:dfs"]
+    mean_d = sum(durs) / len(durs)
+    mean_i = sum(instrs) / len(instrs)
+    return {
+        "scheme": f"RS({k},{m})",
+        "HH_ns": hh.mean_duration(),
+        "PH_ns": mean_d,
+        "CH_ns": ch.mean_duration(),
+        "HH_instr": hh.mean_instructions(),
+        "PH_instr": mean_i,
+        "CH_instr": ch.mean_instructions(),
+        "PH_ipc": mean_i / (mean_d * freq),
+        "n_ph": len(durs),
+    }
 
 
 def check(rows: list[dict]) -> None:

@@ -18,8 +18,6 @@ The storage nodes must have a PsPIN context installed — see
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..core.policies.dispatch import DispatchPolicy
@@ -34,20 +32,11 @@ from .base import WriteContext, as_uint8, begin_request, replication_params_for,
 __all__ = ["install_spin_targets", "spin_write", "spin_read"]
 
 
-def install_spin_targets(
-    testbed: Testbed,
-    trusted: bool = False,
-    n_accumulators: int = 256,
-    accumulator_bytes: Optional[int] = None,
-) -> None:
-    """Install the DFS execution context on every storage node's NIC.
-
-    ``trusted=True`` drops capability checking (the Orion-style threat
-    model of §IV) — used only by ablations; the paper's default is the
-    untrusted-client model.
-    """
-    authority = None if trusted else testbed.authority
-    acc_bytes = accumulator_bytes or testbed.params.net.mtu
+def install_spin_targets(testbed: Testbed, n_accumulators: int = 256) -> None:
+    """Install the DFS execution context on every storage node's NIC:
+    capability-checked writes (the paper's untrusted-client model) and
+    up to ``n_accumulators`` MTU-sized EC accumulators."""
+    acc_bytes = testbed.params.net.mtu
     # The pool lives in the DFS-wide NIC memory region next to the GF
     # table; clamp it so it always fits (§VI-B2/B3).
     from ..ec.gf256 import MUL_TABLE_BYTES
@@ -57,7 +46,7 @@ def install_spin_targets(
     for node in testbed.storage_nodes:
         node.install_pspin(
             DispatchPolicy(mtu=testbed.params.net.mtu),
-            authority=authority,
+            authority=testbed.authority,
             n_accumulators=n_accumulators,
             accumulator_bytes=acc_bytes,
             match_ops=("write", "read"),

@@ -35,6 +35,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..dfs.client import PROTOCOLS
 from ..faults import check_probability
 from ..workloads.openloop import (
     ArrivalSpec,
@@ -42,6 +43,8 @@ from ..workloads.openloop import (
     PopularitySpec,
     SizeSpec,
     WorkloadClass,
+    _check_int,
+    _check_positive,
 )
 
 __all__ = [
@@ -64,8 +67,9 @@ class TopologySpec:
     placement: str = "roundrobin"
 
     def validate(self) -> None:
-        if self.n_storage < 1 or self.n_clients < 1:
-            raise ValueError("topology needs >= 1 storage and client node")
+        _check_int("n_storage", self.n_storage, 1)
+        _check_int("n_clients", self.n_clients, 1)
+        _check_int("storage_mib", self.storage_mib, 1)
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,9 @@ class FaultCampaign:
     def validate(self) -> None:
         check_probability("scenario.faults.loss", self.loss)
         check_probability("scenario.faults.corrupt", self.corrupt)
+        if self.kill_node_index is not None:
+            _check_int("kill_node_index", self.kill_node_index, 0)
+        _check_positive("kill_at_ns", self.kill_at_ns, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -112,10 +119,14 @@ class ScenarioSpec:
         self.topology.validate()
         self.workload.validate()
         self.faults.validate()
-        if self.replication_k < 1:
-            raise ValueError("replication_k must be >= 1")
-        if self.pin_top < 0:
-            raise ValueError("pin_top must be >= 0")
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {self.protocol!r}; "
+                             f"pick one of {PROTOCOLS}")
+        _check_int("replication_k", self.replication_k, 1)
+        if self.object_bytes is not None:
+            _check_int("object_bytes", self.object_bytes, 1)
+        _check_int("pin_top", self.pin_top, 0)
+        _check_int("pin_node_index", self.pin_node_index, 0)
         if self.pin_top > 0 and not (
             0 <= self.pin_node_index < self.topology.n_storage
         ):

@@ -14,7 +14,7 @@ or per testbed / scenario (``build_testbed(sanitize=True)``,
 ``run_scenario(..., sanitize=True)``), or from the CLI::
 
     python -m repro sanitize            # quick scenario matrix
-    python -m repro sanitize --demo     # protocol demo (+ faults)
+    python -m repro demo --loss 1e-3    # every protocol point (+ faults)
 
 When off the kernel pays nothing (see docs/simsan.md for the measured
 overhead when on).

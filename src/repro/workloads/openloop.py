@@ -596,21 +596,19 @@ def run_open_loop(
     testbed,
     issue: Callable[[int, int, int, int], Event],
     spec: OpenLoopSpec,
-    n_buckets: Optional[int] = None,
     record: bool = False,
 ) -> OpenLoopResult:
     """Drive an open-loop population with aggregated flow generators.
 
     ``issue(client, req_index, object_index, size_bytes)`` posts one
     operation and returns its completion event.  One generator process
-    runs per (bucket, class) pair — bucket ``b`` owns clients with
-    ``cid % n_buckets == b`` (callers map buckets to client hosts), and
-    each generator heap-merges its clients' arrival streams.
+    runs per (bucket, class) pair — one bucket per client host, bucket
+    ``b`` owning clients with ``cid % n_hosts == b`` — and each
+    generator heap-merges its clients' arrival streams.
     """
     run = _Run(testbed, issue, spec, record)
     sim = run.sim
-    k_buckets = n_buckets or max(len(getattr(testbed, "clients", [])) or 1, 1)
-    k_buckets = min(k_buckets, spec.n_users)
+    k_buckets = min(max(len(getattr(testbed, "clients", ())), 1), spec.n_users)
     horizon = spec.horizon_ns
     t0 = run.t0
     heaps, states = _first_arrivals(spec, run.steppers, k_buckets)

@@ -4,7 +4,7 @@ left to scripts/ci.sh, which runs each twice and compares the rows."""
 
 import pytest
 
-from repro.experiments import REGISTRY
+from repro.experiments import REGISTRY, run
 
 
 def test_registry_complete():
@@ -22,13 +22,16 @@ def test_every_experiment_declares_metadata():
         assert mod.ID == eid
         assert isinstance(mod.TITLE, str) and mod.TITLE
         assert isinstance(mod.CLAIMS, list) and mod.CLAIMS
-        assert callable(mod.run) and callable(mod.check) and callable(mod.render)
+        assert callable(mod.check) and callable(mod.render)
+        # exactly one shape: a sweep (points + run_point) or a table (run)
+        shape = {a for a in ("points", "run_point", "run") if hasattr(mod, a)}
+        assert shape in ({"points", "run_point"}, {"run"}), (eid, shape)
 
 
 @pytest.mark.parametrize("eid", ["fig04", "fig07", "fig16_budget", "table3"])
 def test_cheap_experiments_run_and_check(eid):
     mod = REGISTRY[eid]
-    rows = mod.run(quick=True)
+    rows = run(eid, quick=True)
     assert rows
     mod.check(rows)
     out = mod.render(rows)
@@ -42,7 +45,7 @@ def test_cheap_experiments_run_and_check(eid):
 ])
 def test_simulation_experiments_quick(eid):
     mod = REGISTRY[eid]
-    rows = mod.run(quick=True)
+    rows = run(eid, quick=True)
     assert rows
     mod.check(rows)
 
@@ -68,3 +71,16 @@ def test_cli_runs_single(capsys):
     assert main(["fig04", "--quick"]) == 0
     out = capsys.readouterr().out
     assert "82" in out or "81707" in out
+
+
+def test_cli_footer_names_only_this_runs_sweep(capsys):
+    """A table run after a sweep (as in 'all') prints no sweep footer:
+    the previous experiment's runner stats are not this one's."""
+    from repro.experiments.__main__ import main
+
+    assert main(["fig06", "--quick", "--no-cache", "--no-check"]) == 0
+    assert "(4 points (0 cached + 4 computed), serial" in capsys.readouterr().out
+    assert main(["fig04", "--quick", "--no-check"]) == 0
+    footer = [ln for ln in capsys.readouterr().out.splitlines()
+              if ln.startswith("[fig04: ") and " rows in " in ln]
+    assert len(footer) == 1 and "points" not in footer[0], footer

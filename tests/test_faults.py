@@ -249,8 +249,6 @@ def test_fault_probability_outside_unit_interval_rejected(field, p):
     ["demo", "--loss", "2"],
     ["demo", "--loss", "-1"],
     ["demo", "--corrupt", "1.5"],
-    ["sanitize", "--demo", "--loss", "2"],
-    ["sanitize", "--demo", "--corrupt", "-1"],
 ])
 def test_demo_cli_rejects_bad_probability(argv, capsys):
     """An out-of-range probability is an argparse error (exit 2) naming the
@@ -264,21 +262,50 @@ def test_demo_cli_rejects_bad_probability(argv, capsys):
 
 
 # ------------------------------------------------------ CI smokes, pinned
-def test_demo_under_loss_pinned(capsys):
-    """The CI fault-injection smoke: seed 2 drops packets at p=1e-3 and
-    every protocol recovers and quiesces."""
+def test_demo_under_loss_pinned(capsys, monkeypatch):
+    """The CI fault-injection smoke: seed 2 drops packets at p=1e-3,
+    every protocol recovers and quiesces, and every run is sanitizer
+    clean (the replicated spin point takes a pinned event count)."""
     from repro.__main__ import main
+    from repro.experiments import common
 
+    beds = []
+    fresh_client = common.fresh_client
+
+    def recording_fresh_client(protocol, *args, **kw):
+        tb, client = fresh_client(protocol, *args, **kw)
+        beds.append((protocol, tb))
+        return tb, client
+
+    monkeypatch.setattr(common, "fresh_client", recording_fresh_client)
     assert main(["demo", "--loss", "1e-3", "--seed", "2"]) == 0
-    assert ("faults: 10 packets dropped, 0 corrupted; clients recovered "
-            "with 18 retransmits (0 ops gave up)") in capsys.readouterr().out
-
-
-def test_sanitize_demo_under_loss_pinned(capsys):
-    """The CI simsan smoke: the seeded-loss replicated write is clean."""
-    from repro.__main__ import main
-
-    assert main(["sanitize", "--demo", "--loss", "1e-3", "--seed", "2"]) == 0
     out = capsys.readouterr().out
-    assert "2521 events" in out
-    assert "simsan clean" in out
+    assert ("faults: 10 packets dropped, 0 corrupted; clients recovered "
+            "with 18 retransmits (0 ops gave up)") in out
+    assert "simsan clean: 0 findings in 10 protocol runs" in out
+    assert len(beds) == 10 and all(tb.sanitizer is not None for _, tb in beds)
+    (spin_k3,) = [tb for proto, tb in beds if proto == "spin"
+                  and tb.metadata.lookup("/demo").resiliency == "replication"]
+    assert spin_k3.sim.events_dispatched == 2521
+
+
+def test_demo_fails_naming_the_protocol_with_findings(capsys, monkeypatch):
+    """A sanitizer finding in any demo run makes the demo exit 1 and name
+    the protocol point it came from."""
+    from repro.__main__ import main
+    from repro.dfs.cluster import Testbed
+    from repro.simsan import Finding
+
+    sanitize_report = Testbed.sanitize_report
+
+    def report_for(tb, quiesce=True):
+        report = sanitize_report(tb, quiesce)
+        if tb.metadata.lookup("/demo").resiliency == "ec":
+            report.findings.append(Finding("leak-accel", tb.sim.now, "planted"))
+        return report
+
+    monkeypatch.setattr(Testbed, "sanitize_report", report_for)
+    assert main(["demo"]) == 1
+    out = capsys.readouterr().out
+    assert "spin RS(3,2): simsan: 1 finding(s) (leak-accel=1)" in out
+    assert "simsan: findings in spin RS(3,2), inec RS(3,2)" in out

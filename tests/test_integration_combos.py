@@ -56,10 +56,10 @@ def test_mixed_protocols_one_testbed():
 
 
 def test_experiment_runs_are_deterministic():
-    from repro.experiments import fig06_auth_latency as exp
+    from repro.experiments import run
 
-    a = exp.run(quick=True)
-    b = exp.run(quick=True)
+    a = run("fig06", quick=True)
+    b = run("fig06", quick=True)
     assert a == b
 
 

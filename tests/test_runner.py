@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import runner
+from repro import experiments, runner
 from repro.experiments import fig06_auth_latency as fig06
 from repro.params import SimParams
 
@@ -20,10 +20,10 @@ def _dumps(rows):
 
 def test_parallel_rows_identical_to_serial(monkeypatch):
     """--jobs N must be byte-identical to --jobs 1 (same rows, same order)."""
-    serial = fig06.run(quick=True, jobs=1, cache=False)
+    serial = experiments.run("fig06", quick=True, jobs=1, cache=False)
     # pretend to have cores so the clamp doesn't serialize us on 1-CPU CI
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 4)
-    parallel = fig06.run(quick=True, jobs=2, cache=False)
+    parallel = experiments.run("fig06", quick=True, jobs=2, cache=False)
     assert _dumps(serial) == _dumps(parallel)
     assert runner.LAST_STATS.jobs == 2
     assert runner.LAST_STATS.n_computed == len(serial)
@@ -33,7 +33,7 @@ def test_small_sweeps_skip_the_pool(monkeypatch, tmp_path):
     """Workers are clamped to the points left to compute: four misses
     get four workers, and a sweep with one miss runs serially."""
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 64)
-    rows = fig06.run(quick=True, jobs=16, cache=False)
+    rows = experiments.run("fig06", quick=True, jobs=16, cache=False)
     assert runner.LAST_STATS.jobs == len(rows) == 4
     cdir = str(tmp_path / "cache")
     pts = fig06.points(quick=True)[:2]
@@ -44,18 +44,18 @@ def test_small_sweeps_skip_the_pool(monkeypatch, tmp_path):
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
-    rows = fig06.run(quick=True, jobs=64, cache=False)
+    rows = experiments.run("fig06", quick=True, jobs=64, cache=False)
     assert rows
     assert runner.LAST_STATS.jobs == 2
 
 
 def test_cache_hit_returns_identical_rows_without_resimulating(tmp_path):
     cdir = str(tmp_path / "cache")
-    cold = fig06.run(quick=True, jobs=1, cache=True, cache_dir=cdir)
+    cold = experiments.run("fig06", quick=True, jobs=1, cache=True, cache_dir=cdir)
     stats = runner.LAST_STATS
     assert stats.n_computed == len(cold) and stats.n_cached == 0
 
-    warm = fig06.run(quick=True, jobs=1, cache=True, cache_dir=cdir)
+    warm = experiments.run("fig06", quick=True, jobs=1, cache=True, cache_dir=cdir)
     stats = runner.LAST_STATS
     assert stats.n_cached == len(warm) and stats.n_computed == 0
     assert _dumps(cold) == _dumps(warm)
@@ -65,13 +65,13 @@ def test_cached_rows_really_come_from_disk(tmp_path):
     """Tamper with a cache entry; the tampered row must come back (proof
     that a hit short-circuits the simulation entirely)."""
     cdir = tmp_path / "cache"
-    fig06.run(quick=True, jobs=1, cache=True, cache_dir=str(cdir))
+    experiments.run("fig06", quick=True, jobs=1, cache=True, cache_dir=str(cdir))
     victim = sorted(cdir.glob("*.json"))[0]
     entry = json.loads(victim.read_text())
     entry["row"]["raw"] = -123.0
     victim.write_text(json.dumps(entry))
 
-    rows = fig06.run(quick=True, jobs=1, cache=True, cache_dir=str(cdir))
+    rows = experiments.run("fig06", quick=True, jobs=1, cache=True, cache_dir=str(cdir))
     assert runner.LAST_STATS.n_cached == len(rows)
     assert any(r["raw"] == -123.0 for r in rows)
 
@@ -88,9 +88,8 @@ def test_cache_keys_depend_on_point_params_and_source():
 
 _FIG06_CACHED = """
 import json, sys
-from repro import runner
-from repro.experiments import fig06_auth_latency as fig06
-rows = fig06.run(quick=True, cache=True, cache_dir=sys.argv[1])
+from repro import experiments, runner
+rows = experiments.run("fig06", quick=True, cache=True, cache_dir=sys.argv[1])
 print(json.dumps({"n_cached": runner.LAST_STATS.n_cached,
                   "rpc": [r["rpc"] for r in rows]}))
 """
@@ -125,10 +124,10 @@ def test_simulator_edit_invalidates_cached_rows(tmp_path):
 
 def test_corrupt_cache_entry_is_recomputed(tmp_path):
     cdir = tmp_path / "cache"
-    fig06.run(quick=True, jobs=1, cache=True, cache_dir=str(cdir))
+    experiments.run("fig06", quick=True, jobs=1, cache=True, cache_dir=str(cdir))
     for f in cdir.glob("*.json"):
         f.write_text("{not json")
-    rows = fig06.run(quick=True, jobs=1, cache=True, cache_dir=str(cdir))
+    rows = experiments.run("fig06", quick=True, jobs=1, cache=True, cache_dir=str(cdir))
     assert runner.LAST_STATS.n_computed == len(rows)
 
 
@@ -143,7 +142,8 @@ def test_all_converted_experiments_expose_the_point_protocol():
     from repro.experiments import REGISTRY
 
     converted = [eid for eid, mod in REGISTRY.items() if hasattr(mod, "run_point")]
-    assert {"fig06", "fig09_latency", "fig10", "fig15_latency", "loss"} <= set(converted)
+    assert {"fig06", "fig09_latency", "fig10", "fig11_table1", "fig15_latency",
+            "fig16_table2", "loss"} <= set(converted)
     for eid in converted:
         mod = REGISTRY[eid]
         pts = mod.points(quick=True)
@@ -158,6 +158,6 @@ def test_single_point_matches_full_sweep_row(eid):
     from repro.experiments import REGISTRY
 
     mod = REGISTRY[eid]
-    rows = mod.run(quick=True, jobs=1, cache=False)
+    rows = experiments.run(eid, quick=True, jobs=1, cache=False)
     row = runner._exec_point(eid, mod.points(quick=True)[0], None)
     assert _dumps([rows[0]]) == _dumps([row])

@@ -92,6 +92,25 @@ def test_workload_field_errors_name_the_field(workload, field):
         spec_from_dict({"name": "bad", "workload": workload})
 
 
+@pytest.mark.parametrize("fields,field", [
+    ({"topology": {"n_storage": 2.5}}, "n_storage"),
+    ({"topology": {"storage_mib": 1.5}}, "storage_mib"),
+    ({"replication_k": 2.5}, "replication_k"),
+    ({"faults": {"kill_node_index": 1.5}}, "kill_node_index"),
+    ({"protocol": "foo"}, "protocol"),
+    ({"faults": {"kill_at_ns": -5}}, "kill_at_ns"),
+    ({"pin_top": 1.5}, "pin_top"),
+    ({"topology": {"n_clients": True}}, "n_clients"),
+    ({"topology": {"n_storage": "4"}}, "n_storage"),
+])
+def test_scenario_field_errors_name_the_field(fields, field):
+    """Non-integer sizes and indices, negative times and unknown
+    protocols fail at validation, naming the field, instead of failing
+    (or silently running something else) inside run_scenario."""
+    with pytest.raises(ValueError, match=field):
+        spec_from_dict({"name": "bad", **fields})
+
+
 def test_toml_round_trip(tmp_path):
     path = tmp_path / "scenarios.toml"
     path.write_text(textwrap.dedent("""\
@@ -267,10 +286,11 @@ def test_timings_out_param():
 
 def test_matrix_rows_jobs_parity():
     """--jobs fan-out must reproduce the serial rows byte for byte."""
+    from repro.experiments import run
     from repro.experiments import scenario_matrix as sm
 
-    rows1 = sm.run(quick=True, jobs=1, cache=False)
-    rows2 = sm.run(quick=True, jobs=2, cache=False)
+    rows1 = run(sm.ID, quick=True, jobs=1, cache=False)
+    rows2 = run(sm.ID, quick=True, jobs=2, cache=False)
     assert rows1 == rows2
     sm.check(rows1)
 
