@@ -262,10 +262,20 @@ def test_demo_cli_rejects_bad_probability(argv, capsys):
 
 
 # ------------------------------------------------------ CI smokes, pinned
-def test_demo_under_loss_pinned(capsys, monkeypatch):
-    """The CI fault-injection smoke: seed 2 drops packets at p=1e-3,
-    every protocol recovers and quiesces, and every run is sanitizer
-    clean (the replicated spin point takes a pinned event count)."""
+def test_demo_under_loss_pinned(capsys):
+    """The CI fault-injection smoke: seed 2 drops packets at p=1e-3 and
+    every protocol recovers and quiesces."""
+    from repro.__main__ import main
+
+    assert main(["demo", "--loss", "1e-3", "--seed", "2"]) == 0
+    assert ("faults: 10 packets dropped, 0 corrupted; clients recovered "
+            "with 18 retransmits (0 ops gave up)") in capsys.readouterr().out
+
+
+def test_sanitize_demo_under_loss_pinned(capsys, monkeypatch):
+    """The CI simsan smoke: the seeded-loss demo runs every protocol point
+    sanitized, every run is clean, and the replicated spin point takes a
+    pinned event count."""
     from repro.__main__ import main
     from repro.experiments import common
 
@@ -279,10 +289,8 @@ def test_demo_under_loss_pinned(capsys, monkeypatch):
 
     monkeypatch.setattr(common, "fresh_client", recording_fresh_client)
     assert main(["demo", "--loss", "1e-3", "--seed", "2"]) == 0
-    out = capsys.readouterr().out
-    assert ("faults: 10 packets dropped, 0 corrupted; clients recovered "
-            "with 18 retransmits (0 ops gave up)") in out
-    assert "simsan clean: 0 findings in 10 protocol runs" in out
+    assert ("simsan clean: 0 findings in 10 protocol runs"
+            in capsys.readouterr().out)
     assert len(beds) == 10 and all(tb.sanitizer is not None for _, tb in beds)
     (spin_k3,) = [tb for proto, tb in beds if proto == "spin"
                   and tb.metadata.lookup("/demo").resiliency == "replication"]
