@@ -66,7 +66,7 @@ def document_module(modname: str, lines: list[str]) -> None:
                 lines.append(f"- `{mname}{signature_of(meth)}`"
                              + (f" — {mdoc}" if mdoc else ""))
             lines.append("")
-        elif inspect.isfunction(obj):
+        elif inspect.isfunction(inspect.unwrap(obj)):  # also lru_cache etc.
             lines.append(f"### `{name}{signature_of(obj)}`\n")
             doc = first_paragraph(obj.__doc__)
             if doc:

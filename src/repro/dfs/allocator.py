@@ -15,7 +15,7 @@ sorted by address and nodes are dict-ordered.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["AllocError", "FreeList", "ExtentAllocator"]
@@ -36,16 +36,22 @@ class FreeList:
         self.used = 0
         #: sorted, disjoint, non-adjacent (addr, length) holes
         self._holes: List[Tuple[int, int]] = [(0, capacity)]
+        #: the same holes' lengths in ascending order, so the largest
+        #: hole (and so ``can_fit``) is read off the end without a scan
+        self._lengths: List[int] = [capacity]
 
     @property
     def free_bytes(self) -> int:
         return self.capacity - self.used
 
     def largest_hole(self) -> int:
-        return max((ln for _, ln in self._holes), default=0)
+        return self._lengths[-1] if self._lengths else 0
 
     def can_fit(self, length: int) -> bool:
-        return any(ln >= length for _, ln in self._holes)
+        return bool(self._lengths) and self._lengths[-1] >= length
+
+    def _drop_length(self, ln: int) -> None:
+        del self._lengths[bisect_left(self._lengths, ln)]
 
     # ------------------------------------------------------------- alloc
     def alloc(self, length: int) -> int:
@@ -54,10 +60,12 @@ class FreeList:
             raise AllocError("extent length must be positive")
         for i, (addr, ln) in enumerate(self._holes):
             if ln >= length:
+                self._drop_length(ln)
                 if ln == length:
                     del self._holes[i]
                 else:
                     self._holes[i] = (addr + length, ln - length)
+                    insort(self._lengths, ln - length)
                 self.used += length
                 return addr
         raise AllocError(
@@ -98,13 +106,16 @@ class FreeList:
             if p_addr + p_len == start:
                 start = p_addr
                 del self._holes[prev_i]
+                self._drop_length(p_len)
                 next_i -= 1
         if next_i < len(self._holes):
             n_addr, n_len = self._holes[next_i]
             if end == n_addr:
                 end = n_addr + n_len
                 del self._holes[next_i]
+                self._drop_length(n_len)
         insort(self._holes, (start, end - start))
+        insort(self._lengths, end - start)
         self.used -= length
 
     # ------------------------------------------------------------- audit
@@ -118,6 +129,9 @@ class FreeList:
             prev_end = addr + ln
             total += ln
         assert prev_end <= self.capacity, "hole past capacity"
+        assert self._lengths == sorted(ln for _, ln in self._holes), (
+            "hole-length index out of step with the holes"
+        )
         assert total + self.used == self.capacity, (
             f"accounting defect: {total} free + {self.used} used "
             f"!= {self.capacity}"
@@ -153,8 +167,10 @@ class ExtentAllocator:
     def free(self, node: str, addr: int, length: int) -> None:
         self._list(node).free(addr, length)
 
-    def can_fit(self, node: str, length: int) -> bool:
-        return self._list(node).can_fit(length)
+    def free_list(self, node: str) -> FreeList:
+        """The free list of ``node`` (callers that poll one node on
+        every placement keep the handle)."""
+        return self._list(node)
 
     def free_bytes(self, node: str) -> int:
         return self._list(node).free_bytes

@@ -9,8 +9,11 @@ validation recomputes the HMAC and checks the requested operation
 against the descriptor [32].
 
 The signature uses HMAC-SHA256 truncated to 16 bytes; together with the
-descriptor fields a capability serializes to a fixed 45-byte blob that
-rides in the DFS header of every request (§III-A).
+descriptor fields a capability serializes to a fixed 53-byte blob that
+rides in the DFS header of every request (§III-A).  The authority keeps
+the SHA-256 states of the HMAC inner and outer key pads (RFC 2104),
+computed once per key, so a signature costs two state copies and two
+short hashes instead of a fresh key schedule.
 """
 
 from __future__ import annotations
@@ -37,8 +40,14 @@ class Rights(IntFlag):
 #: Packed descriptor: client_id(4) object_id(8) addr(8) length(8)
 #: rights(1) expiry(8) = 37 bytes, + 16-byte truncated HMAC = 53.
 _DESC_FMT = "<IQQQBQ"
+_DESC = struct.Struct(_DESC_FMT)
 _SIG_BYTES = 16
-CAPABILITY_WIRE_BYTES = struct.calcsize(_DESC_FMT) + _SIG_BYTES
+CAPABILITY_WIRE_BYTES = _DESC.size + _SIG_BYTES
+
+#: HMAC (RFC 2104) over SHA-256: block size and the two pad bytes
+_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 @dataclass(frozen=True)
@@ -55,8 +64,7 @@ class Capability:
 
     # ------------------------------------------------------------ wire
     def descriptor_bytes(self) -> bytes:
-        return struct.pack(
-            _DESC_FMT,
+        return _DESC.pack(
             self.client_id,
             self.object_id,
             self.addr,
@@ -75,9 +83,7 @@ class Capability:
                 f"capability blob must be {CAPABILITY_WIRE_BYTES} B, got {len(blob)}"
             )
         desc, sig = blob[:-_SIG_BYTES], blob[-_SIG_BYTES:]
-        client_id, object_id, addr, length, rights, expiry = struct.unpack(
-            _DESC_FMT, desc
-        )
+        client_id, object_id, addr, length, rights, expiry = _DESC.unpack(desc)
         return cls(client_id, object_id, addr, length, Rights(rights), expiry, sig)
 
     # ------------------------------------------------------------ checks
@@ -103,8 +109,29 @@ class CapabilityAuthority:
         self.verified_ok = 0
         self.verified_fail = 0
 
+    @property
+    def key(self) -> bytes:
+        return self._key
+
+    @key.setter
+    def key(self, key: bytes) -> None:
+        # the pad states depend only on the key: build them once here,
+        # so every assignment (construction, rotation) refreshes them
+        self._key = key
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        block = key.ljust(_BLOCK, b"\0")
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
+
     def _sign(self, descriptor: bytes) -> bytes:
-        return hmac.new(self.key, descriptor, hashlib.sha256).digest()[:_SIG_BYTES]
+        """``hmac.new(key, descriptor, sha256).digest()[:16]``, from the
+        precomputed pad states."""
+        inner = self._inner.copy()
+        inner.update(descriptor)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()[:_SIG_BYTES]
 
     def issue(
         self,
@@ -115,8 +142,9 @@ class CapabilityAuthority:
         rights: Rights,
         expiry_ns: int = 2**63 - 1,
     ) -> Capability:
-        cap = Capability(client_id, object_id, addr, length, rights, expiry_ns, b"")
-        sig = self._sign(cap.descriptor_bytes())
+        sig = self._sign(
+            _DESC.pack(client_id, object_id, addr, length, int(rights), expiry_ns)
+        )
         self.issued += 1
         return Capability(client_id, object_id, addr, length, rights, expiry_ns, sig)
 

@@ -65,18 +65,16 @@ class DfsClient:
         replication: Optional[ReplicationSpec] = None,
         ec: Optional[EcSpec] = None,
     ) -> FileLayout:
-        layout = self.testbed.metadata.create(path, size, replication=replication, ec=ec)
-        self._tickets[path] = self.testbed.metadata.issue_ticket(
-            self.client_id, path, Rights.RW
-        )
+        md = self.testbed.metadata
+        layout = md.create(path, size, replication=replication, ec=ec)
+        self._tickets[path] = md.ticket_for(self.client_id, layout, Rights.RW)
         return layout
 
     def open(self, path: str) -> FileLayout:
-        layout = self.testbed.metadata.lookup(path)
+        md = self.testbed.metadata
+        layout = md.lookup(path)
         if path not in self._tickets:
-            self._tickets[path] = self.testbed.metadata.issue_ticket(
-                self.client_id, path, Rights.RW
-            )
+            self._tickets[path] = md.ticket_for(self.client_id, layout, Rights.RW)
         return layout
 
     def ticket(self, path: str) -> Capability:

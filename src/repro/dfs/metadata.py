@@ -24,8 +24,8 @@ import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from .allocator import AllocError, ExtentAllocator
-from .capability import CapabilityAuthority, Rights
-from .layout import EcSpec, Extent, FileLayout, ReplicationSpec
+from .capability import Capability, CapabilityAuthority, Rights
+from .layout import EcSpec, Extent, FileLayout, ReplicationSpec, StripedLayout
 from .placement import NodeView, PlacementPolicy, make_policy
 
 __all__ = ["MetadataService", "MetadataError"]
@@ -52,6 +52,10 @@ class MetadataService:
         self.node_capacity = node_capacity
         self.authority = authority
         self.allocator = ExtentAllocator(node_capacity, self.nodes)
+        self._free_lists = [self.allocator.free_list(n) for n in self.nodes]
+        #: the last placement view built per node, reused while its free
+        #: bytes and domain still match (see :meth:`_views`)
+        self._node_views: List[Optional[NodeView]] = [None] * len(self.nodes)
         self.policy = make_policy(placement)
         #: failure domain per node; defaults to one domain per node, so
         #: the domain policy degenerates to plain spreading
@@ -157,22 +161,27 @@ class MetadataService:
 
     # --------------------------------------------------------- placement
     def _views(self, length: int, exclude: Sequence[str]) -> List[NodeView]:
-        """Candidate views: alive, not excluded, room for the extent."""
-        ex = set(exclude)
+        """Candidate views: alive, not excluded, room for the extent.
+
+        A create changes the free bytes of only the nodes it placed on,
+        so each node keeps its last view and a new one is built only
+        when the node's free bytes or domain differ from it.  Liveness
+        is not part of a view: dead nodes are filtered out here.
+        """
         out = []
         for i, n in enumerate(self.nodes):
-            if n in ex or n in self._dead:
+            if n in self._dead or n in exclude:
                 continue
-            if not self.allocator.can_fit(n, length):
+            fl = self._free_lists[i]
+            if not fl.can_fit(length):
                 continue
-            out.append(
-                NodeView(
-                    name=n,
-                    index=i,
-                    free_bytes=self.allocator.free_bytes(n),
-                    domain=self.domains.get(n, i),
-                )
-            )
+            free = fl.free_bytes
+            domain = self.domains.get(n, i)
+            view = self._node_views[i]
+            if view is None or view.free_bytes != free or view.domain != domain:
+                view = NodeView(name=n, index=i, free_bytes=free, domain=domain)
+                self._node_views[i] = view
+            out.append(view)
         return out
 
     def _pick_nodes(
@@ -320,10 +329,19 @@ class MetadataService:
     # ------------------------------------------------------------ tickets
     def issue_ticket(
         self, client_id: int, path: str, rights: Rights, expiry_ns: int = 2**63 - 1
-    ):
+    ) -> Capability:
         """Hand the client a capability for the whole object (including
         its redundancy extents, which forwarded requests re-validate)."""
-        layout = self.lookup(path)
+        return self.ticket_for(client_id, self.lookup(path), rights, expiry_ns)
+
+    def ticket_for(
+        self,
+        client_id: int,
+        layout: Union[FileLayout, StripedLayout],
+        rights: Rights,
+        expiry_ns: int = 2**63 - 1,
+    ) -> Capability:
+        """:meth:`issue_ticket` for a layout the caller already looked up."""
         return self.authority.issue(
             client_id=client_id,
             object_id=layout.object_id,

@@ -28,6 +28,7 @@ simulator produce the stall component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "HandlerCost",
@@ -79,20 +80,27 @@ class HandlerCost:
 
 
 # ----------------------------------------------------------- replication/auth
+# Handlers run several times per request: the cost functions hand out
+# shared (frozen) instances instead of building one per run.
+_HH_COST = HandlerCost(instructions=120, cpi=CPI_HH)
+_PH_COST = HandlerCost(instructions=55, cpi=CPI_PH)
+
+
 def header_handler_cost() -> HandlerCost:
     """HH: request validation (capability check) + req_table setup.
 
     120 instructions at CPI 1.758 = 211 cycles — consistent with Fig. 7's
     200-cycle validation plus bookkeeping.
     """
-    return HandlerCost(instructions=120, cpi=CPI_HH)
+    return _HH_COST
 
 
 def payload_handler_cost() -> HandlerCost:
     """PH for a plain (k=1) write: DMA descriptor to host, accounting."""
-    return HandlerCost(instructions=55, cpi=CPI_PH)
+    return _PH_COST
 
 
+@lru_cache(maxsize=None)
 def forward_payload_cost(n_children: int) -> HandlerCost:
     """PH that also forwards to ``n_children`` replicas (Table I:
     105 instr for ring = +50 over plain; pbt 130 = +25 per extra child)."""
@@ -101,6 +109,7 @@ def forward_payload_cost(n_children: int) -> HandlerCost:
     return HandlerCost(instructions=55 + 25 * (n_children + 1), cpi=CPI_PH)
 
 
+@lru_cache(maxsize=None)
 def completion_handler_cost(n_children: int = 0) -> HandlerCost:
     """CH: finalize request, send the client/upstream ack.
 

@@ -37,6 +37,7 @@ from typing import List, Optional, Tuple
 
 from ..dfs.client import PROTOCOLS
 from ..faults import check_probability
+from ..slo import check_budget_key
 from ..workloads.openloop import (
     ArrivalSpec,
     OpenLoopSpec,
@@ -135,8 +136,13 @@ class ScenarioSpec:
             0 <= self.faults.kill_node_index < self.topology.n_storage
         ):
             raise ValueError("kill_node_index outside the topology")
+        if not isinstance(self.telemetry, bool):
+            raise ValueError(f"telemetry must be true or false, got "
+                             f"{self.telemetry!r}")
         if self.slo_budgets and not self.telemetry:
             raise ValueError("slo_budgets need telemetry=True")
+        for key, _ns in self.slo_budgets:
+            check_budget_key(key)
 
 
 # --------------------------------------------------------- dict round-trip

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Any, Callable, Generator, Iterable, NoReturn, Optional
+from collections.abc import Generator
+from typing import Any, Callable, Iterable, NoReturn, Optional
 
 from ..telemetry import Telemetry
 

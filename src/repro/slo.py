@@ -37,10 +37,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .telemetry import PHASES
+
 __all__ = [
     "SUM_TOLERANCE_NS",
     "SloSpec",
     "SloReport",
+    "check_budget_key",
     "Scenario",
     "SCENARIOS",
     "evaluate",
@@ -59,6 +62,29 @@ SUM_TOLERANCE_NS = 1.0
 TRACKED_STATS = ("p50", "p99", "p999")
 
 
+def check_budget_key(key: str) -> None:
+    """Reject a budget key that names no tracked statistic.
+
+    A key is ``"<phase>.<stat>"`` with the phase one of
+    :data:`repro.telemetry.PHASES` or ``end_to_end`` and the stat one of
+    :data:`TRACKED_STATS`.  A misspelt key would never be measured, and
+    an unmeasured budget passes, so the budget would be off unnoticed.
+    """
+    phase, dot, stat = key.rpartition(".")
+    if not dot:
+        raise ValueError(f"SLO budget {key!r} must be '<phase>.<stat>'")
+    if phase != "end_to_end" and phase not in PHASES:
+        raise ValueError(
+            f"SLO budget {key!r}: unknown phase {phase!r}; pick one of "
+            f"{('end_to_end',) + PHASES}"
+        )
+    if stat not in TRACKED_STATS:
+        raise ValueError(
+            f"SLO budget {key!r}: unknown stat {stat!r}; pick one of "
+            f"{TRACKED_STATS}"
+        )
+
+
 # ------------------------------------------------------------------ specs
 @dataclass(frozen=True)
 class SloSpec:
@@ -66,10 +92,15 @@ class SloSpec:
 
     ``budgets`` maps ``"<phase>.<stat>"`` keys — any phase from
     :data:`repro.telemetry.PHASES` plus ``end_to_end``, any stat from
-    :func:`repro.simnet.trace.summarize` — to ceilings in nanoseconds.
+    :data:`TRACKED_STATS` — to ceilings in nanoseconds.  Any other key
+    raises ``ValueError`` (see :func:`check_budget_key`).
     """
 
     budgets: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for key in self.budgets:
+            check_budget_key(key)
 
     def items(self) -> List[Tuple[str, str, float]]:
         out = []

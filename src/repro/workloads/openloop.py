@@ -97,6 +97,7 @@ __all__ = [
     "sample_size",
     "run_open_loop",
     "run_open_loop_reference",
+    "build_namespace",
     "open_loop_write_load",
 ]
 
@@ -667,6 +668,49 @@ def run_open_loop_reference(
 
 
 # ------------------------------------------------------------ DFS driver
+def build_namespace(
+    testbed,
+    n_objects: int,
+    obj_bytes: int,
+    replication=None,
+    ec=None,
+    pin_top: int = 0,
+    pin_node: Optional[str] = None,
+) -> Tuple[list, List[str], List[str]]:
+    """Create the open loop's namespace before its first event.
+
+    Object ``i`` (its popularity rank) is ``/ol/i``; the ``pin_top``
+    hottest are pinned onto ``pin_node`` (the hot-shard scenario), the
+    rest placed by the metadata service's policy.  One endpoint per
+    client host opens every object, which signs one capability ticket
+    per (object, host).  Returns the endpoints, the paths by rank and
+    each object's primary node.
+    """
+    from ..dfs.client import DfsClient
+
+    endpoints = [
+        DfsClient(testbed, client_index=h, principal=f"open{h}")
+        for h in range(len(testbed.clients))
+    ]
+    md = testbed.metadata
+    paths: List[str] = []
+    obj_node: List[str] = []
+    for i in range(n_objects):
+        path = f"/ol/{i}"
+        pin = None
+        if pin_node is not None and i < pin_top:
+            k = replication.k if replication is not None else 1
+            others = [n for n in md.nodes if n != pin_node]
+            pin = [pin_node] + others[: k - 1]
+        layout = md.create(path, size=obj_bytes, replication=replication,
+                           ec=ec, pin_nodes=pin)
+        obj_node.append(layout.extents[0].node)
+        paths.append(path)
+        for ep in endpoints:
+            ep.open(path)
+    return endpoints, paths, obj_node
+
+
 def open_loop_write_load(
     testbed,
     spec: OpenLoopSpec,
@@ -688,7 +732,6 @@ def open_loop_write_load(
     per-host endpoints.  Returns the run result plus the per-storage-node
     request tally (by each object's primary extent).
     """
-    from ..dfs.client import DfsClient
     from .closed import payload_bytes
 
     spec.validate()
@@ -699,27 +742,11 @@ def open_loop_write_load(
         s.fixed_bytes if s.dist == "fixed" else s.max_bytes for s in size_specs
     )
     obj_bytes = object_bytes or max_req
-    n_hosts = len(testbed.clients)
-    endpoints = [
-        DfsClient(testbed, client_index=h, principal=f"open{h}")
-        for h in range(n_hosts)
-    ]
-    md = testbed.metadata
-    paths: List[str] = []
-    obj_node: List[str] = []
-    for i in range(spec.popularity.n_objects):
-        path = f"/ol/{i}"
-        pin = None
-        if pin_node is not None and i < pin_top:
-            k = replication.k if replication is not None else 1
-            others = [n for n in md.nodes if n != pin_node]
-            pin = [pin_node] + others[: k - 1]
-        layout = md.create(path, size=obj_bytes, replication=replication,
-                           ec=ec, pin_nodes=pin)
-        obj_node.append(layout.extents[0].node)
-        paths.append(path)
-        for ep in endpoints:
-            ep.open(path)
+    endpoints, paths, obj_node = build_namespace(
+        testbed, spec.popularity.n_objects, obj_bytes, replication=replication,
+        ec=ec, pin_top=pin_top, pin_node=pin_node,
+    )
+    n_hosts = len(endpoints)
     payload = payload_bytes(max_req, seed=spec.seed)
 
     def issue(cid: int, n: int, obj: int, size: int) -> Event:

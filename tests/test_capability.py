@@ -121,3 +121,41 @@ def test_any_single_bit_flip_rejected(flip):
     blob[flip // 8] ^= 1 << (flip % 8)
     tampered = Capability.from_wire(bytes(blob))
     assert not auth.verify(tampered, Rights.WRITE, 0, 1 << 20)
+
+
+# ------------------------------------------------- signer vs the hmac reference
+def _reference_sig(key: bytes, descriptor: bytes) -> bytes:
+    import hashlib
+    import hmac
+
+    return hmac.new(key, descriptor, hashlib.sha256).digest()[:16]
+
+
+@pytest.mark.parametrize("key_len", [0, 16, 32, 64, 65, 100])
+def test_signer_matches_hmac_reference(key_len):
+    """The pre-keyed signer equals ``hmac.new`` for keys below, at and
+    above the SHA-256 block size (64 B), and again after a rotation."""
+    key = bytes((7 * i + key_len) % 256 for i in range(key_len))
+    auth = CapabilityAuthority(key=key)
+    assert auth.key == key
+    cap = auth.issue(3, 99, addr=16, length=4096, rights=Rights.WRITE, expiry_ns=5)
+    assert cap.signature == _reference_sig(key, cap.descriptor_bytes())
+    new_key = bytes(reversed(key)) + b"r"
+    auth.rotate_key(new_key)
+    assert auth.key == new_key
+    cap2 = auth.issue(3, 99, addr=16, length=4096, rights=Rights.WRITE, expiry_ns=5)
+    assert cap2.signature == _reference_sig(new_key, cap2.descriptor_bytes())
+    assert auth.verify(cap2, Rights.WRITE, 16, 4096)
+    assert not auth.verify(cap, Rights.WRITE, 16, 4096)
+
+
+@given(
+    key=st.binary(max_size=130),
+    client_id=st.integers(0, 2**32 - 1),
+    object_id=st.integers(0, 2**64 - 1),
+    rights=st.sampled_from([Rights.READ, Rights.WRITE, Rights.RW]),
+)
+def test_signer_matches_hmac_reference_property(key, client_id, object_id, rights):
+    auth = CapabilityAuthority(key=key)
+    cap = auth.issue(client_id, object_id, 0, 64, rights)
+    assert cap.signature == _reference_sig(key, cap.descriptor_bytes())

@@ -218,3 +218,91 @@ def test_allocate_auto_respects_exclusions():
     assert ext.node == "sn2"
     md.free_extent(ext)
     assert md.allocated_bytes() == 0
+
+
+# ------------------------------------------- scan-free can_fit, reused views
+def test_freelist_largest_hole_tracks_churn():
+    """``can_fit``/``largest_hole`` read a length index; it must agree
+    with a scan of the holes after every alloc and free."""
+    import random
+
+    rng = random.Random(5)
+    fl = FreeList(50_000)
+    live = []
+    for _ in range(600):
+        if live and (rng.random() < 0.45 or not fl.can_fit(64)):
+            addr, ln = live.pop(rng.randrange(len(live)))
+            fl.free(addr, ln)
+        else:
+            ln = rng.choice([64, 100, 512, 1000, 4096])
+            if fl.can_fit(ln):
+                live.append((fl.alloc(ln), ln))
+            else:
+                with pytest.raises(AllocError):
+                    fl.alloc(ln)
+        fl.check()
+        scan = max((ln for _, ln in fl._holes), default=0)
+        assert fl.largest_hole() == scan
+        for probe in (1, 64, 1000, 4096, scan, scan + 1):
+            assert fl.can_fit(probe) == any(ln >= probe for _, ln in fl._holes)
+
+
+def _fresh_views(md, length, exclude):
+    """The views as built from scratch, with no reuse."""
+    from repro.dfs.placement import NodeView
+
+    out = []
+    for i, n in enumerate(md.nodes):
+        if n in exclude or not md.is_alive(n):
+            continue
+        if not any(ln >= length for _, ln in md.allocator.free_list(n)._holes):
+            continue
+        out.append(NodeView(name=n, index=i, free_bytes=md.allocator.free_bytes(n),
+                            domain=md.domains.get(n, i)))
+    return out
+
+
+@pytest.mark.parametrize("placement", ["roundrobin", "capacity", "domain"])
+def test_reused_views_pick_like_fresh_views(placement):
+    """Under create/delete/mark_dead/mark_alive (and domain) churn, the
+    reused views equal freshly built ones and every policy picks the
+    same nodes."""
+    import random
+
+    rng = random.Random(11)
+    domains = {f"sn{i}": i // 2 for i in range(6)}
+    md = make_md(n=6, cap=40_000, placement=placement, failure_domains=domains)
+    paths = []
+    for step in range(400):
+        r = rng.random()
+        if r < 0.5:
+            path = f"/o{step}"
+            size = rng.choice([500, 2_000, 7_000])
+            k = rng.choice([1, 2, 3])
+            try:
+                md.create(path, size,
+                          replication=ReplicationSpec(k=k) if k > 1 else None)
+                paths.append(path)
+            except MetadataError:
+                pass
+        elif r < 0.78 and paths:
+            md.delete(paths.pop(rng.randrange(len(paths))))
+        elif r < 0.88:
+            md.mark_dead(f"sn{rng.randrange(6)}")
+        elif r < 0.96:
+            md.mark_alive(f"sn{rng.randrange(6)}")
+        else:  # a node moves rack
+            md.domains[f"sn{rng.randrange(6)}"] = rng.randrange(4)
+        for length in (500, 7_000):
+            for exclude in ((), ("sn1",), ("sn0", "sn3")):
+                reused = md._views(length, exclude)
+                fresh = _fresh_views(md, length, exclude)
+                assert reused == fresh
+                for n in range(1, len(fresh) + 1):
+                    token = md.policy.snapshot()
+                    got = md.policy.pick(reused, n)
+                    md.policy.restore(token)
+                    assert got == md.policy.pick(fresh, n)
+                    md.policy.restore(token)
+    assert md.allocated_bytes() == md.live_layout_bytes()
+    md.allocator.check()

@@ -92,3 +92,16 @@ def test_frequency_scaling():
 def test_cleanup_cost_is_modest():
     c = isa.cleanup_handler_cost()
     assert 0 < c.compute_ns(1.0) < 500
+
+
+def test_handler_costs_are_shared_instances():
+    """Handlers run several times per request: the cost functions hand
+    out one frozen instance per distinct cost, with unchanged values."""
+    assert isa.header_handler_cost() is isa.header_handler_cost()
+    assert isa.payload_handler_cost() is isa.payload_handler_cost()
+    for n in (0, 1, 2, 3, 6):
+        assert isa.completion_handler_cost(n) is isa.completion_handler_cost(n)
+        assert isa.forward_payload_cost(n) is isa.forward_payload_cost(n)
+    assert isa.completion_handler_cost(3) == isa.HandlerCost(90, isa.CPI_CH)
+    assert isa.forward_payload_cost(3) == isa.HandlerCost(155, isa.CPI_PH)
+    assert isa.payload_handler_cost() == isa.HandlerCost(55, isa.CPI_PH)

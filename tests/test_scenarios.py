@@ -57,6 +57,10 @@ def test_spec_validation_errors():
         ).validate()
     with pytest.raises(ValueError, match="telemetry"):
         ScenarioSpec(name="x", slo_budgets=(("end_to_end.p99", 1.0),)).validate()
+    with pytest.raises(ValueError, match="telemetry"):
+        spec_from_dict({"name": "x", "telemetry": "yes"})
+    with pytest.raises(ValueError, match="telemetry"):
+        ScenarioSpec(name="x", telemetry=1).validate()
     with pytest.raises(ValueError, match="kill_node_index"):
         ScenarioSpec(
             name="x", topology=TopologySpec(n_storage=2),
@@ -239,6 +243,35 @@ def test_quick_outcome_digest_pinned(name, digest):
     instant and verdict.  The schedule digest only covers what was
     issued, so a change that moves a completion shows up here alone."""
     assert run_scenario(get(name, quick=True), seed=1)["outcome_digest"] == digest
+
+
+def test_quick_hot_shard_namespace_digest_pinned():
+    """Golden namespace of the quick hot shard: every object's path,
+    layout and each client host's capability ticket on the wire.
+    Namespace set-up (placement, allocation, ticket signing) must build
+    exactly this, however fast it gets."""
+    import hashlib
+
+    from repro.params import MiB, SimParams
+    from repro.workloads.openloop import build_namespace
+
+    spec = get("hot_shard", quick=True)
+    params = dataclasses.replace(
+        SimParams(), storage_capacity_bytes=spec.topology.storage_mib * MiB
+    )
+    tb = build_testbed(n_storage=spec.topology.n_storage,
+                       n_clients=spec.topology.n_clients, params=params)
+    md = tb.metadata
+    endpoints, paths, _ = build_namespace(
+        tb, spec.workload.popularity.n_objects, 16 * 1024,
+        pin_top=spec.pin_top, pin_node=md.nodes[spec.pin_node_index],
+    )
+    h = hashlib.sha256()
+    for path in paths:
+        for ep in endpoints:
+            h.update(repr((path, md.lookup(path), ep.ticket(path).to_wire())).encode())
+    assert len(paths) == 4096
+    assert h.hexdigest()[:16] == "cd99243db00f2b41"
 
 
 def test_fault_free_hops_match_an_armed_idle_injector():

@@ -37,6 +37,33 @@ def test_evaluate_missing_stat_cannot_violate():
     assert rep.slo_ok
 
 
+def test_evaluate_real_phase_with_too_few_samples_passes():
+    spec = SloSpec(budgets={"wire.p999": 1.0, "end_to_end.p50": 10.0})
+    phases = {"wire": {"p999": None}, "end_to_end": {"p50": 5.0}}
+    rep = evaluate(spec, phases, "s", 1, 0.0)
+    assert rep.slo_ok
+    assert ("wire.p999", None, 1.0, True) in rep.checks
+
+
+@pytest.mark.parametrize("key,named", [
+    ("bogus.p99", "bogus"),           # no such phase
+    ("end_to_end.p98", "p98"),        # no such stat
+    ("wire.mean", "mean"),            # a summarize() stat that is not tracked
+    ("end_to_end", "<phase>"),        # no stat at all
+    ("endtoend.p99", "endtoend"),     # misspelt phase
+])
+def test_budget_on_unknown_key_is_rejected(key, named):
+    """A budget nothing measures would pass forever: reject it, naming
+    the key, in the SLO spec and in a scenario spec."""
+    from repro.scenarios import spec_from_dict
+
+    with pytest.raises(ValueError, match=f"{key!r}.*{named}"):
+        SloSpec(budgets={key: 1.0})
+    with pytest.raises(ValueError, match=f"{key!r}.*{named}"):
+        spec_from_dict({"name": "x", "telemetry": True,
+                        "slo_budgets": {key: 1.0}})
+
+
 def test_anatomy_ok_reflects_sum_tolerance():
     rep = evaluate(SloSpec(), {}, "s", 1, max_sum_error_ns=SUM_TOLERANCE_NS * 2)
     assert not rep.anatomy_ok
