@@ -92,9 +92,10 @@ python -m repro sanitize
 
 echo
 echo "== SLO suite (fixed-seed latency anatomy vs BENCH_slo.json) =="
-# runs every scenario: phase decompositions must sum to the end-to-end
-# latency within 1 ns, every declared budget must hold, and no phase
-# percentile may regress past the noise band of the committed baseline
+# runs every scenario: every declared budget must hold, and no phase
+# percentile may regress past the noise band of the committed baseline;
+# a decomposition whose phases miss a request's end-to-end latency by
+# more than 1 ns raises inside the decomposition and fails the run
 python -m repro slo --check BENCH_slo.json
 
 echo

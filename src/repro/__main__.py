@@ -41,6 +41,19 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _float_at_least_zero(below: float = float("inf")):
+    """argparse type: a finite float in ``[0, below)``."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not 0.0 <= value < below:  # also false for nan and inf
+            raise argparse.ArgumentTypeError(f"must be finite and in [0, {below:g}), got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse's "invalid float value" message
+    return parse
+
+
 def _info() -> int:
     import repro
     from repro.params import SimParams

@@ -7,6 +7,7 @@ import sys
 import time
 
 from .. import runner
+from ..__main__ import _int_at_least
 from . import REGISTRY, run
 
 
@@ -21,7 +22,7 @@ def main(argv=None) -> int:
     ap.add_argument("--csv", metavar="PATH",
                     help="also write the raw rows as CSV (one file per "
                          "experiment; PATH gets an -<id> suffix for 'all')")
-    ap.add_argument("--jobs", type=int, default=1, metavar="N",
+    ap.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="N",
                     help="run sweep points over N worker processes "
                          "(deterministic: rows match --jobs 1 exactly)")
     ap.add_argument("--no-cache", action="store_true",

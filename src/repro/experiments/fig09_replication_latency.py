@@ -85,8 +85,8 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     for col, proto, extra in _strategies(k):
         row[col] = _latency(col, proto, extra, size, k, params, point["repeats"])
     # latency anatomy of the headline strategy: where the sPIN-Ring
-    # write's time goes, phase by phase (sums to its end-to-end latency
-    # — anatomy_ok asserts the decomposition is exact)
+    # write's time goes, phase by phase (the decomposition raises if the
+    # phases miss its end-to-end latency)
     an = measure_anatomy(
         "spin", size, params=params, replication=ReplicationSpec(k=k, strategy="ring")
     )
@@ -94,13 +94,10 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     row["spin_hpu_ns"] = an.phases["hpu"]
     row["spin_dma_ns"] = an.phases["dma"]
     row["spin_other_ns"] = an.phases["other"]
-    row["anatomy_ok"] = abs(an.sum_error_ns) <= 1.0
     return row
 
 
 def check(rows: list[dict]) -> None:
-    shapes.check(all(r["anatomy_ok"] for r in rows),
-                 "sPIN-Ring phase decomposition sums to end-to-end latency")
     for k in sorted({r["k"] for r in rows}):
         sub = {r["size"]: r for r in rows if r["k"] == k}
         sizes = sorted(sub)

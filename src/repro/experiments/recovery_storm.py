@@ -197,7 +197,6 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     def p99(phase: str) -> float:
         return (phases.get(phase) or {}).get("p99") or 0.0
 
-    max_sum_err = max((abs(op.sum_error_ns) for op in fg), default=0.0)
     digest = hashlib.sha256(
         repr([dataclasses.astuple(r) for r in repl.schedule]).encode()
     ).hexdigest()[:16]
@@ -220,7 +219,6 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
         "wire_p99_ns": p99("wire"),
         "compute_p99_ns": p99("hpu") + p99("cpu"),
         "dma_p99_ns": p99("dma"),
-        "max_sum_error_ns": max_sum_err,
         "dead_refs": dead_refs,
         "alloc_ok": alloc_ok,
         "bytes_checked": bytes_checked,
@@ -265,10 +263,6 @@ def check(rows: list[dict]) -> None:
         shapes.check(
             r["fg_ops"] > 0,
             f"{proto}: surviving foreground traffic kept completing",
-        )
-        shapes.check(
-            r["max_sum_error_ns"] <= 1.0,
-            f"{proto}: anatomy decomposition is exact",
         )
         if proto == "spin":
             shapes.check(

@@ -91,8 +91,7 @@ def run_point(point: dict, params: Optional[SimParams] = None) -> dict:
     def p99(phase: str) -> float:
         return (phases.get(phase) or {}).get("p99") or 0.0
 
-    report = evaluate(SLOS[proto], phases, scenario=f"{proto}/n{n}",
-                      n_ops=res.ops, max_sum_error_ns=0.0)
+    report = evaluate(SLOS[proto], phases, scenario=f"{proto}/n{n}", n_ops=res.ops)
     return {
         "protocol": proto,
         "n_clients": n,

@@ -53,6 +53,8 @@ import platform
 import time
 from typing import Any, Dict, List, Optional
 
+from .__main__ import _float_at_least_zero
+
 __all__ = ["collect_snapshot", "check_against", "host_mismatch", "main"]
 
 
@@ -293,7 +295,8 @@ def main(argv: Optional[list] = None) -> int:
                     help="compare against a committed baseline; exit 1 on "
                          "regression, 2 when the host differs from the "
                          "baseline's (wall-clock floors skipped)")
-    ap.add_argument("--tolerance", type=float, default=0.30, metavar="FRAC",
+    ap.add_argument("--tolerance", type=_float_at_least_zero(below=1.0), default=0.30,
+                    metavar="FRAC",
                     help="allowed wall-clock slowdown vs baseline (default 0.30)")
     ap.add_argument("--section", action="append", choices=list(SECTIONS),
                     metavar="NAME", dest="sections",

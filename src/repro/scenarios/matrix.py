@@ -124,13 +124,8 @@ def run_scenario(
         from ..slo import SloSpec, evaluate
 
         assert res.phase_latency is not None, "budgets need telemetry phases"
-        report = evaluate(
-            SloSpec(budgets=dict(spec.slo_budgets)),
-            res.phase_latency,
-            spec.name,
-            res.ops,
-            0.0,
-        )
+        report = evaluate(SloSpec(budgets=dict(spec.slo_budgets)),
+                          res.phase_latency, spec.name, res.ops)
         slo_ok = report.slo_ok
         slo_failed = ";".join(
             key for key, _got, _budget, ok in report.checks if not ok

@@ -3,12 +3,13 @@
 ``python -m repro slo`` runs a fixed-seed scenario suite — one isolated
 write per protocol (clean and under seeded packet loss) plus a
 closed-loop load run — and, for every scenario, decomposes each request
-into latency phases (:mod:`repro.telemetry.anatomy`), checks two
-invariants, and evaluates declarative latency budgets:
+into latency phases (:mod:`repro.telemetry.anatomy`) and evaluates
+declarative latency budgets:
 
 * **exactness** — per operation the phase times must sum to the
-  end-to-end latency within :data:`SUM_TOLERANCE_NS` (1 ns); any defect
-  means a span is mis-tagged or double-counted and fails the run;
+  end-to-end latency within 1 ns; the decomposition itself enforces this
+  (:class:`~repro.telemetry.anatomy.AnatomyError`), and ``repro slo``
+  prints the ``DECOMPOSITION DEFECT`` and exits 1;
 * **budgets** — each scenario carries an :class:`SloSpec` of
   ``"<phase>.<stat>"`` ceilings (e.g. ``end_to_end.p99``); a scenario
   with a blown budget reports ``slo: FAIL``.
@@ -37,10 +38,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .telemetry import PHASES
+from .__main__ import _float_at_least_zero
+from .telemetry import PHASES, SUM_TOLERANCE_NS, AnatomyError
 
 __all__ = [
-    "SUM_TOLERANCE_NS",
     "SloSpec",
     "SloReport",
     "check_budget_key",
@@ -53,10 +54,6 @@ __all__ = [
     "compare_snapshots",
     "main",
 ]
-
-#: per-operation decomposition defect ceiling: phases must sum to the
-#: end-to-end latency within this (float rounding is orders below it)
-SUM_TOLERANCE_NS = 1.0
 
 #: phase statistics tracked in snapshots and regression-checked
 TRACKED_STATS = ("p50", "p99", "p999")
@@ -117,7 +114,6 @@ class SloReport:
     scenario: str
     n_ops: int
     phases: Dict[str, Dict[str, Optional[float]]]
-    max_sum_error_ns: float
     #: (budget key, measured ns, budget ns, within budget)
     checks: List[Tuple[str, Optional[float], float, bool]]
 
@@ -125,14 +121,9 @@ class SloReport:
     def slo_ok(self) -> bool:
         return all(ok for _, _, _, ok in self.checks)
 
-    @property
-    def anatomy_ok(self) -> bool:
-        return self.max_sum_error_ns <= SUM_TOLERANCE_NS
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "n_ops": self.n_ops,
-            "max_sum_error_ns": self.max_sum_error_ns,
             "slo_ok": self.slo_ok,
             "phases": {
                 phase: {s: stats.get(s) for s in TRACKED_STATS}
@@ -142,7 +133,7 @@ class SloReport:
 
 
 def evaluate(spec: SloSpec, phases: Dict[str, Dict[str, Optional[float]]],
-             scenario: str, n_ops: int, max_sum_error_ns: float) -> SloReport:
+             scenario: str, n_ops: int) -> SloReport:
     """Check per-phase statistics against a budget spec."""
     checks: List[Tuple[str, Optional[float], float, bool]] = []
     for phase, stat, budget in spec.items():
@@ -150,13 +141,7 @@ def evaluate(spec: SloSpec, phases: Dict[str, Dict[str, Optional[float]]],
         # a missing statistic (too few samples for the tail) cannot
         # violate a ceiling — it is reported as None and passes
         checks.append((f"{phase}.{stat}", got, budget, got is None or got <= budget))
-    return SloReport(
-        scenario=scenario,
-        n_ops=n_ops,
-        phases=phases,
-        max_sum_error_ns=max_sum_error_ns,
-        checks=checks,
-    )
+    return SloReport(scenario=scenario, n_ops=n_ops, phases=phases, checks=checks)
 
 
 # -------------------------------------------------------------- scenarios
@@ -234,31 +219,12 @@ QUICK_NAMES = ("raw_64k", "spin_r3_64k", "rpc_64k", "spin_r3_64k_lossy",
 SEED = 2
 
 
-def _ops_for(tel, protocol: str) -> Tuple[List, float]:
-    """Decomposed write ops of ``protocol`` + the worst sum defect.
-
-    Request roots carry strategy-qualified protocol labels
-    (``spin-ring``, ``inec-triec-rs(3,2)``), so match on the base name
-    as a prefix; each scenario runs in its own testbed, so only its own
-    writes are in the sink.
-    """
-    from .telemetry.anatomy import decompose
-
-    base = protocol.split("-")[0].split("+")[0]
-    ops = [
-        op for op in decompose(tel)
-        if op.op == "write" and op.ok and op.protocol.startswith(base)
-    ]
-    max_err = max((abs(op.sum_error_ns) for op in ops), default=0.0)
-    return ops, max_err
-
-
 def run_scenario(sc: Scenario) -> SloReport:
     """Run one scenario with telemetry on; decompose and evaluate."""
     from .dfs.layout import EcSpec, ReplicationSpec
     from .experiments.common import fresh_client
     from .params import SimParams
-    from .telemetry.anatomy import phase_summary
+    from .telemetry.anatomy import decompose, phase_summary
     from .workloads import LoadSpec, closed_loop_write_load, payload_bytes
 
     params = SimParams()
@@ -272,9 +238,8 @@ def run_scenario(sc: Scenario) -> SloReport:
         res = closed_loop_write_load(tb, sc.size, sc.protocol, spec)
         if not res.quiesced:
             raise RuntimeError(f"{sc.name}: load run did not quiesce")
-        _, max_err = _ops_for(tb.telemetry, sc.protocol)
         assert res.phase_latency is not None
-        return evaluate(sc.slo, res.phase_latency, sc.name, res.ops, max_err)
+        return evaluate(sc.slo, res.phase_latency, sc.name, res.ops)
 
     if sc.openloop:
         from .workloads.openloop import (
@@ -297,9 +262,8 @@ def run_scenario(sc: Scenario) -> SloReport:
         ores, _nodes = open_loop_write_load(tb, ospec, sc.protocol)
         if not ores.quiesced:
             raise RuntimeError(f"{sc.name}: open-loop run did not quiesce")
-        _, max_err = _ops_for(tb.telemetry, sc.protocol)
         assert ores.phase_latency is not None
-        return evaluate(sc.slo, ores.phase_latency, sc.name, ores.ops, max_err)
+        return evaluate(sc.slo, ores.phase_latency, sc.name, ores.ops)
 
     create_kw: dict = {}
     if sc.replication:
@@ -322,10 +286,15 @@ def run_scenario(sc: Scenario) -> SloReport:
     # every child span of the last request is closed
     tb.drain()
 
-    ops, max_err = _ops_for(tb.telemetry, sc.protocol)
+    # request roots carry strategy-qualified protocol labels (`spin-ring`,
+    # `inec-triec-rs(3,2)`): match the base name as a prefix; the testbed
+    # is the scenario's own, so only its writes are in the sink
+    base = sc.protocol.split("-")[0].split("+")[0]
+    ops = [op for op in decompose(tb.telemetry)
+           if op.op == "write" and op.ok and op.protocol.startswith(base)]
     if len(ops) < sc.repeats:
         raise RuntimeError(f"{sc.name}: expected >= {sc.repeats} ops, got {len(ops)}")
-    return evaluate(sc.slo, phase_summary(ops), sc.name, len(ops), max_err)
+    return evaluate(sc.slo, phase_summary(ops), sc.name, len(ops))
 
 
 def run_suite(quick: bool = False) -> List[SloReport]:
@@ -383,8 +352,8 @@ def compare_snapshots(snap: Dict[str, object], base: Dict[str, object],
 # -------------------------------------------------------------------- CLI
 def _render(reports: List[SloReport]) -> str:
     lines = []
-    head = (f"{'scenario':<22} {'ops':>4} {'e2e p50':>10} {'e2e p99':>10} "
-            f"{'sum err':>8}  {'slo':<4} checks")
+    head = (f"{'scenario':<22} {'ops':>4} {'e2e p50':>10} {'e2e p99':>10}  "
+            f"{'slo':<4} checks")
     lines.append(head)
     lines.append("-" * len(head))
     for r in reports:
@@ -396,7 +365,7 @@ def _render(reports: List[SloReport]) -> str:
 
         lines.append(
             f"{r.scenario:<22} {r.n_ops:>4} {fmt(e2e.get('p50')):>10} "
-            f"{fmt(e2e.get('p99')):>10} {r.max_sum_error_ns:>8.2g}  "
+            f"{fmt(e2e.get('p99')):>10}  "
             f"{'ok' if r.slo_ok else 'FAIL':<4} "
             + (", ".join(failed) if failed else f"{len(r.checks)} budgets")
         )
@@ -419,9 +388,9 @@ def main(argv: Optional[list] = None) -> int:
                          "(default BENCH_slo.json); exit 1 on regression")
     ap.add_argument("--quick", action="store_true",
                     help="run the CI smoke subset of scenarios")
-    ap.add_argument("--rtol", type=float, default=0.10, metavar="FRAC",
+    ap.add_argument("--rtol", type=_float_at_least_zero(), default=0.10, metavar="FRAC",
                     help="relative noise band for --check (default 0.10)")
-    ap.add_argument("--atol", type=float, default=200.0, metavar="NS",
+    ap.add_argument("--atol", type=_float_at_least_zero(), default=200.0, metavar="NS",
                     help="absolute noise band in ns for --check (default 200)")
     args = ap.parse_args(argv)
     base = None
@@ -434,16 +403,13 @@ def main(argv: Optional[list] = None) -> int:
         except (OSError, ValueError) as exc:
             ap.error(f"--check: cannot read baseline {args.check!r}: {exc}")
 
-    reports = run_suite(quick=args.quick)
-    print(_render(reports))
-
-    bad_anatomy = [r for r in reports if not r.anatomy_ok]
-    if bad_anatomy:
-        print("\nDECOMPOSITION DEFECT (phases must sum to end-to-end "
-              f"within {SUM_TOLERANCE_NS} ns):")
-        for r in bad_anatomy:
-            print(f"  - {r.scenario}: sum error {r.max_sum_error_ns:.3g} ns")
+    try:
+        reports = run_suite(quick=args.quick)
+    except AnatomyError as exc:
+        print("DECOMPOSITION DEFECT (phases must sum to end-to-end "
+              f"within {SUM_TOLERANCE_NS} ns):\n  - {exc}")
         return 1
+    print(_render(reports))
 
     snap = snapshot(reports)
     out_path = args.out or ("BENCH_slo.json" if args.update else None)

@@ -29,6 +29,8 @@ or from the shell: ``python -m repro trace --protocol spin --replication 3``.
 from .anatomy import (
     PHASES,
     PRIORITY,
+    SUM_TOLERANCE_NS,
+    AnatomyError,
     CriticalStep,
     OpAnatomy,
     critical_path,
@@ -44,6 +46,8 @@ from .spans import Span, Telemetry, TraceContext
 __all__ = [
     "PHASES",
     "PRIORITY",
+    "SUM_TOLERANCE_NS",
+    "AnatomyError",
     "Counter",
     "CriticalStep",
     "Gauge",

@@ -15,8 +15,9 @@ the instant goes to the highest-priority phase (:data:`PRIORITY`), and
 time covered by no span at all lands in ``other`` (propagation delays,
 switch/NIC pipeline latencies, completion polling).  Because the phases
 partition the window, they **sum exactly to the end-to-end latency**
-(to float rounding, far below 1 ns) — the invariant the SLO regression
-tracker and the CI gate both assert.
+(to float rounding, far below 1 ns); a request whose phases miss it by
+more than :data:`SUM_TOLERANCE_NS` raises :class:`AnatomyError`, so every
+consumer of the decomposition is checked.
 
 ``retransmit`` sits at the *bottom* of the priority order: a backoff
 span only claims time in which nothing else made progress, so under
@@ -43,6 +44,8 @@ from .spans import Span, Telemetry
 __all__ = [
     "PHASES",
     "PRIORITY",
+    "SUM_TOLERANCE_NS",
+    "AnatomyError",
     "OpAnatomy",
     "CriticalStep",
     "decompose",
@@ -73,6 +76,15 @@ PRIORITY = ("hpu", "cpu", "dma", "ack", "wire", "submit", "host_queue", "retrans
 
 _PRIO_INDEX = {p: i for i, p in enumerate(PRIORITY)}
 _N_PRIO = len(PRIORITY)
+
+#: per-request decomposition defect ceiling: phases must sum to the
+#: end-to-end latency within this (float rounding is orders below it)
+SUM_TOLERANCE_NS = 1.0
+
+
+class AnatomyError(ValueError):
+    """A request's phases do not sum to its end-to-end latency: a span
+    is mis-tagged or double-counted."""
 
 
 @dataclass
@@ -151,14 +163,15 @@ def _phase_intervals(
     return out
 
 
-def _attribute(t0: float, t1: float, intervals: List[Tuple[float, float, int]]) -> Dict[str, float]:
+def _attribute(
+    trace_id: int, t0: float, t1: float, intervals: List[Tuple[float, float, int]]
+) -> Dict[str, float]:
     """Sweep the elementary segments of ``[t0, t1)``, crediting each to
     the highest-priority active phase (``other`` when none is active).
     The segments partition the window, so the credited times sum to
-    ``t1 - t0`` up to float rounding."""
+    ``t1 - t0`` up to float rounding; raises :class:`AnatomyError` when
+    they exceed it by more than :data:`SUM_TOLERANCE_NS`."""
     phases = dict.fromkeys(PHASES, 0.0)
-    if t1 <= t0:
-        return phases
     events: List[Tuple[float, int, int]] = []
     for a, b, prio in intervals:
         events.append((a, prio, 1))
@@ -191,21 +204,27 @@ def _attribute(t0: float, t1: float, intervals: List[Tuple[float, float, int]]) 
     if t1 > prev:
         credit(prev, t1)
     # Fold accumulated rounding into `other` so the phases sum to the
-    # end-to-end latency as exactly as floats allow.
+    # end-to-end latency as exactly as floats allow; `other` cannot absorb
+    # a negative residual (time credited twice or outside the window).
     named = sum(phases[p] for p in PHASES if p != "other")
     residual = (t1 - t0) - named
+    if residual < -SUM_TOLERANCE_NS:
+        raise AnatomyError(f"trace {trace_id}: phases sum to {named:.3f} ns, {-residual:.3f} ns "
+                           f"over its end-to-end latency {t1 - t0:.3f} ns")
     phases["other"] = residual if residual > 0.0 else 0.0
     return phases
 
 
 def decompose_trace(root: Span, children: Iterable[Span]) -> OpAnatomy:
-    """Phase decomposition of one finished request span."""
+    """Phase decomposition of one finished request span; raises
+    :class:`AnatomyError` when its phases miss its end-to-end latency."""
     assert root.t1 is not None, "decompose_trace needs a finished root"
+    trace_id = root.trace_id if root.trace_id is not None else -1
     intervals = _phase_intervals(root, children)
-    phases = _attribute(root.t0, root.t1, intervals)
+    phases = _attribute(trace_id, root.t0, root.t1, intervals)
     args = root.args or {}
     return OpAnatomy(
-        trace_id=root.trace_id if root.trace_id is not None else -1,
+        trace_id=trace_id,
         name=root.name,
         protocol=str(args.get("protocol", "")),
         op=str(args.get("op", "")),
@@ -235,7 +254,9 @@ def _traces(tel: Telemetry) -> List[Tuple[Span, List[Span]]]:
 
 
 def decompose(tel: Telemetry) -> List[OpAnatomy]:
-    """Phase decomposition of every finished request in the sink."""
+    """Phase decomposition of every finished request in the sink; raises
+    :class:`AnatomyError` on the first request whose phases miss its
+    end-to-end latency by more than :data:`SUM_TOLERANCE_NS`."""
     return [decompose_trace(root, kids) for root, kids in _traces(tel)]
 
 

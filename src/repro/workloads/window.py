@@ -98,7 +98,9 @@ def finish(
     :meth:`~repro.dfs.cluster.Testbed.idle`, and ``phase_latency`` the
     per-phase anatomy (:func:`repro.telemetry.phase_summary` shape) of
     the operations that completed ok inside the window — None unless the
-    testbed runs with telemetry and such operations exist.
+    testbed runs with telemetry and such operations exist.  Raises
+    :class:`~repro.telemetry.anatomy.AnatomyError` when a request's phases
+    miss its end-to-end latency.
     """
     sim = testbed.sim
     sim.run_until_event(sim.all_of(procs))

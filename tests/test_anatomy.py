@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.telemetry.anatomy as anatomy
 from repro.dfs.client import DfsClient
 from repro.dfs.cluster import build_testbed
 from repro.dfs.layout import EcSpec, ReplicationSpec
@@ -10,6 +11,8 @@ from repro.experiments.common import installer_for
 from repro.telemetry import (
     PHASES,
     PRIORITY,
+    SUM_TOLERANCE_NS,
+    AnatomyError,
     Telemetry,
     critical_path,
     decompose,
@@ -80,6 +83,48 @@ def test_children_clipped_to_request_window():
     assert op.phases["wire"] == pytest.approx(10.0)
     assert op.phases["ack"] == 0.0
     assert op.sum_ns == pytest.approx(op.end_to_end_ns, abs=SUM_TOL)
+
+
+@pytest.mark.parametrize("overrun", [2 * SUM_TOLERANCE_NS, 50.0])
+def test_phase_overrunning_the_window_is_a_decomposition_error(overrun, monkeypatch):
+    """Phase time beyond the request window (a mis-clipped or
+    double-counted span) fails the decomposition itself, naming the
+    trace and the defect, so no consumer can summarize it unchecked."""
+    tel = Telemetry(enabled=True)
+    root, tctx = _request(tel, 0.0, 100.0)
+    # the phase covers the whole window and runs past its end, so the
+    # overrun cannot hide in `other`
+    tel.span("w", pid="net", tid="l", t0=0.0, t1=100.0 + overrun, trace=tctx,
+             phase="wire")
+    unclipped = [(s.t0, s.t1, PRIORITY.index(s.phase))
+                 for s in tel.spans if s.phase is not None]
+    monkeypatch.setattr(anatomy, "_phase_intervals", lambda r, kids: unclipped)
+    with pytest.raises(AnatomyError,
+                       match=rf"trace {root.trace_id}\b.* {overrun:.3f} ns over"):
+        decompose(tel)
+
+
+def test_overrun_within_tolerance_is_float_rounding(monkeypatch):
+    tel = Telemetry(enabled=True)
+    _, tctx = _request(tel, 0.0, 100.0)
+    monkeypatch.setattr(anatomy, "_phase_intervals",
+                        lambda r, kids: [(0.0, 100.0 + SUM_TOLERANCE_NS / 2, 0)])
+    (op,) = decompose(tel)
+    assert op.phases["other"] == 0.0
+    assert abs(op.sum_error_ns) <= SUM_TOLERANCE_NS
+
+
+def test_load_run_phase_summary_is_checked(monkeypatch):
+    """A load run summarizes its phases through the decomposition, so a
+    defective request fails the run instead of reaching its report."""
+    from repro.workloads import LoadSpec, closed_loop_write_load
+
+    monkeypatch.setattr(anatomy, "_phase_intervals",
+                        lambda root, kids: [(root.t0, root.t1 + 10.0, 0)])
+    tb = build_testbed(n_storage=2, n_clients=1, telemetry=True)
+    spec = LoadSpec(n_clients=1, warmup_ns=0.0, measure_ns=20_000.0)
+    with pytest.raises(AnatomyError, match="10.000 ns over"):
+        closed_loop_write_load(tb, 4096, "raw", spec)
 
 
 def test_unfinished_and_untagged_children_are_ignored():

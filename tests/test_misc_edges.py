@@ -121,12 +121,25 @@ def test_top_level_cli_info(capsys):
     (["perf", "--check", "MISSING"], "--check"),
     (["slo", "--check", "MISSING"], "--check"),
     (["sanitize", "--seed", "-1"], "--seed"),
+    # a NaN, negative or infinite noise band would switch the regression
+    # gate off, a tolerance >= 100% would make the floor negative, and
+    # fewer than one job would silently run serial
+    (["slo", "--rtol", "nan"], "--rtol: must be"),
+    (["slo", "--rtol", "-0.1"], "--rtol: must be"),
+    (["slo", "--atol", "inf"], "--atol: must be"),
+    (["perf", "--tolerance", "-3"], "--tolerance: must be"),
+    (["perf", "--tolerance", "1"], "--tolerance: must be"),
+    (["experiments", "fig04", "--jobs", "0"], "--jobs: must be"),
+    (["experiments", "fig04", "--jobs", "-3"], "--jobs: must be"),
 ], ids=["demo-seed", "scenario-seed", "trace-size", "trace-ec", "trace-storage",
         "trace-replication", "trace-storage-vs-layout", "perf-check", "slo-check",
-        "sanitize-seed"])
+        "sanitize-seed", "slo-rtol-nan", "slo-rtol-negative", "slo-atol-inf",
+        "perf-tolerance-negative", "perf-tolerance-one", "experiments-jobs-zero",
+        "experiments-jobs-negative"])
 def test_cli_bad_number_or_path_is_usage_error(argv, flag, capsys, tmp_path, monkeypatch):
     """A bad number or baseline path is an argparse error (exit 2) naming
     the flag, raised before any simulation runs."""
+    import repro.experiments.__main__
     import repro.perfsnap
     import repro.slo
     from repro.__main__ import main
@@ -136,7 +149,10 @@ def test_cli_bad_number_or_path_is_usage_error(argv, flag, capsys, tmp_path, mon
 
     monkeypatch.setattr(repro.perfsnap, "collect_snapshot", measured)
     monkeypatch.setattr(repro.slo, "run_suite", measured)
+    monkeypatch.setattr(repro.experiments.__main__, "run", measured)
     argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+    if argv[0] == "experiments":
+        main, argv = repro.experiments.__main__.main, argv[1:]
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
