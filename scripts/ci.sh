@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: simlint, tier-1 tests, trace-export and fault-injection
 # smokes, simsan sanitize stage, SLO suite, parallel-sweep and
-# determinism smokes, benchmark smoke, simulator perf guards (including
-# the telemetry disabled-overhead guard).
+# determinism smokes, benchmark smoke and harness tests, simulator perf
+# guards (including the telemetry disabled-overhead guard).
 #
 # The perf guards compare wall-clock numbers with BENCH_simulator.json;
 # on a host whose CPU affinity or Python version differs from the
@@ -147,6 +147,12 @@ if [ "$bench_status" -ne 0 ] || grep -q "CHECK FAILED" "$tmpdir/bench.txt"; then
     echo "benchmark smoke failed (exit $bench_status)"
     exit 1
 fi
+
+echo
+echo "== benchmark harness tests (bench/test_bench.py) =="
+# the benchmark's own tests: driver protocol, digests, comparison and
+# layer folding; tests/ (tier-1) does not collect them
+python -m pytest -q bench/test_bench.py
 
 echo
 echo "== simulator perf guard (vs committed BENCH_simulator.json) =="

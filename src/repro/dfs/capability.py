@@ -16,14 +16,12 @@ computed once per key, so a signature costs two state copies and two
 short hashes instead of a fresh key schedule.
 """
 
-from __future__ import annotations
-
 import hmac
 import hashlib
 import secrets
 import struct
-from dataclasses import dataclass
 from enum import IntFlag
+from typing import NamedTuple
 
 __all__ = ["Rights", "Capability", "CapabilityAuthority", "CAPABILITY_WIRE_BYTES"]
 
@@ -50,9 +48,14 @@ _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
-@dataclass(frozen=True)
-class Capability:
-    """A signed grant of ``rights`` on ``[addr, addr+length)`` of an object."""
+class Capability(NamedTuple):
+    """A signed grant of ``rights`` on ``[addr, addr+length)`` of an object.
+
+    Immutable: a tuple, so building one is a single ``tuple.__new__``
+    (a frozen dataclass pays an ``object.__setattr__`` per field).
+    Equality and hashing are a frozen dataclass's: field by field, and
+    only between capabilities, never with a bare tuple.
+    """
 
     client_id: int
     object_id: int
@@ -61,6 +64,18 @@ class Capability:
     rights: Rights
     expiry_ns: int
     signature: bytes
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Capability:
+            return tuple.__eq__(self, other)
+        # a bare tuple would otherwise compare equal field by field
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
 
     # ------------------------------------------------------------ wire
     def descriptor_bytes(self) -> bytes:

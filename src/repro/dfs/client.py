@@ -78,12 +78,17 @@ class DfsClient:
         return layout
 
     def ticket(self, path: str) -> Capability:
-        return self._tickets[path]
+        """The capability :meth:`create` or :meth:`open` obtained for ``path``."""
+        cap = self._tickets.get(path)
+        if cap is None:
+            raise KeyError(f"client {self.client_id} on {self.node.name} holds no "
+                           f"ticket for {path!r}: open or create it first")
+        return cap
 
     def forge_ticket(self, path: str) -> Capability:
         """A tampered capability (for the security tests/examples): same
         descriptor, corrupted signature."""
-        cap = self._tickets[path]
+        cap = self.ticket(path)
         bad_sig = bytes(b ^ 0xFF for b in cap.signature)
         return Capability(
             cap.client_id,

@@ -203,14 +203,18 @@ def _attribute(
             j += 1
     if t1 > prev:
         credit(prev, t1)
-    # Fold accumulated rounding into `other` so the phases sum to the
-    # end-to-end latency as exactly as floats allow; `other` cannot absorb
-    # a negative residual (time credited twice or outside the window).
+    # The swept total, `other` included, is what the segments covered:
+    # past the window means time credited twice or outside it.  Checked
+    # before the fold below, which would let `other` hide such an overrun.
     named = sum(phases[p] for p in PHASES if p != "other")
+    swept = named + phases["other"]
+    if swept - (t1 - t0) > SUM_TOLERANCE_NS:
+        raise AnatomyError(f"trace {trace_id}: phases sum to {swept:.3f} ns, "
+                           f"{swept - (t1 - t0):.3f} ns over its end-to-end "
+                           f"latency {t1 - t0:.3f} ns")
+    # Fold accumulated rounding into `other` so the phases sum to the
+    # end-to-end latency as exactly as floats allow.
     residual = (t1 - t0) - named
-    if residual < -SUM_TOLERANCE_NS:
-        raise AnatomyError(f"trace {trace_id}: phases sum to {named:.3f} ns, {-residual:.3f} ns "
-                           f"over its end-to-end latency {t1 - t0:.3f} ns")
     phases["other"] = residual if residual > 0.0 else 0.0
     return phases
 

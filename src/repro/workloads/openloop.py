@@ -19,13 +19,16 @@ process per (client-host, class) bucket**: the bucket keeps a binary
 heap of ``(next_arrival, client)`` pairs and repeatedly pops the
 earliest arrival, sleeps to its absolute timestamp, stamps the request
 with the virtual client id, and pushes the client's next arrival.
-Scheduling is O(log N) per *request*, and set-up is O(active clients):
-one vectorized pass over the clients' first draws
-(:func:`_first_arrival_candidates`) keeps only the clients whose first
-arrival may fall before the horizon, and only those run the scalar
-stepper.  A client that stays idle for the whole run costs no heap slot
+Scheduling is O(log N) per *request*, and set-up follows what the run
+touches.  One vectorized pass (:func:`_first_arrival_blocks`) draws
+every client's first arrival from whole arrays of draws, for every
+arrival kind; the scalar stepper runs only after a client's first
+arrival.  A client that stays idle for the whole run costs no heap slot
 and no coroutine, so a million-user population runs at the speed of its
-aggregate request rate.
+aggregate request rate.  The namespace is created up front, but each
+capability ticket is signed on its host's first write to the object
+(:func:`open_loop_write_load`), so untouched (host, object) pairs cost
+no signature.
 
 Exactness guarantee
 -------------------
@@ -35,8 +38,8 @@ one-coroutine-per-client engine would: :func:`run_open_loop` (heap
 merge) and :func:`run_open_loop_reference` (explicit coroutines)
 produce **byte-identical request schedules** — and therefore identical
 completions — for any spec; ``tests/test_openloop.py`` proves it at
-N ∈ {1, 4, 32} for every arrival kind, on sparse populations and on
-two-class mixes.  Both engines sleep with ``timeout_at(t)`` (absolute
+N ∈ {1, 4, 32} for every arrival kind, at N = 400 for on/off, on sparse
+populations and on two-class mixes.  Both engines sleep with ``timeout_at(t)`` (absolute
 time), so no floating-point re-accumulation can skew a wake-up, and
 arrival timestamps are continuous draws, so cross-client ties (where
 the two engines' heap tie-breaks could differ) occur with probability
@@ -64,7 +67,9 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import repeat
 from numbers import Integral, Real
-from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, Iterable, Iterator, List, Optional, Tuple,
+)
 
 import numpy as np
 
@@ -374,29 +379,69 @@ def _class_of(seed: int, cid: int, cum: List[float]) -> int:
 #: numpy temporaries (a few MB) whatever the population
 _CHUNK = 1 << 16
 
+#: one first-arrival block: ``(cls, cids, times, states)``
+_Block = Tuple[int, List[int], List[float], Iterable[Any]]
 
-def _first_arrival_candidates(
-    spec: OpenLoopSpec,
-) -> Iterator[Tuple[int, List[int], Optional[List[int]]]]:
-    """Yield ``(cls, cids, starts)``: the clients of class ``cls`` whose
-    first arrival *may* come before the horizon, each with the stepper
-    state to start it from (``starts=None``: the stepper's initial state).
 
-    The filter works on whole arrays of ``u01`` draws and never computes
-    an arrival time (``np.log`` and ``math.log`` disagree in the last
-    bit on some draws): the caller runs the scalar ``step`` from each
-    start and applies the exact ``t < horizon`` test.  So the yielded
-    set must be a superset of the clients that arrive in time:
+def _onoff_first(
+    a: ArrivalSpec, seed: int, horizon: float, cls: int, cids: np.ndarray
+) -> Iterator[_Block]:
+    """First arrivals of on/off clients, all of them in lockstep.
+
+    Every client starts OFF at draw 0, and each OFF+ON cycle ``i`` that
+    ends without an arrival uses draws ``3i`` (OFF), ``3i+1`` (ON) and
+    ``3i+2`` (gap): the clients still waiting share ``k``, so one
+    :func:`u01_array` call per draw serves them all.  The float steps
+    are the stepper's, in its order.  A client whose ON phase ends at or
+    past the horizon drops out: every later arrival comes no earlier.
+    """
+    rate = a.rate_hz
+    on_alpha, on_min = a.on_alpha, a.on_min_ns
+    off_alpha, off_min = a.off_alpha, a.off_min_ns
+    live, start = cids, [0.0] * len(cids)
+    k = 0
+    while len(live):
+        offs = u01_array(seed, live, k, TAG_STATE).tolist()
+        ons = u01_array(seed, live, k + 1, TAG_STATE).tolist()
+        gaps = u01_array(seed, live, k + 2, TAG_GAP).tolist()
+        k += 3
+        done, times, states, wait, ends = [], [], [], [], []
+        for j, t in enumerate(start):
+            t += pareto(offs[j], off_alpha, off_min)
+            on_end = t + pareto(ons[j], on_alpha, on_min)
+            t_arr = t + exp_gap(gaps[j], rate)
+            if t_arr <= on_end:
+                done.append(j)
+                times.append(t_arr)
+                states.append((k, on_end))
+            elif on_end < horizon:
+                wait.append(j)
+                ends.append(on_end)
+        yield cls, live[done].tolist(), times, states
+        live, start = live[wait], ends
+
+
+def _first_arrival_blocks(spec: OpenLoopSpec) -> Iterator[_Block]:
+    """Yield ``(cls, cids, times, states)``: clients of class ``cls``
+    whose first arrival *may* come before the horizon, each with that
+    arrival's time and the stepper state to continue from; the caller
+    keeps those with ``t < horizon``.
+
+    The draws come from :func:`u01_array`, whole blocks of clients at a
+    time; the transforms stay the scalar ``exp_gap``/``pareto`` on
+    ``.tolist()`` values (``np.log`` and ``math.log`` disagree in the
+    last bit on some draws), so every time and state is bit-identical
+    to what ``step(cid, 0.0, init)`` returns, and ``step`` itself runs
+    only after a client's first arrival:
 
     * ``poisson`` — the first gap is ``-log(u)/rate`` with ``u`` draw 0,
-      so ``t < horizon`` needs ``u > exp(-horizon*rate)``; the threshold
-      is lowered by a relative 1e-9, far above the rounding error;
+      so ``t < horizon`` needs ``u > exp(-horizon*rate)``: that filter,
+      lowered by a relative 1e-9 (far above the rounding error), skips
+      the ``log`` of most draws of a sparse population;
     * ``burst`` — a client's first arrival lies in the first burst it
       joins: scan the bursts that start before the horizon over the
-      shrinking set of clients that have joined none yet, start each
-      client at its burst, and drop those that join none of them;
-    * ``onoff`` — the first arrival follows a chain of Pareto phase
-      draws: every client is a candidate.
+      shrinking set of clients that have joined none yet;
+    * ``onoff`` — :func:`_onoff_first`.
     """
     seed, horizon = spec.seed, spec.horizon_ns
     _, class_cum, arrivals, _ = _class_tables(spec)
@@ -409,18 +454,24 @@ def _first_arrival_candidates(
         for cls, a in enumerate(arrivals):
             members = cids if len(arrivals) == 1 else cids[of_cls == cls]
             if a.kind == "poisson":
-                keep = math.exp(-horizon * a.rate_hz / 1e9) * (1.0 - 1e-9)
-                members = members[u01_array(seed, members, 0, TAG_GAP) > keep]
-                yield cls, members.tolist(), None
+                rate = a.rate_hz
+                u = u01_array(seed, members, 0, TAG_GAP)
+                near = u > math.exp(-horizon * rate / 1e9) * (1.0 - 1e-9)
+                yield (cls, members[near].tolist(),
+                       [exp_gap(x, rate) for x in u[near].tolist()], repeat(1))
             elif a.kind == "burst":
+                period, jitter = a.burst_period_ns, a.burst_jitter_ns
                 b = 0
-                while len(members) and b * a.burst_period_ns < horizon:
+                while len(members) and b * period < horizon:
                     joined = u01_array(seed, members, b, TAG_GAP) < a.burst_join
-                    yield cls, members[joined].tolist(), [b] * int(joined.sum())
+                    at, first = b * period, members[joined]
+                    jit = u01_array(seed, first, b, TAG_STATE).tolist()
+                    yield (cls, first.tolist(), [at + x * jitter for x in jit],
+                           repeat(b + 1))
                     members = members[~joined]
                     b += 1
             else:
-                yield cls, members.tolist(), None
+                yield from _onoff_first(a, seed, horizon, cls, members)
 
 
 # ---------------------------------------------------------------- results
@@ -574,19 +625,16 @@ class _Run:
 
 
 def _first_arrivals(
-    spec: OpenLoopSpec, steppers: List[Tuple[Any, Callable]], k_buckets: int,
+    spec: OpenLoopSpec, k_buckets: int,
 ) -> Tuple[Dict[Tuple[int, int], List[Tuple[float, int]]], List[Any]]:
     """First arrivals bucketed by ``(cid % k_buckets, class)``, plus the
-    per-client stepper states.  Only the candidates of
-    :func:`_first_arrival_candidates` are stepped; a client whose first
-    arrival lies at or beyond the horizon never enters a heap."""
+    per-client stepper states (``None`` for a client that never enters
+    a heap: its first arrival lies at or beyond the horizon)."""
     horizon = spec.horizon_ns
     states: List[Any] = [None] * spec.n_users
     heaps: Dict[Tuple[int, int], List[Tuple[float, int]]] = {}
-    for cls, cids, starts in _first_arrival_candidates(spec):
-        init, step = steppers[cls]
-        for cid, start in zip(cids, repeat(init) if starts is None else starts):
-            t, st = step(cid, 0.0, start)
+    for cls, cids, times, sts in _first_arrival_blocks(spec):
+        for cid, t, st in zip(cids, times, sts):
             if t < horizon:
                 states[cid] = st
                 heaps.setdefault((cid % k_buckets, cls), []).append((t, cid))
@@ -612,7 +660,7 @@ def run_open_loop(
     k_buckets = min(max(len(getattr(testbed, "clients", ())), 1), spec.n_users)
     horizon = spec.horizon_ns
     t0 = run.t0
-    heaps, states = _first_arrivals(spec, run.steppers, k_buckets)
+    heaps, states = _first_arrivals(spec, k_buckets)
 
     def _generator(heap: List[Tuple[float, int]], cls: int) -> Generator:
         step = run.steppers[cls][1]
@@ -681,10 +729,14 @@ def build_namespace(
 
     Object ``i`` (its popularity rank) is ``/ol/i``; the ``pin_top``
     hottest are pinned onto ``pin_node`` (the hot-shard scenario), the
-    rest placed by the metadata service's policy.  One endpoint per
-    client host opens every object, which signs one capability ticket
-    per (object, host).  Returns the endpoints, the paths by rank and
-    each object's primary node.
+    rest placed by the metadata service's policy.  Every object is
+    created here, in rank order, because placement depends on that
+    order.  The endpoints, one per client host, open nothing: a
+    capability ticket depends only on the signing key, the client id
+    and the object id, so :func:`open_loop_write_load` signs it on the
+    host's first write to the object, the same bytes at a cost that
+    follows the (host, object) pairs the run writes.  Returns the
+    endpoints, the paths by rank and each object's primary node.
     """
     from ..dfs.client import DfsClient
 
@@ -706,8 +758,6 @@ def build_namespace(
                            ec=ec, pin_nodes=pin)
         obj_node.append(layout.extents[0].node)
         paths.append(path)
-        for ep in endpoints:
-            ep.open(path)
     return endpoints, paths, obj_node
 
 
@@ -748,11 +798,15 @@ def open_loop_write_load(
     )
     n_hosts = len(endpoints)
     payload = payload_bytes(max_req, seed=spec.seed)
+    opened: List[set] = [set() for _ in endpoints]
 
     def issue(cid: int, n: int, obj: int, size: int) -> Event:
-        return endpoints[cid % n_hosts].write(
-            paths[obj], payload[:size], protocol=protocol, **write_kw
-        )
+        h = cid % n_hosts
+        ep = endpoints[h]
+        if obj not in opened[h]:  # the host's first write: sign its ticket
+            opened[h].add(obj)
+            ep.open(paths[obj])
+        return ep.write(paths[obj], payload[:size], protocol=protocol, **write_kw)
 
     runner = run_open_loop if engine == "aggregated" else run_open_loop_reference
     if engine not in ("aggregated", "explicit"):

@@ -104,6 +104,19 @@ def test_phase_overrunning_the_window_is_a_decomposition_error(overrun, monkeypa
         decompose(tel)
 
 
+def test_overrun_cannot_hide_in_other(monkeypatch):
+    """An unclipped interval past the window's end, in a window with idle
+    time before it: the swept total (``other`` included) exceeds the
+    end-to-end latency, though the named phases alone do not."""
+    tel = Telemetry(enabled=True)
+    root, _ = _request(tel, 0.0, 100.0)
+    monkeypatch.setattr(anatomy, "_phase_intervals",
+                        lambda r, kids: [(90.0, 102.0, PRIORITY.index("wire"))])
+    with pytest.raises(AnatomyError,
+                       match=rf"trace {root.trace_id}\b.* 2\.000 ns over"):
+        decompose(tel)
+
+
 def test_overrun_within_tolerance_is_float_rounding(monkeypatch):
     tel = Telemetry(enabled=True)
     _, tctx = _request(tel, 0.0, 100.0)

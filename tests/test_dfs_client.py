@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.dfs.capability import Capability
 from repro.dfs.client import DfsClient
 from repro.dfs.cluster import build_testbed
 from repro.dfs.layout import EcSpec, ReplicationSpec
@@ -74,6 +75,29 @@ def test_forge_ticket_differs_only_in_signature(env):
     good, bad = c.ticket("/f"), c.forge_ticket("/f")
     assert good.descriptor_bytes() == bad.descriptor_bytes()
     assert good.signature != bad.signature
+
+
+def test_unopened_ticket_names_client_and_path(env):
+    _, c = env
+    c.create("/f", size=1 * KiB)
+    other = DfsClient(c.testbed, client_index=1, principal="bob")
+    for get in (other.ticket, other.forge_ticket):
+        with pytest.raises(KeyError, match=rf"client {other.client_id} on "
+                                           rf"{other.node.name}\b.*'/f'"):
+            get("/f")
+
+
+def test_capability_value_semantics(env):
+    """Tickets compare and hash field by field, equal only to tickets."""
+    tb, c = env
+    c.create("/f", size=1 * KiB)
+    cap = c.ticket("/f")
+    again = Capability.from_wire(cap.to_wire())
+    assert again == cap and not again != cap and hash(again) == hash(cap)
+    assert cap != cap._replace(addr=1)
+    assert cap != tuple(cap) and tuple(cap) != cap and not cap == tuple(cap)
+    with pytest.raises(AttributeError):
+        cap.addr = 1
 
 
 def test_two_clients_distinct_identities(env):

