@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: simlint, tier-1 tests, trace-export and fault-injection
-# smokes, simsan sanitize stage, SLO suite, parallel-sweep and
-# determinism smokes, benchmark smoke and harness tests, simulator perf
+# CI gate: simlint, tier-1 tests (the trace-export schema check among
+# them, in tests/test_telemetry_export.py), fault-injection smoke,
+# simsan sanitize stage, SLO suite, parallel-sweep and determinism
+# smokes, benchmark smoke and harness tests, simulator perf
 # guards (including the telemetry disabled-overhead guard).
 #
 # The perf guards compare wall-clock numbers with BENCH_simulator.json;
@@ -42,39 +43,8 @@ echo
 echo "== tier-1 test suite =="
 python -m pytest -x -q
 
-echo
-echo "== trace-export smoke (replicated spin write -> Perfetto JSON) =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
-python -m repro trace --protocol spin --replication 3 \
-    --out "$tmpdir/ci.trace.json" --metrics "$tmpdir/ci.metrics.json"
-
-python - "$tmpdir/ci.trace.json" "$tmpdir/ci.metrics.json" <<'PY'
-import json
-import sys
-
-trace_path, metrics_path = sys.argv[1], sys.argv[2]
-doc = json.load(open(trace_path))
-events = doc["traceEvents"]
-assert doc["displayTimeUnit"] == "ns", "missing displayTimeUnit"
-assert events, "empty traceEvents"
-slices = [e for e in events if e["ph"] == "X"]
-named = {e["pid"] for e in events if e["ph"] == "M" and e["name"] == "process_name"}
-for e in slices:
-    assert e["ts"] >= 0 and e["dur"] >= 0, f"bad timing in {e}"
-    assert e["pid"] in named, f"slice on unnamed pid {e['pid']}"
-cats = {e["cat"] for e in slices}
-missing = {"request", "net", "hpu", "host"} - cats
-assert not missing, f"trace missing layers: {missing}"
-timed = [e["ts"] for e in events if e["ph"] != "M"]
-assert timed == sorted(timed), "timestamps not monotonic"
-
-snap = json.load(open(metrics_path))
-assert snap["counters"], "metrics dump has no counters"
-assert any(k.endswith(".latency_ns") for k in snap["histograms"]), \
-    "no request-latency histogram"
-print(f"trace schema OK: {len(slices)} spans across {sorted(cats)}")
-PY
 
 echo
 echo "== fault-injection smoke (seeded loss, all protocols, quiesce, simsan) =="

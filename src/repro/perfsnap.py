@@ -329,7 +329,8 @@ def main(argv: Optional[list] = None) -> int:
               f"{wl['sim_seconds']}s sim in {wl['wall_s']}s wall — "
               f"{wl['users_per_wall_s']:,} users/s, "
               f"{wl['requests_per_wall_s']:,} req/s, "
-              f"{wl['events']:,} events ({wl['events_per_wall_s']:,}/s)")
+              f"{wl['events']:,} events ({wl['events_per_wall_s']:,}/s), "
+              f"schedule {wl['schedule_digest']}, outcome {wl['outcome_digest']}")
 
     if args.out:
         with open(args.out, "w") as fh:
@@ -344,14 +345,19 @@ def main(argv: Optional[list] = None) -> int:
             for f in failures:
                 print(f"  - {f}")
             return 1
+        held = ""
+        if "workload" in snap and "workload" in base:
+            wl = snap["workload"]
+            held = (f"; workload digests held: schedule {wl['schedule_digest']}, "
+                    f"outcome {wl['outcome_digest']}")
         mismatch = host_mismatch(snap, base)
         if mismatch is not None:
             print(f"{mismatch}; wall-clock floors skipped, "
-                  f"deterministic checks passed")
+                  f"deterministic checks passed{held}")
             return 2
         print(f"perf check vs {args.check} passed "
               f"(tolerance {args.tolerance:.0%} on wall-clock, 5% on events/packet, "
-              f"telemetry off/on <= {TELEMETRY_OFF_ON_CAP})")
+              f"telemetry off/on <= {TELEMETRY_OFF_ON_CAP}){held}")
     return 0
 
 

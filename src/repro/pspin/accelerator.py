@@ -24,12 +24,25 @@ Two emergent effects the model must produce (not hard-code):
 * **L1 contention** — memory-intensive handlers (the GF encode loop) see
   a CPI penalty growing with concurrently active HPUs in their cluster,
   producing the ~12 % EC throughput drop at high utilisation (§VI-C(b)).
+
+How the model runs: a packet's trip through the pipeline is a
+:class:`_PacketRecord` whose stages are heap callbacks, not a coroutine.
+Each sleep is one ``_call_soon1``/``_call_at1`` push, and each wait
+(header done, payload handlers done, an HPU or quota grant) is a
+callback on that event, in the same heap positions a coroutine's
+``Process._wait_on`` would take, so the schedule is entry-for-entry the
+one a process per packet would produce.  Handler bodies stay generators
+(the policy API is unchanged); the record steps them with
+``send``/``throw`` and waits on what they yield.  Handler egress is a
+FIFO of ``egress_credits`` slots fused with its pump
+(:class:`_HandlerEgress`): one transmission in flight, blocked putters
+queued FIFO.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
@@ -39,7 +52,7 @@ from ..params import PsPinParams
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a core<->pspin import cycle
     from ..core.context import ExecutionContext
-from ..simnet.engine import Event, SimulationError, Simulator
+from ..simnet.engine import _DISPATCHED, Event, SimulationError, Simulator
 from ..simnet.packet import Packet
 from ..simnet.resources import Resource
 
@@ -79,8 +92,9 @@ class _Cluster:
         self.hpus = Resource(sim, params.hpus_per_cluster, name=f"cluster{idx}.hpus")
         self.active = 0  # handlers currently in their compute phase
         #: ``(t0, seq)`` of each running handler that took the one-wake-up
-        #: path (see ``_exec``): active from ``t0`` on, ordered among the
-        #: entries due at ``t0`` by ``seq``, until the handler ends
+        #: path (see ``_PacketRecord.dispatch``): active from ``t0`` on,
+        #: ordered among the entries due at ``t0`` by ``seq``, until the
+        #: handler ends
         self.pending: List[tuple] = []
 
     def active_at(self, own: tuple) -> int:
@@ -185,6 +199,417 @@ class _AccelTrain:
         self.dead = False
 
 
+class _HandlerEgress:
+    """The handler egress command queue fused with the pump that drains
+    it at line rate, one transmission in flight (like a DMA engine
+    feeding the wire).
+
+    ``put`` returns an event that fires once the queue accepts the
+    packet: at once while a slot is free, later for a putter blocked on
+    a full queue (FIFO), which is the back-pressure behind Table I's PBT
+    numbers.  The pump is two callbacks: ``_send`` transmits one packet
+    and waits on the port's tx-done event; ``_next`` then takes the next
+    packet or parks.  A put to a parked pump wakes it with one
+    ``_call_soon1``.
+    """
+
+    __slots__ = ("sim", "send_fn", "capacity", "name", "strand", "_put_name",
+                 "items", "_putters", "parked")
+
+    def __init__(self, sim: Simulator, send_fn: Callable[[Packet], Event],
+                 capacity: int, name: str) -> None:
+        self.sim = sim
+        self.send_fn = send_fn
+        self.capacity = capacity
+        self.name = name
+        #: simsan attributes the pump's pushes to this callback chain
+        self.strand = name
+        self._put_name = f"put({name})"
+        self.items: deque = deque()
+        #: ``(event, packet)`` of each put waiting for a free slot (the
+        #: attribute simsan's store sweep reads)
+        self._putters: deque = deque()
+        self.parked = False
+        # the pump's first look at its queue
+        sim._call_soon1(self._next, None)
+
+    def put(self, pkt: Packet) -> Event:
+        sim = self.sim
+        ev = Event(sim, self._put_name)
+        if self.parked:
+            self.parked = False
+            sim._call_soon1(self._send, pkt)
+            ev.succeed(None)
+        elif len(self.items) < self.capacity:
+            self.items.append(pkt)
+            ev.succeed(None)
+        else:
+            self._putters.append((ev, pkt))
+            san = sim.sanitizer
+            if san is not None:
+                san.claim("store-wait", id(ev), self.name)
+        return ev
+
+    def _send(self, pkt: Packet) -> None:
+        tx = self.send_fn(pkt)
+        if not isinstance(tx, Event):
+            raise SimulationError(f"{self.name}: send_fn returned non-event {tx!r}")
+        tx.add_callback(self._next)
+
+    def _next(self, _tx) -> None:
+        items = self.items
+        if not items:
+            self.parked = True
+            return
+        pkt = items.popleft()
+        if self._putters:
+            pev, pitem = self._putters.popleft()
+            items.append(pitem)
+            san = self.sim.sanitizer
+            if san is not None:
+                san.retire("store-wait", id(pev))
+            pev.succeed(None)
+        self.sim._call_soon1(self._send, pkt)
+
+
+class _PacketRecord:
+    """One packet's pass through the pipeline, run as heap callbacks.
+
+    Each method is one stage, entered from the heap (a sleep is one
+    ``_call_soon1``/``_call_at1`` push) or from the event it waited on
+    (a callback appended to it).  Waits follow ``Process._wait_on``: a
+    wait on an event that was already dispatched costs one
+    ``_call_soon1``.  Same-instant ordering therefore matches a process
+    per packet, which ``tests/test_pspin_pins.py`` pins.
+
+    Stage order: ``f1`` (end of packet buffer + scheduler) -> ``l1_done``
+    -> ``gate`` (header handler first, payload handlers after
+    ``hh_done``) -> ``activate`` (quota, HPU) -> ``dispatch`` ->
+    [``dispatched``] -> ``run_body`` -> ``step``* -> ``handler_done`` ->
+    the next handler or ``completion_gate`` (after ``phs_done``).  A
+    torn-down train re-enters through ``copy_start``, ``gate``,
+    ``hpu_start`` or ``completion_gate`` at the stage each packet
+    reached.
+
+    ``strand`` names the chain for simsan, as a process name would.
+    """
+
+    __slots__ = (
+        "acc", "ctx", "pkt", "strand", "l1_ns", "run", "xcl", "skip_header",
+        "htype", "cluster", "req", "qreq", "cost", "writer", "t0", "act",
+        "own", "body", "at", "j", "mstage",
+    )
+
+    def __init__(self, acc: "PsPinAccelerator", ctx: "ExecutionContext", pkt: Packet,
+                 run: Optional[_MessageRun] = None, strand: str = "pspin.pipeline") -> None:
+        self.acc = acc
+        self.ctx = ctx
+        self.pkt = pkt
+        self.run = run
+        self.strand = strand
+        self.skip_header = False
+        self.qreq = None
+
+    # ----------------------------------------------------------- ingress
+    def f1(self, _) -> None:
+        """F1 done: run lookup and cluster picks, then the L1 copy
+        (``l1_ns``, set at ingest)."""
+        acc = self.acc
+        self.run, self.xcl = acc._pipeline_front(self.ctx, self.pkt)
+        acc.sim._call_soon1(self.l1_done, None, self.l1_ns)
+
+    def l1_done(self, _) -> None:
+        acc = self.acc
+        at = acc._train
+        if at is not None and self.pkt is at.pkts[0]:
+            # The lead packet of a paced train runs the real pipeline:
+            # apply agenda effects due by now (arrivals of later train
+            # packets) first, so the shared ingress-queue state mutates
+            # in exactly the per-packet order.
+            acc._train_catchup(at)
+        acc._queued -= 1
+        acc.packets_processed += 1
+        self.gate()
+
+    # -------------------------------------------------- handler ordering
+    def gate(self, _=None) -> None:
+        """Handler-ordering stage (post L1 copy).  ``skip_header``: the
+        header handler already ran (a torn-down train's lead packet
+        resuming at its payload handler)."""
+        run = self.run
+        if self.pkt.is_header and not self.skip_header:
+            self.activate("header", run.cluster)
+        elif not run.hh_done.triggered:
+            run.hh_done.add_callback(self.payload)
+        else:
+            self.payload()
+
+    def payload(self, _=None) -> None:
+        run = self.run
+        if run.finished:
+            self.acc.packets_dropped += 1
+            return
+        if self.pkt.is_completion:
+            run.completion_seen = True
+        self.activate("payload", self.xcl)
+
+    def completion_gate(self, _=None) -> None:
+        """Park until every payload handler has finished, then run the
+        completion handler."""
+        phs_done = self.run.phs_done
+        if phs_done.triggered:
+            self.completion()
+        else:
+            phs_done.add_callback(self.completion)
+
+    def completion(self, _=None) -> None:
+        run = self.run
+        if run.finished:
+            # the cleanup sweeper gave up on this message while we were
+            # parked on phs_done
+            self.acc.packets_dropped += 1
+            return
+        self.activate("completion", run.cluster)
+
+    # ------------------------------------------------- one handler run
+    def activate(self, htype: str, cluster_idx: int) -> None:
+        """Run one handler on an HPU of cluster ``cluster_idx``: take the
+        tenant quota (§VII cloud QoS: a context may not occupy more than
+        its share of the HPU pool), then an HPU."""
+        self.htype = htype
+        self.cluster = self.acc.clusters[cluster_idx]
+        quota = self.run.ctx._quota_sem
+        if quota is None:
+            self.request_hpu()
+        else:
+            self.qreq = qreq = quota.request()
+            # waited on even when granted at once, as a coroutine would
+            qreq.add_callback(self.request_hpu)
+
+    def request_hpu(self, _=None) -> None:
+        self.req = req = self.cluster.hpus.request()
+        if req.triggered:  # an idle HPU grants at once
+            self.dispatch()
+        else:
+            req.add_callback(self.dispatch)
+
+    def dispatch(self, _=None) -> None:
+        """HPU granted: a 1 ns dispatch, then the compute phase.
+
+        With telemetry off and a cost that is not memory-intensive
+        nothing observes the instant between them, so the handler wakes
+        once, at the float the two sleeps would reach; its activation is
+        recorded in ``cluster.pending`` for memory-intensive handlers
+        that read the cluster's activity (``_Cluster.active_at``)."""
+        acc = self.acc
+        sim = acc.sim
+        p = acc.params
+        run = self.run
+        writers = acc._writers
+        mid = run.msg_id
+        # The cost reads this message's request entry, which only
+        # header, completion and cleanup handler bodies write.  With
+        # none of them running, nothing can rewrite the entry before
+        # this handler's own dispatch ends (a writer granted later runs
+        # its body after a dispatch and a compute phase of its own), so
+        # the cost is taken now.
+        cost = (
+            None if mid in writers
+            else getattr(run.ctx.handlers, self.htype).cost(run.task, self.pkt)
+        )
+        self.cost = cost
+        self.writer = writer = self.htype != "payload"
+        if writer:
+            writers[mid] = writers.get(mid, 0) + 1
+        if cost is not None and not sim.telemetry.enabled and not cost.mem_intensive:
+            self.t0 = t0 = sim.now + p.hpu_dispatch_ns
+            sim._call_at1(self.run_body, None, t0 + cost.compute_ns(p.freq_ghz))
+            self.act = act = (t0, sim.last_seq)
+            self.cluster.pending.append(act)
+        else:
+            self.act = None
+            sim._call_soon1(self.dispatched, None, p.hpu_dispatch_ns)
+            # this wake-up's place among same-instant entries
+            self.own = (sim.now + p.hpu_dispatch_ns, sim.last_seq)
+
+    def dispatched(self, _) -> None:
+        """Dispatch done (two-sleep path): the compute phase begins."""
+        acc = self.acc
+        sim = acc.sim
+        p = acc.params
+        cluster = self.cluster
+        self.t0 = sim.now
+        cluster.active += 1
+        tel = sim.telemetry
+        if tel.enabled:
+            acc._handles.get(tel.metrics)["active"][cluster.idx].set(sim.now, cluster.active)
+        cost = self.cost
+        if cost is None:
+            run = self.run
+            cost = self.cost = getattr(run.ctx.handlers, self.htype).cost(run.task, self.pkt)
+        contention = 1.0
+        if cost.mem_intensive:
+            contention += p.l1_contention_per_hpu * max(
+                0, cluster.active_at(self.own) - 1
+            )
+        sim._call_soon1(self.run_body, None, cost.compute_ns(p.freq_ghz, contention))
+
+    def run_body(self, _) -> None:
+        """Compute phase done: run the handler body."""
+        run = self.run
+        api = run.api
+        if api is None:
+            api = run.api = HandlerApi(self.acc, run)
+        body = getattr(run.ctx.handlers, self.htype).run(api, run.task, self.pkt)
+        if body is None:
+            self.handler_done()
+        else:
+            self.body = body
+            self.step(None)
+
+    def step(self, trigger: Optional[Event]) -> None:
+        """Advance the handler body by one yield (``Process._resume``):
+        send it the value of the event it waited on, or throw that
+        event's failure into it, and wait on the next event it yields.
+        A body that raises, or yields what is not an event of this
+        simulator, fails ``Simulator.run`` at once."""
+        try:
+            if trigger is None:
+                target = self.body.send(None)
+            elif trigger._exc is not None:
+                target = self.body.throw(trigger._exc)
+            else:
+                target = self.body.send(trigger._value)
+        except StopIteration:
+            self.body = None
+            self.handler_done()
+            return
+        sim = self.acc.sim
+        if not isinstance(target, Event) or target.sim is not sim:
+            raise SimulationError(
+                f"{self.htype} handler of {self.run.ctx.name!r} yielded {target!r}, "
+                f"not an event of its simulator"
+            )
+        # add_callback, inlined (one per handler wait on the hot path)
+        cbs = target.callbacks
+        if cbs is _DISPATCHED:
+            sim._call_soon1(self.step, target)
+        elif cbs is None:
+            target.callbacks = [self.step]
+        else:
+            cbs.append(self.step)
+
+    def handler_done(self) -> None:
+        """The body finished: give back what the handler holds, innermost
+        first, record it, and go on to the message's next handler."""
+        cluster = self.cluster
+        if self.act is None:
+            cluster.active -= 1
+        else:
+            cluster.pending.remove(self.act)
+        if self.writer:
+            writers = self.acc._writers
+            mid = self.run.msg_id
+            n = writers.pop(mid) - 1
+            if n:
+                writers[mid] = n
+        cluster.hpus.release(self.req)
+        qreq = self.qreq
+        if qreq is not None:
+            qreq.resource.release(qreq)
+        acc = self.acc
+        run = self.run
+        htype = self.htype
+        acc._handler_end(htype, run, cluster, self.cost, self.t0, acc.sim.now)
+        if htype == "payload":
+            acc._payload_done(run, self.pkt, acc.sim.now)
+            if self.pkt.is_completion:
+                self.completion_gate()
+        elif htype == "header":
+            if not run.hh_done.triggered:
+                run.hh_done.succeed_quiet(None)
+            at = acc._train
+            if at is not None and self.pkt is at.pkts[0]:
+                # Hand the lead packet's payload handler to the train
+                # driver: pacing it through the same agenda keeps every
+                # shared mutation (DMA posts, cluster gauges, counters)
+                # in exact per-packet order.  This runs synchronously
+                # after the succeed above, so the driver (parked on
+                # hh_done) sees stage/cluster recorded when it builds.
+                at.cl[0] = self.xcl
+                at.stage[0] = 3
+                return
+            self.payload()
+        else:
+            acc._finish(run)
+
+    # ------------------------------------- a torn-down train's packets
+    def _at(self, t: float, stage: Callable) -> None:
+        """Run ``stage`` at absolute time ``t``: now when it is due, else
+        from one ``_call_at1`` (a coroutine's ``if t > now: yield
+        timeout_at(t)``)."""
+        sim = self.acc.sim
+        if t > sim.now:
+            sim._call_at1(stage, None, t)
+        else:
+            stage(None)
+
+    def copy_start(self, _) -> None:
+        """A packet in F1 (``mstage`` 1: its scheduler pick is still to
+        come) or in its L1 copy (2)."""
+        at = self.at
+        if self.mstage == 1:
+            self._at(at.f1[self.j], self.copy_f1)
+        else:
+            self.run, self.xcl = at.run, at.cl[self.j]
+            self._at(at.s2[self.j], self.l1_done)
+
+    def copy_f1(self, _) -> None:
+        self.run, self.xcl = self.acc._pipeline_front(self.ctx, self.pkt)
+        self._at(self.at.s2[self.j], self.l1_done)
+
+    def hpu_start(self, _) -> None:
+        """A packet whose HPU window [g, e) already opened: re-acquire a
+        real HPU (guaranteed free: the build-time sweep reserved it),
+        backfill its occupancy, and finish on schedule."""
+        self.cluster = cluster = self.acc.clusters[self.at.cl[self.j]]
+        self.req = req = cluster.hpus.request()
+        # waited on even when granted at once, as a coroutine would
+        req.add_callback(self.hpu_held)
+
+    def hpu_held(self, _) -> None:
+        at = self.at
+        j = self.j
+        self.cluster.hpus._busy_time += self.acc.sim.now - at.g[j]
+        if self.mstage >= 5:
+            self._at(at.e[j], self.hpu_commit)
+        else:
+            self._at(at.t0[j], self.hpu_active)
+
+    def hpu_active(self, _) -> None:
+        acc = self.acc
+        cluster = self.cluster
+        cluster.active += 1
+        tel = acc.sim.telemetry
+        if tel.enabled:
+            acc._handles.get(tel.metrics)["active"][cluster.idx].set(
+                acc.sim.now, cluster.active
+            )
+        self._at(self.at.e[self.j], self.hpu_commit)
+
+    def hpu_commit(self, _) -> None:
+        at = self.at
+        j = self.j
+        try:
+            self.acc._train_ph_commit(
+                self.run, self.pkt, self.cluster, at.cost[j], at.t0[j], at.e[j]
+            )
+        finally:
+            self.cluster.hpus.release(self.req)
+        if self.pkt.is_completion:
+            self.completion_gate()
+
+
 _INF = float("inf")
 
 
@@ -244,17 +669,21 @@ class HandlerApi:
     def send(self, pkt: Packet) -> Event:
         """Forward a packet out of the NIC.
 
-        The returned event fires when the egress command queue *accepts*
-        the packet.  While egress keeps up with the handler's output the
-        wait is ~0; when handlers amplify traffic (PBT: two packets out
-        per packet in) the queue saturates and handlers stall here —
-        the back-pressure behind Table I's PBT numbers.
+        The returned event fires when the egress command queue
+        (``egress_credits`` slots, drained one transmission at a time)
+        *accepts* the packet; a handler body that yields it waits that
+        long.  While egress keeps up with the handler's output the wait
+        is ~0; when handlers amplify traffic (PBT: two packets out per
+        packet in) the queue fills, later sends queue FIFO, and handlers
+        stall here — the back-pressure behind Table I's PBT numbers.
         """
         self._accel.forwarded_packets += 1
         return self._accel._egress.put(pkt)
 
     def send_control(self, dst: str, op: str, headers: dict, msg_id: Optional[int] = None) -> Event:
-        """Emit a small control packet (ack / nack)."""
+        """Emit a small control packet (ack / nack) through the same
+        egress queue as :meth:`send`; the returned event fires when the
+        queue accepts it."""
         from ..simnet.packet import fresh_msg_id
 
         pkt = Packet(
@@ -382,12 +811,9 @@ class PsPinAccelerator:
         # at line rate: handlers block only while the queue is full —
         # negligible for ring forwarding (1 out per 1 in), dominant for
         # PBT (2 out per 1 in), which is what collapses PBT PH IPC.
-        from ..simnet.resources import Store
-
-        self._egress: Store = Store(
-            sim, capacity=params.egress_credits, name=f"{node_name}.accel-egress"
+        self._egress = _HandlerEgress(
+            sim, send_fn, params.egress_credits, f"{node_name}.accel-egress"
         )
-        sim.process(self._egress_pump(), name=f"{node_name}.accel-egress")
         self.clusters = [_Cluster(sim, i, params) for i in range(params.n_clusters)]
         self.contexts: List[ExecutionContext] = []
         self._runs: Dict[int, _MessageRun] = {}
@@ -424,7 +850,8 @@ class PsPinAccelerator:
         self.nacks_sent = 0
         self._queued = 0
         #: msg_id -> header/completion/cleanup handlers of that message
-        #: running now (they write its request entry; see ``_exec``)
+        #: running now (they write its request entry; see
+        #: ``_PacketRecord.dispatch``)
         self._writers: Dict[int, int] = {}
         #: lazy cleanup sweeper (see _sweep_arm): the shared grid clock,
         #: this accelerator's (install rank, weak self) key on it, the
@@ -448,26 +875,18 @@ class PsPinAccelerator:
         if san is not None:
             san.adopt("accel", self)
             # the train fast path replays per-packet/per-handler times
-            # from one precomputed array: its driver and continuation
-            # coroutines coincide with the paced schedule by design; the
-            # per-packet pipeline and the egress pump both tick on the
-            # same line-rate wire clock, so their same-instant meetings
-            # are engineered too
+            # from one precomputed array: its driver and the chains that
+            # resume its packets (stages past the L1 copy) coincide with
+            # the paced schedule by design; the per-packet pipeline and
+            # the egress pump both tick on the same line-rate wire clock,
+            # so their same-instant meetings are engineered too
             san.declare_coincident(
                 f"proc:{node_name}.train",
-                f"proc:{node_name}.accel-egress",
-                "proc:_train_driver",
-                "proc:_pipeline_exec",
-                "proc:_train_cont_hpu",
-                "proc:_pipeline",
+                f"strand:{node_name}.accel-egress",
+                "strand:pspin.train-exec",
+                "strand:pspin.train-hpu",
+                "strand:pspin.pipeline",
             )
-
-    def _egress_pump(self):
-        """Drain the handler egress queue at line rate (one in-flight
-        transmission at a time, like a DMA engine feeding the wire)."""
-        while True:
-            pkt = yield self._egress.get()
-            yield self.send_fn(pkt)
 
     # ----------------------------------------------------------- contexts
     def install(self, ctx: ExecutionContext) -> None:
@@ -572,31 +991,17 @@ class PsPinAccelerator:
         # pipeline starts where F1 ends (same timestamp, one event).
         p = self.params
         cyc = p.cycle_ns
+        size = pkt.size
         sim = self.sim
-        sim.process(
-            self._pipeline(ctx, pkt, -(-pkt.size // p.l1_copy_bytes_per_cycle) * cyc),
-            at=sim.now
-            + (-(-pkt.size // p.pkt_buffer_bytes_per_cycle) + p.sched_cycles) * cyc,
+        rec = _PacketRecord(self, ctx, pkt)
+        rec.l1_ns = -(-size // p.l1_copy_bytes_per_cycle) * cyc
+        sim._call_at1(
+            rec.f1, None,
+            sim.now + (-(-size // p.pkt_buffer_bytes_per_cycle) + p.sched_cycles) * cyc,
         )
         return True
 
     # ------------------------------------------------------------ pipeline
-    def _pipeline(self, ctx: ExecutionContext, pkt: Packet, l1_ns: float):
-        """A packet's pipeline from the end of F1 (see ``ingest``);
-        ``l1_ns`` is its L1 copy time."""
-        run, exec_cluster = self._pipeline_front(ctx, pkt)
-        # 3. copy into cluster L1
-        yield self.sim.timeout(l1_ns)
-        if self._train is not None and pkt is self._train.pkts[0]:
-            # The lead packet of a paced train runs the real pipeline:
-            # apply agenda effects due by now (arrivals of later train
-            # packets) first, so the shared ingress-queue state mutates
-            # in exactly the per-packet order.
-            self._train_catchup(self._train)
-        self._queued -= 1
-        self.packets_processed += 1
-        yield from self._pipeline_exec(run, pkt, exec_cluster)
-
     def _pipeline_front(self, ctx: ExecutionContext, pkt: Packet):
         """Post-F1 bookkeeping: run lookup/creation and the scheduler's
         cluster picks.  Split out so the packet-train fast path can apply
@@ -628,42 +1033,6 @@ class PsPinAccelerator:
         self._next_cluster = (self._next_cluster + 1) % p.n_clusters
         return run, exec_cluster
 
-    def _pipeline_exec(
-        self, run: _MessageRun, pkt: Packet, exec_cluster: int, skip_header: bool = False
-    ):
-        """Handler-ordering stage of the pipeline (post L1 copy).
-        ``skip_header``: the packet's header handler already ran (a torn-
-        down train's lead packet resuming at its payload handler)."""
-        if pkt.is_header and not skip_header:
-            yield from self._exec(run, "header", pkt, run.cluster)
-            if not run.hh_done.triggered:
-                run.hh_done.succeed_quiet(None)
-            at = self._train
-            if at is not None and pkt is at.pkts[0]:
-                # Hand the lead packet's payload handler to the train
-                # driver: pacing it through the same agenda keeps every
-                # shared mutation (DMA posts, cluster gauges, counters)
-                # in exact per-packet order.  This runs synchronously
-                # after the succeed above, so the driver (parked on
-                # hh_done) sees stage/cluster recorded when it builds.
-                at.cl[0] = exec_cluster
-                at.stage[0] = 3
-                return
-        elif not run.hh_done.triggered:
-            yield run.hh_done
-
-        if run.finished:
-            self.packets_dropped += 1
-            return
-
-        if pkt.is_completion:
-            run.completion_seen = True
-
-        yield from self._exec(run, "payload", pkt, exec_cluster)
-        self._payload_done(run, pkt, self.sim.now)
-        if pkt.is_completion:
-            yield from self._completion_stage(run, pkt)
-
     def _payload_done(self, run: _MessageRun, pkt: Packet, t: float) -> None:
         """Record ``pkt``'s payload handler as finished at ``t``; the last
         one of the message releases the completion handler."""
@@ -676,110 +1045,6 @@ class PsPinAccelerator:
             and not run.phs_done.triggered
         ):
             run.phs_done.succeed_quiet(None)
-
-    def _completion_stage(self, run: _MessageRun, pkt: Packet):
-        """Park until every payload handler has finished, then run the
-        completion handler on ``pkt``."""
-        if not run.phs_done.triggered:
-            yield run.phs_done
-        if run.finished:
-            # the cleanup sweeper gave up on this message while we were
-            # parked on phs_done
-            self.packets_dropped += 1
-            return
-        yield from self._exec(run, "completion", pkt, run.cluster)
-        self._finish(run)
-
-    def _exec(self, run: _MessageRun, htype: str, pkt: Packet, cluster_idx: Optional[int] = None):
-        """Run one handler on an HPU of the given (or home) cluster.
-
-        An HPU dispatch (1 ns) is followed by the compute phase.  With
-        telemetry off and a cost that is not memory-intensive nothing
-        observes the instant between them, so the handler wakes once,
-        at the float the two sleeps would reach; its activation is
-        recorded in ``cluster.pending`` for memory-intensive handlers
-        that read the cluster's activity (``_Cluster.active_at``).
-        """
-        sim = self.sim
-        p = self.params
-        handler = getattr(run.ctx.handlers, htype)
-        cluster = self.clusters[run.cluster if cluster_idx is None else cluster_idx]
-        quota = run.ctx._quota_sem
-        qreq = None
-        if quota is not None:
-            # per-tenant HPU quota (§VII cloud QoS): a context may not
-            # occupy more than its share of the HPU pool
-            qreq = quota.request()
-            yield qreq
-        # Each claim enters its protecting try before the next wait, so
-        # an interrupt landing at any yield unwinds exactly what is held
-        # (SIM301); the success path schedules identical events.
-        try:
-            req = cluster.hpus.request()
-            if not req.triggered:
-                yield req  # an idle HPU grants at once
-            try:
-                tel = sim.telemetry
-                writers = self._writers
-                mid = run.msg_id
-                # The cost reads this message's request entry, which only
-                # header, completion and cleanup handler bodies write.
-                # With none of them running, nothing can rewrite the
-                # entry before this handler's own dispatch ends (a writer
-                # granted later runs its body after a dispatch and a
-                # compute phase of its own), so the cost is taken now.
-                cost = None if mid in writers else handler.cost(run.task, pkt)
-                writer = htype != "payload"
-                if writer:
-                    writers[mid] = writers.get(mid, 0) + 1
-                try:
-                    if cost is not None and not tel.enabled and not cost.mem_intensive:
-                        t0 = sim.now + p.hpu_dispatch_ns
-                        wake = sim.timeout_at(t0 + cost.compute_ns(p.freq_ghz))
-                        act: Optional[tuple] = (t0, sim.last_seq)
-                        cluster.pending.append(act)
-                    else:
-                        act = None
-                        dispatch = sim.timeout(p.hpu_dispatch_ns)
-                        # this wake-up's place among same-instant entries
-                        own = (sim.now + p.hpu_dispatch_ns, sim.last_seq)
-                        yield dispatch
-                        t0 = sim.now
-                        cluster.active += 1
-                        if tel.enabled:
-                            self._handles.get(tel.metrics)["active"][cluster.idx].set(
-                                sim.now, cluster.active
-                            )
-                    try:
-                        if act is None:
-                            if cost is None:
-                                cost = handler.cost(run.task, pkt)
-                            contention = 1.0
-                            if cost.mem_intensive:
-                                contention += p.l1_contention_per_hpu * max(
-                                    0, cluster.active_at(own) - 1
-                                )
-                            wake = sim.timeout(cost.compute_ns(p.freq_ghz, contention))
-                        yield wake
-                        gen = handler.run(HandlerApi(self, run), run.task, pkt)
-                        if gen is not None:
-                            yield from gen
-                    finally:
-                        if act is None:
-                            cluster.active -= 1
-                        else:
-                            cluster.pending.remove(act)
-                finally:
-                    if writer:
-                        n = writers.pop(mid) - 1
-                        if n:
-                            writers[mid] = n
-            finally:
-                cluster.hpus.release(req)
-        finally:
-            if quota is not None:
-                quota.release(qreq)
-        self._handler_end(htype, run, cluster, cost, t0, sim.now)
 
     def _handler_end(
         self, htype: str, run: _MessageRun, cluster: _Cluster, cost, t0: float, t1: float
@@ -954,7 +1219,7 @@ class PsPinAccelerator:
             # The wire cut trailing packets: they re-arrive individually
             # and their own pipelines (completion included) take over.
             return
-        yield from self._completion_stage(run, at.pkts[-1])
+        _PacketRecord(self, run.ctx, at.pkts[-1], run).completion_gate()
 
     def _train_build_exec(self, at: _AccelTrain) -> bool:
         """Part B: the HPU grant/dispatch/compute schedule, computable
@@ -1146,6 +1411,8 @@ class PsPinAccelerator:
         self._train_materialize(at)
 
     def _train_materialize(self, at: _AccelTrain) -> None:
+        """Hand each packet to a pipeline record entered at its stage;
+        every entry is one ``_call_soon1``, like a process start."""
         sim = self.sim
         for j, pkt in enumerate(at.pkts):
             stage = at.stage[j]
@@ -1163,65 +1430,31 @@ class PsPinAccelerator:
                     # the completion handler once phs_done fires; without
                     # a successor the run leaks until the cleanup sweeper
                     # and the initiator never sees an ack.
-                    sim.process(self._completion_stage(at.run, pkt))
-            elif stage == 0:
+                    rec = _PacketRecord(self, at.ctx, pkt, at.run, "pspin.completion")
+                    sim._call_soon1(rec.completion_gate, None)
+                continue
+            if stage == 0:
                 sim._call_at1(at.nic._rx_train_step, (at.wire, j), at.t_in[j])
-            elif stage < 3:
-                sim.process(self._train_cont_copy(at, j, stage))
+                continue
+            if stage < 3:
+                rec = _PacketRecord(self, at.ctx, pkt, at.run, "pspin.train-copy")
+                entry = rec.copy_start
             elif not at.built:
                 # Past its L1 copy: a later packet parks on hh_done like
                 # the slow path; the lead packet had handed its payload
                 # handler off to the (now dead) driver.
-                sim.process(self._pipeline_exec(at.run, pkt, at.cl[j], skip_header=j == 0))
+                rec = _PacketRecord(self, at.ctx, pkt, at.run, "pspin.train-exec")
+                rec.xcl = at.cl[j]
+                rec.skip_header = j == 0
+                entry = rec.gate
             else:
                 # Part B built: the HPU is nominally held since g[j].
-                sim.process(self._train_cont_hpu(at, j, stage))
-
-    def _train_cont_copy(self, at: _AccelTrain, j: int, stage: int):
-        """Materialize a packet in F1 (``stage`` 1: its scheduler pick is
-        still to come) or in its L1 copy (2)."""
-        sim = self.sim
-        pkt = at.pkts[j]
-        if stage == 1:
-            if at.f1[j] > sim.now:
-                yield sim.timeout_at(at.f1[j])
-            run, exec_cluster = self._pipeline_front(at.ctx, pkt)
-        else:
-            run, exec_cluster = at.run, at.cl[j]
-        if at.s2[j] > sim.now:
-            yield sim.timeout_at(at.s2[j])
-        self._queued -= 1
-        self.packets_processed += 1
-        yield from self._pipeline_exec(run, pkt, exec_cluster)
-
-    def _train_cont_hpu(self, at: _AccelTrain, j: int, stage: int):
-        """Materialize a packet whose HPU window [g, e) already opened:
-        re-acquire a real HPU (guaranteed free — the build-time sweep
-        reserved it), backfill its occupancy, and finish on schedule."""
-        sim = self.sim
-        run = at.run
-        pkt = at.pkts[j]
-        cluster = self.clusters[at.cl[j]]
-        req = cluster.hpus.request()
-        yield req
-        try:
-            cluster.hpus._busy_time += sim.now - at.g[j]
-            if stage < 5:
-                if at.t0[j] > sim.now:
-                    yield sim.timeout_at(at.t0[j])
-                cluster.active += 1
-                tel = sim.telemetry
-                if tel.enabled:
-                    self._handles.get(tel.metrics)["active"][cluster.idx].set(
-                        sim.now, cluster.active
-                    )
-            if at.e[j] > sim.now:
-                yield sim.timeout_at(at.e[j])
-            self._train_ph_commit(run, pkt, cluster, at.cost[j], at.t0[j], at.e[j])
-        finally:
-            cluster.hpus.release(req)
-        if pkt.is_completion:
-            yield from self._completion_stage(run, pkt)
+                rec = _PacketRecord(self, at.ctx, pkt, at.run, "pspin.train-hpu")
+                entry = rec.hpu_start
+            rec.at = at
+            rec.j = j
+            rec.mstage = stage
+            sim._call_soon1(entry, None)
 
     def _finish(self, run: _MessageRun) -> None:
         run.finished = True

@@ -11,10 +11,12 @@ and the loop dispatches inline.
 Detectors (see :mod:`repro.simsan.findings` for the kind strings):
 
 * **schedule races** — every push is attributed to the dispatch context
-  that made it (the coroutine being resumed, the event being fired, or
-  "driver" for pushes from outside the loop).  A pop whose fire time
-  ties the next heap entry, where the two entries come from *different
-  coroutines* that scheduled them at *different* simulated times, is
+  that made it (the coroutine being resumed, the callback chain a step
+  belongs to — a callback whose owner carries a ``strand`` name, like
+  the PsPIN per-packet pipeline — the event being fired, or "driver"
+  for pushes from outside the loop).  A pop whose fire time ties the
+  next heap entry, where the two entries come from *different
+  coroutines or chains* that scheduled them at *different* simulated times, is
   order-dependent: the tie-break (insertion order) is the only thing
   keeping the schedule stable, and refactoring either coroutine flips
   it.  Fan-out ties pushed in the same instant (broadcast wake-ups,
@@ -56,6 +58,11 @@ SPAN_BUDGET_NS = 5_000_000.0
 MAX_FINDINGS = 1000
 
 
+#: origin-label prefixes of coroutine-like chains: processes, and
+#: callback chains whose owner names itself with a ``strand`` string
+_CHAINS = ("proc:", "strand:")
+
+
 def _item_label(item: Any) -> str:
     """Deterministic label for a heap item (no ids, no addresses)."""
     if isinstance(item, Process):
@@ -65,6 +72,9 @@ def _item_label(item: Any) -> str:
     if isinstance(item, Event):
         return f"event:{item.name or '?'}"
     owner = getattr(item, "__self__", None)
+    strand = getattr(owner, "strand", None)
+    if isinstance(strand, str):
+        return f"strand:{strand}"
     qn = getattr(item, "__qualname__", None) or type(item).__name__
     if owner is not None:
         oname = getattr(owner, "name", None)
@@ -74,10 +84,14 @@ def _item_label(item: Any) -> str:
 
 
 def _callback_label(cb: Any, fallback: str) -> str:
-    """Attribute pushes made by a callback to the coroutine it resumes."""
+    """Attribute pushes made by a callback to the coroutine it resumes,
+    or to the callback chain (``strand``) it is a step of."""
     owner = getattr(cb, "__self__", None)
     if isinstance(owner, Process):
         return f"proc:{owner.name}"
+    strand = getattr(owner, "strand", None)
+    if isinstance(strand, str):
+        return f"strand:{strand}"
     return fallback
 
 
@@ -221,7 +235,7 @@ class Sanitizer:
             nxt = self._origins.get(heap[0][1], _DRIVER)
             if nxt[0] != olabel:
                 self.ties_cross_origin += 1
-                both_procs = olabel.startswith("proc:") and nxt[0].startswith("proc:")
+                both_procs = olabel.startswith(_CHAINS) and nxt[0].startswith(_CHAINS)
                 # order-dependent = two coroutines *each scheduled ahead
                 # of time* (a zero-delay push made at the fire instant is
                 # causally ordered after everything already queued there)
@@ -400,3 +414,5 @@ class Sanitizer:
                 f"accelerator on {accel.node_name!r} still has a "
                 f"paced ingest train at quiesce",
             )
+        # the fused handler egress queue: blocked putters, as for a Store
+        self._sweep_store(accel._egress)

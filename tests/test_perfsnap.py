@@ -3,6 +3,7 @@ host; the deterministic checks and the same-host telemetry ratio apply
 everywhere."""
 
 import copy
+import json
 
 from repro.perfsnap import check_against, host_mismatch
 
@@ -99,3 +100,28 @@ def test_outcome_digest_drift_fails_on_any_host():
             "workload: outcome digest drifted from baseline "
             "(0000000000000000 != 2ec8535927108066)"
         ]
+
+
+def test_check_prints_the_digests_it_compared(tmp_path, monkeypatch, capsys):
+    """The workload line and the verdict name the schedule and outcome
+    digests, so a passing determinism gate says which digests held."""
+    from repro import perfsnap
+
+    base = copy.deepcopy(BASE)
+    base["workload"].update(outcome_digest="2ec8535927108066", scenario="hot_shard_1m",
+                            n_users=1_000_000, sim_seconds=180.0, wall_s=100.0,
+                            requests_per_wall_s=1000)
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    snap = {"meta": dict(base["meta"]), "workload": dict(base["workload"])}
+    monkeypatch.setattr(perfsnap, "collect_snapshot", lambda sections=None: snap)
+    assert perfsnap.main(["--check", str(path), "--section", "workload"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    digests = "schedule 7eb71d331881a1a4, outcome 2ec8535927108066"
+    assert out[0].startswith("workload : hot_shard_1m") and out[0].endswith(digests)
+    assert out[-1].startswith("perf check vs ") and out[-1].endswith(
+        f"workload digests held: {digests}")
+    snap["meta"]["python"] = "3.12.1"
+    assert perfsnap.main(["--check", str(path), "--section", "workload"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        f"deterministic checks passed; workload digests held: {digests}")

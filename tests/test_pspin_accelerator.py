@@ -383,7 +383,7 @@ class _FixedCost(Handler):
 
 
 def _exec_harness(n_hpus):
-    from repro.pspin.accelerator import _MessageRun
+    from repro.pspin.accelerator import _MessageRun, _PacketRecord
 
     sim = Simulator()
     params = PsPinParams(n_clusters=1, hpus_per_cluster=n_hpus)
@@ -401,7 +401,7 @@ def _exec_harness(n_hpus):
             for s in seqs:
                 pkt = Packet(src="c", dst="node", op="write", msg_id=1, seq=s,
                              nseq=16, payload=None)
-                sim.process(accel._exec(run, "payload", pkt, 0))
+                _PacketRecord(accel, ctx, pkt, run).activate("payload", 0)
         sim.process(go())
 
     return sim, accel, start
@@ -409,15 +409,15 @@ def _exec_harness(n_hpus):
 
 def test_idle_hpu_handler_costs_one_wakeup():
     """A plain handler granted an idle HPU sleeps once, through its
-    1 ns dispatch and its compute phase: the process start plus one
-    wake-up, finishing at the float the two sleeps would reach."""
+    1 ns dispatch and its compute phase: one wake-up, finishing at the
+    float the two sleeps would reach."""
     sim, accel, start = _exec_harness(n_hpus=1)
     sim.run()  # the egress pump parks on its empty queue
     n0 = sim.events_dispatched
     start(0.0, [0])
     sim.run()
-    # the starter's two steps + the handler's start + one wake-up
-    assert sim.events_dispatched - n0 == 4
+    # the starter's two steps (it activates the handler inline) + one wake-up
+    assert sim.events_dispatched - n0 == 3
     assert sim.now == (0.0 + 1.0) + 300.0
     assert accel.stats["payload:ec"].durations_ns == [300.0]
     assert accel.clusters[0].pending == []
@@ -439,3 +439,94 @@ def test_ec_contention_sees_same_instant_fused_activations():
         19014.388320000002, 19014.388320000002,
     ]
     assert accel.clusters[0].pending == [] and accel.clusters[0].active == 0
+
+
+# ------------------------------------------- heap-callback packet path
+class _Boom(RuntimeError):
+    pass
+
+
+class _RaisingPolicy(DfsPolicy):
+    """Raises from the payload handler body, before or after a wait."""
+
+    def __init__(self, after_wait):
+        self.after_wait = after_wait
+
+    def process_pkt(self, api, task, entry, pkt):
+        if self.after_wait:
+            yield api.compute(10)
+        raise _Boom(f"payload seq {pkt.seq}")
+
+
+@pytest.mark.parametrize("after_wait", [False, True], ids=["at-once", "after-wait"])
+def test_handler_exception_fails_run(after_wait):
+    """A handler body that raises fails ``Simulator.run`` with that
+    exception, whether it raises on its first step or after a wait."""
+    h = Harness()
+    h.install_policy(_RaisingPolicy(after_wait))
+    for pkt in h.write_packets(4_000):
+        h.accel.ingest(pkt)
+    with pytest.raises(_Boom, match="payload seq 0"):
+        h.sim.run(until=1_000_000)
+
+
+class _FanOutPolicy(DfsPolicy):
+    """Forwards three copies of every packet and waits for the egress
+    queue to take each."""
+
+    def process_pkt(self, api, task, entry, pkt):
+        for i in range(3):
+            yield api.send(pkt.child(src="node", dst=f"n{i}", msg_id=100 + i))
+
+
+def test_blocked_egress_putter_is_a_sanitizer_finding():
+    """An egress port that never finishes a transmission leaves the
+    handler's later sends blocked in the egress queue: the quiesce sweep
+    reports the blocked putter as ``leak-store``."""
+    sim = Simulator(sanitize=True)
+    params = PsPinParams(egress_credits=1)
+    accel = PsPinAccelerator(sim, params, "node", lambda pkt: sim.event("tx"),
+                             lambda addr, payload: sim.event().succeed())
+    state = DfsState(NicMemory(sim, params), params)
+    accel.install(build_dfs_context("dfs", _FanOutPolicy(), state))
+    h = Harness()  # only for its packet builder
+    for pkt in h.write_packets(1_000):
+        accel.ingest(pkt)
+    sim.run(until=1_000_000)
+    # one send in flight on the port, one in the single slot, one blocked
+    assert len(accel._egress._putters) == 1
+    leaks = [f for f in sim.sanitizer.check_quiesce() if f.kind == "leak-store"]
+    assert len(leaks) == 1
+    assert "putter" in leaks[0].message and "node.accel-egress" in leaks[0].message
+    assert "process_pkt" in leaks[0].where  # the blocked send's call site
+
+
+def test_spin_write_runs_no_pspin_process_but_the_train_driver(monkeypatch):
+    """The per-packet pipeline, handler activations and handler egress
+    are heap callbacks: a 64 KiB 3-way replicated write starts no
+    ``Process`` from ``repro.pspin`` except a paced train's driver."""
+    from repro import DfsClient, ReplicationSpec
+    from repro.simnet import engine
+
+    started = []
+    orig = engine.Process.__init__
+
+    def spy(self, sim, gen, *a, **kw):
+        code = getattr(gen, "gi_code", None)
+        if code is not None and "pspin" in code.co_filename:
+            started.append(code.co_name)
+        orig(self, sim, gen, *a, **kw)
+
+    monkeypatch.setattr(engine.Process, "__init__", spy)
+    tb = build_testbed(n_storage=4)
+    install_spin_targets(tb)
+    c = DfsClient(tb)
+    c.create("/r", size=64 * 1024, replication=ReplicationSpec(k=3))
+    c.create("/p", size=64 * 1024)
+    for path in ("/r", "/p"):
+        out = c.write_sync(path, np.full(64 * 1024, 3, np.uint8), protocol="spin")
+        assert out.ok
+    tb.drain()
+    processed = sum(n.accelerator.packets_processed for n in tb.storage_nodes)
+    assert processed >= 3 * 32
+    assert set(started) == {"_train_driver"}  # the plain write's paced train

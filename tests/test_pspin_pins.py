@@ -1,0 +1,169 @@
+"""Schedule pins for the PsPIN packet path's less-travelled branches.
+
+The benchmark workloads drive the accelerator's common path: plain and
+replicated writes whose handlers rarely queue.  Each case here drives
+one branch they leave alone (blocked egress putters, L1 contention, a
+tenant HPU quota, telemetry's two-sleep dispatch, an overload NACK, a
+paced train torn down by cross-traffic) and pins the kernel's dispatch
+count together with a digest of every operation outcome and every
+accelerator's :class:`~repro.pspin.accelerator.HandlerStats`.
+
+The values were recorded from the coroutine-per-packet pipeline that
+the heap-callback pipeline replaced.  The two schedule the same heap
+entries in the same order, so a change to the packet path that should
+leave the simulation alone keeps every pin.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro import DfsClient, EcSpec, ReplicationSpec, build_testbed
+from repro.core.policies.dispatch import DispatchPolicy
+from repro.params import SimParams
+from repro.protocols import install_spin_targets
+
+KiB = 1024
+
+
+def _data(n: int, seed: int = 0) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 256, n, dtype=np.uint8)
+
+
+def _digest(tb, outcomes) -> str:
+    """sha256 prefix of every outcome and every accelerator's stats."""
+    stats = []
+    for name, node in sorted(tb.storage.items()):
+        acc = node.accelerator
+        if acc is None:
+            continue
+        for key, st in sorted(acc.stats.items()):
+            stats.append((name, key, tuple(st.durations_ns), tuple(st.instructions)))
+        stats.append((name, acc.packets_processed, acc.packets_dropped,
+                      acc.packets_steered, acc.forwarded_packets, acc.nacks_sent))
+    blob = repr((outcomes, stats, tb.sim.now)).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _outcomes(evs):
+    assert all(e.triggered for e in evs), "an operation never completed"
+    return [(e.value.ok, e.value.latency_ns) for e in evs]
+
+
+def _writes(tb, jobs):
+    """Issue ``(client, path, data)`` writes at t=0 and run to idle."""
+    evs = [c.write(path, data, protocol="spin") for c, path, data in jobs]
+    tb.run(until=20_000_000)
+    return _outcomes(evs)
+
+
+def _pbt_blocked_egress():
+    """PBT k=4: every payload packet begets two forwarded ones, so the
+    handlers outrun the egress port and park as blocked putters."""
+    tb = build_testbed(n_storage=6, params=SimParams().with_pspin(egress_credits=2))
+    install_spin_targets(tb)
+    c = DfsClient(tb)
+    c.create("/p", size=64 * KiB, replication=ReplicationSpec(k=4, strategy="pbt"))
+    return tb, _writes(tb, [(c, "/p", _data(64 * KiB))])
+
+
+def _ec_contention():
+    """RS(3,2) encode: memory-intensive payload handlers contend on L1."""
+    tb = build_testbed(n_storage=6)
+    install_spin_targets(tb)
+    c = DfsClient(tb)
+    c.create("/e", size=96 * KiB, ec=EcSpec(k=3, m=2))
+    return tb, _writes(tb, [(c, "/e", _data(96 * KiB))])
+
+
+def _hpu_quota():
+    """A 2-HPU tenant quota with three concurrent writes: handlers queue
+    on the quota semaphore, not on the HPU pool."""
+    tb = build_testbed(n_storage=4, n_clients=3)
+    for node in tb.storage_nodes:
+        node.install_pspin(DispatchPolicy(mtu=tb.params.net.mtu),
+                           authority=tb.authority, n_accumulators=64,
+                           hpu_quota=2)
+    jobs = []
+    for i in range(3):
+        c = DfsClient(tb, client_index=i, principal=f"t{i}")
+        path = f"/q{i}"
+        tb.metadata.create(path, size=32 * KiB, pin_nodes=["sn0"])
+        c.open(path)
+        jobs.append((c, path, _data(32 * KiB, seed=i)))
+    return tb, _writes(tb, jobs)
+
+
+def _telemetry_k3():
+    """Telemetry on: every handler dispatch and compute phase is its own
+    wake-up (the two-sleep path), and the replicas forward through the
+    handler egress queue."""
+    tb = build_testbed(n_storage=4, telemetry=True)
+    install_spin_targets(tb)
+    c = DfsClient(tb)
+    c.create("/r", size=64 * KiB, replication=ReplicationSpec(k=3))
+    out = _writes(tb, [(c, "/r", _data(64 * KiB))])
+    spans = sorted((s.name, s.tid, s.t0, s.t1) for s in tb.sim.telemetry.spans
+                   if s.cat == "hpu")
+    return tb, (out, spans)
+
+
+def _overload_nack():
+    """A 1-packet ingress queue: the second client's header finds the
+    first write's packets queued and is NACKed (that write fails)."""
+    params = SimParams().with_pspin(ingress_queue_packets=1)
+    tb = build_testbed(n_storage=2, n_clients=2, params=params)
+    install_spin_targets(tb)
+    jobs = []
+    for i in range(2):
+        c = DfsClient(tb, client_index=i, principal=f"c{i}")
+        path = f"/o{i}"
+        tb.metadata.create(path, size=32 * KiB, pin_nodes=["sn0"])
+        c.open(path)
+        jobs.append((c, path, _data(32 * KiB, seed=i)))
+    return tb, _writes(tb, jobs)
+
+
+def _train_teardown():
+    """A paced 16 KiB train torn down mid-flight by a second client's
+    small write: its packets rejoin the per-packet pipeline at the
+    stages they reached."""
+    tb = build_testbed(n_storage=2, n_clients=2)
+    install_spin_targets(tb)
+    a = DfsClient(tb, client_index=0, principal="a")
+    b = DfsClient(tb, client_index=1, principal="b")
+    tb.metadata.create("/big", size=16 * KiB, pin_nodes=["sn0"])
+    tb.metadata.create("/small", size=16, pin_nodes=["sn0"])
+    a.open("/big")
+    b.open("/small")
+    evs = []
+
+    def go():
+        evs.append(a.write("/big", _data(16 * KiB), protocol="spin"))
+        yield tb.sim.timeout(340.0)
+        evs.append(b.write("/small", _data(16, seed=1), protocol="spin"))
+
+    tb.sim.process(go())
+    tb.run(until=20_000_000)
+    return tb, _outcomes(evs)
+
+
+#: case -> (scenario, events_dispatched, digest)
+PINS = {
+    "pbt_k4_blocked_egress": (_pbt_blocked_egress, 1322, "17ffa0adc470ba39"),
+    "ec_l1_contention": (_ec_contention, 1789, "4e458b5f8b9f22fa"),
+    "hpu_quota": (_hpu_quota, 490, "29b3610e47deaf9b"),
+    "telemetry_k3": (_telemetry_k3, 1312, "3df589ba8c4d4ab7"),
+    "overload_nack": (_overload_nack, 218, "6bf63520228d47a3"),
+    "train_teardown": (_train_teardown, 93, "8333fdb027b5a6e5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_packet_path_pin(case):
+    scenario, events, digest = PINS[case]
+    tb, out = scenario()
+    assert (tb.sim.events_dispatched, _digest(tb, out)) == (events, digest)

@@ -228,6 +228,39 @@ class TestScheduleRace:
         report = _race_fixture(declare=("proc:a",))
         assert report.ok, report.summary()
 
+    def test_callback_chain_with_a_strand_counts_as_a_coroutine(self):
+        """A callback chain whose owner names a ``strand`` (the PsPIN
+        per-packet record) is checked like a process: a chain racing a
+        coroutine is flagged under its ``strand:`` label, and declaring
+        that label exempts it."""
+        class Chain:
+            strand = "chain"
+
+            def first(self, _):
+                sim._call_soon1(self.second, None, 80)  # pushed at t=20
+
+            def second(self, _):
+                pass
+
+        for declare in ((), ("strand:chain",)):
+            sim = Simulator(sanitize=True)
+            if declare:
+                sim.sanitizer.declare_coincident(*declare)
+
+            def a():
+                yield sim.timeout(10)
+                yield sim.timeout(90)  # pushed at t=10, fires at t=100
+
+            sim.process(a(), name="a")
+            sim._call_soon1(Chain().first, None, 20)
+            sim.run()
+            report = _quiesce_report(sim)
+            if declare:
+                assert report.ok, report.summary()
+            else:
+                (finding,) = report.findings
+                assert "proc:a" in finding.message and "strand:chain" in finding.message
+
 
 class TestClockRewind:
     def test_absolute_push_into_the_past(self):

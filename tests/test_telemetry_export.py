@@ -218,3 +218,36 @@ def test_trace_cli_smoke(tmp_path, capsys):
     assert {"request", "net", "hpu", "host"} <= cats
     with open(metrics, newline="") as fh:
         assert list(csv.DictReader(fh))
+
+
+def test_trace_cli_replicated_spin_write_schema(tmp_path, capsys):
+    """A default-size telemetry-on 3-way replicated sPIN write exported
+    through the CLI: a well-formed Perfetto document covering every
+    layer, and a JSON metrics dump with counters and a latency
+    histogram."""
+    from repro.__main__ import main
+
+    trace_path = tmp_path / "ci.trace.json"
+    metrics_path = tmp_path / "ci.metrics.json"
+    assert main(["trace", "--protocol", "spin", "--replication", "3",
+                 "--out", str(trace_path), "--metrics", str(metrics_path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(trace_path.read_text())
+    events = doc["traceEvents"]
+    assert doc["displayTimeUnit"] == "ns", "missing displayTimeUnit"
+    assert events, "empty traceEvents"
+    slices = [e for e in events if e["ph"] == "X"]
+    named = {e["pid"] for e in events if e["ph"] == "M" and e["name"] == "process_name"}
+    for e in slices:
+        assert e["ts"] >= 0 and e["dur"] >= 0, f"bad timing in {e}"
+        assert e["pid"] in named, f"slice on unnamed pid {e['pid']}"
+    cats = {e["cat"] for e in slices}
+    missing = {"request", "net", "hpu", "host"} - cats
+    assert not missing, f"trace missing layers: {missing}"
+    timed = [e["ts"] for e in events if e["ph"] != "M"]
+    assert timed == sorted(timed), "timestamps not monotonic"
+
+    snap = json.loads(metrics_path.read_text())
+    assert snap["counters"], "metrics dump has no counters"
+    assert any(k.endswith(".latency_ns") for k in snap["histograms"]), \
+        "no request-latency histogram"
