@@ -126,10 +126,13 @@ python -m pytest -q bench/test_bench.py
 
 echo
 echo "== simulator perf guard (vs committed BENCH_simulator.json) =="
-# wide 30% wall-clock tolerance absorbs CI machine noise; the
-# events-per-packet count is deterministic and capped at +5%; the
-# pipeline section's telemetry-off time may exceed telemetry-on time by
-# at most 3% (collection must cost nothing when off).  Both perf guards
+# wide 30% wall-clock tolerance absorbs CI machine noise.  The
+# deterministic checks take no tolerance flag: the pipeline section's
+# events per packet and the workload section's hot_shard_1m event count
+# (workload.events) are each capped at +5%, and hot_shard_1m's schedule
+# and outcome digests must match exactly.  The pipeline section's
+# telemetry-off time may exceed telemetry-on time by at most 3%
+# (collection must cost nothing when off).  Both perf guards
 # always run and report; the stage fails after them if either did
 perf_status=0
 python -m repro perf --check BENCH_simulator.json --tolerance 0.30 \

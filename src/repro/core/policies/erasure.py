@@ -118,22 +118,24 @@ class EcDataPolicy(DfsPolicy):
                 if pkt.payload is not None
                 else None
             )
+            if pkt.is_header:
+                headers = {
+                    "dfs": entry.scratch["dfs"],
+                    "wrh": stream["wrh"],
+                    "write_len": entry.scratch["write_len"],
+                }
+                header_bytes = pkt.header_bytes
+            else:
+                headers = {}
+                header_bytes = 0
             fwd = pkt.child(
                 src=api._accel.node_name,
                 dst=stream["coord"].node,
                 msg_id=stream["msg_id"],
                 payload=encoded,
+                headers=headers,
+                header_bytes=header_bytes,
             )
-            if pkt.is_header:
-                fwd.headers = {
-                    "dfs": entry.scratch["dfs"],
-                    "wrh": stream["wrh"],
-                    "write_len": entry.scratch["write_len"],
-                }
-                fwd.header_bytes = pkt.header_bytes
-            else:
-                fwd.headers = {}
-                fwd.header_bytes = 0
             sends.append(api.send(fwd))
         for ev in sends:
             yield ev

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
+from ...dfs.capability import Rights
 from ...pspin.isa import HandlerCost, completion_handler_cost, forward_payload_cost
 from ...simnet.packet import Packet, derived_msg_id
 from ..handlers import DfsPolicy
@@ -99,8 +100,6 @@ class LogAppendPolicy(DfsPolicy):
             return False
         if state.authority is None:
             return True
-        from ...dfs.capability import Rights
-
         dfs = pkt.headers.get("dfs")
         if dfs is None or dfs.capability is None:
             return False
@@ -154,20 +153,21 @@ class LogAppendPolicy(DfsPolicy):
             api.dma_write(addr, pkt.payload)
         nxt = entry.scratch.get("next")
         if nxt is not None:
-            fwd = pkt.child(
-                src=api._accel.node_name,
-                dst=nxt["node"],
-                msg_id=entry.scratch["fwd_msg"],
-            )
             if pkt.is_header:
                 hdr = dict(entry.scratch["hdr"])
                 hdr["assigned_offset"] = entry.scratch["offset"]
                 hdr["ring"] = entry.scratch["rest"]
-                fwd.headers = hdr
-                fwd.header_bytes = pkt.header_bytes
+                header_bytes = pkt.header_bytes
             else:
-                fwd.headers = {}
-                fwd.header_bytes = 0
+                hdr = {}
+                header_bytes = 0
+            fwd = pkt.child(
+                src=api._accel.node_name,
+                dst=nxt["node"],
+                msg_id=entry.scratch["fwd_msg"],
+                headers=hdr,
+                header_bytes=header_bytes,
+            )
             yield api.send(fwd)
 
     # -------------------------------------------------------- completion

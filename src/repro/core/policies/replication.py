@@ -83,21 +83,23 @@ class ReplicationPolicy(DfsPolicy):
         #    host memory — the latency saving of Fig. 1d.
         sends = []
         for child in entry.scratch["coord_array"]:
-            fwd = pkt.child(
-                src=api._accel.node_name,
-                dst=child["coord"].node,
-                msg_id=child["msg_id"],
-            )
             if pkt.is_header:
-                fwd.headers = {
+                headers = {
                     "dfs": entry.scratch["dfs"],
                     "wrh": child["wrh"],
                     "write_len": entry.scratch["write_len"],
                 }
-                fwd.header_bytes = pkt.header_bytes
+                header_bytes = pkt.header_bytes
             else:
-                fwd.headers = {}
-                fwd.header_bytes = 0
+                headers = {}
+                header_bytes = 0
+            fwd = pkt.child(
+                src=api._accel.node_name,
+                dst=child["coord"].node,
+                msg_id=child["msg_id"],
+                headers=headers,
+                header_bytes=header_bytes,
+            )
             sends.append(api.send(fwd))
         # The handler stays occupied until its sends clear the egress
         # port (this is where PBT's IPC collapse comes from).

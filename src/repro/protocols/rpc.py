@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.request import WriteRequestHeader, request_header_bytes
-from ..dfs.capability import Rights
+from ..dfs.capability import CapabilityAuthority, Rights
 from ..dfs.cluster import Testbed
 from ..dfs.layout import FileLayout
 from ..dfs.nodes import StorageNode
@@ -41,8 +41,6 @@ def _validate_on_cpu(node: StorageNode, headers: dict) -> bool:
 
 
 def _verify(node: StorageNode, dfs, wrh, headers) -> bool:
-    from ..dfs.capability import CapabilityAuthority  # local to avoid cycle
-
     authority: CapabilityAuthority = headers.get("authority")
     if authority is None:
         return True

@@ -93,16 +93,19 @@ def threat_write(
         yield sim.timeout(ctx.client.params.nic_tx_ns)
         for i, pkt in enumerate(pkts):
             # the client signs the genuine payload ...
-            mac = sign_packet(SHARED_SECRET, pkt.payload)
-            if i == tamper_packet and pkt.payload is not None:
+            payload = pkt.payload
+            mac = sign_packet(SHARED_SECRET, payload)
+            if i == tamper_packet and payload is not None:
                 # ... an in-network attacker then flips bits but cannot
                 # recompute the MAC without the service key
-                tampered = pkt.payload.copy()
-                tampered[0] ^= 0xFF
-                pkt.payload = tampered
-            pkt.headers = {**pkt.headers, "mac": mac}
-            pkt.header_bytes = max(pkt.header_bytes, 8)  # MAC on the wire
-            yield nic.port.send(pkt)
+                payload = payload.copy()
+                payload[0] ^= 0xFF
+            wire = pkt.child(
+                payload=payload,
+                headers={**pkt.headers, "mac": mac},
+                header_bytes=max(pkt.header_bytes, 8),  # MAC on the wire
+            )
+            yield nic.port.send(wire)
 
     sim.process(sender(), name="threat-mac-tx")
     return wrap_result(sim, done, data.nbytes, "threat-packet-mac")

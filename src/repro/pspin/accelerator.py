@@ -50,13 +50,32 @@ import numpy as np
 
 from ..params import PsPinParams
 
-if TYPE_CHECKING:  # pragma: no cover — avoids a core<->pspin import cycle
+# ``repro.core`` imports ``repro.pspin.isa``, so whichever package loads
+# first finds the other half-initialized: bind the module, not ``Task``,
+# and read ``_core_context.Task`` once both have loaded.
+from ..core import context as _core_context
+
+if TYPE_CHECKING:  # pragma: no cover
     from ..core.context import ExecutionContext
 from ..simnet.engine import _DISPATCHED, Event, SimulationError, Simulator
-from ..simnet.packet import Packet
+from ..simnet.packet import Packet, fresh_msg_id
 from ..simnet.resources import Resource
 
 __all__ = ["PsPinAccelerator", "HandlerApi", "HandlerStats"]
+
+#: Shortest coalesced train the accelerator paces itself; shorter ones
+#: take the NIC's per-packet stepper.  Pacing saves kernel events on any
+#: train, but its set-up (agenda lists, sort, per-cluster HPU sweep)
+#: costs more wall time than the per-packet records it replaces until
+#: about six packets.  Measured with a closed loop of 4 clients writing
+#: plain sPIN writes to 4 storage nodes, paced vs unpaced in alternating
+#: in-process pairs (2-vCPU x86-64 host, CPython 3.11), as the median
+#: over 9 pairs of the unpaced/paced CPU-time ratio minus one (positive:
+#: pacing wins): 2 KiB (2 packets) -9%, 4-8 KiB (3-5) -1% to +2%,
+#: 10 KiB (6) +2% with its whole interquartile range above zero,
+#: 12-16 KiB (7-9) +5% to +9%; 64 KiB (33) +51% over 5 pairs.  The
+#: simulation is identical either way.
+TRAIN_PACE_MIN_PACKETS = 6
 
 
 @dataclass
@@ -125,12 +144,10 @@ class _MessageRun:
     )
 
     def __init__(self, sim: Simulator, msg_id: int, ctx: "ExecutionContext", cluster: int):
-        from ..core.context import Task  # deferred: core imports pspin.isa
-
         self.msg_id = msg_id
         self.ctx = ctx
         self.cluster = cluster
-        self.task = Task(ctx=ctx, flow_id=msg_id, cluster=cluster)
+        self.task = _core_context.Task(ctx=ctx, flow_id=msg_id, cluster=cluster)
         self.hh_done: Event = sim.event(name=f"hh_done({msg_id})")
         self.phs_done: Event = sim.event(name=f"phs_done({msg_id})")
         self.expected: Optional[int] = None
@@ -168,6 +185,10 @@ class _AccelTrain:
     exact simulated instant).  ``stage[j]`` records how far packet ``j``
     got, so an interrupt can materialize each packet back into the real
     per-packet pipeline at precisely the right point.
+
+    Only trains of at least :data:`TRAIN_PACE_MIN_PACKETS` packets get
+    one: building the agenda and sweeping the clusters' HPUs costs more
+    wall time than running a shorter train packet by packet.
     """
 
     __slots__ = (
@@ -684,8 +705,6 @@ class HandlerApi:
         """Emit a small control packet (ack / nack) through the same
         egress queue as :meth:`send`; the returned event fires when the
         queue accepts it."""
-        from ..simnet.packet import fresh_msg_id
-
         pkt = Packet(
             src=self._accel.node_name,
             dst=dst,
@@ -1095,6 +1114,9 @@ class PsPinAccelerator:
     # events this way against 184 with pacing turned off.
     # Any competing traffic tears the train down, materializing each
     # packet back into the real pipeline at its exact current stage.
+    # Only trains of TRAIN_PACE_MIN_PACKETS or more are paced: below
+    # that, the per-packet records cost less wall time than the train's
+    # set-up, although they dispatch more kernel events.
 
     def ingest_train(self, wt, nic) -> bool:
         """Offer a whole coalesced train; True when the accelerator paces
@@ -1107,9 +1129,9 @@ class PsPinAccelerator:
             return False
         pkts = wt.pkts
         n = len(pkts)
-        pkt0 = pkts[0]
-        if n < 2 or wt.cut < n:
+        if n < TRAIN_PACE_MIN_PACKETS or wt.cut < n:
             return False
+        pkt0 = pkts[0]
         ctx = self.match(pkt0)
         if ctx is None:
             return False

@@ -72,6 +72,12 @@ class Packet:
     ``size`` is the wire size in bytes (transport header + DFS headers on
     the first packet + payload).  ``payload`` is a zero-copy view into the
     originating message buffer (may be ``None`` for pure control packets).
+
+    The wire fields ``payload``, ``header_bytes``, ``seq`` and ``nseq``
+    are fixed at construction: ``size``, ``payload_bytes``, ``is_header``
+    and ``is_completion`` are computed once there and stored, since every
+    hop reads them.  A forwarder that needs other headers or another
+    payload passes them to :meth:`child` instead of assigning them.
     """
 
     src: str
@@ -97,25 +103,23 @@ class Packet:
     #: set when telemetry is enabled so spans emitted along the packet's
     #: path (wire, handlers, host commit) link back to the DFS request
     trace: Optional[Any] = None
+    # Derived from the wire fields in __post_init__:
+    payload_bytes: int = field(init=False)
+    size: int = field(init=False)
+    is_header: bool = field(init=False)
+    is_completion: bool = field(init=False)
 
-    @property
-    def payload_bytes(self) -> int:
-        return 0 if self.payload is None else int(self.payload.nbytes)
-
-    @property
-    def size(self) -> int:
-        return TRANSPORT_HEADER_BYTES + self.header_bytes + self.payload_bytes
-
-    @property
-    def is_header(self) -> bool:
-        return self.seq == 0
-
-    @property
-    def is_completion(self) -> bool:
-        return self.seq == self.nseq - 1
+    def __post_init__(self) -> None:
+        pb = 0 if self.payload is None else self.payload.nbytes
+        self.payload_bytes = pb
+        self.size = TRANSPORT_HEADER_BYTES + self.header_bytes + pb
+        self.is_header = self.seq == 0
+        self.is_completion = self.seq == self.nseq - 1
 
     def child(self, **overrides: Any) -> "Packet":
-        """A derived packet (e.g. a forwarded copy) sharing the payload view."""
+        """A derived packet (e.g. a forwarded copy) sharing the payload
+        view; ``overrides`` replace any constructor field.  The headers
+        dict is copied unless ``headers`` is overridden."""
         kw = dict(
             src=self.src,
             dst=self.dst,
@@ -124,12 +128,13 @@ class Packet:
             seq=self.seq,
             nseq=self.nseq,
             payload=self.payload,
-            headers=dict(self.headers),
             header_bytes=self.header_bytes,
             payload_offset=self.payload_offset,
             trace=self.trace,
         )
         kw.update(overrides)
+        if "headers" not in overrides:
+            kw["headers"] = dict(self.headers)
         return Packet(**kw)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
