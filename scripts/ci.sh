@@ -52,6 +52,10 @@ echo "== fault-injection smoke (seeded loss, all protocols, quiesce, simsan) =="
 # path is actually exercised, not just compiled; every protocol run is
 # sanitized and any finding fails the demo
 python -m repro demo --loss 1e-3 --seed 2
+# seed 3 with corruption corrupts 6 packets (15 retransmits): corrupted
+# packets leave the fused delivery path for the receiving NIC's CRC
+# drop, and this is the run that sends them through the sanitizer
+python -m repro demo --loss 1e-3 --corrupt 2e-3 --seed 3
 
 echo
 echo "== simsan gate (quick scenario matrix, zero findings) =="

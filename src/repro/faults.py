@@ -12,9 +12,12 @@ Wiring (all optional — a default :class:`SimParams` injects nothing):
 
 * :class:`~repro.simnet.link.Port` consults ``sim.faults`` after
   serializing each packet and before scheduling delivery — the natural
-  place for *wire* faults;
-* :class:`~repro.rdma.nic.RdmaNic.receive` consults it for node-down
-  windows and drops corrupted packets (the CRC check of a real NIC);
+  place for *wire* faults; an intact packet then takes the peer's fused
+  ``arrive`` entry, a corrupted one its ``receive``;
+* :class:`~repro.rdma.nic.RdmaNic` consults it for node-down windows at
+  the arrival instant, in ``receive`` and in the fused dispatch
+  (``_dispatch_arrived``), and ``receive`` drops corrupted packets (the
+  CRC check of a real NIC);
 * the client-side reliability layer in :mod:`repro.rdma.nic` (per-op
   retransmission timers with capped exponential backoff) is enabled by
   ``FaultParams.retransmit`` and is what lets every write protocol

@@ -29,9 +29,12 @@ __all__ = ["Pcie"]
 class _Flush(Event):
     """A DMA's durability event, tagged with the channel that serialized
     it: one channel's flushes fire in post order, so a waiter on several
-    of them needs only the last (see ``HandlerApi.all_dma_flushed``)."""
+    of them needs only the last (see ``HandlerApi.all_dma_flushed``).
+    ``durable`` is the instant it fires, known at post because the
+    channel is FIFO (``HandlerApi.dma_write`` closes its commit span
+    with it)."""
 
-    __slots__ = ("channel",)
+    __slots__ = ("channel", "durable")
 
 
 class Pcie:
@@ -54,7 +57,7 @@ class Pcie:
         self._ns_per_byte = gbps_to_ns_per_byte(params.pcie_bandwidth_gbps)
         self._dma_name = f"{name}.dma"
         self._q: Deque[Tuple[int, Optional[Callable[[], None]], Event, object]] = deque()
-        #: end of the last scheduled serialization (closed-form path)
+        #: end of the last scheduled serialization
         self._free_t = 0.0
         self._busy = False
         self._cur: Optional[Tuple[int, Optional[Callable[[], None]], Event, object]] = None
@@ -90,6 +93,7 @@ class Pcie:
         sim = self.sim
         done = _Flush(sim, name=self._dma_name)
         done.channel = self
+        ser = nbytes * self._ns_per_byte
         if not sim.telemetry.enabled:
             # Closed-form scheduling: with telemetry off the callback
             # chain's only externally visible effects are the completion
@@ -100,13 +104,12 @@ class Pcie:
             t = sim.now if post_t is None else post_t
             free = self._free_t
             start = free if free > t else t
-            ser = nbytes * self._ns_per_byte
             end = start + ser
             self._free_t = end
             self.busy_ns += ser
             self.bytes_transferred += nbytes
             self.transactions += 1
-            durable = end + self.params.pcie_latency_ns
+            durable = done.durable = end + self.params.pcie_latency_ns
             if durable <= sim.now:
                 # Replayed post whose completion is already in the past
                 # (train commit): apply it inline — nothing can have
@@ -116,8 +119,13 @@ class Pcie:
                     on_complete()
                 done.succeed_quiet(None)
             else:
-                sim._call_at1(self._fused_finish, (on_complete, done), durable)
+                sim._call_at1(self._finish, (on_complete, done), durable)
             return done
+        # The chain starts this transaction now, or when the one queued
+        # last ends: the same floats as the closed form above.
+        start = self._free_t if self._busy else sim.now
+        self._free_t = start + ser
+        done.durable = self._free_t + self.params.pcie_latency_ns
         txn = (nbytes, on_complete, done, trace)
         if self._busy:
             self._q.append(txn)
@@ -126,7 +134,7 @@ class Pcie:
         return done
 
     @staticmethod
-    def _fused_finish(pair) -> None:
+    def _finish(pair) -> None:
         cb, done = pair
         if cb is not None:
             cb()
@@ -173,13 +181,6 @@ class Pcie:
             self._busy = False
             self._cur = None
         sim._call_soon1(self._finish, (on_complete, done), delay=lat)
-
-    @staticmethod
-    def _finish(pair) -> None:
-        cb, done = pair
-        if cb is not None:
-            cb()
-        done.succeed(None)
 
     def utilisation(self) -> float:
         return self.busy_ns / self.sim.now if self.sim.now > 0 else 0.0

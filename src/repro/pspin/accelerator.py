@@ -733,18 +733,23 @@ class HandlerApi:
         if tel.enabled:
             # The host-commit span covers issue -> durability (PCIe
             # crossing plus, for NVMe backends, the flash program).
+            sim = self._accel.sim
             span = tel.begin(
                 f"commit {int(payload.nbytes)}B",
                 pid=f"host:{self._accel.node_name}",
                 tid="commit",
-                t0=self._accel.sim.now,
+                t0=sim.now,
                 cat="host",
                 trace=self._run.trace,
                 args={"addr": addr, "bytes": int(payload.nbytes)},
                 phase="dma",
             )
-            sim = self._accel.sim
-            ev.add_callback(lambda _e, s=span: tel.end(s, sim.now))
+            durable = getattr(ev, "durable", None)
+            if durable is not None:
+                # a PCIe flush knows its durable instant at post
+                span.t1 = durable
+            else:
+                ev.add_callback(lambda _e, s=span: tel.end(s, sim.now))
         return ev
 
     def dma_timing(self, nbytes: int) -> Event:
@@ -1480,6 +1485,7 @@ class PsPinAccelerator:
 
     def _finish(self, run: _MessageRun) -> None:
         run.finished = True
+        run.api = None  # the api points back at the run: free both by refcount
         self._runs.pop(run.msg_id, None)
 
     # ------------------------------------------------------------- cleanup

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from ..params import SimParams
-from ..simnet.engine import Event, Interrupt, Simulator
+from ..simnet.engine import Event, Simulator
 from ..simnet.link import Port
 from ..simnet.packet import (
     Message,
@@ -94,12 +94,39 @@ class PendingOp:
     attempts: int = 1
     #: dedup keys of acks already counted (duplicate acks are dropped)
     ack_keys: set = field(default_factory=set)
-    #: the per-op retransmission-timer Process, interrupted on completion
+    #: the op's retransmission timer (an ``_RtoTimer``); popping the op
+    #: from the NIC's pending table disarms it
     watchdog: Optional[object] = None
     #: last time an ack/progress for this op was observed
     last_progress: float = 0.0
     #: request trace context (for retransmit-backoff telemetry spans)
     trace: Optional[object] = None
+
+
+class _RtoTimer:
+    """Retransmission timer of one pending op: heap callbacks in place of
+    a watchdog process.  ``start`` runs where the process's first step
+    did and sleeps one interval; each ``fire`` lets the NIC check the op
+    (``RdmaNic._rto_expired``), which re-arms it.  ``strand`` names the
+    chain for simsan, as the process name did."""
+
+    __slots__ = ("nic", "gid", "rto")
+
+    def __init__(self, nic: "RdmaNic", gid: int, rto: float) -> None:
+        self.nic = nic
+        self.gid = gid
+        #: current interval (backs off after each retransmission)
+        self.rto = rto
+
+    @property
+    def strand(self) -> str:
+        return f"{self.nic.name}.rto({self.gid})"
+
+    def start(self, _) -> None:
+        self.nic.sim._call_soon1(self.fire, None, delay=self.rto)
+
+    def fire(self, _) -> None:
+        self.nic._rto_expired(self)
 
 
 class RdmaNic:
@@ -358,53 +385,45 @@ class RdmaNic:
         if pending.trace is None:
             pending.trace = msg.headers.get("trace")
         if pending.watchdog is None:
-            wd = self.sim.process(self._watchdog(gid), name=f"{self.name}.rto({gid})")
-            wd._observed = True
-            pending.watchdog = wd
+            timer = pending.watchdog = _RtoTimer(self, gid, fp.rto_ns)
+            self.sim._call_soon1(timer.start, None)
 
-    def _watchdog(self, gid: int):
-        """Per-op retransmission timer: capped exponential backoff,
-        bounded retransmit budget, interrupted via Process.interrupt when
-        the op completes."""
-        fp = self.params.faults
+    def _rto_expired(self, timer: "_RtoTimer") -> None:
+        """Retransmission timer fired: capped exponential backoff over a
+        bounded retransmit budget; re-arms unless the op gave up."""
+        gid = timer.gid
+        pending = self._pending.get(gid)
+        if pending is None or pending.watchdog is not timer or pending.event.triggered:
+            return  # completed (``_complete`` popped it), or the id was reused
         sim = self.sim
-        rto = fp.rto_ns
-        try:
-            while True:
-                yield sim.timeout(rto)
-                pending = self._pending.get(gid)
-                if pending is None or pending.event.triggered:
-                    return
-                if sim.now - pending.last_progress < rto:
-                    # acks arrived recently: the op is making progress,
-                    # hold fire for another interval
-                    continue
-                if pending.attempts > fp.max_retransmits:
-                    self.timeouts += 1
-                    tel = sim.telemetry
-                    if tel.enabled:
-                        self._handles.get(tel.metrics)[3].inc()
-                        self._backoff_span(tel, pending, gid, gave_up=True)
-                    pending.nacks.append(
-                        {"reason": "timeout", "ack_for": gid, "attempts": pending.attempts}
-                    )
-                    # detach first so _complete does not interrupt *us*
-                    pending.watchdog = None
-                    self._complete(gid, ok=False)
-                    return
-                pending.attempts += 1
-                n = len(pending.messages)
-                self.retransmits += n
+        fp = self.params.faults
+        rto = timer.rto
+        # acks that arrived within the last interval mean the op is
+        # making progress: hold fire for another interval
+        if sim.now - pending.last_progress >= rto:
+            if pending.attempts > fp.max_retransmits:
+                self.timeouts += 1
                 tel = sim.telemetry
                 if tel.enabled:
-                    self._handles.get(tel.metrics)[2].inc(n)
-                    self._backoff_span(tel, pending, gid, gave_up=False)
-                for msg in pending.messages:
-                    self._spawn_tx(msg, False, self._pname_rtx)
-                pending.last_progress = sim.now
-                rto = min(rto * fp.rto_backoff, fp.rto_max_ns)
-        except Interrupt:
-            return
+                    self._handles.get(tel.metrics)[3].inc()
+                    self._backoff_span(tel, pending, gid, gave_up=True)
+                pending.nacks.append(
+                    {"reason": "timeout", "ack_for": gid, "attempts": pending.attempts}
+                )
+                self._complete(gid, ok=False)
+                return
+            pending.attempts += 1
+            n = len(pending.messages)
+            self.retransmits += n
+            tel = sim.telemetry
+            if tel.enabled:
+                self._handles.get(tel.metrics)[2].inc(n)
+                self._backoff_span(tel, pending, gid, gave_up=False)
+            for msg in pending.messages:
+                self._spawn_tx(msg, False, self._pname_rtx)
+            pending.last_progress = sim.now
+            timer.rto = min(rto * fp.rto_backoff, fp.rto_max_ns)
+        sim._call_soon1(timer.fire, None, delay=timer.rto)
 
     def _backoff_span(self, tel, pending: PendingOp, gid: int, gave_up: bool) -> None:
         """Record the stalled window ``[last_progress, now)`` that the
@@ -522,11 +541,13 @@ class RdmaNic:
         self.sim._call_soon1(self._dispatch, pkt, delay=self.params.nic_rx_ns)
 
     def arrive(self, pkt: Packet, t_arr: float) -> None:
-        """Fused delivery from a fault-free wire, at the sender's tx-done:
+        """Fused delivery of an intact packet, at the sender's tx-done:
         the packet arrives at ``t_arr`` and is dispatched after the rx
-        pipeline latency, from one heap entry.  No corruption or
-        node-down checks, as for trains; the crash check runs at the
-        dispatch, since the node may die while the packet is in flight."""
+        pipeline latency, from one heap entry.  The link never hands a
+        corrupted packet here (``receive`` drops those); the crash and
+        node-down checks of ``receive`` run at the dispatch, against the
+        arrival instant, since the node may die while the packet is in
+        flight."""
         self.sim._call_at1(
             self._dispatch_arrived, (pkt, t_arr), t_arr + self.params.nic_rx_ns
         )
@@ -534,6 +555,10 @@ class RdmaNic:
     def _dispatch_arrived(self, arg: tuple) -> None:
         pkt, t_arr = arg
         if t_arr >= self.crashed_at:
+            return
+        faults = self.sim.faults
+        if faults is not None and faults.node_is_down(self.name, t_arr):
+            faults.count_node_drop(self.name)
             return
         self.rx_packets += 1
         self._dispatch(pkt)
@@ -799,10 +824,6 @@ class RdmaNic:
             san.retire("greq", (self.name, greq))
         if pending.event.triggered:
             return
-        wd = pending.watchdog
-        if wd is not None and wd.is_alive:
-            pending.watchdog = None
-            wd.interrupt("completed")
         res = OpResult(
             ok=ok,
             t_start=pending.t_start,

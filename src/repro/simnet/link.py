@@ -12,13 +12,15 @@ The egress path is a fused callback chain rather than a server process:
 ``send`` starts serialization immediately when the wire is idle,
 otherwise appends to a deque; a single ``tx-done`` kernel event per
 packet fires the sender's completion (quietly, when nobody waits on
-it), hands the packet on, and starts the next packet.  With no fault
-injector armed nothing can happen to a packet in flight, so a peer with
-an ``arrive(pkt, t_arr)`` entry takes it at tx-done, with its arrival
-instant, and schedules its own next step from there: a hop costs the
-tx-done event plus the peer's next real step, with the same simulated
-timestamps as a separate delivery event.  Other peers get their
-``receive`` scheduled at the arrival instant.
+it), hands the packet on, and starts the next packet.  The fault
+injector's verdict for this wire is drawn at tx-done too, so nothing
+more can happen to an intact packet in flight: a peer with an
+``arrive(pkt, t_arr)`` entry takes it at tx-done, with its arrival
+instant, and schedules its own next step from there (running its own
+arrival-time checks then): a hop costs the tx-done event plus the
+peer's next real step, with the same simulated timestamps as a separate
+delivery event.  Corrupted packets, and peers without ``arrive``, get
+their ``receive`` scheduled at the arrival instant.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def gbps_to_ns_per_byte(gbps: float) -> float:
 
 class Endpoint(Protocol):
     """Anything that can terminate a link.  It may also define
-    ``arrive(pkt, t_arr)``, called at tx-done on a fault-free wire with
-    the packet's arrival instant (see :meth:`Port._tx_done`)."""
+    ``arrive(pkt, t_arr)``, called at tx-done for an intact packet with
+    its arrival instant (see :meth:`Port._tx_done`)."""
 
     name: str
 
@@ -172,12 +174,7 @@ class Port:
         peer = self.peer
         assert peer is not None
         faults = sim.faults
-        if faults is None:
-            arrive = self._arrive
-            if arrive is not None:
-                arrive(pkt, sim.now + self.latency_ns)
-                return
-        else:
+        if faults is not None:
             # Wire faults strike after serialization (the sender paid
             # the egress cost either way) and before propagation.
             verdict = faults.egress_verdict(self.owner_name, pkt)
@@ -185,6 +182,16 @@ class Port:
                 return
             if verdict == "corrupt":
                 pkt.corrupted = True
+        # The fate on this wire is decided now, so an intact packet goes
+        # to a peer's fused entry with its arrival instant; that entry
+        # runs the receiver's own checks (crash, node-down windows) at
+        # the arrival instant.  A corrupted packet (on this hop or an
+        # earlier one: the flag sticks) takes ``receive``, where the
+        # receiving NIC's CRC check drops it.
+        arrive = self._arrive
+        if arrive is not None and not pkt.corrupted:
+            arrive(pkt, sim.now + self.latency_ns)
+            return
         sim._call_soon1(peer.receive, pkt, delay=self.latency_ns)
 
     def _start_next(self) -> None:

@@ -110,7 +110,7 @@ class Switch:
         self.sim._call_soon1(out.send, pkt, delay=self.cfg.switch_latency_ns)
 
     def arrive(self, pkt: Packet, t_arr: float) -> None:
-        """Fused delivery from a fault-free wire, at the sender's tx-done.
+        """Fused delivery of an intact packet, at the sender's tx-done.
 
         The base ``forward`` only counts the packet and schedules the
         output-port enqueue one traversal later.  With a local route and

@@ -77,7 +77,7 @@ class Resource:
             # needed.  A caller that yields the request resumes through
             # one ``_call_soon1`` pushed at the yield; one that checks
             # ``triggered`` can carry on without waiting at all.
-            req.succeed_quiet(req)
+            req.succeed_quiet(None)
         else:
             self.queue.append(req)
             req._abandon = lambda: self.cancel(req)
@@ -99,7 +99,8 @@ class Resource:
             if san is not None:
                 san.retire("resource-wait", id(nxt))
                 san.claim("resource-slot", id(nxt), self.name)
-            nxt.succeed(nxt)
+            nxt._abandon = None
+            nxt.succeed(None)
 
     def cancel(self, req: Request) -> None:
         """Withdraw a still-queued request (no-op if already granted)."""
@@ -164,6 +165,7 @@ class Store:
             getter = self._getters.popleft()
             if san is not None:
                 san.retire("store-wait", id(getter))
+            getter._abandon = None
             getter.succeed(item)
             ev.succeed(None)
         elif self.capacity is None or len(self.items) < self.capacity:
@@ -184,6 +186,7 @@ class Store:
             san = self.sim.sanitizer
             if san is not None:
                 san.retire("store-wait", id(getter))
+            getter._abandon = None
             getter.succeed(item)
             return True
         if self.capacity is not None and len(self.items) >= self.capacity:
@@ -229,6 +232,7 @@ class Store:
             san = self.sim.sanitizer
             if san is not None:
                 san.retire("store-wait", id(pev))
+            pev._abandon = None
             pev.succeed(None)
 
     def __len__(self) -> int:
@@ -329,6 +333,7 @@ class Container:
             if san is not None:
                 san.retire("container-wait", id(ev))
                 san.container_grant(self, amt)
+            ev._abandon = None
             ev.succeed(amt)
 
     @property

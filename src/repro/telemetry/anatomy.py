@@ -76,6 +76,10 @@ PRIORITY = ("hpu", "cpu", "dma", "ack", "wire", "submit", "host_queue", "retrans
 
 _PRIO_INDEX = {p: i for i, p in enumerate(PRIORITY)}
 _N_PRIO = len(PRIORITY)
+#: phase credited per sweep slot; the extra last slot holds phases tagged
+#: outside PRIORITY, which claim time only when nothing ranked is active
+_SLOT_PHASES = PRIORITY + ("retransmit",)
+_SLOTS = range(_N_PRIO + 1)
 
 #: per-request decomposition defect ceiling: phases must sum to the
 #: end-to-end latency within this (float rounding is orders below it)
@@ -176,33 +180,24 @@ def _attribute(
     for a, b, prio in intervals:
         events.append((a, prio, 1))
         events.append((b, prio, -1))
-    events.sort(key=lambda e: e[0])
-    # one extra slot for phases tagged outside PRIORITY ("retransmit"):
-    # they claim time only when nothing ranked is active
+    # Plain tuple order: events tied on time are all applied before the
+    # next segment is credited, so their order within the tie is moot.
+    events.sort()
+    events.append((t1, 0, 0))  # a no-op event closes the last segment
     counts = [0] * (_N_PRIO + 1)
-    retrans_prio = _PRIO_INDEX.get("retransmit", _N_PRIO)
-
-    def credit(a: float, b: float) -> None:
-        for i in range(_N_PRIO + 1):
-            if counts[i] > 0:
-                name = PRIORITY[i] if i < _N_PRIO else "retransmit"
-                phases[name] += b - a
-                return
-        phases["other"] += b - a
-
     prev = t0
-    j, n = 0, len(events)
-    while j < n:
-        t = events[j][0]
+    for t, prio, delta in events:
         if t > prev:
-            credit(prev, t)
+            # the first event at ``t`` closes [prev, t): credit it to the
+            # highest-priority phase active there
+            for i in _SLOTS:
+                if counts[i] > 0:
+                    phases[_SLOT_PHASES[i]] += t - prev
+                    break
+            else:
+                phases["other"] += t - prev
             prev = t
-        while j < n and events[j][0] == t:
-            _, prio, delta = events[j]
-            counts[prio if prio < _N_PRIO else _N_PRIO] += delta
-            j += 1
-    if t1 > prev:
-        credit(prev, t1)
+        counts[prio if prio < _N_PRIO else _N_PRIO] += delta
     # The swept total, `other` included, is what the segments covered:
     # past the window means time credited twice or outside it.  Checked
     # before the fold below, which would let `other` hide such an overrun.

@@ -72,13 +72,14 @@ class Span:
         parent_id: Optional[int] = None,
         args: Optional[Dict[str, Any]] = None,
         phase: Optional[str] = None,
+        t1: Optional[float] = None,
     ):
         self.name = name
         self.cat = cat
         self.pid = pid
         self.tid = tid
         self.t0 = t0
-        self.t1: Optional[float] = None
+        self.t1 = t1
         self.span_id = span_id
         self.trace_id = trace_id
         self.parent_id = parent_id
@@ -156,10 +157,15 @@ class Telemetry:
         args: Optional[Dict[str, Any]] = None,
         phase: Optional[str] = None,
     ) -> Span:
-        """Record an already-finished span."""
-        s = self.begin(name, pid, tid, t0, cat=cat, trace=trace, args=args,
-                       phase=phase)
-        s.t1 = t1
+        """Record an already-finished span (one constructor call: this
+        is the per-packet path of every wire and handler record)."""
+        s = Span(
+            name, cat, pid, tid, t0, next(self._span_ids),
+            trace.trace_id if trace is not None else None,
+            trace.span_id if trace is not None else None,
+            args, phase, t1,
+        )
+        self.spans.append(s)
         return s
 
     def root(

@@ -294,7 +294,7 @@ def test_sanitize_demo_under_loss_pinned(capsys, monkeypatch):
     assert len(beds) == 10 and all(tb.sanitizer is not None for _, tb in beds)
     (spin_k3,) = [tb for proto, tb in beds if proto == "spin"
                   and tb.metadata.lookup("/demo").resiliency == "replication"]
-    assert spin_k3.sim.events_dispatched == 2521
+    assert spin_k3.sim.events_dispatched == 2206
 
 
 def test_demo_fails_naming_the_protocol_with_findings(capsys, monkeypatch):

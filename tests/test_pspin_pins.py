@@ -156,7 +156,7 @@ PINS = {
     "pbt_k4_blocked_egress": (_pbt_blocked_egress, 1322, "17ffa0adc470ba39"),
     "ec_l1_contention": (_ec_contention, 1789, "4e458b5f8b9f22fa"),
     "hpu_quota": (_hpu_quota, 490, "29b3610e47deaf9b"),
-    "telemetry_k3": (_telemetry_k3, 1312, "3df589ba8c4d4ab7"),
+    "telemetry_k3": (_telemetry_k3, 1216, "3df589ba8c4d4ab7"),
     "overload_nack": (_overload_nack, 218, "6bf63520228d47a3"),
     "train_teardown": (_train_teardown, 93, "8333fdb027b5a6e5"),
 }
