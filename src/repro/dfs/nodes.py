@@ -126,9 +126,10 @@ class StorageNode(Host):
             hpu_quota=hpu_quota,
         )
         accel.install(ctx)
-        # NVMM DMA completes with a timeless memory write, so the train
-        # driver may batch handler commits; NVMe completions run a flash
-        # program that reads the clock and must be issued live.
+        # NVMM DMA completes with a timeless memory write, so the
+        # accelerator may pace a train and batch its handler commits;
+        # NVMe completions run a flash program that reads the clock and
+        # must be issued live, so NVMe-backed trains go packet by packet.
         accel.dma_lazy_ok = self.storage_backend != "nvme"
         self.accelerator = accel
         self.nic.attach_accelerator(accel)

@@ -126,10 +126,11 @@ class SimParams:
     #: Fault injection + client reliability layer (defaults to none).
     faults: FaultParams = field(default_factory=FaultParams)
     #: Packet-train coalescing fast path (simulator optimisation, not a
-    #: model change): multi-packet messages on uncontended links are
-    #: simulated with one event per train instead of per packet, with
-    #: byte-identical timestamps.  Disable to force the per-packet slow
-    #: path (the differential tests compare the two).
+    #: model change): with telemetry off, multi-packet messages on
+    #: uncontended links are simulated with one event per train instead
+    #: of per packet, with byte-identical timestamps.  Disable to force
+    #: the per-packet path, which traced runs always take (the
+    #: differential tests compare the two).
     coalescing: bool = True
 
     def scaled_network(self, bandwidth_gbps: float) -> "SimParams":

@@ -9,7 +9,10 @@
   events-per-packet cost of the packet pipeline and packets per CPU
   second; plus the telemetry-off / telemetry-on time ratio of a
   replicated spin write, which must stay at or below
-  :data:`TELEMETRY_OFF_ON_CAP` (collection must cost nothing when off);
+  :data:`TELEMETRY_OFF_ON_CAP` (collection must cost nothing when off).
+  Telemetry on also takes the per-packet reference path (no packet
+  trains, two-step handler dispatch, the PCIe callback chain), so the
+  ratio compares the fast path against the traced reference path;
 * **workload** — the million-user open-loop ``hot_shard_1m`` scenario
   through the aggregated flow generators: kernel events dispatched,
   simulated users per wall-second on one core, plus the schedule and

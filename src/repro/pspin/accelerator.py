@@ -180,11 +180,11 @@ class _AccelTrain:
     4 ``act``  HPU dispatch done, compute begins (t0)
     5 ``done`` handler completes: DMA + stats    (e)
 
-    Pure-state entries are applied lazily (the driver only wakes at
-    ``done`` times, where real side effects — DMA posts — must run at the
-    exact simulated instant).  ``stage[j]`` records how far packet ``j``
-    got, so an interrupt can materialize each packet back into the real
-    per-packet pipeline at precisely the right point.
+    Entries are applied lazily: the driver wakes once, at the last
+    ``done`` time, and DMA posts carry their entry's instant.
+    ``stage[j]`` records how far packet ``j`` got, so an interrupt can
+    materialize each packet back into the real per-packet pipeline at
+    precisely the right point.
 
     Only trains of at least :data:`TRAIN_PACE_MIN_PACKETS` packets get
     one: building the agenda and sweeping the clusters' HPUs costs more
@@ -608,14 +608,7 @@ class _PacketRecord:
             self._at(at.t0[j], self.hpu_active)
 
     def hpu_active(self, _) -> None:
-        acc = self.acc
-        cluster = self.cluster
-        cluster.active += 1
-        tel = acc.sim.telemetry
-        if tel.enabled:
-            acc._handles.get(tel.metrics)["active"][cluster.idx].set(
-                acc.sim.now, cluster.active
-            )
+        self.cluster.active += 1
         self._at(self.at.e[self.j], self.hpu_commit)
 
     def hpu_commit(self, _) -> None:
@@ -892,8 +885,8 @@ class PsPinAccelerator:
         #: with their true times (None outside commits)
         self._commit_t: Optional[float] = None
         #: set by the owning node when its storage backend completes DMA
-        #: timelessly (plain memory write) — allows the train driver to
-        #: batch all handler commits into one wake-up
+        #: timelessly (plain memory write): only then are trains paced,
+        #: their handler commits batched into one wake-up
         self.dma_lazy_ok = False
         san = sim.sanitizer
         if san is not None:
@@ -1113,10 +1106,13 @@ class PsPinAccelerator:
     # payload policy is straight-line (never yields, non-memory-intensive
     # cost) has a fully closed-form pipeline: the header packet runs the
     # real pipeline, and every other packet's per-stage times are
-    # precomputed.  One driver process wakes once per handler completion
-    # (where DMA posts must happen at the exact instant) and applies all
-    # pure-state effects lazily: a 64 KiB plain sPIN write takes 31 kernel
-    # events this way against 184 with pacing turned off.
+    # precomputed.  One driver process wakes once, at the last handler
+    # completion, and replays every per-packet effect with its own
+    # timestamp: a 64 KiB plain sPIN write takes 31 kernel events this
+    # way against 184 with pacing turned off.  That replay needs what
+    # trains already require (telemetry off: wire trains form only
+    # then) plus a storage backend whose DMA completion is timeless, so
+    # NVMe-backed trains go packet by packet.
     # Any competing traffic tears the train down, materializing each
     # packet back into the real pipeline at its exact current stage.
     # Only trains of TRAIN_PACE_MIN_PACKETS or more are paced: below
@@ -1134,7 +1130,7 @@ class PsPinAccelerator:
             return False
         pkts = wt.pkts
         n = len(pkts)
-        if n < TRAIN_PACE_MIN_PACKETS or wt.cut < n:
+        if n < TRAIN_PACE_MIN_PACKETS or wt.cut < n or not self.dma_lazy_ok:
             return False
         pkt0 = pkts[0]
         ctx = self.match(pkt0)
@@ -1220,27 +1216,19 @@ class PsPinAccelerator:
         if run.finished or not self._train_build_exec(at):
             self._train_teardown(at)
             return
-        if not sim.telemetry.enabled and self.dma_lazy_ok:
-            # Batched commits: with telemetry off and a timeless storage
-            # backend, nothing observes the interval between a handler's
-            # true finish time and the train's end — every commit can be
-            # replayed at the final wake-up with its recorded timestamps
-            # (DMA posts carry their true issue times via ``_commit_t``).
-            # An interrupt still lands exactly: teardown's catch-up
-            # replays everything due and materializes the rest live.
-            wakes = [max(at.e)]
-        else:
-            # One wake per distinct handler-completion time: DMA posts
-            # (and phs_done) must happen at those exact instants;
-            # everything else on the agenda is pure state and applies
-            # lazily at the wakes.
-            wakes = sorted(set(at.e))
-        for t in wakes:
-            if t > sim.now:
-                yield sim.timeout_at(t)
-                if at.dead:
-                    return
-            self._train_catchup(at)
+        # Batched commits: with telemetry off and a timeless storage
+        # backend, nothing observes the interval between a handler's true
+        # finish time and the train's end — every commit is replayed at
+        # one wake-up with its recorded timestamps (DMA posts carry their
+        # true issue times via ``_commit_t``).  An interrupt still lands
+        # exactly: teardown's catch-up replays everything due and
+        # materializes the rest live.
+        t = max(at.e)
+        if t > sim.now:
+            yield sim.timeout_at(t)
+            if at.dead:
+                return
+        self._train_catchup(at)
         self._train = None
         if at.wire.cut < len(at.pkts):
             # The wire cut trailing packets: they re-arrive individually
@@ -1344,7 +1332,6 @@ class PsPinAccelerator:
         wire = at.wire
         pkts = at.pkts
         stage = at.stage
-        tel = self.sim.telemetry
         while i < n and agenda[i][0] <= now:
             t, j, rank = agenda[i]
             i += 1
@@ -1356,10 +1343,6 @@ class PsPinAccelerator:
                 if pkt.is_completion:
                     self._admitted.discard(pkt.msg_id)
                 self._queued += 1
-                if tel.enabled:
-                    h = self._handles.get(tel.metrics)
-                    h["ingested"].inc()
-                    h["queued"].set(t, self._queued)
                 stage[j] = 1
             elif rank == 1:  # F1 done: run bookkeeping + exec-cluster pick
                 run = at.run
@@ -1376,12 +1359,7 @@ class PsPinAccelerator:
                 at.run.completion_seen = True
                 stage[j] = 4
             elif rank == 4:  # dispatch done: compute begins
-                cluster = self.clusters[at.cl[j]]
-                cluster.active += 1
-                if tel.enabled:
-                    self._handles.get(tel.metrics)["active"][cluster.idx].set(
-                        t, cluster.active
-                    )
+                self.clusters[at.cl[j]].active += 1
                 stage[j] = 5
             else:  # rank 5: handler completes at exactly ``t == at.e[j]``
                 cluster = self.clusters[at.cl[j]]

@@ -564,18 +564,19 @@ class RdmaNic:
         self._dispatch(pkt)
 
     def receive_train(self, st: PacketTrain) -> None:
-        """Coalesced delivery: the train's packets arrive at their
-        precomputed times.  No corruption / node-down checks — trains
-        only form when ``sim.faults is None``, so neither can occur.  A
-        train that reaches a crashed node is dropped whole; one taken in
-        before the crash is delivered whole."""
-        if self.sim.now >= self.crashed_at:
-            return
-        self.sim._call_soon1(self._dispatch_train, st, delay=self.params.nic_rx_ns)
+        """Coalesced delivery, at the sender's first tx-done (as
+        ``arrive``): the train's packets arrive at their precomputed
+        times.  No corruption / node-down checks — trains only form when
+        ``sim.faults is None``, so neither can occur.  A train whose
+        first packet arrives at a crashed node is dropped whole; one
+        taken in before the crash is delivered whole."""
+        self.sim._call_at1(
+            self._dispatch_train, st, st.arr[0] + self.params.nic_rx_ns
+        )
 
     def _dispatch_train(self, st: PacketTrain) -> None:
-        if st.cut == 0:
-            return  # fully cut before first arrival; packets re-sent
+        if st.cut == 0 or st.arr[0] >= self.crashed_at:
+            return  # fully cut before first arrival (re-sent), or crashed
         ingest_train = getattr(self.accelerator, "ingest_train", None)
         if not self.rx_hooks and ingest_train is not None and ingest_train(st, self):
             return  # the accelerator paces the whole train itself

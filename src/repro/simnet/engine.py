@@ -418,10 +418,11 @@ class Simulator:
         self._never = Event(self, "never")
         #: fault oracle (see repro.faults.install_faults); None = no faults
         self.faults = None
-        #: packet-train coalescing switch (see repro.simnet.link): ports
-        #: may collapse an uncontended multi-packet burst into one train
-        #: event with precomputed per-packet timestamps.  Purely a
-        #: simulator fast path — timestamps are byte-identical either way.
+        #: packet-train coalescing switch (see repro.simnet.link): with
+        #: telemetry off, ports may collapse an uncontended multi-packet
+        #: burst into one train event with precomputed per-packet
+        #: timestamps.  Purely a simulator fast path — timestamps are
+        #: byte-identical either way.
         self.coalescing = True
         # -- self-profile (always on: integer bookkeeping only) --------
         self.events_dispatched = 0

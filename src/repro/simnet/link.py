@@ -163,9 +163,24 @@ class Port:
         self.busy_ns += ser
         tel = sim.telemetry
         if tel.enabled:
-            h = self._handles.get(tel.metrics)
-            self._tx_telemetry(tel, h, pkt, ser, sim.now)
-            h[0].set(sim.now, len(self._q))
+            now = sim.now
+            t0 = now - ser
+            tel.span(
+                f"{pkt.op} m{pkt.msg_id} {pkt.seq + 1}/{pkt.nseq}",
+                pid="net",
+                tid=self.owner_name,
+                t0=t0,
+                t1=now,
+                cat="net",
+                trace=pkt.trace,
+                args={"bytes": pkt.size, "queued_ns": t0 - pkt.enqueue_t},
+                phase="ack" if pkt.op in _ACK_OPS else "wire",
+            )
+            gauge, busy, nbytes, npkts = self._handles.get(tel.metrics)
+            busy.inc(ser)
+            nbytes.inc(pkt.size)
+            npkts.inc()
+            gauge.set(now, len(self._q))
         done.succeed_quiet(pkt)
         # Start serializing the next queued packet before dealing with
         # this one's fate on the wire (pipelined wire: propagation never
@@ -206,14 +221,15 @@ class Port:
 
     # -- packet-train coalescing -----------------------------------------
     #
-    # When a multi-packet burst hits an idle, fault-free port, its whole
-    # wire schedule is a closed form; we schedule TWO heap events for the
-    # entire burst (train tx-done at the last serialization end, train
-    # delivery at the first arrival) instead of three per packet.  Per-
-    # packet tx statistics and telemetry are applied lazily — at train
-    # completion, or at the abort point when cross-traffic de-coalesces
-    # the train — with the exact per-packet timestamps the slow path
-    # would have produced.
+    # When a multi-packet burst hits an idle port with telemetry and the
+    # fault injector off, its whole wire schedule is a closed form; we
+    # schedule TWO heap events for the entire burst (train tx-done at the
+    # last serialization end, the hand-off to the peer at the first
+    # serialization end, where ``_tx_done`` hands a packet on) instead of
+    # one per packet.  Per-packet tx statistics are applied lazily — at
+    # train completion, or at the abort point when cross-traffic
+    # de-coalesces the train.  A traced run takes the per-packet path,
+    # which writes each record at its own instant.
 
     def try_send_train(
         self,
@@ -228,20 +244,22 @@ class Port:
         port (a forwarding hop whose packets are still arriving); None
         means sender-paced (packet ``i+1`` is offered the instant ``i``
         finishes serializing, like the NIC's send loop).  ``enq_push``
-        gives, per packet, when the slow path would have *pushed* the
-        enqueue callback (the switch pushes ``out.send`` one traversal
-        before it fires) — it decides whether an enqueue gauge sample
-        precedes a tx-done sample landing on the same timestamp; None
-        means enqueues are pushed at their fire time and lose ties, like
-        a sender resuming from the tx-done event.  Returns None — and
-        sends nothing — when the closed form would not be valid: busy
-        wire, queued packets, armed fault injector, coalescing disabled,
-        or a peer that cannot consume trains.
+        gives, per packet, when the per-packet path would have *pushed*
+        the enqueue callback (the switch pushes ``out.send`` at the
+        upstream tx-done): when an abort re-sends a packet whose enqueue
+        ties with the in-service packet's tx-done, it decides which runs
+        first; None means enqueues are pushed at their fire time and
+        lose ties, like a sender resuming from the tx-done event.
+        Returns None — and sends nothing — when the closed form would
+        not be valid or telemetry must see each packet: busy wire,
+        queued packets, armed fault injector, telemetry on, coalescing
+        disabled, or a peer that cannot consume trains.
         """
         sim = self.sim
         if (
             not sim.coalescing
             or sim.faults is not None
+            or sim.telemetry.enabled
             or self._busy
             or self._q
             or len(pkts) < 2
@@ -272,7 +290,7 @@ class Port:
         # Absolute-time pushes: bit-identical to the incremental floats
         # the per-packet path produces (now + (t - now) can drift an ulp).
         sim._call_at1(self._train_tx_done, st, done[-1])
-        sim._call_at1(self.peer.receive_train, st, arr[0])
+        sim._call_at1(self.peer.receive_train, st, done[0])
         return st
 
     def _train_tx_done(self, st: PacketTrain) -> None:
@@ -308,13 +326,13 @@ class Port:
         # A forwarding hop still forwards packets [c + mid, owed).  Those
         # that already reached it go back into the real queue behind the
         # one in service and ahead of the competing sender, as FIFO
-        # demands, with their enqueue samples applied here; the others
-        # re-enter via send() at their availability times.
+        # demands; the others re-enter via send() at their availability
+        # times.
         owed = min(cut_old, st.have) if st.avail is not None else c + mid
         reached = c + mid
         while reached < owed and st.avail[reached] <= now:
             reached += 1
-        self._apply_train_stats(st, c, reached)
+        self._apply_train_stats(st, c)
         for j in range(c + mid, reached):
             self._q.append((st.pkts[j], Event(sim)))
         late = range(reached, owed)
@@ -352,20 +370,14 @@ class Port:
         """The in-service packet of an aborted train finished serializing.
 
         Mirrors ``_tx_done`` minus delivery (the train still carries the
-        packet to the peer) and minus fault checks (trains never form
-        with an armed injector).
+        packet to the peer) and minus fault checks and telemetry (trains
+        never form with an armed injector or telemetry on).
         """
         st, c = arg
         pkt = st.pkts[c]
-        ser = pkt.size * self._ns_per_byte
-        tel = self.sim.telemetry
         self.tx_packets += 1
         self.tx_bytes += pkt.size
-        self.busy_ns += ser
-        if tel.enabled:
-            h = self._handles.get(tel.metrics)
-            self._tx_telemetry(tel, h, pkt, ser, st.done[c])
-            h[0].set(self.sim.now, len(self._q))
+        self.busy_ns += pkt.size * self._ns_per_byte
         st.applied = c + 1
         if st.ev is not None:
             st.ev.succeed(pkt)
@@ -377,115 +389,20 @@ class Port:
             return  # an upstream abort cut it; the origin re-sends it
         self.send(st.pkts[j])
 
-    def _apply_train_stats(
-        self, st: PacketTrain, upto: int, enq_upto: Optional[int] = None
-    ) -> None:
-        """Apply per-packet tx statistics/telemetry for ``[applied, upto)``
-        with the exact timestamps the per-packet path would have used;
-        enqueue samples run to ``enq_upto`` (default ``upto``), covering
-        packets that reached the port but have not left it."""
+    def _apply_train_stats(self, st: PacketTrain, upto: int) -> None:
+        """Apply per-packet tx statistics for ``[applied, upto)``, in the
+        order the per-packet path accumulates them."""
         a = st.applied
-        n_enq = upto if enq_upto is None else enq_upto
-        if n_enq <= a:
+        if upto <= a:
             return
         st.applied = upto
-        sim = self.sim
-        tel = sim.telemetry
         npb = self._ns_per_byte
         pkts = st.pkts
-        done = st.done
         for i in range(a, upto):
             size = pkts[i].size
             self.tx_packets += 1
             self.tx_bytes += size
             self.busy_ns += size * npb
-        if not tel.enabled:
-            return
-        if st.enq_depth is None:
-            self._compute_train_depths(st)
-        h = self._handles.get(tel.metrics)
-        gauge = h[0]
-        enq_t = st.avail if st.avail is not None else st.s
-        ep = st.enq_push
-        s = st.s
-        # Queue-depth samples, merged into time order (enqueue samples of
-        # later packets can precede tx-done samples of earlier ones when
-        # a slower egress builds a queue).  Timestamp ties replay heap
-        # order: the enqueue callback wins only if it was pushed before
-        # packet ``di``'s tx-done callback (pushed at serialization start).
-        ei, di = a, a
-        while di < upto or ei < n_enq:
-            if ei < n_enq and (
-                di == upto
-                or enq_t[ei] < done[di]
-                or (enq_t[ei] == done[di] and ep is not None and ep[ei] < s[di])
-            ):
-                gauge.set(enq_t[ei], st.enq_depth[ei])
-                ei += 1
-            else:
-                gauge.set(done[di], st.done_depth[di])
-                di += 1
-        for i in range(a, upto):
-            self._tx_telemetry(tel, h, pkts[i], pkts[i].size * npb, done[i])
-
-    def _tx_telemetry(self, tel, h, pkt: Packet, ser: float, t1: float) -> None:
-        """Wire span and tx counters of ``pkt``, serialized over the
-        ``ser`` ns ending at ``t1``; ``h`` holds this port's handles."""
-        t0 = t1 - ser
-        tel.span(
-            f"{pkt.op} m{pkt.msg_id} {pkt.seq + 1}/{pkt.nseq}",
-            pid="net",
-            tid=self.owner_name,
-            t0=t0,
-            t1=t1,
-            cat="net",
-            trace=pkt.trace,
-            args={"bytes": pkt.size, "queued_ns": t0 - pkt.enqueue_t},
-            phase="ack" if pkt.op in _ACK_OPS else "wire",
-        )
-        _gauge, busy, nbytes, npkts = h
-        busy.inc(ser)
-        nbytes.inc(pkt.size)
-        npkts.inc()
-
-    def _compute_train_depths(self, st: PacketTrain) -> None:
-        """Queue-depth gauge values per packet, matching what the slow
-        path samples at enqueue (depth including self + in-service) and
-        at tx-done (packets waiting, next not yet popped)."""
-        n = len(st.pkts)
-        # Packets at or past ``have`` never reach this hop on the train's
-        # schedule (an upstream abort re-routes them through the ordinary
-        # path), so their scheduled enqueues must not be counted.
-        n_enq = min(n, st.have)
-        enq_t = st.avail if st.avail is not None else st.s
-        ep = st.enq_push
-        s = st.s
-        done = st.done
-        enq_depth = [0] * n
-        done_depth = [0] * n
-        # Ties between an enqueue and a tx-done on the same timestamp
-        # follow heap push order: the enqueue fires first only when its
-        # callback was pushed before the tx-done's (at serialization
-        # start); a sender-paced enqueue (ep None) always fires after.
-        lo = 0
-        for i in range(n):
-            while lo < n and (
-                done[lo] < enq_t[i]
-                or (done[lo] == enq_t[i] and (ep is None or ep[i] >= s[lo]))
-            ):
-                lo += 1
-            enq_depth[i] = i - lo + 1
-        hi = 0
-        for i in range(n):
-            while hi < n_enq and (
-                enq_t[hi] < done[i]
-                or (enq_t[hi] == done[i] and ep is not None and ep[hi] < s[i])
-            ):
-                hi += 1
-            d = hi - 1 - i
-            done_depth[i] = d if d > 0 else 0
-        st.enq_depth = enq_depth
-        st.done_depth = done_depth
 
     def utilisation(self) -> float:
         return self.busy_ns / self.sim.now if self.sim.now > 0 else 0.0

@@ -130,10 +130,11 @@ class Switch:
     def forward_train(self, st: PacketTrain) -> None:
         """Forward a coalesced train: one traversal charge for the burst.
 
-        Runs at the train's first arrival.  Re-coalesces onto the output
-        port when possible (availability times = per-packet arrival +
-        traversal latency); otherwise falls back to one ``out.send`` per
-        packet at exactly the slow path's times.  An upstream abort
+        Runs at the upstream's first tx-done, as ``arrive`` does for a
+        packet.  Re-coalesces onto the output port when possible
+        (availability times = per-packet arrival + traversal latency);
+        otherwise falls back to one ``out.send`` per packet at exactly
+        the slow path's times.  An upstream abort
         propagates through ``on_abort``: packets the sender never put on
         the wire are un-counted here and cut from the downstream train —
         they will re-traverse the switch as ordinary packets when the
@@ -156,22 +157,25 @@ class Switch:
                 )
             return
         self.rx_packets += k
-        tel = self.sim.telemetry
-        if tel.enabled:
-            self._handles.get(tel.metrics)[0].inc(k)
         sl = self.cfg.switch_latency_ns
         down: Optional[PacketTrain] = None
         if k == len(pkts):
             avail = [a + sl for a in st.arr]
-            # enq_push = upstream arrival: the slow path pushes each
-            # ``out.send`` callback when ``forward`` runs, one traversal
-            # latency before it fires.
+            # enq_push = upstream tx-done: the per-packet path pushes
+            # each ``out.send`` callback there (``arrive``), one hop and
+            # one traversal before it fires.
             down = out.try_send_train(
-                pkts, avail=avail, sender_event=False, enq_push=st.arr
+                pkts, avail=avail, sender_event=False, enq_push=st.done
             )
         if down is None:
             # De-coalesce at this hop: one event per packet, at the same
             # times the per-packet path would use (arrival + traversal).
+            live = out._train
+            if live is not None and live.done[-1] > st.arr[0] + sl:
+                # Our first packet will cut the live train anyway.  Cut it
+                # now, so its re-sends are pushed before our steps, as its
+                # sender's tx-dones pushed them ahead of ours.
+                out._train_abort()
             for j in range(k):
                 self.sim._call_at1(self._forward_train_step, (st, j, out.send), st.arr[j] + sl)
         counted = [k]
@@ -182,18 +186,9 @@ class Switch:
                 lost = counted[0] - k2
                 counted[0] = k2
                 self.rx_packets -= lost
-                tel2 = self.sim.telemetry
-                if tel2.enabled:
-                    self._handles.get(tel2.metrics)[0].inc(-lost)
             if down is not None:
                 if k2 < down.have:
                     down.have = k2
-                    # Cached queue-depth samples counted the cut packets'
-                    # scheduled enqueues, which now never happen on this
-                    # train; recompute lazily against the reduced ``have``
-                    # (already-applied samples predate the upstream abort
-                    # and so cannot have seen the cut enqueues).
-                    down.enq_depth = down.done_depth = None
                 if k2 < down.cut:
                     down.cut = k2
 

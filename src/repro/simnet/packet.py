@@ -148,7 +148,7 @@ class PacketTrain:
     """A coalesced burst of packets with a precomputed wire schedule.
 
     When a multi-packet message hits an *uncontended* port (idle wire,
-    empty queue, no fault injector armed), the whole burst's per-packet
+    empty queue, no fault injector armed, telemetry off), the whole burst's per-packet
     timestamps are a closed form: ``s[i] = max(done[i-1], avail[i])``,
     ``done[i] = s[i] + ser_i``, ``arr[i] = done[i] + latency``.  The port
     then schedules ONE train event instead of three heap events per
@@ -167,7 +167,7 @@ class PacketTrain:
 
     __slots__ = (
         "pkts", "s", "done", "arr", "avail", "enq_push", "cut", "have",
-        "applied", "ev", "on_abort", "enq_depth", "done_depth",
+        "applied", "ev", "on_abort",
     )
 
     def __init__(self, pkts: "List[Packet]", s: List[float], done: List[float],
@@ -180,16 +180,14 @@ class PacketTrain:
         self.avail = avail      # when each packet reached this hop (None
                                 # for sender-paced trains: avail == s)
         self.enq_push = enq_push  # when the slow path would have PUSHED
-                                # each enqueue callback (tie-breaks gauge
-                                # sample order at equal timestamps; None:
-                                # enqueues fire after tx-dones at ties)
+                                # each enqueue callback (orders an abort's
+                                # re-sends against a tx-done at equal
+                                # timestamps; None: the tx-done first)
         self.cut = len(pkts)    # first index NOT delivered by the train
         self.have = len(pkts)   # first index never seen at this hop
         self.applied = 0        # tx stats applied up to this index
         self.ev = None          # sender-completion event (sender-paced)
         self.on_abort = None    # downstream cut propagation hook
-        self.enq_depth = None   # per-packet queue-depth gauge samples
-        self.done_depth = None  # (populated only when telemetry is on)
 
     def __len__(self) -> int:
         return len(self.pkts)

@@ -1,28 +1,35 @@
 """Differential tests for the packet-train coalescing fast path.
 
-Coalescing is a pure performance optimisation: every observable —
-operation outcomes, completion times, telemetry spans, metric counters,
-gauge trajectories, histograms, and hardware counters — must be
+Coalescing is a pure performance optimisation: operation outcomes,
+completion times, the final clock, hardware counters and the wire
+schedule (each packet's tx-done instant on each port) must be
 byte-identical between the fast path (``sim.coalescing=True``, the
-default) and the forced slow path (``coalescing=False``).
+default) and the forced per-packet path (``coalescing=False``).
 
-Two passes are required because they exercise *different* fast paths:
+Packet trains form only with telemetry off and no fault injector
+armed, so a traced run always takes the per-packet reference path,
+which writes each record at its own instant.  Hence:
 
-* telemetry **on** — trains still form on the wire, but the accelerator
-  commits handlers eagerly (per distinct timestamp) and PCIe runs its
-  full callback chain, so spans/metrics must line up sample for sample;
-* telemetry **off** — the lazy single-wake train driver and the
-  closed-form PCIe scheduler take over; only outcomes, the final clock,
-  and hardware counters remain observable, and they must not move.
+* telemetry **off** — trains, the lazy single-wake train driver and the
+  closed-form PCIe scheduler run; outcomes, the final clock, hardware
+  counters and the wire schedule must not move;
+* telemetry **on** — no train forms (checked by spies), and the traced
+  reference run must agree with the untraced coalesced one on outcomes,
+  the final clock and hardware counters: telemetry never perturbs
+  simulated time.
 
 A third group covers the coalescing x faults contract: an armed
 :class:`~repro.faults.FaultInjector` must prevent train formation
 entirely (trains bypass per-packet fault checks, so forming one would
-skip the injector), while results stay identical with the PR 2
+skip the injector), while results stay identical with the NIC's
 retransmission layer doing the repairs.
 """
 
 from __future__ import annotations
+
+import ast
+import inspect
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -37,7 +44,14 @@ from repro.protocols import (
     install_rpc_targets,
     install_spin_targets,
 )
+from repro.pspin import accelerator as accel_mod
+from repro.rdma import nic as nic_mod
+from repro.simnet import link as link_mod
+from repro.simnet import network as network_mod
 from repro.simnet.link import Port
+from repro.simnet.packet import PacketTrain
+
+from .test_short_train_path import _spin_writes
 
 KiB = 1024
 
@@ -55,18 +69,6 @@ def _build(coalescing, telemetry, topology="star", backend="nvmm", faults=None,
         n_storage=n_storage, params=params, topology=topology,
         storage_backend=backend, telemetry=telemetry,
     )
-
-
-def _tel_sig(tb):
-    """Full telemetry signature: spans, counters, gauge internals, hists."""
-    tel = tb.sim.telemetry
-    spans = sorted((s.name, s.cat, s.pid, s.tid, s.t0, s.t1) for s in tel.spans)
-    m = tel.metrics
-    counters = {n: c.value for n, c in m.counters.items()}
-    gauges = {n: (len(g.times), g.last, g.max, g._area, g._last_t)
-              for n, g in m.gauges.items()}
-    hists = {n: sorted(h.values) for n, h in m.histograms.items()}
-    return spans, counters, gauges, hists
 
 
 def _hw_sig(tb):
@@ -140,14 +142,12 @@ TEL_CASES = [
     ids=[f"{n}{'-' + '-'.join(k) if k else ''}" for n, k in TEL_CASES],
 )
 def test_telemetry_differential(name, kw):
-    rf, tbf = _run_spin_scenario(name, True, True, **kw)
-    rs, tbs = _run_spin_scenario(name, False, True, **kw)
-    assert rf == rs
-    sf, ss = _tel_sig(tbf), _tel_sig(tbs)
-    assert sf[0] == ss[0], "span multisets differ"
-    assert sf[1] == ss[1], "counters differ"
-    assert sf[2] == ss[2], "gauge trajectories differ"
-    assert sf[3] == ss[3], "histograms differ"
+    """The traced reference run and the untraced coalesced run agree on
+    outcomes, the final clock and hardware counters."""
+    r_on, tb_on = _run_spin_scenario(name, False, True, **kw)
+    rf, tbf = _run_spin_scenario(name, True, False, **kw)
+    assert r_on == rf
+    assert _hw_sig(tb_on) == _hw_sig(tbf)
 
 
 TELOFF_CASES = [
@@ -212,19 +212,96 @@ def _run_protocol(protocol, coalescing, telemetry, faults):
 @pytest.mark.parametrize("faults", [None, LOSS], ids=["clean", "faulty"])
 @pytest.mark.parametrize("protocol", list(PROTO))
 def test_every_protocol_differential(protocol, faults):
-    """Fast vs forced-slow: identical completion times and telemetry on
-    every write protocol, with and without seeded faults (tentpole
-    acceptance)."""
-    rf_on, tbf_on = _run_protocol(protocol, True, True, faults)
-    rs_on, tbs_on = _run_protocol(protocol, False, True, faults)
-    assert rf_on == rs_on
-    assert _tel_sig(tbf_on) == _tel_sig(tbs_on)
-    rf_off, tbf_off = _run_protocol(protocol, True, False, faults)
-    rs_off, tbs_off = _run_protocol(protocol, False, False, faults)
-    assert rf_off == rs_off
-    assert _hw_sig(tbf_off) == _hw_sig(tbs_off)
+    """Fast vs forced per-packet with telemetry off, and the traced
+    reference run: identical completion times and hardware counters on
+    every write protocol, with and without seeded faults."""
+    rf, tbf = _run_protocol(protocol, True, False, faults)
+    rs, tbs = _run_protocol(protocol, False, False, faults)
+    assert rf == rs
+    assert _hw_sig(tbf) == _hw_sig(tbs)
     # telemetry must never perturb simulated time
-    assert rf_on[2] == rf_off[2]
+    r_on, tb_on = _run_protocol(protocol, False, True, faults)
+    assert r_on == rf
+    assert _hw_sig(tb_on) == _hw_sig(tbf)
+
+
+# ------------------------------------------------------- wire schedule
+
+def _wire_schedule(monkeypatch, run):
+    """Return ``run()``'s result and, per port, the multiset of
+    ``(message, seq, tx-done instant)`` of every packet it serialized,
+    taken where a serialization can end: ``_tx_done``, a train's lazy
+    statistics, and an aborted train's in-service packet."""
+    sched = defaultdict(Counter)
+
+    def note(port, pkt, t):
+        sched[port.owner_name][(pkt.msg_id, pkt.seq, t)] += 1
+
+    tx_done = Port._tx_done
+    apply_stats = Port._apply_train_stats
+    cur_done = Port._train_cur_done
+
+    def spy_tx_done(self, ser):
+        note(self, self._cur_pkt, self.sim.now)
+        tx_done(self, ser)
+
+    def spy_apply_stats(self, st, upto):
+        for i in range(st.applied, upto):
+            note(self, st.pkts[i], st.done[i])
+        apply_stats(self, st, upto)
+
+    def spy_cur_done(self, arg):
+        st, c = arg
+        note(self, st.pkts[c], self.sim.now)
+        cur_done(self, arg)
+
+    with monkeypatch.context() as m:
+        m.setattr(Port, "_tx_done", spy_tx_done)
+        m.setattr(Port, "_apply_train_stats", spy_apply_stats)
+        m.setattr(Port, "_train_cur_done", spy_cur_done)
+        result = run()
+    return result, dict(sched)
+
+
+def _simultaneous_writes(size, coalescing):
+    """``size``-byte sPIN writes from ``client0`` and ``client1`` to
+    ``sn0``, both issued at t=0: their trains meet at one switch egress."""
+    tb = build_testbed(n_storage=2, n_clients=2, params=SimParams(coalescing=coalescing))
+    install_spin_targets(tb)
+    clients = [DfsClient(tb, client_index=i, principal=f"c{i}") for i in range(2)]
+    for i, c in enumerate(clients):
+        tb.metadata.create(f"/f{i}", size=size, pin_nodes=["sn0"])
+        c.open(f"/f{i}")
+    evs = [c.write(f"/f{i}", _data(size, i), protocol="spin") for i, c in enumerate(clients)]
+    tb.run(until=5_000_000)
+    return [(e.value.ok, e.value.latency_ns) for e in evs], tb.sim.now
+
+
+#: case -> run(coalescing) -> comparable result, all with telemetry off
+WIRE_CASES = {
+    **{p: lambda co, p=p: _run_protocol(p, co, False, None)[0] for p in PROTO},
+    **{f"{n}{'-' + '-'.join(k) if k else ''}":
+       lambda co, n=n, k=k: _run_spin_scenario(n, co, False, **k)[0]
+       for n, k in TELOFF_CASES if "faults" not in k},
+    **{f"writes-{kib}k": lambda co, kib=kib: _spin_writes(kib * KiB, co)
+       for kib in (2, 4, 8, 10, 12, 16, 32, 64)},
+    **{f"simultaneous-{kib}k": lambda co, kib=kib: _simultaneous_writes(kib * KiB, co)
+       for kib in (8, 10, 12, 16)},
+}
+
+
+@pytest.mark.parametrize("case", list(WIRE_CASES))
+def test_wire_schedule_differential(monkeypatch, case):
+    """Every packet leaves every port at the same instant, coalesced or
+    not.  ``inec`` needs a train handed on at its first tx-done, as a
+    packet is; the ``simultaneous`` cases need a switch train that a
+    competitor will cut to be cut before the competitor's packets are
+    scheduled."""
+    run = WIRE_CASES[case]
+    rf, wf = _wire_schedule(monkeypatch, lambda: run(True))
+    rs, ws = _wire_schedule(monkeypatch, lambda: run(False))
+    assert rf == rs
+    assert wf == ws
 
 
 # ------------------------------------------------- coalescing x faults
@@ -237,23 +314,112 @@ FAULT_SWEEP = [
 
 
 def _counting_trains(monkeypatch):
-    formed = [0]
-    orig = Port.try_send_train
+    """Count the wire trains (``PacketTrain``) and the paced accelerator
+    trains (``_AccelTrain``) built from now on."""
+    formed = {"wire": 0, "accel": 0}
+    for key, cls in (("wire", PacketTrain), ("accel", accel_mod._AccelTrain)):
 
-    def counting(self, *a, **kw):
-        st = orig(self, *a, **kw)
-        if st is not None:
-            formed[0] += 1
-        return st
+        def counting(self, *a, _init=cls.__init__, _key=key, **kw):
+            formed[_key] += 1
+            _init(self, *a, **kw)
 
-    monkeypatch.setattr(Port, "try_send_train", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     return formed
 
 
 def test_trains_form_on_clean_network(monkeypatch):
     formed = _counting_trains(monkeypatch)
     _run_spin_scenario("auth", True, False)
-    assert formed[0] > 0
+    assert formed["wire"] > 0
+    assert formed["accel"] > 0
+
+
+TRACED_RUNS = {
+    **{f"{n}{'-' + '-'.join(k) if k else ''}": (_run_spin_scenario, (n, True, True), k)
+       for n, k in TEL_CASES},
+    **{f"{p}-{fid}": (_run_protocol, (p, True, True, f), {})
+       for p in PROTO for fid, f in (("clean", None), ("faulty", LOSS))},
+}
+
+
+@pytest.mark.parametrize("case", list(TRACED_RUNS))
+def test_no_train_forms_under_telemetry(monkeypatch, case):
+    """Traced runs take the per-packet reference path even with
+    coalescing on: neither a wire train nor an accelerator train forms."""
+    formed = _counting_trains(monkeypatch)
+    run, args, kw = TRACED_RUNS[case]
+    run(*args, **kw)
+    assert formed == {"wire": 0, "accel": 0}
+
+
+#: module -> class -> which of its methods run only on a train
+TRAIN_ONLY = {
+    link_mod: {"Port": lambda n: n in ("try_send_train", "_apply_train_stats")
+                                 or n.startswith("_train_")},
+    network_mod: {"Switch": lambda n: n == "forward_train"},
+    nic_mod: {"RdmaNic": lambda n: n in ("receive_train", "_dispatch_train",
+                                         "_rx_train_step")},
+    accel_mod: {
+        "PsPinAccelerator": lambda n: n == "ingest_train" or n.startswith("_train_"),
+        "_PacketRecord": lambda n: n.startswith(("copy_", "hpu_")),
+    },
+}
+
+
+def _refusal_tests(fn):
+    """Ids of the nodes in the tests of ``if ...: return None/False``
+    (the one place a train path may look at telemetry: to refuse)."""
+    ids = set()
+    for node in ast.walk(fn):
+        if (
+            isinstance(node, ast.If)
+            and len(node.body) == 1
+            and isinstance(node.body[0], ast.Return)
+            and isinstance(node.body[0].value, (ast.Constant, type(None)))
+            and getattr(node.body[0].value, "value", None) in (None, False)
+        ):
+            ids.update(id(n) for n in ast.walk(node.test))
+    return ids
+
+
+def test_train_paths_never_read_telemetry():
+    """Trains form only with telemetry off, so no train-only function
+    may write a record: a replay of what the per-packet path records
+    must not creep back.  Only a refusal may test telemetry."""
+    checked, readers = [], []
+    for mod, classes in TRAIN_ONLY.items():
+        for cls in ast.parse(inspect.getsource(mod)).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name not in classes:
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or not classes[cls.name](fn.name):
+                    continue
+                checked.append(f"{cls.name}.{fn.name}")
+                allowed = _refusal_tests(fn)
+                if any(
+                    id(n) not in allowed
+                    and (isinstance(n, ast.Attribute) and n.attr == "telemetry"
+                         or isinstance(n, ast.Constant) and n.value == "telemetry")
+                    for n in ast.walk(fn)
+                ):
+                    readers.append(checked[-1])
+    for name in ("Port.try_send_train", "Port._train_abort", "Port._apply_train_stats",
+                 "Switch.forward_train", "RdmaNic._dispatch_train",
+                 "PsPinAccelerator.ingest_train", "PsPinAccelerator._train_catchup",
+                 "_PacketRecord.copy_start", "_PacketRecord.hpu_active"):
+        assert name in checked, f"{name} not found: update TRAIN_ONLY"
+    assert readers == []
+
+
+@pytest.mark.parametrize("backend,paced", [("nvmm", True), ("nvme", False)])
+def test_only_timeless_dma_paces_trains(monkeypatch, backend, paced):
+    """A 64 KiB write forms wire trains on either backend, but only one
+    whose DMA completion is timeless (NVMM) paces an accelerator train:
+    NVMe completions read the clock, so its packets go one by one."""
+    formed = _counting_trains(monkeypatch)
+    _run_spin_scenario("auth", True, False, backend=backend)
+    assert formed["wire"] > 0
+    assert (formed["accel"] > 0) == paced
 
 
 @pytest.mark.parametrize("faults", FAULT_SWEEP,
@@ -266,7 +432,7 @@ def test_trains_never_skip_armed_injector(monkeypatch, faults):
     rf, tbf = _run_spin_scenario("rep", True, False, faults=faults)
     assert tbf.faults is not None
     assert tbf.faults.drops + tbf.faults.corrupted > 0, "injector never struck"
-    assert formed[0] == 0
+    assert formed["wire"] == 0
     rs, _ = _run_spin_scenario("rep", False, False, faults=faults)
     assert rf == rs
 
@@ -284,7 +450,7 @@ def test_trains_never_skip_link_down_window(monkeypatch):
     formed = _counting_trains(monkeypatch)
     rf, tbf = _run_spin_scenario("auth", True, False, faults=faults)
     assert tbf.faults is not None
-    assert formed[0] == 0
+    assert formed["wire"] == 0
     assert rf[0][0] is True  # the write succeeded despite the outage
     rs, _ = _run_spin_scenario("auth", False, False, faults=faults)
     assert rf == rs
@@ -347,13 +513,13 @@ TEARDOWN_CASES = [
 ]
 
 
-def _teardown_run(coalescing, small, pspin, telemetry):
+def _teardown_run(coalescing, small, pspin):
     """A 16 KiB sPIN write to ``sn0``, optionally followed by a small
     write from a second client that tears the paced train down."""
     params = SimParams(coalescing=coalescing)
     if pspin:
         params = params.with_pspin(**pspin)
-    tb = build_testbed(n_storage=2, n_clients=2, params=params, telemetry=telemetry)
+    tb = build_testbed(n_storage=2, n_clients=2, params=params)
     install_spin_targets(tb)
     a = DfsClient(tb, client_index=0, principal="a")
     b = DfsClient(tb, client_index=1, principal="b")
@@ -376,16 +542,16 @@ def _teardown_run(coalescing, small, pspin, telemetry):
     outcome = [(e.value.ok, e.value.latency_ns) for e in evs]
     acc = tb.storage["sn0"].accelerator
     stats = {k: (v.durations_ns, v.instructions) for k, v in acc.stats.items()}
-    return outcome, stats, _hw_sig(tb), _tel_sig(tb) if telemetry else None
+    return outcome, stats, _hw_sig(tb)
 
 
-@pytest.mark.parametrize("telemetry", [False, True], ids=["teloff", "telon"])
+# Trains form only with telemetry off, hence the ``teloff`` in each id.
 @pytest.mark.parametrize(
     "branch,small,pspin", TEARDOWN_CASES,
-    ids=[f"{'lead' if b[0] else 'later'}-s{b[1]}-{'built' if b[2] else 'unbuilt'}"
+    ids=[f"{'lead' if b[0] else 'later'}-s{b[1]}-{'built' if b[2] else 'unbuilt'}-teloff"
          for b, _s, _p in TEARDOWN_CASES],
 )
-def test_teardown_branch_matches_slow_path(monkeypatch, branch, small, pspin, telemetry):
+def test_teardown_branch_matches_slow_path(monkeypatch, branch, small, pspin):
     from repro.pspin.accelerator import PsPinAccelerator
 
     seen = set()
@@ -398,7 +564,7 @@ def test_teardown_branch_matches_slow_path(monkeypatch, branch, small, pspin, te
         return orig(self, at)
 
     monkeypatch.setattr(PsPinAccelerator, "_train_materialize", spy)
-    fast = _teardown_run(True, small, pspin, telemetry)
+    fast = _teardown_run(True, small, pspin)
     assert branch in seen, f"branch {branch} not materialized: {sorted(seen)}"
     assert all(ok for ok, _lat in fast[0])
-    assert fast == _teardown_run(False, small, pspin, telemetry)
+    assert fast == _teardown_run(False, small, pspin)

@@ -1,6 +1,7 @@
 """Heartbeat monitor + re-replicator: detection, repair, determinism."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,11 +88,13 @@ def test_fail_also_stops_coalesced_trains():
     node = tb.node("sn0")
     node.fail()
     # the crash is NIC state checked at every delivery entry: a train
-    # reaching the dead node is swallowed without scheduling anything
+    # whose first packet arrives at the dead node is swallowed at its
+    # dispatch, before any packet is looked at (``pkts`` is unusable)
     assert node.nic.crashed_at == tb.sim.now
-    heap = len(tb.sim._heap)
-    assert node.nic.receive_train(object()) is None
-    assert len(tb.sim._heap) == heap
+    rx = node.nic.rx_packets
+    node.nic.receive_train(SimpleNamespace(arr=[tb.sim.now + 20.0], cut=2, pkts=None))
+    tb.run(until=tb.sim.now + 1_000.0)
+    assert node.nic.rx_packets == rx
 
 
 # ------------------------------------------------------------------- repair
