@@ -10,16 +10,14 @@ access storage directly (3) — can be simulated and timed.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import Callable, Optional
 
 from ..simnet.engine import Event
 from .capability import Rights
 from .cluster import Testbed
 from .layout import EcSpec, ReplicationSpec
 from .metadata import MetadataError
-from .nodes import StorageNode
+from .nodes import RpcCall, StorageNode
 
 __all__ = ["MetadataNode", "install_control_plane", "ControlPlaneClient"]
 
@@ -45,44 +43,58 @@ class MetadataNode(StorageNode):
         self.register_rpc("md_report_failure", _md_report_failure)
 
 
-def _md_lookup(node: MetadataNode, headers, payload, src):
-    yield from node.cpu.run(MD_LOOKUP_NS)
+def _md_lookup(call: RpcCall) -> None:
+    call.cpu(MD_LOOKUP_NS, _md_lookup_done)
+
+
+def _md_lookup_done(call: RpcCall) -> None:
+    _respond_md(call, lambda md: md.lookup(call.headers["path"]))
+
+
+def _md_create(call: RpcCall) -> None:
+    call.cpu(MD_CREATE_NS, _md_create_done)
+
+
+def _md_create_done(call: RpcCall) -> None:
+    headers = call.headers
+    _respond_md(call, lambda md: md.create(
+        headers["path"],
+        headers["size"],
+        replication=headers.get("replication"),
+        ec=headers.get("ec"),
+    ))
+
+
+def _md_ticket(call: RpcCall) -> None:
+    call.cpu(MD_LOOKUP_NS, _md_ticket_done)
+
+
+def _md_ticket_done(call: RpcCall) -> None:
+    headers = call.headers
+    _respond_md(call, lambda md: md.issue_ticket(
+        headers["client_id"], headers["path"], headers.get("rights", Rights.RW)
+    ))
+
+
+def _respond_md(call: RpcCall, query: Callable) -> None:
+    """Respond with ``query(metadata)``, or with the error it raised."""
+    node = call.node
     try:
-        layout = node.testbed.metadata.lookup(headers["path"])
-        node.respond(src, headers["greq_id"], layout)
+        result = query(node.testbed.metadata)
     except MetadataError as e:
-        node.respond(src, headers["greq_id"], str(e), error=True)
+        node.respond(call.src, call.headers["greq_id"], str(e), error=True)
+        return
+    node.respond(call.src, call.headers["greq_id"], result)
 
 
-def _md_create(node: MetadataNode, headers, payload, src):
-    yield from node.cpu.run(MD_CREATE_NS)
-    try:
-        layout = node.testbed.metadata.create(
-            headers["path"],
-            headers["size"],
-            replication=headers.get("replication"),
-            ec=headers.get("ec"),
-        )
-        node.respond(src, headers["greq_id"], layout)
-    except MetadataError as e:
-        node.respond(src, headers["greq_id"], str(e), error=True)
+def _md_report_failure(call: RpcCall) -> None:
+    call.cpu(MD_LOOKUP_NS, _md_report_failure_done)
 
 
-def _md_ticket(node: MetadataNode, headers, payload, src):
-    yield from node.cpu.run(MD_LOOKUP_NS)
-    try:
-        cap = node.testbed.metadata.issue_ticket(
-            headers["client_id"], headers["path"], headers.get("rights", Rights.RW)
-        )
-        node.respond(src, headers["greq_id"], cap)
-    except MetadataError as e:
-        node.respond(src, headers["greq_id"], str(e), error=True)
-
-
-def _md_report_failure(node: MetadataNode, headers, payload, src):
-    yield from node.cpu.run(MD_LOOKUP_NS)
-    node.testbed.mgmt.report_failed(headers["node"])
-    node.respond(src, headers["greq_id"], "ok")
+def _md_report_failure_done(call: RpcCall) -> None:
+    node = call.node
+    node.testbed.mgmt.report_failed(call.headers["node"])
+    node.respond(call.src, call.headers["greq_id"], "ok")
 
 
 def install_control_plane(testbed: Testbed, name: str = "mds") -> MetadataNode:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional
 
 from .cluster import Testbed
 from .control_rpc import MetadataNode, install_control_plane
-from .nodes import StorageNode
+from .nodes import RpcCall, StorageNode
 
 __all__ = ["HEARTBEAT_RPC", "MonitorConfig", "HeartbeatMonitor", "install_monitor"]
 
@@ -135,9 +135,12 @@ class HeartbeatMonitor:
         return node in self.dead
 
 
-def _heartbeat_rpc(node: MetadataNode, headers, payload, src):
-    yield from node.cpu.run(HEARTBEAT_HANDLE_NS)
-    node.monitor.note_beat(headers["node"])  # type: ignore[attr-defined]
+def _heartbeat_rpc(call: RpcCall) -> None:
+    call.cpu(HEARTBEAT_HANDLE_NS, _heartbeat_noted)
+
+
+def _heartbeat_noted(call: RpcCall) -> None:
+    call.node.monitor.note_beat(call.headers["node"])  # type: ignore[attr-defined]
 
 
 def install_monitor(

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.handlers import DfsPolicy, build_dfs_context
 from ..core.state import DfsState
-from ..hostsim import Cpu, MemoryTarget, Pcie
+from ..hostsim import CoreHold, Cpu, MemoryTarget, Pcie
 from ..params import SimParams
 from ..pspin.accelerator import PsPinAccelerator
 from ..pspin.memory import NicMemory
@@ -27,10 +27,99 @@ from ..simnet.network import Network
 from ..simnet.resources import Store
 from .capability import CapabilityAuthority
 
-__all__ = ["Host", "StorageNode", "ClientNode", "RpcHandler"]
+__all__ = ["Host", "StorageNode", "ClientNode", "RpcCall", "RpcHandler"]
 
-#: RPC handler signature: generator run in its own process.
-RpcHandler = Callable[["StorageNode", dict, np.ndarray, str], object]
+
+class RpcCall:
+    """One served RPC: the state of its handler's callback chain.
+
+    A handler is a plain function ``handler(call)`` that runs the RPC's
+    first step; the server starts it one heap entry after paying the
+    dispatch cost.  It never blocks: :meth:`cpu` occupies a core and
+    :meth:`wait` waits on an event, each naming the function ``then``
+    that continues the chain.  Per-RPC scratch state goes in
+    ``state``.  ``strand`` (``<node>.rpc.<name>``) names the chain for
+    simsan.
+    """
+
+    __slots__ = ("node", "headers", "payload", "src", "trace", "strand", "state",
+                 "_then")
+
+    def __init__(self, node: "StorageNode", headers: dict, payload: np.ndarray,
+                 src: str, strand: str) -> None:
+        self.node = node
+        self.headers = headers
+        self.payload = payload
+        self.src = src
+        self.trace = headers.get("trace")
+        self.strand = strand
+        self.state = None
+        self._then: Optional[Callable[["RpcCall", object], None]] = None
+
+    def start(self, handler: "RpcHandler") -> None:
+        handler(self)
+
+    def cpu(self, duration_ns: float, then: Callable[["RpcCall"], None]) -> None:
+        """Occupy one of the node's cores for ``duration_ns`` (charged to
+        the request's trace), then call ``then(call)``."""
+        CoreHold(self.node.cpu, duration_ns, then, self, self.trace, self.strand)
+
+    def wait(self, ev: Event, then: Callable[["RpcCall", object], None]) -> None:
+        """Call ``then(call, value)`` when ``ev`` fires, at the heap
+        position a process waiting on ``ev`` would resume; a failed
+        ``ev`` raises its exception there."""
+        self._then = then
+        ev.add_callback(self._resume)
+
+    def _resume(self, ev: Event) -> None:
+        if ev._exc is not None:
+            raise ev._exc
+        self._then(self, ev._value)
+
+
+#: RPC handler signature: ``handler(call)``, the first step of a callback
+#: chain (see :class:`RpcCall`).
+RpcHandler = Callable[[RpcCall], None]
+
+
+class _RpcServer:
+    """The node's RPC polling thread as heap callbacks.
+
+    It takes one command off the queue, pays the pickup/dispatch cost
+    serially on a core (this is what makes very small pipelining chunks
+    expensive), starts the handler's chain one push later and takes the
+    next command, so other cores serve concurrently.  ``strand`` is
+    ``<node>.rpcsrv``.
+    """
+
+    __slots__ = ("node", "strand")
+
+    def __init__(self, node: "StorageNode") -> None:
+        self.node = node
+        self.strand = f"{node.name}.rpcsrv"
+        node.sim._call_soon1(self.take, None)
+
+    def take(self, _) -> None:
+        self.node.rpc_queue.get().add_callback(self.picked)
+
+    def picked(self, ev: Event) -> None:
+        node = self.node
+        item = ev._value
+        CoreHold(node.cpu, node.params.host.rpc_dispatch_ns, self.dispatched, item,
+                 item[0].get("trace"), self.strand)
+
+    def dispatched(self, item: tuple) -> None:
+        node = self.node
+        headers, payload, src = item
+        name = headers.get("rpc")
+        handler = node.rpc_handlers.get(name)
+        if handler is None:
+            node.respond(src, headers["greq_id"], None, error=True)
+        else:
+            node.rpcs_served += 1
+            call = RpcCall(node, headers, payload, src, f"{node.name}.rpc.{name}")
+            node.sim._call_soon1(call.start, handler)
+        self.take(None)
 
 
 class Host:
@@ -89,7 +178,7 @@ class StorageNode(Host):
         self.dfs_state: Optional[DfsState] = None
         self.nicmem: Optional[NicMemory] = None
         self.rpcs_served = 0
-        sim.process(self._rpc_server(), name=f"{name}.rpcsrv")
+        _RpcServer(self)
 
     # ------------------------------------------------------------- PsPIN
     def install_pspin(
@@ -184,34 +273,14 @@ class StorageNode(Host):
 
     # --------------------------------------------------------------- RPC
     def register_rpc(self, name: str, handler: RpcHandler) -> None:
+        """Serve RPC ``name`` with ``handler(call)``, the first step of a
+        callback chain on an :class:`RpcCall`."""
         self.rpc_handlers[name] = handler
 
     def on_rpc(self, headers: dict, payload: np.ndarray, src: str) -> None:
-        self.rpc_queue.put((headers, payload, src))
-
-    def _rpc_server(self):
-        """Drain the command queue.  The *polling thread* pays the
-        pickup/dispatch cost serially per command (this is what makes
-        very small pipelining chunks expensive); the handler body then
-        runs in its own process so other cores can serve concurrently
-        (cores gate inside the handlers via ``cpu.run``)."""
-        while True:
-            headers, payload, src = yield self.rpc_queue.get()
-            yield from self.cpu.run(self.params.host.rpc_dispatch_ns,
-                                    trace=headers.get("trace"))
-            name = headers.get("rpc")
-            handler = self.rpc_handlers.get(name)
-            if handler is None:
-                self.respond(src, headers["greq_id"], None, error=True)
-                continue
-            self.rpcs_served += 1
-            self.sim.process(
-                self._run_rpc(handler, headers, payload, src),
-                name=f"{self.name}.rpc.{name}",
-            )
-
-    def _run_rpc(self, handler, headers, payload, src):
-        yield from handler(self, headers, payload, src)
+        # the queue is unbounded, so try_put always takes the command; it
+        # makes no completion event, which put would and nobody awaits
+        self.rpc_queue.try_put((headers, payload, src))
 
     def respond(self, dst: str, greq_id: int, result, error: bool = False) -> Event:
         return self.nic.send_control(

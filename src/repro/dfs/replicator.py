@@ -38,6 +38,7 @@ from .cluster import Testbed
 from .layout import FileLayout
 from .metadata import MetadataError
 from .monitor import HeartbeatMonitor
+from .nodes import RpcCall
 
 __all__ = ["REPAIR_RPC", "ReplicatorConfig", "RepairTask", "RepairRecord",
            "ReReplicator"]
@@ -83,29 +84,39 @@ class RepairRecord:
     t_done: float
 
 
-def _repair_rpc(node, headers, payload, src):
+def _repair_rpc(call: RpcCall) -> None:
     """``md_repair`` handler, running on the surviving replica's node:
     read the replica over local PCIe, push it to the replacement as a
     real DFS write (capability shipped in the command), report back."""
-    data = node.memory.read(headers["src_addr"], headers["src_len"])
-    yield node.pcie.dma(headers["src_len"])
+    node = call.node
+    headers = call.headers
+    call.state = node.memory.read(headers["src_addr"], headers["src_len"])
+    call.wait(node.pcie.dma(headers["src_len"]), _repair_read)
+
+
+def _repair_read(call: RpcCall, _) -> None:
+    node = call.node
+    headers = call.headers
     greq = fresh_greq_id()
     dfs = DfsHeader(
         greq_id=greq, op="write", client_id=0,
         capability=headers["cap"], reply_to=node.name,
     )
     wrh = WriteRequestHeader(addr=headers["dst_addr"])
-    res = yield node.nic.post_write(
+    call.wait(node.nic.post_write(
         headers["dst"],
-        data,
+        call.state,
         headers={"dfs": dfs, "wrh": wrh, "write_len": headers["dst_len"]},
         header_bytes=request_header_bytes(dfs, wrh),
         greq_id=greq,
-    )
+    ), _repair_written)
+
+
+def _repair_written(call: RpcCall, res) -> None:
     ok = bool(getattr(res, "ok", False))
-    node.respond(
-        src,
-        headers["greq_id"],
+    call.node.respond(
+        call.src,
+        call.headers["greq_id"],
         {"ok": ok, "nacks": getattr(res, "nacks", None)},
         error=not ok,
     )

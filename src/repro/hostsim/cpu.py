@@ -4,17 +4,106 @@ A pool of cores (a :class:`~repro.simnet.resources.Resource`) plus
 helpers to charge cycle- or byte-denominated work.  The CPU is where the
 RPC-based baselines (Fig. 1b) enforce DFS policies: request validation,
 buffering copies, and replication forwarding all occupy a core here.
+
+Core occupancy has one implementation, the :class:`CoreHold` record of
+heap callbacks; callback chains (the RPC server and handlers) make one
+per occupancy, and :meth:`Cpu.run` wraps it for callers that are still
+generator processes.
 """
 
 from __future__ import annotations
 
+from typing import Any, Callable, Optional
+
 from ..params import HostParams
-from ..simnet.engine import Simulator
+from ..simnet.engine import _DISPATCHED, Simulator
 from ..simnet.link import gbps_to_ns_per_byte
-from ..simnet.resources import Resource
+from ..simnet.resources import Request, Resource
 from ..telemetry.metrics import HandleCache
 
-__all__ = ["Cpu"]
+__all__ = ["Cpu", "CoreHold"]
+
+
+class CoreHold:
+    """One core occupancy as heap callbacks: ``CoreHold(cpu, d, then,
+    arg, trace, strand)`` requests a core of ``cpu`` now, holds it for
+    ``d`` ns and then calls ``then(arg)``.
+
+    ``granted`` runs where a process waiting on the core request would
+    resume (one ``_call_soon1`` when the core is free, the grant's
+    dispatch otherwise) and sleeps ``duration_ns`` with one push where
+    the process's ``Timeout`` went.  ``done`` then accounts ``busy_ns``,
+    releases the core, writes the ``cpu`` span and metrics (``trace``,
+    a request trace context, attributes it to that request's latency
+    anatomy), and calls ``then(arg)``.  ``strand`` names the calling
+    chain for simsan.
+    """
+
+    __slots__ = ("cpu", "req", "duration_ns", "trace", "t0", "then", "arg",
+                 "strand", "dead")
+
+    def __init__(self, cpu: "Cpu", duration_ns: float, then: Callable[[Any], None],
+                 arg: Any, trace, strand: Optional[str]) -> None:
+        self.cpu = cpu
+        self.duration_ns = duration_ns
+        self.trace = trace
+        self.then = then
+        self.arg = arg
+        self.strand = strand
+        self.t0 = -1.0
+        self.dead = False
+        req = self.req = cpu.cores.request()
+        # add_callback, inlined (four holds per RPC write): like a process
+        # yielding the request, a quiet grant resumes through one push and
+        # a queued request on the dispatch of its grant
+        if req.callbacks is _DISPATCHED:
+            cpu.sim._call_soon1(self.granted, req)
+        else:
+            req.callbacks = [self.granted]
+
+    def granted(self, _req: Request) -> None:
+        if self.dead:
+            return
+        sim = self.cpu.sim
+        self.t0 = sim.now
+        sim._call_soon1(self.done, None, delay=self.duration_ns)
+
+    def done(self, _) -> None:
+        if self.dead:
+            return
+        cpu = self.cpu
+        sim = cpu.sim
+        d = self.duration_ns
+        cpu.busy_ns += d
+        cpu.cores.release(self.req)
+        tel = sim.telemetry
+        if tel.enabled:
+            tel.span(
+                f"cpu {d:.0f}ns",
+                pid=cpu._pid,
+                tid="cpu",
+                t0=self.t0,
+                t1=sim.now,
+                cat="host",
+                trace=self.trace,
+                phase="cpu",
+            )
+            busy, cores_busy = cpu._handles.get(tel.metrics)
+            busy.inc(d)
+            cores_busy.set(sim.now, cpu.cores.count)
+        self.then(self.arg)
+
+    def abort(self) -> None:
+        """Stop the chain: a held core is released at once without
+        charging ``busy_ns``; a queued request is withdrawn."""
+        if self.dead:
+            return
+        self.dead = True
+        cores = self.cpu.cores
+        if self.req in cores.users:
+            cores.release(self.req)
+        else:
+            cores.cancel(self.req)
 
 
 class Cpu:
@@ -45,35 +134,26 @@ class Cpu:
         return nbytes * self._memcpy_ns_per_byte
 
     def run(self, duration_ns: float, trace=None):
-        """Generator: occupy one core for ``duration_ns``.
+        """Generator: occupy one core for ``duration_ns``
+        (``yield from cpu.run(t)`` inside a process).
 
-        Usage: ``yield from cpu.run(t)`` inside a process.  ``trace``
-        (a request trace context) attributes the execution to its
-        request's latency anatomy.
+        A thin wrapper over :class:`CoreHold` that resumes the process inline
+        from the hold's release, so the heap positions match a hold made
+        by a callback chain.  An interrupt while queued withdraws the
+        request (the process detaches through the wait's abandon hook);
+        an interrupt while holding releases the core when the process
+        takes the interrupt.
         """
-        req = self.cores.request()
-        yield req
-        t0 = self.sim.now
+        done = self.sim.event("cpu.run")
+        hold = CoreHold(self, duration_ns, done.succeed_inline, None, trace, None)
+        # a queued request is withdrawn at the interrupt itself, as the
+        # abandon hook of a yielded request would
+        done._abandon = lambda: None if hold.req.triggered else hold.abort()
         try:
-            yield self.sim.timeout(duration_ns)
-            self.busy_ns += duration_ns
+            yield done
         finally:
-            self.cores.release(req)
-        tel = self.sim.telemetry
-        if tel.enabled:
-            tel.span(
-                f"cpu {duration_ns:.0f}ns",
-                pid=self._pid,
-                tid="cpu",
-                t0=t0,
-                t1=self.sim.now,
-                cat="host",
-                trace=trace,
-                phase="cpu",
-            )
-            busy, cores_busy = self._handles.get(tel.metrics)
-            busy.inc(duration_ns)
-            cores_busy.set(self.sim.now, self.cores.count)
+            if not done.triggered:
+                hold.abort()
 
     def utilisation(self) -> float:
         return self.cores.utilisation()

@@ -18,13 +18,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-import numpy as np
-
 from ..core.request import ReplicationParams, request_header_bytes
 from ..dfs.capability import Rights
 from ..dfs.cluster import Testbed
 from ..dfs.layout import FileLayout
-from ..dfs.nodes import StorageNode
+from ..dfs.nodes import RpcCall
 from ..simnet.engine import Event
 from .base import WriteContext, as_uint8, begin_request, replication_params_for, wrap_result
 
@@ -44,50 +42,83 @@ def install_cpu_replication_targets(testbed: Testbed) -> None:
         node.register_rpc("repl_write", _repl_write_handler)
 
 
-def _repl_write_handler(node: StorageNode, headers: dict, payload: np.ndarray, src: str):
+def _repl_write_handler(call: RpcCall) -> None:
     """One pipelined chunk: validate, stage, store, forward, ack."""
-    p = node.params.host
-    rp: ReplicationParams = headers["rp"]
-    greq = headers["greq_id"]
-    reply_to = headers["reply_to_client"]
     # validation (per request: only the first chunk pays the full check)
-    tr = headers.get("trace")
-    if headers["chunk_idx"] == 0:
-        yield from node.cpu.run(p.rpc_validate_cycles / p.cpu_freq_ghz, trace=tr)
-        authority = headers.get("authority")
-        dfs = headers.get("dfs")
-        if authority is not None and (
-            dfs is None
-            or dfs.capability is None
-            or not authority.verify(
-                dfs.capability, Rights.WRITE, headers["addr"], payload.nbytes, 0.0
-            )
-        ):
-            node.respond(reply_to, greq, "auth", error=True)
-            return
-    # staging copy out of the RPC buffer into the storage target
-    yield from node.cpu.run(node.cpu.memcpy_ns(int(payload.nbytes)), trace=tr)
-    node.memory.write(headers["addr"] + headers["chunk_off"], payload)
-    # forward to children (CPU posts the sends; data must come back out
-    # of host memory across PCIe)
-    for child_rank in rp.children_of(rp.virtual_rank):
-        coord = rp.coord_for_rank(child_rank)
-        fwd_headers = dict(headers)
-        fwd_headers["rp"] = replace(rp, virtual_rank=child_rank)
-        fwd_headers["addr"] = coord.addr
-        yield node.pcie.dma(int(payload.nbytes), trace=tr)  # NIC reads the data back
-        node.nic.send_message(
-            dst=coord.node,
-            op="rpc",
-            headers=fwd_headers,
-            data=payload,
-            header_bytes=64,
-            post_overhead=False,  # CPU posting charged below
+    if call.headers["chunk_idx"] == 0:
+        p = call.node.params.host
+        call.cpu(p.rpc_validate_cycles / p.cpu_freq_ghz, _repl_validated)
+    else:
+        _repl_stage(call)
+
+
+def _repl_validated(call: RpcCall) -> None:
+    headers = call.headers
+    authority = headers.get("authority")
+    dfs = headers.get("dfs")
+    if authority is not None and (
+        dfs is None
+        or dfs.capability is None
+        or not authority.verify(
+            dfs.capability, Rights.WRITE, headers["addr"], call.payload.nbytes, 0.0
         )
-        yield from node.cpu.run(p.rpc_dispatch_ns / 2, trace=tr)
-    # one ack per (node, chunk): unique within the transaction so the
-    # client can discard retransmit-induced duplicates
-    node.ack(reply_to, greq, dedup=(node.name, "cpu", headers["chunk_idx"]))
+    ):
+        call.node.respond(headers["reply_to_client"], headers["greq_id"], "auth",
+                          error=True)
+        return
+    _repl_stage(call)
+
+
+def _repl_stage(call: RpcCall) -> None:
+    # staging copy out of the RPC buffer into the storage target
+    call.cpu(call.node.cpu.memcpy_ns(int(call.payload.nbytes)), _repl_stored)
+
+
+def _repl_stored(call: RpcCall) -> None:
+    headers = call.headers
+    call.node.memory.write(headers["addr"] + headers["chunk_off"], call.payload)
+    rp: ReplicationParams = headers["rp"]
+    call.state = (rp.children_of(rp.virtual_rank), 0)
+    _repl_forward(call)
+
+
+def _repl_forward(call: RpcCall) -> None:
+    """Forward the chunk to the next child (the CPU posts the send; the
+    data must come back out of host memory across PCIe), or ack it once
+    every child has it."""
+    node = call.node
+    headers = call.headers
+    children, i = call.state
+    if i == len(children):
+        # one ack per (node, chunk): unique within the transaction so the
+        # client can discard retransmit-induced duplicates
+        node.ack(headers["reply_to_client"], headers["greq_id"],
+                 dedup=(node.name, "cpu", headers["chunk_idx"]))
+        return
+    call.state = (children, i + 1)
+    # the NIC reads the data back
+    call.wait(node.pcie.dma(int(call.payload.nbytes), trace=call.trace), _repl_send)
+
+
+def _repl_send(call: RpcCall, _) -> None:
+    node = call.node
+    headers = call.headers
+    children, i = call.state
+    child_rank = children[i - 1]
+    rp: ReplicationParams = headers["rp"]
+    coord = rp.coord_for_rank(child_rank)
+    fwd_headers = dict(headers)
+    fwd_headers["rp"] = replace(rp, virtual_rank=child_rank)
+    fwd_headers["addr"] = coord.addr
+    node.nic.send_message(
+        dst=coord.node,
+        op="rpc",
+        headers=fwd_headers,
+        data=call.payload,
+        header_bytes=64,
+        post_overhead=False,  # CPU posting charged below
+    )
+    call.cpu(node.params.host.rpc_dispatch_ns / 2, _repl_forward)
 
 
 def cpu_replicated_write(

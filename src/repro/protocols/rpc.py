@@ -10,13 +10,11 @@ landed, so zero-copy placement is impossible.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.request import WriteRequestHeader, request_header_bytes
 from ..dfs.capability import CapabilityAuthority, Rights
 from ..dfs.cluster import Testbed
 from ..dfs.layout import FileLayout
-from ..dfs.nodes import StorageNode
+from ..dfs.nodes import RpcCall, StorageNode
 from ..rdma.nic import fresh_greq_id
 from ..simnet.engine import Event
 from .base import WriteContext, as_uint8, begin_request, wrap_result
@@ -49,22 +47,32 @@ def _verify(node: StorageNode, dfs, wrh, headers) -> bool:
     )
 
 
-def _rpc_write_handler(node: StorageNode, headers: dict, payload: np.ndarray, src: str):
+def _rpc_write_handler(call: RpcCall) -> None:
     """Storage-node CPU: validate -> staging copy -> place -> respond."""
-    p = node.params.host
+    p = call.node.params.host
     # request validation on the CPU
-    tr = headers.get("trace")
-    yield from node.cpu.run(p.rpc_validate_cycles / p.cpu_freq_ghz, trace=tr)
-    if not _validate_on_cpu(node, headers):
-        node.respond(src, headers["greq_id"], "auth", error=True)
+    call.cpu(p.rpc_validate_cycles / p.cpu_freq_ghz, _rpc_write_validated)
+
+
+def _rpc_write_validated(call: RpcCall) -> None:
+    node = call.node
+    if not _validate_on_cpu(node, call.headers):
+        node.respond(call.src, call.headers["greq_id"], "auth", error=True)
         return
     # the buffered write must be copied from the staging buffer into the
     # storage target (the memcpy penalty of §IV-A)
-    yield from node.cpu.run(node.cpu.memcpy_ns(int(payload.nbytes)), trace=tr)
-    wrh: WriteRequestHeader = headers["wrh"]
-    node.memory.write(wrh.addr, payload)
-    yield from node.cpu.run(p.cpu_completion_ns, trace=tr)
-    node.respond(src, headers["greq_id"], "ok")
+    call.cpu(node.cpu.memcpy_ns(int(call.payload.nbytes)), _rpc_write_copied)
+
+
+def _rpc_write_copied(call: RpcCall) -> None:
+    node = call.node
+    wrh: WriteRequestHeader = call.headers["wrh"]
+    node.memory.write(wrh.addr, call.payload)
+    call.cpu(node.params.host.cpu_completion_ns, _respond_ok)
+
+
+def _respond_ok(call: RpcCall) -> None:
+    call.node.respond(call.src, call.headers["greq_id"], "ok")
 
 
 def rpc_write(ctx: WriteContext, layout: FileLayout, data, testbed: Testbed) -> Event:

@@ -9,16 +9,14 @@ overhead the sPIN on-the-fly validation eliminates (Fig. 5 right).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.request import WriteRequestHeader, request_header_bytes
 from ..dfs.cluster import Testbed
 from ..dfs.layout import FileLayout
-from ..dfs.nodes import StorageNode
+from ..dfs.nodes import RpcCall
 from ..rdma.nic import fresh_greq_id
 from ..simnet.engine import Event
 from .base import WriteContext, as_uint8, begin_request, wrap_result
-from .rpc import _validate_on_cpu
+from .rpc import _respond_ok, _validate_on_cpu
 
 __all__ = ["install_rpc_rdma_targets", "rpc_rdma_write"]
 
@@ -31,24 +29,35 @@ def install_rpc_rdma_targets(testbed: Testbed) -> None:
         node.register_rpc("write_rdma", _rpc_rdma_handler)
 
 
-def _rpc_rdma_handler(node: StorageNode, headers: dict, payload: np.ndarray, src: str):
-    p = node.params.host
-    tr = headers.get("trace")
-    yield from node.cpu.run(p.rpc_validate_cycles / p.cpu_freq_ghz, trace=tr)
+def _rpc_rdma_handler(call: RpcCall) -> None:
+    p = call.node.params.host
+    call.cpu(p.rpc_validate_cycles / p.cpu_freq_ghz, _rpc_rdma_validated)
+
+
+def _rpc_rdma_validated(call: RpcCall) -> None:
+    node = call.node
+    headers = call.headers
     if not _validate_on_cpu(node, headers):
-        node.respond(src, headers["greq_id"], "auth", error=True)
+        node.respond(call.src, headers["greq_id"], "auth", error=True)
         return
     # CPU posts an RDMA read towards the client to fetch the data.
-    length = headers["write_len"]
-    read_done = node.nic.post_read(src, headers["src_addr"], length)
-    res = yield read_done
+    call.wait(node.nic.post_read(call.src, headers["src_addr"], headers["write_len"]),
+              _rpc_rdma_fetched)
+
+
+def _rpc_rdma_fetched(call: RpcCall, res) -> None:
     # Data streamed into the NIC; place it in the storage target (one
     # PCIe crossing — zero extra host copies).
-    yield node.pcie.dma(length, trace=tr)
-    wrh: WriteRequestHeader = headers["wrh"]
-    node.memory.write(wrh.addr, res.data)
-    yield from node.cpu.run(p.cpu_completion_ns, trace=tr)
-    node.respond(src, headers["greq_id"], "ok")
+    call.state = res.data
+    call.wait(call.node.pcie.dma(call.headers["write_len"], trace=call.trace),
+              _rpc_rdma_placed)
+
+
+def _rpc_rdma_placed(call: RpcCall, _) -> None:
+    node = call.node
+    wrh: WriteRequestHeader = call.headers["wrh"]
+    node.memory.write(wrh.addr, call.state)
+    call.cpu(node.params.host.cpu_completion_ns, _respond_ok)
 
 
 def rpc_rdma_write(ctx: WriteContext, layout: FileLayout, data, testbed: Testbed) -> Event:

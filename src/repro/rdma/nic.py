@@ -129,6 +129,136 @@ class _RtoTimer:
         self.nic._rto_expired(self)
 
 
+class _Tx:
+    """One message on its way out of the NIC, as heap callbacks.
+
+    ``start`` runs at the message's submit instant (see
+    ``RdmaNic._spawn_tx``) and streams the packets: each waits for the
+    previous one's tx-done event, a coalesced train for the train's, and
+    packets cut from an aborted train are re-sent one by one.  At the end
+    it writes the ``post``/``tx`` spans.  ``serve_read`` is the target
+    side of a one-sided read: the PCIe read, the tx pipeline latency,
+    then the same stream.  ``strand`` (``<nic>.tx``, ``<nic>.rtx`` for
+    retransmissions, ``<nic>.read``) names the chain for simsan.
+    """
+
+    __slots__ = ("nic", "msg", "t0", "t_submit", "pkts", "i", "train", "strand")
+
+    def __init__(self, nic: "RdmaNic", msg: Optional[Message], t0: Optional[float],
+                 strand: str) -> None:
+        self.nic = nic
+        self.msg = msg
+        #: when the message was posted (``None`` for a read response,
+        #: which writes no spans)
+        self.t0 = t0
+        self.t_submit = 0.0
+        self.i = 0
+        self.strand = strand
+
+    def start(self, _) -> None:
+        nic = self.nic
+        self.t_submit = nic.sim.now
+        nic.tx_messages += 1
+        self.stream(None)
+
+    def stream(self, _) -> None:
+        """Put the packets on the wire back to back."""
+        nic = self.nic
+        pkts = self.pkts = segment_message(self.msg, nic.params.net.mtu)
+        train = nic.port.try_send_train(pkts) if len(pkts) >= 2 else None
+        if train is not None:
+            # one wakeup for the whole burst
+            self.train = train
+            train.ev.add_callback(self._train_done)
+        else:
+            self._next(None)
+
+    def _train_done(self, _) -> None:
+        # if cross-traffic aborted the train mid-stream, resume packet by
+        # packet exactly where the wire left off
+        self.i = self.train.cut
+        self.train = None
+        self._next(None)
+
+    def _next(self, _) -> None:
+        i = self.i
+        pkts = self.pkts
+        if i < len(pkts):
+            self.i = i + 1
+            self.nic.port.send(pkts[i]).add_callback(self._next)
+        elif self.t0 is not None:
+            tel = self.nic.sim.telemetry
+            if tel.enabled:
+                self._spans(tel)
+
+    def _spans(self, tel) -> None:
+        nic = self.nic
+        msg = self.msg
+        nbytes = msg.data.nbytes if msg.data is not None else 0
+        trace = msg.headers.get("trace")
+        # Submission overhead (WQE build + doorbell + tx pipeline) is its
+        # own anatomy phase; the enclosing tx span is tagged host_queue,
+        # so whatever the wire spans don't carve out of it (egress-queue
+        # wait, inter-packet gaps) is attributed to host-side queueing.
+        tel.span(
+            f"post {msg.op}",
+            pid="net",
+            tid=nic.name,
+            t0=self.t0,
+            t1=self.t_submit,
+            cat="net",
+            trace=trace,
+            args={"dst": msg.dst},
+            phase="submit",
+        )
+        tel.span(
+            f"tx {msg.op} {nbytes}B",
+            pid="net",
+            tid=nic.name,
+            t0=self.t0,
+            t1=nic.sim.now,
+            cat="net",
+            trace=trace,
+            args={"bytes": nbytes, "packets": len(self.pkts), "dst": msg.dst},
+            phase="host_queue",
+        )
+        h = nic._handles.get(tel.metrics)
+        h[0].inc()
+        h[1].inc(nbytes)
+
+    # -- target side of a one-sided read --------------------------------
+    def serve_read(self, req: Packet) -> None:
+        """DMA the requested bytes from host memory into the NIC (a PCIe
+        read), then stream them back after the tx pipeline latency."""
+        pcie = self.nic.host.pcie
+        self.msg = req  # the request, until ``_read_loaded`` builds the reply
+        if pcie is not None:
+            pcie.dma(req.headers["length"], trace=req.trace).add_callback(self._read_loaded)
+        else:
+            self._read_loaded(None)
+
+    def _read_loaded(self, _) -> None:
+        nic = self.nic
+        req = self.msg
+        h = req.headers
+        addr, length = h["addr"], h["length"]
+        memory = nic.host.memory
+        data = (
+            memory.read(addr, length)
+            if memory is not None
+            else np.zeros(length, dtype=np.uint8)
+        )
+        self.msg = Message(
+            src=nic.name,
+            dst=h.get("reply_to", req.src),
+            op="read_resp",
+            data=data,
+            headers={"greq_id": h["greq_id"], "offset": 0, "trace": req.trace},
+            header_bytes=16,
+        )
+        nic.sim._call_soon1(self.stream, None, delay=nic.params.nic_tx_ns)
+
+
 class RdmaNic:
     """One node's NIC.  ``host`` duck-type:
 
@@ -455,8 +585,9 @@ class RdmaNic:
         WQE construction + doorbell on the initiating host (when
         ``post_overhead``), then the NIC tx pipeline latency (once per
         message; packets then stream at line rate through the fixed-depth
-        pipeline).  Nothing happens in between, so the sender process
-        starts at the float the two sequential sleeps would reach.
+        pipeline).  Nothing happens in between, so the sender (a
+        :class:`_Tx`) starts at the float the two sequential sleeps would
+        reach, from one heap entry.
         """
         sim = self.sim
         p = self.params
@@ -465,63 +596,7 @@ class RdmaNic:
             at = t0 + p.client_post_ns + p.nic_tx_ns
         else:
             at = t0 + p.nic_tx_ns
-        sim.process(self._tx_message(msg, t0), name=name, at=at)
-
-    def _tx_message(self, msg: Message, t0: float):
-        """Stream ``msg`` onto the wire from its submit instant; ``t0``
-        is when it was posted (see ``_spawn_tx``)."""
-        sim = self.sim
-        t_submit = sim.now
-        self.tx_messages += 1
-        pkts = segment_message(msg, self.params.net.mtu)
-        yield from self._send_packets(pkts)
-        tel = sim.telemetry
-        if tel.enabled:
-            nbytes = msg.data.nbytes if msg.data is not None else 0
-            trace = msg.headers.get("trace")
-            # Submission overhead (WQE build + doorbell + tx pipeline)
-            # is its own anatomy phase; the enclosing tx span is tagged
-            # host_queue, so whatever the wire spans don't carve out of
-            # it (egress-queue wait, inter-packet gaps) is attributed to
-            # host-side queueing.
-            tel.span(
-                f"post {msg.op}",
-                pid="net",
-                tid=self.name,
-                t0=t0,
-                t1=t_submit,
-                cat="net",
-                trace=trace,
-                args={"dst": msg.dst},
-                phase="submit",
-            )
-            tel.span(
-                f"tx {msg.op} {nbytes}B",
-                pid="net",
-                tid=self.name,
-                t0=t0,
-                t1=sim.now,
-                cat="net",
-                trace=trace,
-                args={"bytes": nbytes, "packets": len(pkts), "dst": msg.dst},
-                phase="host_queue",
-            )
-            h = self._handles.get(tel.metrics)
-            h[0].inc()
-            h[1].inc(nbytes)
-
-    def _send_packets(self, pkts: list):
-        """Put ``pkts`` on the wire back to back, returning when the last
-        one has been serialized."""
-        train = self.port.try_send_train(pkts) if len(pkts) >= 2 else None
-        if train is not None:
-            # One wakeup for the whole burst; if cross-traffic aborted
-            # the train mid-stream, resume the per-packet loop exactly
-            # where the wire left off.
-            yield train.ev
-            pkts = pkts[train.cut :]
-        for pkt in pkts:
-            yield self.port.send(pkt)
+        sim._call_at1(_Tx(self, msg, t0, name).start, None, at)
 
     # ==================================================== target side
     def receive(self, pkt: Packet) -> None:
@@ -607,7 +682,7 @@ class RdmaNic:
         if op == "write":
             self._rx_write(pkt)
         elif op == "read_req":
-            self.sim.process(self._serve_read(pkt), name=self._pname_read)
+            self.sim._call_soon1(_Tx(self, None, None, self._pname_read).serve_read, pkt)
         elif op == "read_resp":
             self._rx_read_resp(pkt)
         elif op == "rpc":
@@ -702,30 +777,6 @@ class RdmaNic:
         self._done_writes[msg_id] = val
 
     # --------------------------------------------------------- reads
-    def _serve_read(self, pkt: Packet):
-        sim = self.sim
-        addr, length = pkt.headers["addr"], pkt.headers["length"]
-        reply_to = pkt.headers.get("reply_to", pkt.src)
-        greq = pkt.headers["greq_id"]
-        # DMA the data from host memory into the NIC (PCIe read).
-        if self.host.pcie is not None:
-            yield self.host.pcie.dma(length, trace=pkt.trace)
-        data = (
-            self.host.memory.read(addr, length)
-            if self.host.memory is not None
-            else np.zeros(length, dtype=np.uint8)
-        )
-        msg = Message(
-            src=self.name,
-            dst=reply_to,
-            op="read_resp",
-            data=data,
-            headers={"greq_id": greq, "offset": 0, "trace": pkt.trace},
-            header_bytes=16,
-        )
-        yield sim.timeout(self.params.nic_tx_ns)
-        yield from self._send_packets(segment_message(msg, self.params.net.mtu))
-
     def _rx_read_resp(self, pkt: Packet) -> None:
         key = (pkt.msg_id, "rgreq")
         if pkt.is_header:

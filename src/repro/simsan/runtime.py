@@ -25,10 +25,12 @@ Detectors (see :mod:`repro.simsan.findings` for the kind strings):
   popped behind ``now`` (recorded before the kernel's "time went
   backwards" error propagates).
 * **resource leaks** — Resource/Store/Container register themselves at
-  construction and record acquisition backtraces per claim; ports, NICs
-  and accelerators adopt in with their in-flight state.  At
-  :meth:`check_quiesce` anything still held is reported with the
-  backtrace of the call site that took it.
+  construction and record acquisition backtraces per claim, with the
+  dispatch context that made the claim (a ``proc:``/``strand:`` chain,
+  or "driver"); ports, NICs and accelerators adopt in with their
+  in-flight state.  At :meth:`check_quiesce` anything still held is
+  reported with that chain and the backtrace of the call site that took
+  it.
 * **orphaned completions** — request spans opened in telemetry but not
   closed within ``SPAN_BUDGET_NS`` of simulated time.
 
@@ -106,8 +108,10 @@ class Sanitizer:
         self.pop_digests: list[tuple[int, str]] = []
         # push attribution: seq -> (origin label, push sim-time)
         self._origins: dict[int, tuple[str, Optional[float]]] = {}
-        # claim backtraces: (kind, key) -> (label, t_acquired, backtrace)
-        self._claims: dict[tuple[str, Any], tuple[str, float, str]] = {}
+        # claims: (kind, key) -> (label, t_acquired, backtrace, chain)
+        self._claims: dict[tuple[str, Any], tuple[str, float, str, str]] = {}
+        # label of the callback being dispatched ("driver" outside the loop)
+        self._ctx = "driver"
         # FIFO grant ledgers for Containers (puts are unkeyed):
         # id(container) -> list of [amount, t, backtrace]
         self._cont_grants: dict[int, list[list[Any]]] = {}
@@ -152,14 +156,15 @@ class Sanitizer:
         )
 
     def claim(self, kind: str, key: Any, label: str) -> None:
-        """Record an acquisition (backtrace included) under (kind, key)."""
-        self._claims[(kind, key)] = (label, self.sim.now, self._backtrace())
+        """Record an acquisition under (kind, key): its backtrace and the
+        chain (process or strand) whose dispatch made it."""
+        self._claims[(kind, key)] = (label, self.sim.now, self._backtrace(), self._ctx)
 
     def retire(self, kind: str, key: Any) -> None:
         self._claims.pop((kind, key), None)
 
-    def claim_info(self, kind: str, key: Any) -> tuple[str, float, str]:
-        return self._claims.get((kind, key), ("?", -1.0, ""))
+    def claim_info(self, kind: str, key: Any) -> tuple[str, float, str, str]:
+        return self._claims.get((kind, key), ("?", -1.0, "", "?"))
 
     def adopt(self, kind: str, obj: Any) -> None:
         """Register a component whose in-flight state is swept at quiesce."""
@@ -272,10 +277,14 @@ class Sanitizer:
             if callbacks:
                 for cb in callbacks:
                     s0 = sim._seq
-                    cb(item)
+                    ctx = self._ctx = _callback_label(cb, dlabel)
+                    try:
+                        cb(item)
+                    finally:
+                        self._ctx = "driver"
                     s1 = sim._seq
                     if s1 != s0:
-                        org = (_callback_label(cb, dlabel), sim.now)
+                        org = (ctx, sim.now)
                         for s in range(s0 + 1, s1 + 1):
                             self._origins[s] = org
             elif item._exc is not None:
@@ -283,13 +292,17 @@ class Sanitizer:
                     raise item._exc
         else:
             s0 = sim._seq
-            if len(entry) == 3:
-                item()
-            else:
-                item(entry[3])
+            ctx = self._ctx = _callback_label(item, dlabel)
+            try:
+                if len(entry) == 3:
+                    item()
+                else:
+                    item(entry[3])
+            finally:
+                self._ctx = "driver"
             s1 = sim._seq
             if s1 != s0:
-                org = (_callback_label(item, dlabel), sim.now)
+                org = (ctx, sim.now)
                 for s in range(s0 + 1, s1 + 1):
                     self._origins[s] = org
 
@@ -329,19 +342,19 @@ class Sanitizer:
     # individual sweeps (dispatched by adopt() kind)
     def _sweep_resource(self, res: Any) -> None:
         for req in res.users:
-            label, t, bt = self.claim_info("resource-slot", id(req))
+            label, t, bt, chain = self.claim_info("resource-slot", id(req))
             self._find(
                 "leak-resource",
                 f"slot on {res.name!r} still held at quiesce "
-                f"(acquired t={t})",
+                f"(acquired t={t} by {chain})",
                 bt,
             )
         for req in res.queue:
-            label, t, bt = self.claim_info("resource-wait", id(req))
+            label, t, bt, chain = self.claim_info("resource-wait", id(req))
             self._find(
                 "leak-resource",
                 f"waiter on {res.name!r} still queued at quiesce "
-                f"(queued t={t})",
+                f"(queued t={t} by {chain})",
                 bt,
             )
 
@@ -350,11 +363,11 @@ class Sanitizer:
         # RPC server or egress pump parked on an empty work queue), so
         # only producers that could never hand their item off are leaks
         for ev, _item in store._putters:
-            label, t, bt = self.claim_info("store-wait", id(ev))
+            label, t, bt, chain = self.claim_info("store-wait", id(ev))
             self._find(
                 "leak-store",
                 f"putter on {store.name!r} still blocked at quiesce "
-                f"(queued t={t})",
+                f"(queued t={t} by {chain})",
                 bt,
             )
 
@@ -372,11 +385,11 @@ class Sanitizer:
                 holders,
             )
         for ev, amount in cont._getters:
-            label, t, bt = self.claim_info("container-wait", id(ev))
+            label, t, bt, chain = self.claim_info("container-wait", id(ev))
             self._find(
                 "leak-container",
                 f"getter for {amount} unit(s) of {cont.name!r} still "
-                f"blocked at quiesce (queued t={t})",
+                f"blocked at quiesce (queued t={t} by {chain})",
                 bt,
             )
 
@@ -392,11 +405,11 @@ class Sanitizer:
 
     def _sweep_nic(self, nic: Any) -> None:
         for gid in sorted(nic._pending):
-            label, t, bt = self.claim_info("greq", (nic.name, gid))
+            label, t, bt, chain = self.claim_info("greq", (nic.name, gid))
             self._find(
                 "leak-greq",
                 f"greq {gid} ({label}) on {nic.name!r} still pending at "
-                f"quiesce (posted t={t})",
+                f"quiesce (posted t={t} by {chain})",
                 bt,
             )
 

@@ -14,10 +14,11 @@ Aggregation model
 Each virtual client ``c`` owns a deterministic arrival process whose
 ``k``-th random draw is the pure function ``u01(seed, c, k, tag)``
 (:mod:`repro.workloads.streams` — no per-client RNG objects, no hidden
-state).  A population of N clients is then driven by **one generator
-process per (client-host, class) bucket**: the bucket keeps a binary
-heap of ``(next_arrival, client)`` pairs and repeatedly pops the
-earliest arrival, sleeps to its absolute timestamp, stamps the request
+state).  A population of N clients is then driven by **one flow
+generator per (client-host, class) bucket**, a chain of heap callbacks:
+the bucket keeps a binary heap of ``(next_arrival, client)`` pairs and
+repeatedly pops the earliest arrival, sleeps to its absolute timestamp,
+stamps the request
 with the virtual client id, and pushes the client's next arrival.
 Scheduling is O(log N) per *request*, and set-up follows what the run
 touches.  One vectorized pass (:func:`_first_arrival_blocks`) draws
@@ -39,8 +40,9 @@ merge) and :func:`run_open_loop_reference` (explicit coroutines)
 produce **byte-identical request schedules** — and therefore identical
 completions — for any spec; ``tests/test_openloop.py`` proves it at
 N ∈ {1, 4, 32} for every arrival kind, at N = 400 for on/off, on sparse
-populations and on two-class mixes.  Both engines sleep with ``timeout_at(t)`` (absolute
-time), so no floating-point re-accumulation can skew a wake-up, and
+populations and on two-class mixes.  Both engines sleep to absolute
+times (``_call_at1(t)``, ``timeout_at(t)``), so no floating-point
+re-accumulation can skew a wake-up, and
 arrival timestamps are continuous draws, so cross-client ties (where
 the two engines' heap tie-breaks could differ) occur with probability
 zero.
@@ -64,7 +66,7 @@ import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappushpop
 from itertools import repeat
 from numbers import Integral, Real
 from typing import (
@@ -641,6 +643,59 @@ def _first_arrivals(
     return heaps, states
 
 
+class _FlowGenerator:
+    """One (bucket, class) flow generator as heap callbacks.
+
+    ``start`` is pushed at construction, as a process's first step is;
+    each arrival is one ``_call_at1`` at its absolute instant, as the
+    reference engine's processes sleep on ``timeout_at``.  An arrival
+    stamps the request, steps that client's stream and pops the next
+    arrival; ``done`` fires, quietly unless joined, once the heap runs
+    dry.  ``strand`` (``openloop.b<b>.<class>``) names the chain for
+    simsan.
+    """
+
+    __slots__ = ("run", "heap", "cls", "step", "states", "horizon", "strand", "done")
+
+    def __init__(self, run: _Run, heap: List[Tuple[float, int]], cls: int,
+                 states: List[Any], strand: str) -> None:
+        self.run = run
+        self.heap = heap
+        self.cls = cls
+        self.step = run.steppers[cls][1]
+        self.states = states
+        self.horizon = run.spec.horizon_ns
+        self.strand = strand
+        sim = run.sim
+        self.done = Event(sim, strand)
+        sim._call_soon1(self.start, None)
+
+    def start(self, _) -> None:
+        heap = self.heap
+        heapify(heap)
+        self._sleep(heappop(heap))
+
+    def _sleep(self, nxt: Tuple[float, int]) -> None:
+        run = self.run
+        run.sim._call_at1(self.arrive, nxt, run.t0 + nxt[0])
+
+    def arrive(self, item: Tuple[float, int]) -> None:
+        t, cid = item
+        run = self.run
+        run.issue_one(cid, run.t0 + t, self.cls)
+        states = self.states
+        t2, st2 = self.step(cid, t, states[cid])
+        heap = self.heap
+        if t2 < self.horizon:
+            states[cid] = st2
+            # (time, client) keys are unique: push-then-pop order is exact
+            self._sleep(heappushpop(heap, (t2, cid)))
+        elif heap:
+            self._sleep(heappop(heap))
+        else:
+            self.done.succeed_quiet(None)
+
+
 def run_open_loop(
     testbed,
     issue: Callable[[int, int, int, int], Event],
@@ -650,35 +705,20 @@ def run_open_loop(
     """Drive an open-loop population with aggregated flow generators.
 
     ``issue(client, req_index, object_index, size_bytes)`` posts one
-    operation and returns its completion event.  One generator process
-    runs per (bucket, class) pair — one bucket per client host, bucket
-    ``b`` owning clients with ``cid % n_hosts == b`` — and each
-    generator heap-merges its clients' arrival streams.
+    operation and returns its completion event.  One flow generator (a
+    :class:`_FlowGenerator` callback chain) runs per (bucket, class) pair
+    — one bucket per client host, bucket ``b`` owning clients with
+    ``cid % n_hosts == b`` — and each generator heap-merges its clients'
+    arrival streams.
     """
     run = _Run(testbed, issue, spec, record)
-    sim = run.sim
     k_buckets = min(max(len(getattr(testbed, "clients", ())), 1), spec.n_users)
-    horizon = spec.horizon_ns
-    t0 = run.t0
     heaps, states = _first_arrivals(spec, k_buckets)
-
-    def _generator(heap: List[Tuple[float, int]], cls: int) -> Generator:
-        step = run.steppers[cls][1]
-        heapify(heap)
-        while heap:
-            t, cid = heappop(heap)
-            yield sim.timeout_at(t0 + t)
-            run.issue_one(cid, t0 + t, cls)
-            t2, st2 = step(cid, t, states[cid])
-            if t2 < horizon:
-                states[cid] = st2
-                heappush(heap, (t2, cid))
-
-    procs = [
-        sim.process(_generator(heap, c), name=f"openloop.b{b}.{run.class_names[c]}")
+    gens = [
+        _FlowGenerator(run, heap, c, states, f"openloop.b{b}.{run.class_names[c]}")
         for (b, c), heap in sorted(heaps.items())
     ]
-    return run.finish(procs)
+    return run.finish([g.done for g in gens])
 
 
 def run_open_loop_reference(

@@ -96,9 +96,12 @@ def client_key(seed: int, client: int) -> int:
 
 def u01_keyed(key: int, k: int, tag: int) -> float:
     """``u01(seed, client, k, tag)`` given ``key = client_key(seed,
-    client)``: bit-identical, one ``_mix`` per draw instead of two."""
-    z = _mix((key + k * _GAMMA + tag) & _MASK)
-    return ((z >> 11) + 0.5) * (1.0 / (1 << 53))
+    client)``: bit-identical, one ``_mix`` per draw instead of two.
+    The hot per-draw path of the on/off stepper, so ``_mix`` is inlined."""
+    z = (key + k * _GAMMA + tag) & _MASK
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return (((z ^ (z >> 31)) >> 11) + 0.5) * (1.0 / (1 << 53))
 
 
 def _mix_array(z: np.ndarray) -> np.ndarray:

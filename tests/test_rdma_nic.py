@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dfs.cluster import build_testbed
-from repro.dfs.nodes import ClientNode, StorageNode
+from repro.dfs.nodes import RpcCall
 from repro.params import SimParams
 
 
@@ -66,11 +66,11 @@ def test_read_of_zeros(tb):
 def test_rpc_request_response(tb):
     node = tb.node("sn0")
 
-    def handler(n: StorageNode, headers, payload, src):
-        yield from n.cpu.run(100)
-        n.respond(src, headers["greq_id"], f"echo:{headers['x']}:{payload.nbytes}")
+    def echo(call: RpcCall):
+        h = call.headers
+        call.node.respond(call.src, h["greq_id"], f"echo:{h['x']}:{call.payload.nbytes}")
 
-    node.register_rpc("echo", handler)
+    node.register_rpc("echo", lambda call: call.cpu(100, echo))
     client = tb.clients[0]
     ev = client.nic.post_rpc("sn0", {"rpc": "echo", "x": 7}, data=_data(500))
     res = tb.run_until(ev)
