@@ -109,13 +109,16 @@ cmp "$tmpdir/matrix1.csv" "$tmpdir/matrix2.csv"
 echo "scenario matrix deterministic: --jobs 2 rerun byte-identical to serial"
 
 echo
-echo "== benchmark smoke (bench/run.py --quick, digests vs bench/baseline.json) =="
+echo "== benchmark smoke (bench/run.py --quick --trace, digests vs bench/baseline.json) =="
 # all five benchmark workloads once at ~1/20 size: every rep's checks
 # must pass, including the schedule digests pinned in bench/baseline.json.
-# Any nonzero exit fails the stage: 1 is a CHECK FAILED, 2 means the
-# benchmark produced no result, and a stage that did not run is no pass
+# --trace adds one profiled rep per workload, so the log shows each
+# workload's per-layer table (self-time shares and the deterministic
+# calls/req).  Any nonzero exit fails the stage: 1 is a CHECK FAILED,
+# 2 means the benchmark produced no result, and a stage that did not run
+# is no pass
 bench_status=0
-python bench/run.py --quick --reps 1 > "$tmpdir/bench.txt" 2>&1 || bench_status=$?
+python bench/run.py --quick --reps 1 --trace > "$tmpdir/bench.txt" 2>&1 || bench_status=$?
 grep -v '^{"correct"' "$tmpdir/bench.txt" || true
 if [ "$bench_status" -ne 0 ] || grep -q "CHECK FAILED" "$tmpdir/bench.txt"; then
     echo "benchmark smoke failed (exit $bench_status)"

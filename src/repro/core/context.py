@@ -20,7 +20,7 @@ A handler has two parts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from ..pspin.isa import HandlerCost, cleanup_handler_cost
@@ -35,16 +35,19 @@ __all__ = ["Task", "Handler", "HandlerSet", "ExecutionContext"]
 
 @dataclass
 class Task:
-    """The ``spin_task_t`` of Listing 1: per-message execution handle."""
+    """The ``spin_task_t`` of Listing 1: per-message execution handle.
+
+    ``mem`` is ``task->mem``, the context's NIC memory region (a plain
+    attribute: every handler run reads it, and a context keeps its
+    state for life)."""
 
     ctx: "ExecutionContext"
     flow_id: int
     cluster: int
+    mem: DfsState = field(init=False, repr=False)
 
-    @property
-    def mem(self) -> DfsState:
-        """``task->mem``: the context's NIC memory region."""
-        return self.ctx.state
+    def __post_init__(self) -> None:
+        self.mem = self.ctx.state
 
 
 class Handler:

@@ -59,7 +59,9 @@ class DfsPolicy:
     #: that ``payload_cost`` is not memory-intensive.  The packet-train
     #: fast path only paces payload handlers whose effective policy makes
     #: this promise; anything else de-coalesces to the per-packet path.
-    #: Conservative default: subclasses must opt in explicitly.
+    #: Conservative default: subclasses must opt in explicitly.  Such a
+    #: policy may write ``process_pkt`` as a plain function returning
+    #: None: its handler runs then build no generator at all.
     straightline = False
 
     # ------------------------------------------------------------- costs
@@ -104,7 +106,8 @@ class DfsPolicy:
 
     # ------------------------------------------ DFS_request_process_pkt
     def process_pkt(self, api: "HandlerApi", task: Task, entry: RequestEntry, pkt: Packet):
-        """Per-packet action; generator (may yield sends/waits)."""
+        """Per-packet action: a generator (may yield sends/waits), or a
+        plain function returning None for a body that never waits."""
         if pkt.payload is not None:
             api.dma_write(entry.scratch["addr"] + pkt.payload_offset, pkt.payload)
         return
@@ -130,6 +133,19 @@ class DfsPolicy:
 
 
 # --------------------------------------------------------------- skeleton
+#
+# The skeleton handlers are plain functions that return what is left to
+# run: None when the body is done, or the one generator that still
+# waits.  The payload and completion handlers call the request's
+# effective policy (the sub-policy a ``DispatchPolicy`` picked at the
+# header, stored as ``entry.scratch["policy"]``, else the context's own)
+# directly: a payload body runs in one generator frame, or in none.
+
+
+def _nack(api: "HandlerApi", reply_to: str, greq: int, reason: str):
+    yield api.send_control(reply_to, "nack", {"ack_for": greq, "reason": reason})
+
+
 class _HeaderHandler(Handler):
     name = "header"
 
@@ -140,6 +156,8 @@ class _HeaderHandler(Handler):
         return self.policy.header_cost(task, pkt)
 
     def run(self, api: "HandlerApi", task: Task, pkt: Packet):
+        """``DFS_request_init``: an admitted request returns None (no
+        generator); a denied one returns the generator sending its NACK."""
         state = task.mem
         dfs = pkt.headers.get("dfs")
         greq = dfs.greq_id if dfs is not None else pkt.headers.get("greq_id", -1)
@@ -149,16 +167,15 @@ class _HeaderHandler(Handler):
         if entry is None:
             # NIC memory exhausted: deny, client retries later (§III-B2).
             api._accel.nacks_sent += 1
-            yield api.send_control(reply_to, "nack", {"ack_for": greq, "reason": "nic_mem"})
-            return
+            return _nack(api, reply_to, greq, "nic_mem")
         if not accept:
             # DFS_request_init sends NACK if request auth fails.
             state.requests_rejected_auth += 1
             state.post_host_event({"type": "auth_reject", "greq_id": greq, "t": api.now})
             api._accel.nacks_sent += 1
-            yield api.send_control(reply_to, "nack", {"ack_for": greq, "reason": "auth"})
-            return
+            return _nack(api, reply_to, greq, "auth")
         self.policy.on_header(api, task, entry, pkt)
+        return None
 
 
 class _PayloadHandler(Handler):
@@ -171,14 +188,16 @@ class _PayloadHandler(Handler):
         entry = task.mem.get_request(task.flow_id)
         if entry is None or not entry.accept:
             return DROP_COST
-        return self.policy.payload_cost(task, entry, pkt)
+        return entry.scratch.get("policy", self.policy).payload_cost(task, entry, pkt)
 
     def run(self, api: "HandlerApi", task: Task, pkt: Packet):
+        """The effective policy's ``process_pkt``, called directly: None
+        for a dropped packet or a straight-line body, else its generator."""
         entry = task.mem.get_request(task.flow_id)
         if entry is None or not entry.accept:
-            return  # packet is dropped
+            return None  # packet is dropped
         entry.last_activity_ns = api.now
-        yield from self.policy.process_pkt(api, task, entry, pkt)
+        return entry.scratch.get("policy", self.policy).process_pkt(api, task, entry, pkt)
 
 
 class _CompletionHandler(Handler):
@@ -191,13 +210,13 @@ class _CompletionHandler(Handler):
         entry = task.mem.get_request(task.flow_id)
         if entry is None or not entry.accept:
             return DROP_COST
-        return self.policy.completion_cost(task, entry, pkt)
+        return entry.scratch.get("policy", self.policy).completion_cost(task, entry, pkt)
 
     def run(self, api: "HandlerApi", task: Task, pkt: Packet):
         state = task.mem
         entry = state.get_request(task.flow_id)
         if entry is not None and entry.accept:
-            yield from self.policy.request_fini(api, task, entry, pkt)
+            yield from entry.scratch.get("policy", self.policy).request_fini(api, task, entry, pkt)
         state.free_request(task.flow_id)
 
 

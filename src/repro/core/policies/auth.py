@@ -7,12 +7,21 @@ right); payload handlers stream data to the storage target; the
 completion handler acks after the data is durable.
 
 The behaviour is exactly the :class:`~repro.core.handlers.DfsPolicy`
-default — this subclass only pins the name used in handler statistics.
+default; this subclass pins the name used in handler statistics and
+declares the payload path straight-line.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+from ...simnet.packet import Packet
 from ..handlers import DfsPolicy
+from ..state import RequestEntry
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ...pspin.accelerator import HandlerApi
+    from ..context import Task
 
 __all__ = ["AuthWritePolicy"]
 
@@ -23,3 +32,10 @@ class AuthWritePolicy(DfsPolicy):
     name = "auth-write"
     # process_pkt only posts DMA (no sends, no waits): pace-able.
     straightline = True
+
+    def process_pkt(self, api: "HandlerApi", task: "Task", entry: RequestEntry,
+                    pkt: Packet) -> None:
+        """The default body as a plain function: a payload handler run
+        builds no generator."""
+        if pkt.payload is not None:
+            api.dma_write(entry.scratch["addr"] + pkt.payload_offset, pkt.payload)

@@ -6,7 +6,9 @@ which policy applies is decided per request by the *resiliency strategy
 option* in the write request header (§VI-B).  This dispatcher reads that
 option in the header handler and routes the request to the plain
 authenticated write, the replication policy, or the EC data/parity
-policies.
+policies.  It only picks: it stores the sub-policy as
+``entry.scratch["policy"]``, and the skeleton's payload and completion
+handlers call that effective policy directly.
 """
 
 from __future__ import annotations
@@ -48,20 +50,9 @@ class DispatchPolicy(DfsPolicy):
         return self.ec_parity
 
     # The header cost is the shared validation skeleton; after that the
-    # chosen sub-policy drives costs and behaviour via the entry.
+    # skeleton handlers call the chosen sub-policy (costs and behaviour)
+    # through the entry.
     def on_header(self, api, task, entry: RequestEntry, pkt: Packet) -> None:
         sub = self._pick(pkt)
         entry.scratch["policy"] = sub
         sub.on_header(api, task, entry, pkt)
-
-    def payload_cost(self, task, entry: RequestEntry, pkt: Packet):
-        return entry.scratch["policy"].payload_cost(task, entry, pkt)
-
-    def completion_cost(self, task, entry: RequestEntry, pkt: Packet):
-        return entry.scratch["policy"].completion_cost(task, entry, pkt)
-
-    def process_pkt(self, api, task, entry: RequestEntry, pkt: Packet):
-        yield from entry.scratch["policy"].process_pkt(api, task, entry, pkt)
-
-    def request_fini(self, api, task, entry: RequestEntry, pkt: Packet):
-        yield from entry.scratch["policy"].request_fini(api, task, entry, pkt)

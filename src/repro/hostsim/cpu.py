@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..params import HostParams
-from ..simnet.engine import _DISPATCHED, Simulator
+from ..simnet.engine import Simulator
 from ..simnet.link import gbps_to_ns_per_byte
-from ..simnet.resources import Request, Resource
+from ..simnet.resources import Resource
 from ..telemetry.metrics import HandleCache
 
 __all__ = ["Cpu", "CoreHold"]
@@ -39,7 +39,7 @@ class CoreHold:
     chain for simsan.
     """
 
-    __slots__ = ("cpu", "req", "duration_ns", "trace", "t0", "then", "arg",
+    __slots__ = ("cpu", "duration_ns", "trace", "t0", "then", "arg",
                  "strand", "dead")
 
     def __init__(self, cpu: "Cpu", duration_ns: float, then: Callable[[Any], None],
@@ -52,16 +52,13 @@ class CoreHold:
         self.strand = strand
         self.t0 = -1.0
         self.dead = False
-        req = self.req = cpu.cores.request()
-        # add_callback, inlined (four holds per RPC write): like a process
-        # yielding the request, a quiet grant resumes through one push and
-        # a queued request on the dispatch of its grant
-        if req.callbacks is _DISPATCHED:
-            cpu.sim._call_soon1(self.granted, req)
-        else:
-            req.callbacks = [self.granted]
+        # the hold takes the core itself (no Request): like a process
+        # yielding a request, a free core resumes it through one push and
+        # a queued hold on the push its grant makes
+        if cpu.cores.acquire(self, self.granted):
+            cpu.sim._call_soon1(self.granted, None)
 
-    def granted(self, _req: Request) -> None:
+    def granted(self, _) -> None:
         if self.dead:
             return
         sim = self.cpu.sim
@@ -75,7 +72,7 @@ class CoreHold:
         sim = cpu.sim
         d = self.duration_ns
         cpu.busy_ns += d
-        cpu.cores.release(self.req)
+        cpu.cores.release(self)
         tel = sim.telemetry
         if tel.enabled:
             tel.span(
@@ -100,10 +97,10 @@ class CoreHold:
             return
         self.dead = True
         cores = self.cpu.cores
-        if self.req in cores.users:
-            cores.release(self.req)
+        if self in cores.users:
+            cores.release(self)
         else:
-            cores.cancel(self.req)
+            cores.cancel(self.granted)
 
 
 class Cpu:
@@ -148,7 +145,7 @@ class Cpu:
         hold = CoreHold(self, duration_ns, done.succeed_inline, None, trace, None)
         # a queued request is withdrawn at the interrupt itself, as the
         # abandon hook of a yielded request would
-        done._abandon = lambda: None if hold.req.triggered else hold.abort()
+        done._abandon = lambda: None if hold in self.cores.users else hold.abort()
         try:
             yield done
         finally:

@@ -31,9 +31,14 @@ Each sleep is one ``_call_soon1``/``_call_at1`` push, and each wait
 (header done, payload handlers done, an HPU or quota grant) is a
 callback on that event, in the same heap positions a coroutine's
 ``Process._wait_on`` would take, so the schedule is entry-for-entry the
-one a process per packet would produce.  Handler bodies stay generators
-(the policy API is unchanged); the record steps them with
-``send``/``throw`` and waits on what they yield.  Handler egress is a
+one a process per packet would produce.  A handler run builds only what
+something waits on: the record takes an HPU slot of its cluster's
+:class:`~repro.simnet.resources.Resource` itself (no ``Request``; a
+queued record is granted by one push where a request's grant went),
+and ``Handler.run`` returns None for a body that finished without
+waiting (the skeleton's admitted header, a straight-line payload
+policy) or the one generator still to run, which the record steps with
+``send``/``throw``, waiting on what it yields.  Handler egress is a
 FIFO of ``egress_credits`` slots fused with its pump
 (:class:`_HandlerEgress`): one transmission in flight, blocked putters
 queued FIFO.
@@ -106,6 +111,10 @@ class HandlerStats:
 
 
 class _Cluster:
+    """One cluster: ``hpus``, the HPU pool whose slots packet records
+    take themselves (``Resource.acquire``); the cleanup process takes
+    one as a ``Request`` of the same pool."""
+
     def __init__(self, sim: Simulator, idx: int, params: PsPinParams):
         self.idx = idx
         self.hpus = Resource(sim, params.hpus_per_cluster, name=f"cluster{idx}.hpus")
@@ -305,8 +314,10 @@ class _PacketRecord:
 
     Stage order: ``f1`` (end of packet buffer + scheduler) -> ``l1_done``
     -> ``gate`` (header handler first, payload handlers after
-    ``hh_done``) -> ``activate`` (quota, HPU) -> ``dispatch`` ->
-    [``dispatched``] -> ``run_body`` -> ``step``* -> ``handler_done`` ->
+    ``hh_done``) -> ``activate`` (quota, HPU: slots the record holds
+    itself, so a free HPU costs no object) -> ``dispatch`` ->
+    [``dispatched``] -> ``run_body`` -> ``step``* (only for a body that
+    returned a generator) -> ``handler_done`` ->
     the next handler or ``completion_gate`` (after ``phs_done``).  A
     torn-down train re-enters through ``copy_start``, ``gate``,
     ``hpu_start`` or ``completion_gate`` at the stage each packet
@@ -317,7 +328,7 @@ class _PacketRecord:
 
     __slots__ = (
         "acc", "ctx", "pkt", "strand", "l1_ns", "run", "xcl", "skip_header",
-        "htype", "cluster", "req", "qreq", "cost", "writer", "t0", "act",
+        "htype", "cluster", "quota", "cost", "writer", "t0", "act",
         "own", "body", "at", "j", "mstage",
     )
 
@@ -329,7 +340,6 @@ class _PacketRecord:
         self.run = run
         self.strand = strand
         self.skip_header = False
-        self.qreq = None
 
     # ----------------------------------------------------------- ingress
     def f1(self, _) -> None:
@@ -399,20 +409,20 @@ class _PacketRecord:
         its share of the HPU pool), then an HPU."""
         self.htype = htype
         self.cluster = self.acc.clusters[cluster_idx]
-        quota = self.run.ctx._quota_sem
+        self.quota = quota = self.run.ctx._quota_sem
         if quota is None:
             self.request_hpu()
-        else:
-            self.qreq = qreq = quota.request()
-            # waited on even when granted at once, as a coroutine would
-            qreq.add_callback(self.request_hpu)
+        elif quota.acquire(self, self.request_hpu):
+            # a quota granted at once still resumes through one push, as
+            # a coroutine waiting on the granted request would
+            self.acc.sim._call_soon1(self.request_hpu, None)
 
     def request_hpu(self, _=None) -> None:
-        self.req = req = self.cluster.hpus.request()
-        if req.triggered:  # an idle HPU grants at once
+        """Take an HPU slot: an idle HPU grants at once; otherwise the
+        record waits in the cluster's FIFO and the release that frees a
+        slot pushes ``dispatch``."""
+        if self.cluster.hpus.acquire(self, self.dispatch):
             self.dispatch()
-        else:
-            req.add_callback(self.dispatch)
 
     def dispatch(self, _=None) -> None:
         """HPU granted: a 1 ns dispatch, then the compute phase.
@@ -476,7 +486,9 @@ class _PacketRecord:
         sim._call_soon1(self.run_body, None, cost.compute_ns(p.freq_ghz, contention))
 
     def run_body(self, _) -> None:
-        """Compute phase done: run the handler body."""
+        """Compute phase done: run the handler.  ``run`` returns None when
+        the body is done (no generator was built) or the generator that
+        still waits, stepped from here."""
         run = self.run
         api = run.api
         if api is None:
@@ -534,10 +546,10 @@ class _PacketRecord:
             n = writers.pop(mid) - 1
             if n:
                 writers[mid] = n
-        cluster.hpus.release(self.req)
-        qreq = self.qreq
-        if qreq is not None:
-            qreq.resource.release(qreq)
+        cluster.hpus.release(self)
+        quota = self.quota
+        if quota is not None:
+            quota.release(self)
         acc = self.acc
         run = self.run
         htype = self.htype
@@ -594,9 +606,10 @@ class _PacketRecord:
         real HPU (guaranteed free: the build-time sweep reserved it),
         backfill its occupancy, and finish on schedule."""
         self.cluster = cluster = self.acc.clusters[self.at.cl[self.j]]
-        self.req = req = cluster.hpus.request()
-        # waited on even when granted at once, as a coroutine would
-        req.add_callback(self.hpu_held)
+        # resumes through one push even when granted at once, as a
+        # coroutine waiting on the granted request would
+        if cluster.hpus.acquire(self, self.hpu_held):
+            self.acc.sim._call_soon1(self.hpu_held, None)
 
     def hpu_held(self, _) -> None:
         at = self.at
@@ -619,7 +632,7 @@ class _PacketRecord:
                 self.run, self.pkt, self.cluster, at.cost[j], at.t0[j], at.e[j]
             )
         finally:
-            self.cluster.hpus.release(self.req)
+            self.cluster.hpus.release(self)
         if self.pkt.is_completion:
             self.completion_gate()
 

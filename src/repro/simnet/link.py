@@ -9,18 +9,20 @@ on the egress port, which is precisely the mechanism behind the paper's
 observed IPC collapse (Table I, IPC 0.06 for PBT payload handlers).
 
 The egress path is a fused callback chain rather than a server process:
-``send`` starts serialization immediately when the wire is idle,
+``enqueue`` starts serialization immediately when the wire is idle,
 otherwise appends to a deque; a single ``tx-done`` kernel event per
-packet fires the sender's completion (quietly, when nobody waits on
-it), hands the packet on, and starts the next packet.  The fault
-injector's verdict for this wire is drawn at tx-done too, so nothing
-more can happen to an intact packet in flight: a peer with an
-``arrive(pkt, t_arr)`` entry takes it at tx-done, with its arrival
-instant, and schedules its own next step from there (running its own
-arrival-time checks then): a hop costs the tx-done event plus the
-peer's next real step, with the same simulated timestamps as a separate
-delivery event.  Corrupted packets, and peers without ``arrive``, get
-their ``receive`` scheduled at the arrival instant.
+packet fires the sender's completion event if it has one (quietly,
+when nobody waits on it yet: ``send`` makes one, a switch hop's
+``enqueue`` does not), hands the packet on, and starts the next
+packet.  The fault injector's verdict for this wire is drawn at
+tx-done too, so nothing more can happen to an intact packet in flight:
+a peer with an ``arrive(pkt, t_arr)`` entry takes it at tx-done, with
+its arrival instant, and schedules its own next step from there
+(running its own arrival-time checks then): a hop costs the tx-done
+event plus the peer's next real step, with the same simulated
+timestamps as a separate delivery event.  Corrupted packets, and peers
+without ``arrive``, get their ``receive`` scheduled at the arrival
+instant.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class Port:
         self._ns_per_byte = gbps_to_ns_per_byte(bandwidth_gbps)
         self.queue_packets = queue_packets
         #: packets accepted but not yet on the wire (excludes in-service)
-        self._q: Deque[Tuple[Packet, Event]] = deque()
+        self._q: Deque[Tuple[Packet, Optional[Event]]] = deque()
         self._busy = False
         self._cur_pkt: Optional[Packet] = None
         self._cur_done: Optional[Event] = None
@@ -114,7 +116,19 @@ class Port:
 
         Returns an event that fires when the packet has been *fully
         serialized onto the wire* (not when delivered).  Yielding on it
-        models a sender that blocks until egress accepts its data.
+        models a sender that blocks until egress accepts its data.  A
+        forwarder that never waits (a switch hop) calls :meth:`enqueue`,
+        which builds no event.
+        """
+        done = Event(self.sim)
+        self.enqueue(pkt, done)
+        return done
+
+    def enqueue(self, pkt: Packet, done: Optional[Event] = None) -> None:
+        """Enqueue a packet; ``done`` (if any) succeeds at its tx-done.
+
+        The port's one enqueue: ``send``, ``try_send``, switch hops and
+        a de-coalesced train's late packets all come here.
         """
         if self._train is not None:
             # Cross-traffic invalidates the train's closed-form schedule:
@@ -122,7 +136,6 @@ class Port:
             # order matches the per-packet path exactly.
             self._train_abort()
         sim = self.sim
-        done = Event(sim)
         pkt.enqueue_t = sim.now
         if self._busy:
             self._q.append((pkt, done))
@@ -133,7 +146,6 @@ class Port:
             self._handles.get(tel.metrics)[0].set(
                 sim.now, len(self._q) + 1  # +1: the packet now in service
             )
-        return done
 
     def try_send(self, pkt: Packet) -> Optional[Event]:
         """Non-blocking enqueue; None when the egress queue is full."""
@@ -146,7 +158,8 @@ class Port:
         return self.send(pkt)
 
     # -- egress fast path -------------------------------------------------
-    def _start(self, pkt: Packet, done: Event) -> None:
+    def _start(self, pkt: Packet, done: Optional[Event]) -> None:
+        """Start serializing ``pkt`` on the idle wire."""
         self._busy = True
         self._cur_pkt = pkt
         self._cur_done = done
@@ -157,7 +170,7 @@ class Port:
         sim = self.sim
         pkt = self._cur_pkt
         done = self._cur_done
-        assert pkt is not None and done is not None
+        assert pkt is not None
         self.tx_packets += 1
         self.tx_bytes += pkt.size
         self.busy_ns += ser
@@ -181,7 +194,8 @@ class Port:
             nbytes.inc(pkt.size)
             npkts.inc()
             gauge.set(now, len(self._q))
-        done.succeed_quiet(pkt)
+        if done is not None:
+            done.succeed_quiet(pkt)
         # Start serializing the next queued packet before dealing with
         # this one's fate on the wire (pipelined wire: propagation never
         # blocks the serializer).
@@ -245,7 +259,7 @@ class Port:
         means sender-paced (packet ``i+1`` is offered the instant ``i``
         finishes serializing, like the NIC's send loop).  ``enq_push``
         gives, per packet, when the per-packet path would have *pushed*
-        the enqueue callback (the switch pushes ``out.send`` at the
+        the enqueue callback (the switch pushes ``out.enqueue`` at the
         upstream tx-done): when an abort re-sends a packet whose enqueue
         ties with the in-service packet's tx-done, it decides which runs
         first; None means enqueues are pushed at their fire time and
@@ -334,7 +348,7 @@ class Port:
             reached += 1
         self._apply_train_stats(st, c)
         for j in range(c + mid, reached):
-            self._q.append((st.pkts[j], Event(sim)))
+            self._q.append((st.pkts[j], None))
         late = range(reached, owed)
         if mid:
             # Packet c is mid-serialization: it completes at done[c] on
@@ -387,7 +401,7 @@ class Port:
         st, j = arg
         if j >= st.have:
             return  # an upstream abort cut it; the origin re-sends it
-        self.send(st.pkts[j])
+        self.enqueue(st.pkts[j])
 
     def _apply_train_stats(self, st: PacketTrain, upto: int) -> None:
         """Apply per-packet tx statistics for ``[applied, upto)``, in the

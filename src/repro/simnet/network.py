@@ -106,8 +106,9 @@ class Switch:
                 drops.inc()
         if out is None:
             raise KeyError(f"{self.name}: no route to {pkt.dst!r}")
-        # Fixed traversal latency, then output queueing (closure-free).
-        self.sim._call_soon1(out.send, pkt, delay=self.cfg.switch_latency_ns)
+        # Fixed traversal latency, then output queueing (closure-free;
+        # nothing waits on a hop's tx-done, so the enqueue builds no event).
+        self.sim._call_soon1(out.enqueue, pkt, delay=self.cfg.switch_latency_ns)
 
     def arrive(self, pkt: Packet, t_arr: float) -> None:
         """Fused delivery of an intact packet, at the sender's tx-done.
@@ -115,7 +116,9 @@ class Switch:
         The base ``forward`` only counts the packet and schedules the
         output-port enqueue one traversal later.  With a local route and
         telemetry off nothing observes the arrival instant, so the
-        enqueue is scheduled now, at ``t_arr + switch_latency_ns``.
+        enqueue is scheduled now, at ``t_arr + switch_latency_ns``.  A
+        hop is :meth:`Port.enqueue`: no tx-done event, since nothing
+        waits on one.
         Anything else (a subclass's routing, no route, telemetry
         counters) runs ``forward`` at the arrival instant as before.
         """
@@ -125,7 +128,7 @@ class Switch:
             sim._call_at1(self.forward, pkt, t_arr)
             return
         self.rx_packets += 1
-        sim._call_at1(out.send, pkt, t_arr + self.cfg.switch_latency_ns)
+        sim._call_at1(out.enqueue, pkt, t_arr + self.cfg.switch_latency_ns)
 
     def forward_train(self, st: PacketTrain) -> None:
         """Forward a coalesced train: one traversal charge for the burst.
@@ -133,7 +136,7 @@ class Switch:
         Runs at the upstream's first tx-done, as ``arrive`` does for a
         packet.  Re-coalesces onto the output port when possible
         (availability times = per-packet arrival + traversal latency);
-        otherwise falls back to one ``out.send`` per packet at exactly
+        otherwise falls back to one ``out.enqueue`` per packet at exactly
         the slow path's times.  An upstream abort
         propagates through ``on_abort``: packets the sender never put on
         the wire are un-counted here and cut from the downstream train —
@@ -162,7 +165,7 @@ class Switch:
         if k == len(pkts):
             avail = [a + sl for a in st.arr]
             # enq_push = upstream tx-done: the per-packet path pushes
-            # each ``out.send`` callback there (``arrive``), one hop and
+            # each ``out.enqueue`` callback there (``arrive``), one hop and
             # one traversal before it fires.
             down = out.try_send_train(
                 pkts, avail=avail, sender_event=False, enq_push=st.done
@@ -177,7 +180,7 @@ class Switch:
                 # sender's tx-dones pushed them ahead of ours.
                 out._train_abort()
             for j in range(k):
-                self.sim._call_at1(self._forward_train_step, (st, j, out.send), st.arr[j] + sl)
+                self.sim._call_at1(self._forward_train_step, (st, j, out.enqueue), st.arr[j] + sl)
         counted = [k]
 
         def _on_upstream_abort(u_st: PacketTrain) -> None:
@@ -196,7 +199,7 @@ class Switch:
 
     def _forward_train_step(self, arg: Tuple[Any, int, Callable[[Packet], Any]]) -> None:
         """Hand packet ``j`` of a de-coalesced train to ``step`` (an output
-        port's ``send``, or ``forward`` when the route is not local)."""
+        port's ``enqueue``, or ``forward`` when the route is not local)."""
         st, j, step = arg
         if j >= st.cut:
             return  # cut upstream; the origin re-sends it the slow way

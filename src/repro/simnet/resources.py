@@ -46,6 +46,15 @@ class Resource:
         yield req          # or: if not req.triggered: yield req
         ...critical section...
         res.release(req)
+
+    A callback chain takes a slot without building a :class:`Request`:
+    ``acquire(holder, wake)`` grants ``holder`` a free slot at once
+    (True), or queues ``wake``, a bound method of ``holder``, and
+    returns False; ``release`` then grants the slot with one
+    ``_call_soon1(wake, None)``, pushed where a queued request's
+    ``succeed`` pushes its grant.  ``users`` holds the slot holders
+    (requests or callback holders) and ``queue`` the waiters (requests
+    or ``wake`` callbacks), in one FIFO.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "resource") -> None:
@@ -55,8 +64,8 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self._req_name = f"req({name})"  # shared by all Requests (hot path)
-        self.users: list[Request] = []
-        self.queue: Deque[Request] = deque()
+        self.users: list[Any] = []
+        self.queue: Deque[Any] = deque()
         # occupancy bookkeeping for utilisation statistics
         self._busy_time = 0.0
         self._last_change = 0.0
@@ -67,50 +76,71 @@ class Resource:
     # -- API -------------------------------------------------------------
     def request(self) -> Request:
         req = Request(self)
-        san = self.sim.sanitizer
-        if len(self.users) < self.capacity:
-            self._account()
-            self.users.append(req)
-            if san is not None:
-                san.claim("resource-slot", id(req), self.name)
+        if self.acquire(req, req):
             # Quiet grant: nothing is attached yet, so no dispatch is
             # needed.  A caller that yields the request resumes through
             # one ``_call_soon1`` pushed at the yield; one that checks
             # ``triggered`` can carry on without waiting at all.
             req.succeed_quiet(None)
         else:
-            self.queue.append(req)
             req._abandon = lambda: self.cancel(req)
-            if san is not None:
-                san.claim("resource-wait", id(req), self.name)
         return req
 
-    def release(self, req: Request) -> None:
-        if req not in self.users:
+    def acquire(self, holder: Any, wake: Any) -> bool:
+        """Take a free slot for ``holder`` now (True), or queue ``wake``
+        (False): a :class:`Request` (``holder`` itself), granted by its
+        ``succeed``, or a bound method of ``holder``, pushed with
+        ``_call_soon1(wake, None)`` when a slot frees."""
+        users = self.users
+        san = self.sim.sanitizer
+        if len(users) < self.capacity:
+            self._account()
+            users.append(holder)
+            if san is not None:
+                san.claim("resource-slot", (id(self), id(holder)), self.name)
+            return True
+        self.queue.append(wake)
+        if san is not None:
+            san.claim("resource-wait", (id(self), id(wake)), self.name)
+        return False
+
+    def release(self, holder: Any) -> None:
+        """Give back ``holder``'s slot and grant it to the first waiter."""
+        users = self.users
+        if holder not in users:
             raise SimulationError(f"release of request not holding {self.name!r}")
         self._account()
-        self.users.remove(req)
+        users.remove(holder)
         san = self.sim.sanitizer
         if san is not None:
-            san.retire("resource-slot", id(req))
+            san.retire("resource-slot", (id(self), id(holder)))
         if self.queue:
-            nxt = self.queue.popleft()
-            self.users.append(nxt)
+            wake = self.queue.popleft()
+            nxt = wake if isinstance(wake, Request) else wake.__self__
+            users.append(nxt)
             if san is not None:
-                san.retire("resource-wait", id(nxt))
-                san.claim("resource-slot", id(nxt), self.name)
-            nxt._abandon = None
-            nxt.succeed(None)
+                san.retire("resource-wait", (id(self), id(wake)))
+                san.claim("resource-slot", (id(self), id(nxt)), self.name)
+            if nxt is wake:
+                wake._abandon = None
+                wake.succeed(None)
+            else:
+                self.sim._call_soon1(wake, None)
 
-    def cancel(self, req: Request) -> None:
-        """Withdraw a still-queued request (no-op if already granted)."""
+    def cancel(self, wake: Any) -> None:
+        """Withdraw a still-queued waiter (no-op if already granted).  A
+        ``wake`` callback matches the queued one by equality (a bound
+        method is rebuilt on each access)."""
+        queue = self.queue
         try:
-            self.queue.remove(req)
+            i = queue.index(wake)
         except ValueError:
             return
+        queued = queue[i]
+        del queue[i]
         san = self.sim.sanitizer
         if san is not None:
-            san.retire("resource-wait", id(req))
+            san.retire("resource-wait", (id(self), id(queued)))
 
     # -- stats -------------------------------------------------------------
     def _account(self) -> None:

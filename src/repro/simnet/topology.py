@@ -39,14 +39,14 @@ class _LeafSwitch(Switch):
         self.rx_packets += 1
         if pkt.dst in self._out_ports:
             out = self._out_ports[pkt.dst]
-            self.sim._call_soon1(out.send, pkt, delay=self.cfg.switch_latency_ns)
+            self.sim._call_soon1(out.enqueue, pkt, delay=self.cfg.switch_latency_ns)
             return
         # cross-leaf: ECMP round robin over the spine uplinks
         if not self.uplinks:
             raise KeyError(f"{self.name}: no route to {pkt.dst!r}")
         up = self.uplinks[self._rr % len(self.uplinks)]
         self._rr += 1
-        self.sim._call_soon1(up.send, pkt, delay=self.cfg.switch_latency_ns)
+        self.sim._call_soon1(up.enqueue, pkt, delay=self.cfg.switch_latency_ns)
 
 
 class _SpineSwitch(Switch):
@@ -63,7 +63,7 @@ class _SpineSwitch(Switch):
         if leaf is None:
             raise KeyError(f"{self.name}: no route to {pkt.dst!r}")
         down = self.downlinks[leaf]
-        self.sim._call_soon1(down.send, pkt, delay=self.cfg.switch_latency_ns)
+        self.sim._call_soon1(down.enqueue, pkt, delay=self.cfg.switch_latency_ns)
 
 
 class _Shim:

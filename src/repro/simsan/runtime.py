@@ -341,8 +341,10 @@ class Sanitizer:
 
     # individual sweeps (dispatched by adopt() kind)
     def _sweep_resource(self, res: Any) -> None:
+        # claims are keyed per pool: one callback holder may hold slots
+        # of two pools at once (a tenant quota and an HPU)
         for req in res.users:
-            label, t, bt, chain = self.claim_info("resource-slot", id(req))
+            label, t, bt, chain = self.claim_info("resource-slot", (id(res), id(req)))
             self._find(
                 "leak-resource",
                 f"slot on {res.name!r} still held at quiesce "
@@ -350,7 +352,7 @@ class Sanitizer:
                 bt,
             )
         for req in res.queue:
-            label, t, bt, chain = self.claim_info("resource-wait", id(req))
+            label, t, bt, chain = self.claim_info("resource-wait", (id(res), id(req)))
             self._find(
                 "leak-resource",
                 f"waiter on {res.name!r} still queued at quiesce "

@@ -342,9 +342,10 @@ def _make_stepper(
     last_burst = int(horizon_ns / period) + 1
 
     def step(cid: int, t_prev: float, b: int) -> Tuple[float, int]:
+        key = client_key(seed, cid)  # one step may skip many bursts
         while b <= last_burst:
-            if u01(seed, cid, b, TAG_GAP) < join:
-                t = b * period + u01(seed, cid, b, TAG_STATE) * jitter
+            if u01_keyed(key, b, TAG_GAP) < join:
+                t = b * period + u01_keyed(key, b, TAG_STATE) * jitter
                 return t, b + 1
             b += 1
         return float("inf"), b
@@ -570,10 +571,9 @@ class _Run:
     def issue_one(self, cid: int, t: float, cls: int) -> None:
         n = self.reqno[cid]
         self.reqno[cid] = n + 1
-        u_obj = u01(self.spec.seed, cid, n, TAG_OBJ)
-        obj = self.zipf.pick(u_obj)
-        u_size = u01(self.spec.seed, cid, n, TAG_SIZE)
-        size = sample_size(u_size, self.class_sizes[cls])
+        key = client_key(self.spec.seed, cid)  # two draws, one key
+        obj = self.zipf.pick(u01_keyed(key, n, TAG_OBJ))
+        size = sample_size(u01_keyed(key, n, TAG_SIZE), self.class_sizes[cls])
         rel_t = t - self.t0
         self.digest.update(_REQ_PACK.pack(rel_t, cid, n, obj, size))
         if self.schedule is not None:

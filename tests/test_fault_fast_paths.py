@@ -144,11 +144,11 @@ def test_retransmit_timer_recovers_as_the_watchdog_did():
     )
 
 
-# ------------------------------------------------------------- record pin
-def test_lossy_traced_run_records_pinned(monkeypatch):
-    """Every span, metric and raw gauge sample of a quick
-    ``hot_shard_lossy`` run (digests recorded before the fast paths
-    covered lossy, traced runs)."""
+# ------------------------------------------------------------- record pins
+def _records(monkeypatch, spec):
+    """Run ``spec`` at seed 1; return its request count, the retransmits
+    of every NIC, the span count and digests of every span, metric and
+    raw gauge sample."""
     built = []
     build = cluster.build_testbed
 
@@ -157,7 +157,7 @@ def test_lossy_traced_run_records_pinned(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cluster, "build_testbed", capture)
-    run_scenario(builtin.get("hot_shard_lossy", quick=True), seed=1)
+    row = run_scenario(spec, seed=1)
     (tb,) = built
     tel = tb.sim.telemetry
     spans = repr([(s.name, s.cat, s.pid, s.tid, s.t0, s.t1, s.span_id, s.trace_id,
@@ -166,8 +166,26 @@ def test_lossy_traced_run_records_pinned(monkeypatch):
     gauges = repr(sorted((n, g.times, g.values) for n, g in tel.metrics.gauges.items()))
     digests = [hashlib.sha256(blob.encode()).hexdigest()[:16]
                for blob in (spans, metrics, gauges)]
-    assert (len(tel.spans), digests) == (
-        274, ["4f9455217eac5e25", "0029510f9e7edd83", "1fd0bda08e108c1c"]
+    nodes = [*tb.clients, *tb.storage_nodes]
+    return (row["issued"], sum(n.nic.retransmits for n in nodes), len(tel.spans), digests)
+
+
+def test_lossy_traced_run_records_pinned(monkeypatch):
+    """Every span, metric and raw gauge sample of a quick
+    ``hot_shard_lossy`` run (digests recorded before the fast paths
+    covered lossy, traced runs)."""
+    assert _records(monkeypatch, builtin.get("hot_shard_lossy", quick=True)) == (
+        12, 0, 274, ["4f9455217eac5e25", "0029510f9e7edd83", "1fd0bda08e108c1c"]
+    )
+
+
+def test_full_lossy_traced_run_records_pinned(monkeypatch):
+    """The same records over the full ``hot_shard_lossy`` run: 665
+    requests, three of whose packets are lost and retransmitted (digests
+    recorded while every handler run built a ``Request`` and every hop a
+    tx-done event)."""
+    assert _records(monkeypatch, builtin.get("hot_shard_lossy")) == (
+        665, 3, 14913, ["cc160bcd4b1db4b6", "72b4b13e2f7575ed", "0be3285a1611f7ec"]
     )
 
 

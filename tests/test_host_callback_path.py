@@ -9,9 +9,9 @@ should leave the simulation alone keeps every pin:
 * every registered RPC handler run end to end, with telemetry off and
   on: the operation outcomes, the final clock, the kernel's dispatch
   count and a digest of every span and metric;
-* kernel events and ``Process`` constructions per request of the four
-  quick scenario-matrix runs (the per-request cost, pinned the way
-  ``test_simulator_fastpath`` pins events per packet).
+* kernel events and ``Process`` and ``Event`` constructions per
+  request of the four quick scenario-matrix runs (the per-request cost,
+  pinned the way ``test_simulator_fastpath`` pins events per packet).
 
 The rest checks what the generators did implicitly: an interrupted
 ``Cpu.run`` gives its core back, and a leak in a handler chain is
@@ -202,6 +202,23 @@ class _ProcessSpy:
         monkeypatch.setattr(engine.Process, "__init__", init)
 
 
+class _EventSpy:
+    """Counts constructions of ``Event`` and its subclasses by class name
+    (``Timeout`` inlines its constructor, so it is patched too)."""
+
+    def __init__(self, monkeypatch):
+        self.kinds = Counter()
+        kinds = self.kinds
+        for cls in (engine.Event, engine.Timeout):
+            orig = cls.__init__
+
+            def init(ev, *a, _orig=orig, **kw):
+                kinds[type(ev).__name__] += 1
+                _orig(ev, *a, **kw)
+
+            monkeypatch.setattr(cls, "__init__", init)
+
+
 #: quick scenario -> (issued, events_dispatched, Process constructions).
 #: With the process-based host path these were hot_shard (202, 6684, 235),
 #: incast (222, 6503, 234), uniform_onoff (105, 2848, 222) and
@@ -216,13 +233,30 @@ PER_REQUEST = {
     "hot_shard_lossy": (12, 719, 0),
 }
 
+#: quick scenario -> ``Event`` constructions by class, subclasses
+#: included.  Before HPU slots, CPU cores and switch hops stopped building
+#: events nobody waits on, these were hot_shard {AllOf 1, Event 1692,
+#: Process 21, Request 898, _Flush 654}, incast {AllOf 1, Event 1820,
+#: Request 888, _Flush 444}, uniform_onoff {AllOf 1, Event 656, Request
+#: 420, _Flush 105} and hot_shard_lossy {AllOf 1, Event 173, Request 62,
+#: _Flush 38}: a ``Request`` per handler run or core hold and a tx-done
+#: ``Event`` per switch hop.  The kernel events above did not move.
+EVENT_KINDS = {
+    "hot_shard": {"AllOf": 1, "Event": 1469, "Process": 21, "_Flush": 654},
+    "incast": {"AllOf": 1, "Event": 1572, "_Flush": 444},
+    "uniform_onoff": {"AllOf": 1, "Event": 538, "_Flush": 105},
+    "hot_shard_lossy": {"AllOf": 1, "Event": 123, "_Flush": 38},
+}
+
 
 @pytest.mark.parametrize("name", MATRIX_NAMES)
 def test_quick_scenario_cost_per_request_pinned(name, monkeypatch):
-    """Events and ``Process`` constructions per quick run.  The host path
-    builds no process per request: the only processes left are the
-    accelerator's paced train drivers (one per train of 6+ packets)."""
+    """Events, ``Process`` and ``Event`` constructions per quick run.
+    The host path builds no process per request: the only processes
+    left are the accelerator's paced train drivers (one per train of 6+
+    packets); no run builds a ``Request``."""
     spy = _ProcessSpy(monkeypatch)
+    events = _EventSpy(monkeypatch)
     timings: dict = {}
     row = run_scenario(get(name, quick=True), seed=1, timings=timings)
     assert set(spy.names) <= {"sn#.train"}, dict(spy.names)
@@ -232,6 +266,7 @@ def test_quick_scenario_cost_per_request_pinned(name, monkeypatch):
         f"{name}: {got[1] / issued:.2f} events/req, "
         f"{got[2] / issued:.2f} Process/req ({dict(spy.names)})"
     )
+    assert dict(events.kinds) == EVENT_KINDS[name]
 
 
 # ----------------------------------------------------- Cpu.run interrupts

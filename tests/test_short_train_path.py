@@ -133,20 +133,20 @@ def test_nine_packet_train_is_paced(monkeypatch):
 
 def _spy_sizes(monkeypatch):
     """Record every packet handed to any port (coalescing off, so each
-    hop goes through ``Port.send``) and check its stored size."""
+    hop goes through ``Port.enqueue``) and check its stored size."""
     seen = []
-    orig = Port.send
+    orig = Port.enqueue
 
-    def spy(self, pkt):
+    def spy(self, pkt, done=None):
         nbytes = 0 if pkt.payload is None else pkt.payload.nbytes
         assert pkt.payload_bytes == nbytes, pkt
         assert pkt.size == TRANSPORT_HEADER_BYTES + pkt.header_bytes + nbytes, pkt
         assert pkt.is_header == (pkt.seq == 0)
         assert pkt.is_completion == (pkt.seq == pkt.nseq - 1)
         seen.append(pkt)
-        return orig(self, pkt)
+        orig(self, pkt, done)
 
-    monkeypatch.setattr(Port, "send", spy)
+    monkeypatch.setattr(Port, "enqueue", spy)
     return seen
 
 
