@@ -250,7 +250,8 @@ def _trace(argv) -> int:
     print("  spans: " + ", ".join(f"{k}={v}" for k, v in sorted(cats.items())))
     if args.metrics:
         print(f"  metrics: {args.metrics}")
-    print(f"  simulator: {prof['events_dispatched']} events, "
+    print(f"  simulator: {prof['events_dispatched']} events "
+          f"(+{prof['deferred_applied']} deferred effects), "
           f"heap high-water {prof['heap_high_water']}, "
           f"{prof['wall_ns_per_sim_ns']:.1f} wall-ns/sim-ns")
     return 0 if out.ok else 1

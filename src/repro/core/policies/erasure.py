@@ -246,7 +246,7 @@ class EcParityPolicy(DfsPolicy):
         blk.fini_streams.add(task.flow_id)
         if len(blk.fini_streams) < blk.k:
             return  # ack only when the whole block's parity is durable
-        pending = [e for e in blk.dma_events if not e.triggered]
+        pending = api.pending_flushes(blk.dma_events)
         if pending:
             yield api.sim.all_of(pending)
         self.blocks.pop(key, None)

@@ -220,6 +220,9 @@ class StorageNode(Host):
         # NVMe completions run a flash program that reads the clock and
         # must be issued live, so NVMe-backed trains go packet by packet.
         accel.dma_lazy_ok = self.storage_backend != "nvme"
+        if accel.dma_lazy_ok:
+            accel.dma_channel = self.pcie
+            accel.dma_target = self.memory
         self.accelerator = accel
         self.nic.attach_accelerator(accel)
         return accel
@@ -243,33 +246,28 @@ class StorageNode(Host):
         return ctx
 
     def _accel_dma(self, addr: Optional[int], payload) -> Event:
-        """DMA bridge for the accelerator: the returned event fires at
-        *durability* — after PCIe for NVMM, after the flash program for
-        NVMe (handlers "directly issue NVMe writes via the system
-        interconnect", §III)."""
+        """DMA bridge for the accelerator: PCIe timing (``addr`` None)
+        and NVMe payload writes, whose event fires after the flash
+        program (handlers "directly issue NVMe writes via the system
+        interconnect", §III).  NVMM payload writes post straight to the
+        channel (``accel.dma_channel``)."""
         acc = self.accelerator
         post_t = acc._commit_t if acc is not None else None
         if addr is None:
             return self.pcie.dma(int(payload), post_t=post_t)
         data = payload
-        if self.storage_backend == "nvme":
-            done = self.sim.event(name=f"{self.name}.nvme-flush")
+        done = self.sim.event(name=f"{self.name}.nvme-flush")
 
-            def submit():
-                cmd = self.memory.submit_write(addr, data)
-                cmd.add_callback(
-                    lambda ev: done.fail(ev.exception)
-                    if ev.exception is not None
-                    else done.succeed(None)
-                )
+        def submit():
+            cmd = self.memory.submit_write(addr, data)
+            cmd.add_callback(
+                lambda ev: done.fail(ev.exception)
+                if ev.exception is not None
+                else done.succeed(None)
+            )
 
-            self.pcie.dma(data.nbytes, on_complete=submit, post_t=post_t)
-            return done
-        return self.pcie.dma(
-            data.nbytes,
-            on_complete=lambda: self.memory.write(addr, data),
-            post_t=post_t,
-        )
+        self.pcie.dma(data.nbytes, on_complete=submit, post_t=post_t)
+        return done
 
     # --------------------------------------------------------------- RPC
     def register_rpc(self, name: str, handler: RpcHandler) -> None:

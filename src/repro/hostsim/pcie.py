@@ -16,14 +16,14 @@ the get/timeout/finish triple per DMA of the old server loop.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, Iterable, Optional, Tuple
 
 from ..params import HostParams
 from ..simnet.engine import Event, Simulator
 from ..simnet.link import gbps_to_ns_per_byte
 from ..telemetry.metrics import HandleCache
 
-__all__ = ["Pcie"]
+__all__ = ["Pcie", "flush_event", "pending_flushes"]
 
 
 class _Flush(Event):
@@ -37,6 +37,54 @@ class _Flush(Event):
     __slots__ = ("channel", "durable")
 
 
+#: a posted write whose durable instant had already passed at post
+#: (a replayed train commit): applied inline, never pending
+_LANDED = [-float("inf"), 0, True, None, None, None, None]
+
+
+def pending_flushes(sim: Simulator, handles: Iterable) -> list:
+    """The DMA handles (``_Flush`` events, other completion events, or
+    :meth:`Pcie.post_write` posts) whose flush has not landed yet.  A
+    post has landed once its rank ``(durable, seq)`` is at or before
+    the entry being dispatched: where its completion entry would have
+    run."""
+    now = sim.now
+    dseq = sim._dseq
+    out = []
+    for h in handles:
+        if type(h) is list:
+            t = h[0]
+            if t > now or (t == now and h[1] > dseq):
+                out.append(h)
+        elif not h.triggered:
+            out.append(h)
+    return out
+
+
+def flush_event(handle) -> Event:
+    """The event of a DMA handle: the handle itself, or, for a pending
+    post, a ``_Flush`` armed at the post's reserved rank (built once,
+    on the first wait)."""
+    if type(handle) is not list:
+        return handle
+    ev = handle[2]
+    if isinstance(ev, Event):
+        return ev
+    chan = handle[5]
+    ev = _Flush(chan.sim, name=chan._dma_name)
+    ev.channel = chan
+    ev.durable = handle[0]
+    handle[6]._arm(handle, ev)
+    return ev
+
+
+def flush_channel(handle):
+    """The channel that serialized a DMA handle (None: not a PCIe flush)."""
+    if type(handle) is list:
+        return handle[5]
+    return getattr(handle, "channel", None)
+
+
 class Pcie:
     """A serializing DMA channel with per-transaction latency.
 
@@ -45,6 +93,13 @@ class Pcie:
     latency).  Transactions from concurrent packets queue FIFO, so a
     flood of incoming writes sees PCIe as a bandwidth resource, not just
     a constant.
+
+    Visibility rule: a DMA's bytes are in host memory from its durable
+    instant, never before.  ``post_write(target, addr, data)`` is the
+    same transaction for a payload write into ``target``; with
+    telemetry off its completion is a deferred entry on ``target``,
+    applied by the target's next reader, with no event until
+    :func:`flush_event` asks.
     """
 
     def __init__(self, sim: Simulator, params: HostParams, name: str = "pcie"):
@@ -95,21 +150,7 @@ class Pcie:
         done.channel = self
         ser = nbytes * self._ns_per_byte
         if not sim.telemetry.enabled:
-            # Closed-form scheduling: with telemetry off the callback
-            # chain's only externally visible effects are the completion
-            # (cb + done) at end-of-serialization + latency and the
-            # aggregate counters, so the whole FIFO schedule collapses to
-            # arithmetic on ``_free_t`` — same floats as the chain
-            # (start = prior end, end = start + ser, durable = end + lat).
-            t = sim.now if post_t is None else post_t
-            free = self._free_t
-            start = free if free > t else t
-            end = start + ser
-            self._free_t = end
-            self.busy_ns += ser
-            self.bytes_transferred += nbytes
-            self.transactions += 1
-            durable = done.durable = end + self.params.pcie_latency_ns
+            durable = done.durable = self._closed_form(nbytes, ser, post_t)
             if durable <= sim.now:
                 # Replayed post whose completion is already in the past
                 # (train commit): apply it inline — nothing can have
@@ -132,6 +173,54 @@ class Pcie:
         else:
             self._start(txn)
         return done
+
+    def _closed_form(self, nbytes: int, ser: float, post_t: Optional[float]) -> float:
+        """Closed-form scheduling: with telemetry off the callback
+        chain's only externally visible effects are the completion at
+        end-of-serialization + latency and the aggregate counters, so
+        the whole FIFO schedule collapses to arithmetic on ``_free_t`` —
+        same floats as the chain (start = prior end, end = start + ser,
+        durable = end + lat).  Returns the durable instant."""
+        t = self.sim.now if post_t is None else post_t
+        free = self._free_t
+        start = free if free > t else t
+        end = start + ser
+        self._free_t = end
+        self.busy_ns += ser
+        self.bytes_transferred += nbytes
+        self.transactions += 1
+        return end + self.params.pcie_latency_ns
+
+    def post_write(self, target, addr: int, data, post_t: Optional[float] = None,
+                   trace=None):
+        """DMA ``data`` into ``target`` at ``addr``; returns the DMA's
+        handle for :func:`pending_flushes`.
+
+        With telemetry on, this is :meth:`dma` with the write as its
+        completion, and the handle is the flush event.  With it off, the
+        transaction is scheduled in closed form and its completion is a
+        deferred entry on ``target`` (a
+        :class:`~repro.simnet.engine.Deferrer`) ranked where ``dma``
+        would push it: ``target``'s readers apply it from its durable
+        instant on, and :func:`flush_event` arms it for a waiter.
+        ``target`` must be written by this channel only: its FIFO order
+        is what keeps the target's deferred writes in rank order.
+        """
+        sim = self.sim
+        if sim.telemetry.enabled:
+            return self.dma(data.nbytes, on_complete=lambda: target.write(addr, data),
+                            trace=trace, post_t=post_t)
+        nbytes = data.nbytes
+        durable = self._closed_form(nbytes, nbytes * self._ns_per_byte, post_t)
+        if durable <= sim.now:
+            # replayed post already durable: apply inline, as dma does
+            target.write(addr, data)
+            return _LANDED
+        sim._seq += 1
+        rec = [durable, sim._seq, None, addr, data, self, target]
+        target._dsim = sim
+        target._defer(rec)
+        return rec
 
     @staticmethod
     def _finish(pair) -> None:

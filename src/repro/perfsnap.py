@@ -18,6 +18,12 @@
   simulated users per wall-second on one core, plus the schedule and
   outcome digests as determinism gates.
 
+The pipeline and workload sections also report ``deferred_applied``:
+effects applied without a kernel dispatch (deferred DMA writes and
+switch hops, see :class:`repro.simnet.engine.Deferrer`).  Events
+dispatched are not effects applied; the event counts above count only
+dispatches.
+
 ``--section`` restricts both collection and checking (CI gates the
 machine-sensitive kernel number at a tight tolerance without paying for
 the full suite).
@@ -93,7 +99,7 @@ def _pipeline_snapshot(repeats: int = 5, inner: int = 10) -> Dict[str, Any]:
 
     from .experiments.common import fresh_client
 
-    events = packets = 0
+    events = packets = deferred = 0
     best_wall = float("inf")
     data = np.zeros(64 * 1024, np.uint8)
     for _ in range(repeats):
@@ -101,6 +107,7 @@ def _pipeline_snapshot(repeats: int = 5, inner: int = 10) -> Dict[str, Any]:
         c.create("/f", size=64 * 1024)
         assert c.write_sync("/f", data, protocol="spin").ok  # warm-up
         ev0, pk0 = tb.sim.events_dispatched, tb.net.switch.rx_packets
+        df0 = tb.sim.deferred_applied
         t0 = time.process_time()
         for _ in range(inner):
             out = c.write_sync("/f", data, protocol="spin")
@@ -108,11 +115,13 @@ def _pipeline_snapshot(repeats: int = 5, inner: int = 10) -> Dict[str, Any]:
         assert out.ok
         events = (tb.sim.events_dispatched - ev0) // inner
         packets = (tb.net.switch.rx_packets - pk0) // inner
+        deferred = (tb.sim.deferred_applied - df0) // inner
         best_wall = min(best_wall, wall)
     return {
         "events": events,
         "packets": packets,
         "events_per_packet": round(events / packets, 3),
+        "deferred_applied": deferred,
         "events_per_wall_s": round(events / best_wall),
         "packets_per_wall_s": round(packets / best_wall),
         "telemetry_off_on_ratio": _telemetry_off_on_ratio(),
@@ -193,6 +202,7 @@ def _workload_snapshot() -> Dict[str, Any]:
         "ops": row["ops"],
         "hot_share": row["hot_share"],
         "events": timings["events"],
+        "deferred_applied": timings["deferred_applied"],
         "wall_s": round(wall, 1),
         "users_per_wall_s": round(spec.workload.n_users / wall),
         "requests_per_wall_s": round(row["issued"] / wall),
@@ -324,7 +334,8 @@ def main(argv: Optional[list] = None) -> int:
         print(f"pipeline : {pipe['events_per_wall_s']:,.0f} events/s, "
               f"{pipe['packets_per_wall_s']:,.0f} packets/s, "
               f"{pipe['events_per_packet']} events/packet "
-              f"({pipe['events']} events / {pipe['packets']} packets), "
+              f"({pipe['events']} events / {pipe['packets']} packets; "
+              f"{pipe.get('deferred_applied', 0)} effects applied without one), "
               f"telemetry off/on {pipe['telemetry_off_on_ratio']}")
     if "workload" in snap:
         wl = snap["workload"]
@@ -332,7 +343,8 @@ def main(argv: Optional[list] = None) -> int:
               f"{wl['sim_seconds']}s sim in {wl['wall_s']}s wall — "
               f"{wl['users_per_wall_s']:,} users/s, "
               f"{wl['requests_per_wall_s']:,} req/s, "
-              f"{wl['events']:,} events ({wl['events_per_wall_s']:,}/s), "
+              f"{wl['events']:,} events ({wl['events_per_wall_s']:,}/s) + "
+              f"{wl.get('deferred_applied', 0):,} deferred effects, "
               f"schedule {wl['schedule_digest']}, outcome {wl['outcome_digest']}")
 
     if args.out:

@@ -53,6 +53,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
+from ..hostsim.pcie import flush_channel, flush_event
+from ..hostsim.pcie import pending_flushes as _pending_flushes
 from ..params import PsPinParams
 
 # ``repro.core`` imports ``repro.pspin.isa``, so whichever package loads
@@ -725,17 +727,28 @@ class HandlerApi:
         )
         return self._accel._egress.put(pkt)
 
-    def dma_write(self, addr: int, payload: np.ndarray) -> Event:
+    def dma_write(self, addr: int, payload: np.ndarray):
         """Write payload bytes to the host storage target via PCIe.
 
-        Non-blocking: returns the flush event.  The data is visible in
-        host memory only when the event fires — exactly the persistence
-        subtlety of §III-B1.  The event is tracked in the message run so
-        the completion handler can wait for all flushes before acking.
+        Non-blocking: returns the DMA's flush handle.  The data is
+        visible in host memory only from its durable instant — exactly
+        the persistence subtlety of §III-B1.  The handle is tracked in
+        the message run so the completion handler can wait for all
+        flushes before acking (:meth:`all_dma_flushed`); to wait on
+        chosen ones, pass them to :meth:`pending_flushes`.  On an NVMM
+        node the write posts straight to the host channel
+        (:meth:`~repro.hostsim.pcie.Pcie.post_write`): with telemetry
+        off its handle is a deferred post, which builds no event until a
+        waiter asks; otherwise the handle is the flush event.
         """
-        ev = self._accel.dma_fn(addr, payload)
+        acc = self._accel
+        chan = acc.dma_channel
+        if chan is not None:
+            ev = chan.post_write(acc.dma_target, addr, payload, acc._commit_t)
+        else:
+            ev = acc.dma_fn(addr, payload)
         self._run.dma_events.append(ev)
-        tel = self._accel.sim.telemetry
+        tel = acc.sim.telemetry
         if tel.enabled:
             # The host-commit span covers issue -> durability (PCIe
             # crossing plus, for NVMe backends, the flash program).
@@ -770,26 +783,31 @@ class HandlerApi:
         host memory; no PCIe charge)."""
         self._accel.host_write_fn(addr, payload)
 
+    def pending_flushes(self, handles) -> List[Event]:
+        """The flush events of those DMA ``handles`` (from
+        :meth:`dma_write`/:meth:`dma_timing`) not yet durable; a
+        deferred post gets its event here, armed at its reserved rank."""
+        return [flush_event(h) for h in _pending_flushes(self._accel.sim, handles)]
+
     def all_dma_flushed(self) -> Event:
         """Event firing when every DMA issued for this message is durable.
 
         When every pending flush is a completion of one PCIe channel,
         this is the last one posted: the channel serializes FIFO, so
-        durable instants never decrease in post order.  Any other set
-        (NVMe flash completions can fail or reorder) waits on all."""
+        durable instants never decrease in post order; only that one is
+        armed.  Any other set (NVMe flash completions can fail or
+        reorder) waits on all."""
         sim = self._accel.sim
-        pending = [e for e in self._run.dma_events if not e.triggered]
+        pending = _pending_flushes(sim, self._run.dma_events)
         if not pending:
             ev = sim.event()
             ev.succeed(None)
             return ev
         last = pending[-1]
-        chan = getattr(last, "channel", None)
-        if chan is not None and all(
-            getattr(e, "channel", None) is chan for e in pending
-        ):
-            return last
-        return sim.all_of(pending)
+        chan = flush_channel(last)
+        if chan is not None and all(flush_channel(e) is chan for e in pending):
+            return flush_event(last)
+        return sim.all_of([flush_event(e) for e in pending])
 
     def compute(self, cycles: float) -> Event:
         """Charge extra compute cycles (rare; costs normally come from
@@ -901,6 +919,10 @@ class PsPinAccelerator:
         #: timelessly (plain memory write): only then are trains paced,
         #: their handler commits batched into one wake-up
         self.dma_lazy_ok = False
+        #: host channel and memory of an NVMM node: ``dma_write`` posts
+        #: straight to them (None: through dma_fn)
+        self.dma_channel = None
+        self.dma_target = None
         san = sim.sanitizer
         if san is not None:
             san.adopt("accel", self)

@@ -738,17 +738,16 @@ class RdmaNic:
             return  # header lost/cleaned: drop silently
         if pkt.payload is not None:
             st["got"] += pkt.payload.nbytes
-            if self.host.memory is not None:
+            memory = self.host.memory
+            if memory is not None:
                 payload = pkt.payload
                 addr = st["addr"] + pkt.payload_offset
-                if self.host.pcie is not None:
-                    self.host.pcie.dma(
-                        payload.nbytes,
-                        on_complete=lambda a=addr, p=payload: self.host.memory.write(a, p),
-                        trace=pkt.trace,
-                    )
+                pcie = self.host.pcie
+                if pcie is None:
+                    memory.write(addr, payload)
                 else:
-                    self.host.memory.write(addr, payload)
+                    # nothing waits on the flush: the ack races it
+                    pcie.post_write(memory, addr, payload, trace=pkt.trace)
         if pkt.is_completion:
             self._rx_writes.pop(pkt.msg_id, None)
             if st["got"] != pkt.payload_offset + pkt.payload_bytes:

@@ -133,6 +133,7 @@ def run_scenario(
 
     if timings is not None:
         timings["events"] = tb.sim.events_dispatched
+        timings["deferred_applied"] = tb.sim.deferred_applied
     if sanitize:
         # leak sweeps are defined at quiesce; a run that never drained
         # (e.g. a killed node with ops the workload gave up on) reports

@@ -11,7 +11,13 @@ network simulation:
   the same trace on every run;
 * processes are plain Python generators that ``yield`` *waitables*
   (:class:`Timeout`, :class:`Event`, other :class:`Process` objects, or
-  :class:`AllOf`/:class:`AnyOf` combinators).
+  :class:`AllOf`/:class:`AnyOf` combinators);
+* an effect that only writes state nobody reads at its instant (a DMA
+  landing in host memory, a packet joining a busy egress queue) may be a
+  *deferred entry* (:class:`Deferrer`): it reserves the heap rank its
+  push would have had and is applied, without a dispatch, by whatever
+  reads that state next.  Events dispatched therefore differ from
+  effects applied; ``profile()`` reports both.
 
 Example
 -------
@@ -45,6 +51,7 @@ __all__ = [
     "Interrupt",
     "Simulator",
     "SimulationError",
+    "Deferrer",
 ]
 
 
@@ -393,6 +400,96 @@ class AnyOf(_Condition):
         self.succeed(ev)
 
 
+class Deferrer:
+    """Owner of deferred heap entries: effects kept off the heap.
+
+    A scheduler that would push ``fn`` at ``t`` and knows nothing reads
+    the state ``fn`` mutates until then records ``[t, seq, armed, ...]``
+    in ``_dq`` instead (:meth:`_defer`): ``seq`` is reserved with
+    ``sim._seq += 1``, so the record holds the heap rank ``(t, seq)``
+    the push would have had and every other entry keeps its seq.  Every
+    reader of the owner's state first calls :meth:`_settle`, which
+    applies, in rank order, each record ranked ``<= (now, seq being
+    dispatched)``: exactly the entries that would have been dispatched
+    by then.  A waiter on one effect arms it (``armed`` goes from None
+    to True or to the waiter's event) and pushes it at its reserved
+    rank, where its dispatch settles it.  Before the loop would drain or
+    stop at a bound it materializes the owner's records the same way
+    (:meth:`_materialize`), so ``now``, ``peek()`` and every run end
+    where they would with real entries.
+
+    Subclasses set ``_dsim`` and a ``_dq`` deque and define
+    ``_apply(rec)``; records are appended with nondecreasing ``t`` (seqs
+    only grow), so ``_dq`` is in rank order.
+    """
+
+    _dsim: "Simulator"
+    _dq: Any
+    #: registered in ``sim._deferrers`` (it has unarmed records)
+    _dreg = False
+
+    def _defer(self, rec: list) -> None:
+        """Queue ``rec`` (its rank already reserved, its instant no
+        earlier than the last record's) and register the owner for
+        materialization."""
+        self._dq.append(rec)
+        if not self._dreg:
+            self._dreg = True
+            self._dsim._deferrers.append(self)
+
+    def _apply(self, rec: list) -> None:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _settle(self) -> None:
+        """Apply every record ranked ``<= (now, seq being dispatched)``."""
+        sim = self._dsim
+        dq = self._dq
+        now = sim.now
+        dseq = sim._dseq
+        san = sim.sanitizer
+        n = 0
+        while dq:
+            rec = dq[0]
+            t = rec[0]
+            if t > now or (t == now and rec[1] > dseq):
+                break
+            dq.popleft()
+            if rec[2] is None:
+                # applied without a dispatch: its reserved seq never pops
+                n += 1
+                if san is not None:
+                    san._origins.pop(rec[1], None)
+            self._apply(rec)
+        sim.deferred_applied += n
+
+    def _fire(self, rec: list) -> None:
+        """Dispatch of an armed record: apply it (and everything ranked
+        before it), then wake its waiter, if any."""
+        self._settle()
+        ev = rec[2]
+        if ev is not True:
+            ev.succeed_quiet(None)
+
+    def _arm(self, rec: list, waiter: Any = True) -> None:
+        """Push ``rec`` (not yet due) at its reserved rank; its dispatch
+        succeeds ``waiter`` if that is an event."""
+        if rec[2] is None:
+            heapq.heappush(self._dsim._heap, (rec[0], rec[1], self._fire, rec))
+        rec[2] = waiter
+
+    def _materialize(self) -> None:
+        self._dreg = False
+        self._settle()
+        for rec in self._dq:
+            if rec[2] is None:
+                self._arm(rec)
+
+    def _pending(self) -> list:
+        """Records still off the heap and not yet due."""
+        self._settle()
+        return [rec for rec in self._dq if rec[2] is None]
+
+
 class Simulator:
     """The event loop.  Time unit: nanoseconds."""
 
@@ -428,6 +525,13 @@ class Simulator:
         self.events_dispatched = 0
         self._heap_high_water = 0
         self._wall_s = 0.0
+        # -- deferred entries (see Deferrer) ----------------------------
+        #: seq of the entry being (or last) dispatched
+        self._dseq = 0
+        #: owners with records off the heap
+        self._deferrers: list = []
+        #: deferred effects applied without a dispatch
+        self.deferred_applied = 0
 
     # -- construction helpers ------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -555,7 +659,10 @@ class Simulator:
         measurable at millions of events per run.  High-water and
         dispatch counters run on locals and are written back on exit for
         the same reason.  With a sanitizer attached, ``self._hook``
-        dispatches each popped entry instead.  An Event popped with no
+        dispatches each popped entry instead.  The seq being dispatched
+        is kept in ``_dseq`` for :meth:`Deferrer._settle`; before the
+        heap drains or its head passes ``bound``, deferred records are
+        materialized.  An Event popped with no
         callbacks and a failure re-raises: crashes are never silently
         swallowed (an unobserved failed Process included).
         """
@@ -570,10 +677,13 @@ class Simulator:
         ndisp = self.events_dispatched
         try:
             while not stop.triggered:
-                if not heap:
-                    return _DRAINED
-                if heap[0][0] > bound:
-                    return _BOUND
+                if not heap or heap[0][0] > bound:
+                    if self._deferrers:
+                        # deferred records left: push them at their
+                        # ranks and run on, as real entries would
+                        self._materialize()
+                        continue
+                    return _DRAINED if not heap else _BOUND
                 entry = pop(heap)
                 n = len(heap)
                 if n >= hw:
@@ -582,6 +692,7 @@ class Simulator:
                 if t < self.now - 1e-9:
                     self._time_went_backwards(entry)
                 self.now = t
+                self._dseq = entry[1]
                 ndisp += 1
                 if hook is not None:
                     hook(entry)
@@ -619,9 +730,22 @@ class Simulator:
         proc._observed = True
         return self.run_until_event(proc, limit=until)
 
+    def _materialize(self) -> None:
+        """Push every deferred record not yet due at its reserved rank."""
+        owners = self._deferrers
+        self._deferrers = []
+        for owner in owners:
+            owner._materialize()
+
     def peek(self) -> float:
-        """Time of the next scheduled item, or +inf if the heap is empty."""
-        return self._heap[0][0] if self._heap else float("inf")
+        """Time of the next scheduled item (a deferred one included), or
+        +inf if there is none."""
+        t = self._heap[0][0] if self._heap else _INF
+        for owner in self._deferrers:
+            pending = owner._pending()
+            if pending and pending[0][0] < t:
+                t = pending[0][0]
+        return t
 
     # -- self-profile -----------------------------------------------------
     @property
@@ -636,10 +760,13 @@ class Simulator:
     def profile(self) -> dict:
         """Simulator self-profile: tracks the *simulator's* performance
         across PRs (events dispatched, heap high-water mark, wall-clock
-        per simulated nanosecond)."""
+        per simulated nanosecond).  ``deferred_applied`` counts effects
+        applied without a dispatch (see :class:`Deferrer`): events
+        dispatched are not effects applied."""
         wall_ns = self._wall_s * 1e9
         return {
             "events_dispatched": self.events_dispatched,
+            "deferred_applied": self.deferred_applied,
             "heap_high_water": self.heap_high_water,
             "sim_ns": self.now,
             "wall_s": self._wall_s,

@@ -31,7 +31,7 @@ from collections import deque
 from typing import Callable, Deque, List, Optional, Protocol, Tuple
 
 from ..telemetry.metrics import HandleCache
-from .engine import Event, Simulator
+from .engine import Deferrer, Event, Simulator
 from .packet import Packet, PacketTrain
 
 __all__ = ["Port", "Endpoint", "gbps_to_ns_per_byte"]
@@ -56,8 +56,21 @@ class Endpoint(Protocol):
     def receive(self, pkt: Packet) -> None: ...
 
 
-class Port:
-    """A full-duplex network port with a serializing egress queue."""
+class Port(Deferrer):
+    """A full-duplex network port with a serializing egress queue.
+
+    A switch hop onto a wire busy strictly past the hop's enqueue
+    instant can only join the queue, so :meth:`defer_enqueue` records
+    it as a deferred entry (:class:`~repro.simnet.engine.Deferrer`;
+    ``_dq`` holds ``[enqueue instant, seq, armed, packet]``) with the
+    heap rank its ``enqueue`` would have had.  Visibility rule: the port
+    applies its due deferred arrivals, in rank order, before anything
+    reads its queue (``enqueue``, ``try_send``, ``try_send_train``, the
+    tx-done that starts the next packet).  ``_free_t`` is when the wire
+    finishes every packet accepted so far (in service, queued or
+    deferred) while no train is live: the exact float its chain of
+    tx-done instants reaches.
+    """
 
     def __init__(
         self,
@@ -76,6 +89,10 @@ class Port:
         self._busy = False
         self._cur_pkt: Optional[Packet] = None
         self._cur_done: Optional[Event] = None
+        #: end of the last accepted packet's serialization (see class doc)
+        self._free_t = 0.0
+        self._dsim = sim
+        self._dq: Deque[list] = deque()
         #: active coalesced packet train, if any (see try_send_train)
         self._train: Optional[PacketTrain] = None
         self.peer: Optional[Endpoint] = None
@@ -136,21 +153,53 @@ class Port:
             # order matches the per-packet path exactly.
             self._train_abort()
         sim = self.sim
+        dq = self._dq
+        if dq and dq[0][0] <= sim.now:
+            self._settle()
         pkt.enqueue_t = sim.now
+        ser = pkt.size * self._ns_per_byte
         if self._busy:
             self._q.append((pkt, done))
+            self._free_t += ser
         else:
-            self._start(pkt, done)
+            self._free_t = sim.now + ser
+            self._start(pkt, done, ser)
         tel = sim.telemetry
         if tel.enabled:
             self._handles.get(tel.metrics)[0].set(
                 sim.now, len(self._q) + 1  # +1: the packet now in service
             )
 
+    def defer_enqueue(self, pkt: Packet, t: float) -> bool:
+        """Take ``pkt``'s :meth:`enqueue` at ``t`` as a deferred entry, if
+        nothing can observe it: telemetry off, no live train, and the
+        wire busy strictly past ``t``, so the packet can only join the
+        queue (behind the same packets, with the same start instant).
+        Returns False, recording nothing, otherwise, or when ``t`` is
+        earlier than the last deferred arrival's (rank order)."""
+        sim = self.sim
+        if self._train is not None or self._free_t <= t or sim.telemetry.enabled:
+            return False
+        dq = self._dq
+        if dq and dq[-1][0] > t:
+            return False
+        sim._seq += 1
+        self._defer([t, sim._seq, None, pkt])
+        self._free_t += pkt.size * self._ns_per_byte
+        return True
+
+    def _apply(self, rec: list) -> None:
+        pkt = rec[3]
+        pkt.enqueue_t = rec[0]
+        self._q.append((pkt, None))
+
     def try_send(self, pkt: Packet) -> Optional[Event]:
         """Non-blocking enqueue; None when the egress queue is full."""
         if self._train is not None:
             self._train_abort()
+        dq = self._dq
+        if dq and dq[0][0] <= self.sim.now:
+            self._settle()
         # The in-service packet counts against capacity: with
         # queue_packets=1 an idle port accepts exactly one packet.
         if len(self._q) + self._busy >= self.queue_packets:
@@ -158,12 +207,11 @@ class Port:
         return self.send(pkt)
 
     # -- egress fast path -------------------------------------------------
-    def _start(self, pkt: Packet, done: Optional[Event]) -> None:
-        """Start serializing ``pkt`` on the idle wire."""
+    def _start(self, pkt: Packet, done: Optional[Event], ser: float) -> None:
+        """Start serializing ``pkt`` (``ser`` ns) on the idle wire."""
         self._busy = True
         self._cur_pkt = pkt
         self._cur_done = done
-        ser = pkt.size * self._ns_per_byte
         self.sim._call_soon1(self._tx_done, ser, delay=ser)
 
     def _tx_done(self, ser: float) -> None:
@@ -224,10 +272,14 @@ class Port:
         sim._call_soon1(peer.receive, pkt, delay=self.latency_ns)
 
     def _start_next(self) -> None:
-        """Serialize the next queued packet, or leave the wire idle."""
+        """Serialize the next queued packet (deferred arrivals due by
+        now queue first), or leave the wire idle."""
+        dq = self._dq
+        if dq and dq[0][0] <= self.sim.now:
+            self._settle()
         if self._q:
             nxt, nxt_done = self._q.popleft()
-            self._start(nxt, nxt_done)
+            self._start(nxt, nxt_done, nxt.size * self._ns_per_byte)
         else:
             self._busy = False
             self._cur_pkt = None
@@ -270,6 +322,9 @@ class Port:
         disabled, or a peer that cannot consume trains.
         """
         sim = self.sim
+        dq = self._dq
+        if dq and dq[0][0] <= sim.now:
+            self._settle()
         if (
             not sim.coalescing
             or sim.faults is not None
@@ -350,6 +405,13 @@ class Port:
         for j in range(c + mid, reached):
             self._q.append((st.pkts[j], None))
         late = range(reached, owed)
+        # the wire is free after the in-service packet (if any) and the
+        # re-queued ones: the floats their tx-done chain will reach
+        free = st.done[c] if mid else now
+        npb = self._ns_per_byte
+        for pkt, _done in self._q:
+            free += pkt.size * npb
+        self._free_t = free
         if mid:
             # Packet c is mid-serialization: it completes at done[c] on
             # the real clock and the train still delivers it.

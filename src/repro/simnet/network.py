@@ -118,7 +118,9 @@ class Switch:
         telemetry off nothing observes the arrival instant, so the
         enqueue is scheduled now, at ``t_arr + switch_latency_ns``.  A
         hop is :meth:`Port.enqueue`: no tx-done event, since nothing
-        waits on one.
+        waits on one.  Onto an egress busy past that instant it is not
+        even an entry: :meth:`Port.defer_enqueue` queues it when the
+        port is next read.
         Anything else (a subclass's routing, no route, telemetry
         counters) runs ``forward`` at the arrival instant as before.
         """
@@ -128,7 +130,10 @@ class Switch:
             sim._call_at1(self.forward, pkt, t_arr)
             return
         self.rx_packets += 1
-        sim._call_at1(out.enqueue, pkt, t_arr + self.cfg.switch_latency_ns)
+        t = t_arr + self.cfg.switch_latency_ns
+        # an egress free by then cannot defer; skip the call
+        if out._free_t <= t or not out.defer_enqueue(pkt, t):
+            sim._call_at1(out.enqueue, pkt, t)
 
     def forward_train(self, st: PacketTrain) -> None:
         """Forward a coalesced train: one traversal charge for the burst.

@@ -20,6 +20,8 @@ Kinds are stable strings (tests and CI match on them):
 ``leak-packet-train``  a coalesced packet train still in flight at quiesce
 ``leak-greq``          an RDMA logical request still pending at quiesce
 ``leak-accel``         accelerator messages still in flight at quiesce
+``leak-deferred``      a deferred entry (a posted DMA write, a deferred
+                       switch hop) still pending at quiesce
 ``orphan-span``        request span opened but not closed within budget
 =====================  =====================================================
 """

@@ -33,6 +33,11 @@ Detectors (see :mod:`repro.simsan.findings` for the kind strings):
   it.
 * **orphaned completions** — request spans opened in telemetry but not
   closed within ``SPAN_BUDGET_NS`` of simulated time.
+* **pending deferred entries** — a deferred record (see
+  :class:`~repro.simnet.engine.Deferrer`) still off the heap at quiesce:
+  the loop materializes every record before it drains or stops at a
+  bound, so one left over is an effect that never lands.  An effect
+  applied without a dispatch drops its reserved seq's push attribution.
 
 The sanitizer only observes: it never creates events, never touches
 ``_seq``, and therefore never perturbs the schedule — a sanitized run
@@ -321,8 +326,21 @@ class Sanitizer:
             sweep = getattr(self, f"_sweep_{kind}", None)
             if sweep is not None:
                 sweep(obj)
+        self._sweep_deferred()
         self.check_orphans()
         return self.findings[before:]
+
+    def _sweep_deferred(self) -> None:
+        for owner in self.sim._deferrers:
+            pending = owner._pending()
+            if pending:
+                name = getattr(owner, "owner_name", None) or type(owner).__name__
+                self._find(
+                    "leak-deferred",
+                    f"{len(pending)} deferred entr{'y' if len(pending) == 1 else 'ies'} "
+                    f"on {name!r} still pending at quiesce (first due "
+                    f"t={pending[0][0]}, seq {pending[0][1]})",
+                )
 
     def check_orphans(self) -> None:
         """Flag request spans opened but never closed within budget."""

@@ -158,11 +158,13 @@ CASES = {
 #: clocks and digests were recorded from the process-based host path, and
 #: so were the event counts less one per RPC delivered: ``on_rpc`` queues
 #: a command with ``Store.try_put``, whose ``put`` event nobody waited on
-#: (e.g. ``rpc_write`` 151 -> 147 events: three writes and one unknown RPC)
+#: (e.g. ``rpc_write`` 151 -> 147 events: three writes and one unknown RPC).
+#: ``heartbeat_repair`` untraced was 1340 before its payload DMAs became
+#: deferred entries (same clock and digest).
 PINS = {
     ("control_plane", False): (135, 2000000, "4b7b8512eadf277d"),
     ("control_plane", True): (156, 2000000, "17e6f4ee957bb0be"),
-    ("heartbeat_repair", False): (1340, 614398.8, "3ea2f6655d9363dc"),
+    ("heartbeat_repair", False): (1314, 614398.8, "3ea2f6655d9363dc"),
     ("heartbeat_repair", True): (1675, 614398.8, "4806640bd27bca7f"),
     ("repl_pbt", False): (509, 5000000, "ddea2ae735de5bd0"),
     ("repl_pbt", True): (687, 5000000, "2c9d92de137f861d"),
@@ -226,9 +228,14 @@ class _EventSpy:
 #: a ``<node>.rpc.<name>`` handler per RPC, the ``<node>.rpcsrv`` servers
 #: and the ``openloop.b<b>.<class>`` generators.  uniform_onoff's 105
 #: fewer events are the ``put`` events ``on_rpc`` no longer makes.
+#: hot_shard 6684 and incast 6503 events became 6232 and 6281 when
+#: payload DMAs into host memory became deferred entries: each is
+#: applied by the memory's next reader, and only the one a completion
+#: handler waits on is dispatched (the schedule and outcome digests of
+#: ``test_scenarios`` did not move).
 PER_REQUEST = {
-    "hot_shard": (202, 6684, 21),
-    "incast": (222, 6503, 0),
+    "hot_shard": (202, 6232, 21),
+    "incast": (222, 6281, 0),
     "uniform_onoff": (105, 2743, 0),
     "hot_shard_lossy": (12, 719, 0),
 }
@@ -241,9 +248,12 @@ PER_REQUEST = {
 #: 420, _Flush 105} and hot_shard_lossy {AllOf 1, Event 173, Request 62,
 #: _Flush 38}: a ``Request`` per handler run or core hold and a tx-done
 #: ``Event`` per switch hop.  The kernel events above did not move.
+#: A sPIN write's payload DMAs build one ``_Flush``, the one its
+#: completion handler waits on: hot_shard had 654 and incast 444, one
+#: per DMA, before DMAs into host memory became deferred entries.
 EVENT_KINDS = {
-    "hot_shard": {"AllOf": 1, "Event": 1469, "Process": 21, "_Flush": 654},
-    "incast": {"AllOf": 1, "Event": 1572, "_Flush": 444},
+    "hot_shard": {"AllOf": 1, "Event": 1469, "Process": 21, "_Flush": 202},
+    "incast": {"AllOf": 1, "Event": 1572, "_Flush": 222},
     "uniform_onoff": {"AllOf": 1, "Event": 538, "_Flush": 105},
     "hot_shard_lossy": {"AllOf": 1, "Event": 123, "_Flush": 38},
 }
