@@ -219,8 +219,7 @@ class StorageNode(Host):
         # accelerator may pace a train and batch its handler commits;
         # NVMe completions run a flash program that reads the clock and
         # must be issued live, so NVMe-backed trains go packet by packet.
-        accel.dma_lazy_ok = self.storage_backend != "nvme"
-        if accel.dma_lazy_ok:
+        if self.storage_backend != "nvme":
             accel.dma_channel = self.pcie
             accel.dma_target = self.memory
         self.accelerator = accel

@@ -8,7 +8,9 @@ buffering copies, and replication forwarding all occupy a core here.
 Core occupancy has one implementation, the :class:`CoreHold` record of
 heap callbacks; callback chains (the RPC server and handlers) make one
 per occupancy, and :meth:`Cpu.run` wraps it for callers that are still
-generator processes.
+generator processes.  A hold runs to completion: once requested, the
+core is granted, held for the whole duration and released, and nothing
+withdraws or cuts it short.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ class CoreHold:
     chain for simsan.
     """
 
-    __slots__ = ("cpu", "duration_ns", "trace", "t0", "then", "arg",
-                 "strand", "dead")
+    __slots__ = ("cpu", "duration_ns", "trace", "t0", "then", "arg", "strand")
 
     def __init__(self, cpu: "Cpu", duration_ns: float, then: Callable[[Any], None],
                  arg: Any, trace, strand: Optional[str]) -> None:
@@ -51,7 +52,6 @@ class CoreHold:
         self.arg = arg
         self.strand = strand
         self.t0 = -1.0
-        self.dead = False
         # the hold takes the core itself (no Request): like a process
         # yielding a request, a free core resumes it through one push and
         # a queued hold on the push its grant makes
@@ -59,15 +59,11 @@ class CoreHold:
             cpu.sim._call_soon1(self.granted, None)
 
     def granted(self, _) -> None:
-        if self.dead:
-            return
         sim = self.cpu.sim
         self.t0 = sim.now
         sim._call_soon1(self.done, None, delay=self.duration_ns)
 
     def done(self, _) -> None:
-        if self.dead:
-            return
         cpu = self.cpu
         sim = cpu.sim
         d = self.duration_ns
@@ -89,18 +85,6 @@ class CoreHold:
             busy.inc(d)
             cores_busy.set(sim.now, cpu.cores.count)
         self.then(self.arg)
-
-    def abort(self) -> None:
-        """Stop the chain: a held core is released at once without
-        charging ``busy_ns``; a queued request is withdrawn."""
-        if self.dead:
-            return
-        self.dead = True
-        cores = self.cpu.cores
-        if self in cores.users:
-            cores.release(self)
-        else:
-            cores.cancel(self.granted)
 
 
 class Cpu:
@@ -136,21 +120,11 @@ class Cpu:
 
         A thin wrapper over :class:`CoreHold` that resumes the process inline
         from the hold's release, so the heap positions match a hold made
-        by a callback chain.  An interrupt while queued withdraws the
-        request (the process detaches through the wait's abandon hook);
-        an interrupt while holding releases the core when the process
-        takes the interrupt.
+        by a callback chain.
         """
         done = self.sim.event("cpu.run")
-        hold = CoreHold(self, duration_ns, done.succeed_inline, None, trace, None)
-        # a queued request is withdrawn at the interrupt itself, as the
-        # abandon hook of a yielded request would
-        done._abandon = lambda: None if hold in self.cores.users else hold.abort()
-        try:
-            yield done
-        finally:
-            if not done.triggered:
-                hold.abort()
+        CoreHold(self, duration_ns, done.succeed_inline, None, trace, None)
+        yield done
 
     def utilisation(self) -> float:
         return self.cores.utilisation()

@@ -193,7 +193,7 @@ class _AccelTrain:
 
     Entries are applied lazily: the driver wakes once, at the last
     ``done`` time, and DMA posts carry their entry's instant.
-    ``stage[j]`` records how far packet ``j`` got, so an interrupt can
+    ``stage[j]`` records how far packet ``j`` got, so a teardown can
     materialize each packet back into the real per-packet pipeline at
     precisely the right point.
 
@@ -915,12 +915,11 @@ class PsPinAccelerator:
         #: commit — threaded to the host DMA channel so late replays post
         #: with their true times (None outside commits)
         self._commit_t: Optional[float] = None
-        #: set by the owning node when its storage backend completes DMA
-        #: timelessly (plain memory write): only then are trains paced,
-        #: their handler commits batched into one wake-up
-        self.dma_lazy_ok = False
         #: host channel and memory of an NVMM node: ``dma_write`` posts
-        #: straight to them (None: through dma_fn)
+        #: straight to them (None: through dma_fn).  Set by the owning
+        #: node when its storage backend completes DMA timelessly (plain
+        #: memory write): only then are trains paced, their handler
+        #: commits batched into one wake-up
         self.dma_channel = None
         self.dma_target = None
         san = sim.sanitizer
@@ -1165,7 +1164,7 @@ class PsPinAccelerator:
             return False
         pkts = wt.pkts
         n = len(pkts)
-        if n < TRAIN_PACE_MIN_PACKETS or wt.cut < n or not self.dma_lazy_ok:
+        if n < TRAIN_PACE_MIN_PACKETS or wt.cut < n or self.dma_channel is None:
             return False
         pkt0 = pkts[0]
         ctx = self.match(pkt0)
@@ -1255,7 +1254,7 @@ class PsPinAccelerator:
         # backend, nothing observes the interval between a handler's true
         # finish time and the train's end — every commit is replayed at
         # one wake-up with its recorded timestamps (DMA posts carry their
-        # true issue times via ``_commit_t``).  An interrupt still lands
+        # true issue times via ``_commit_t``).  A teardown still lands
         # exactly: teardown's catch-up replays everything due and
         # materializes the rest live.
         t = max(at.e)
@@ -1437,7 +1436,7 @@ class PsPinAccelerator:
         self._handler_end("payload", run, cluster, cost, t0, t1)
         self._payload_done(run, pkt, t1)
 
-    # ------------------------------------------- de-coalescing (interrupt)
+    # -------------------------------------------- de-coalescing (teardown)
     def _train_teardown(self, at: _AccelTrain) -> None:
         """Stop pacing NOW: apply everything due, then hand each not-yet-
         finished packet back to the real per-packet pipeline at exactly

@@ -40,12 +40,6 @@ WAITABLE_METHODS = frozenset(
     }
 )
 
-#: attribute names that read as "this cleans a claim up"
-CLEANUP_METHODS = frozenset(
-    {"release", "cancel", "put", "succeed", "fail", "interrupt", "close"}
-)
-
-
 def iter_scope(node: ast.AST) -> Iterator[ast.AST]:
     """Yield ``node`` and descendants, not descending into nested
     functions or lambdas (their bodies are separate scopes)."""
@@ -129,17 +123,3 @@ def analyze_function(func: FunctionNode) -> FunctionInfo:
             break
     return info
 
-
-def handler_catches(handler: ast.ExceptHandler, exc_name: str) -> bool:
-    """Whether an ``except`` clause names ``exc_name`` (directly, via an
-    attribute like ``engine.Interrupt``, or inside a tuple)."""
-
-    def matches(t: Optional[ast.expr]) -> bool:
-        if t is None:
-            return False
-        if isinstance(t, ast.Tuple):
-            return any(matches(e) for e in t.elts)
-        d = dotted_name(t)
-        return d is not None and d.split(".")[-1] == exc_name
-
-    return matches(handler.type)

@@ -5,8 +5,7 @@ Rule id map (one module per bug family):
 * ``wallclock``          — SIM101 wall-clock-call
 * ``randomness``         — SIM102 unseeded-random
 * ``ordering``           — SIM103 set-iteration-order, SIM104 id-keyed-collection
-* ``coroutine``          — SIM201 yield-non-event, SIM202 swallowed-interrupt,
-  SIM203 abandoned-claim
+* ``coroutine``          — SIM201 yield-non-event, SIM203 abandoned-claim
 * ``resource_hygiene``   — SIM301 leak-on-interrupt
 * ``telemetry_hygiene``  — SIM401 uncached-metric-handle
 * ``flow_rules``         — SIM501 unjoined-child-process,

@@ -1,9 +1,9 @@
-"""SIM201/SIM202/SIM203 — coroutine-protocol conformance.
+"""SIM201/SIM203 — coroutine-protocol conformance.
 
 Simulation processes are generators driven by the kernel
 (:class:`repro.simnet.engine.Process`): every ``yield`` must hand the
-kernel an :class:`Event`, interrupts must stop or clean up the process,
-and a constructed claim must actually be awaited.  These rules encode
+kernel an :class:`Event`, and a constructed claim must actually be
+awaited.  These rules encode
 the process contract the engine enforces at runtime (with a crash, much
 later) as compile-time findings.
 
@@ -18,15 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List, Set
 
-from ..context import (
-    CLEANUP_METHODS,
-    analyze_function,
-    call_method,
-    handler_catches,
-    iter_functions,
-    iter_scope,
-    scope_body,
-)
+from ..context import analyze_function, iter_functions, scope_body
 from ..diagnostics import Diagnostic, Severity
 from ..registry import LintContext, Rule, register
 
@@ -86,54 +78,15 @@ class YieldNonEventRule(Rule):
 
 
 @register
-class SwallowedInterruptRule(Rule):
-    id = "SIM202"
-    name = "swallowed-interrupt"
-    severity = Severity.ERROR
-    rationale = (
-        "Interrupt is how the kernel cancels a process (fault windows, "
-        "watchdogs). A handler that catches it and just carries on — no "
-        "re-raise, no return/break, no cancel/release cleanup — revives a "
-        "process its interrupter believes dead, the exact shape behind "
-        "the PR-2 resource leaks."
-    )
-
-    def check(self, tree: ast.Module, ctx: LintContext) -> Iterable[Diagnostic]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Try):
-                continue
-            for handler in node.handlers:
-                if not handler_catches(handler, "Interrupt"):
-                    continue
-                if self._handler_is_swallowing(handler):
-                    yield ctx.diagnostic(
-                        self, handler,
-                        "except Interrupt neither re-raises, returns/breaks, "
-                        "nor cancels/releases anything: the interrupt is "
-                        "swallowed and the process keeps running",
-                    )
-
-    @staticmethod
-    def _handler_is_swallowing(handler: ast.ExceptHandler) -> bool:
-        for stmt in handler.body:
-            for node in iter_scope(stmt):
-                if isinstance(node, (ast.Raise, ast.Return, ast.Break)):
-                    return False
-                if call_method(node) in CLEANUP_METHODS:
-                    return False
-        return True
-
-
-@register
 class AbandonedClaimRule(Rule):
     id = "SIM203"
     name = "abandoned-claim"
     severity = Severity.WARNING
     rationale = (
         "resource.request() / store.get() enqueue a claim the moment they "
-        "are called; a claim that is never yielded, cancelled, or even "
-        "referenced again still occupies a slot (or steals an item) "
-        "forever once granted. Either yield it or cancel it."
+        "are called; a claim that is never yielded or even referenced "
+        "again still occupies a slot (or steals an item) forever once "
+        "granted, since nothing withdraws a queued claim. Yield it."
     )
 
     def check(self, tree: ast.Module, ctx: LintContext) -> Iterable[Diagnostic]:
@@ -150,7 +103,7 @@ class AbandonedClaimRule(Rule):
                         self, stmt,
                         f"claim {self._describe(claim)} discarded immediately: "
                         f"it occupies a slot once granted but nothing can "
-                        f"ever yield or cancel it",
+                        f"ever yield it",
                     )
                 elif isinstance(stmt, ast.Assign):
                     names = [
@@ -161,7 +114,7 @@ class AbandonedClaimRule(Rule):
                             self, stmt,
                             f"claim {self._describe(claim)} assigned to "
                             f"{', '.join(repr(n) for n in names)} but never "
-                            f"yielded, cancelled, or referenced again",
+                            f"yielded or referenced again",
                         )
 
     @staticmethod

@@ -53,10 +53,10 @@ class UnjoinedChildProcessRule(Rule):
     severity = Severity.ERROR
     rationale = (
         "A sim process that spawns a child with sim.process(...) and then "
-        "returns on some path without awaiting, interrupting, or handing "
-        "the child off leaves it running against torn-down state — the "
-        "PR 9 teardown-hang class. Yield the child (or its completion "
-        "event), interrupt it, or store the handle where the owner can."
+        "returns on some path without awaiting or handing the child off "
+        "leaves it running against torn-down state — the teardown-hang "
+        "class. Yield the child (or its completion event), or store the "
+        "handle where the owner can."
     )
 
     def check(self, tree: ast.Module, ctx: LintContext) -> Iterable[Diagnostic]:
@@ -78,8 +78,8 @@ class UnjoinedChildProcessRule(Rule):
                     yield ctx.diagnostic(
                         self, stmt,
                         f"child process '{name}' spawned here is never "
-                        f"awaited, interrupted, or handed off on at least "
-                        f"one path to return",
+                        f"awaited or handed off on at least one path to "
+                        f"return",
                     )
 
 

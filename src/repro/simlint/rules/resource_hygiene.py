@@ -1,11 +1,11 @@
-"""SIM301 — resource claims must be interrupt-safe.
+"""SIM301 — resource claims must survive a failed event.
 
 The PR-2 bug class: a process acquires a Resource slot
 (``req = pool.request(); yield req``), then hits another wait before the
-``try/finally`` that releases it.  An interrupt landing in that window
-(fault windows, watchdog cancellation) unwinds the generator and the
-slot leaks forever — the simulation quiesce check fails hours later
-with no pointer back to the acquire site.
+``try/finally`` that releases it.  If the event it waits on there fails
+(a crashed peer, a rejected request), the error unwinds the generator
+and the slot leaks forever — the simulation quiesce check fails hours
+later with no pointer back to the acquire site.
 
 The enforced shape is exactly the repo idiom::
 
@@ -46,9 +46,9 @@ class LeakOnInterruptRule(Rule):
     severity = Severity.ERROR
     rationale = (
         "A granted Resource slot is only returned by an explicit "
-        "release(); if the process can be interrupted while holding it — "
-        "any yield outside the try/finally that releases — the slot "
-        "leaks and the cluster quiesce check fails far from the cause. "
+        "release(); if an event the process waits on while holding it "
+        "fails — any yield outside the try/finally that releases — the "
+        "slot leaks and the cluster quiesce check fails far from the cause. "
         "Enter the protecting try immediately after the grant and "
         "release in its finally."
     )
@@ -89,7 +89,7 @@ class LeakOnInterruptRule(Rule):
                 yield ctx.diagnostic(
                     self, releases[0],
                     f"release of {claim.name!r} is not in a finally block: "
-                    f"an exception or interrupt in the critical section "
+                    f"an exception (a failed event) in the critical section "
                     f"leaks the slot",
                 )
                 continue
@@ -105,7 +105,7 @@ class LeakOnInterruptRule(Rule):
                     self, gap[0],
                     f"wait between the grant of {claim.name!r} "
                     f"(line {claim.grant.lineno}) and the protecting try "
-                    f"(line {protecting.lineno}): an interrupt here leaks "
+                    f"(line {protecting.lineno}): a failed event here leaks "
                     f"the slot — enter the try first",
                 )
 

@@ -5,9 +5,7 @@ Replaces the paper's SST-based multi-node simulation (DESIGN.md §2).
 
 from .engine import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -29,10 +27,8 @@ from .trace import summarize
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Container",
     "Event",
-    "Interrupt",
     "LeafSpineNetwork",
     "Message",
     "NetConfig",

@@ -11,7 +11,9 @@ network simulation:
   the same trace on every run;
 * processes are plain Python generators that ``yield`` *waitables*
   (:class:`Timeout`, :class:`Event`, other :class:`Process` objects, or
-  :class:`AllOf`/:class:`AnyOf` combinators);
+  the :class:`AllOf` combinator) and run until they return: nothing
+  preempts a process, and a failed event is the one way an error
+  reaches it;
 * an effect that only writes state nobody reads at its instant (a DMA
   landing in host memory, a packet joining a busy egress queue) may be a
   *deferred entry* (:class:`Deferrer`): it reserves the heap rank its
@@ -47,8 +49,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
-    "Interrupt",
     "Simulator",
     "SimulationError",
     "Deferrer",
@@ -57,17 +57,6 @@ __all__ = [
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when it is interrupted.
-
-    The ``cause`` attribute carries the interrupter-supplied reason.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -83,7 +72,7 @@ class Event:
     is pure overhead on the hot path.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_exc", "triggered", "name", "_abandon")
+    __slots__ = ("sim", "callbacks", "_value", "_exc", "triggered", "name")
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
@@ -92,11 +81,6 @@ class Event:
         self._exc: Optional[BaseException] = None
         self.triggered = False
         self.name = name
-        #: optional resource-cleanup hook: set by Resource/Store/Container
-        #: when this event is queued as a waiter, invoked by
-        #: Process.interrupt() when the waiter is detached untriggered so
-        #: the slot/credit is never granted to a dead process
-        self._abandon: Optional[Callable[[], None]] = None
 
     # -- state ---------------------------------------------------------
     @property
@@ -205,8 +189,8 @@ _TRIGGERED, _DRAINED, _BOUND = "triggered", "drained", "bound"
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
-    The constructor is fully inlined (no ``super().__init__`` /
-    ``_schedule_event`` calls, no per-instance name formatting): timeouts
+    The constructor is fully inlined (no ``super().__init__`` call and
+    no per-instance name formatting): timeouts
     are the single most-allocated object in a packet simulation, and the
     old ``f"timeout({delay})"`` name alone cost more than the heap push.
     """
@@ -222,7 +206,6 @@ class Timeout(Event):
         self._exc = None
         self.triggered = True  # a timeout cannot be cancelled or re-triggered
         self.name = "timeout"
-        self._abandon = None
         self.delay = delay
         sim._seq += 1
         heapq.heappush(sim._heap, (sim.now + delay, sim._seq, self))
@@ -243,7 +226,7 @@ class Process(Event):
     swallowed).
     """
 
-    __slots__ = ("gen", "_waiting_on", "_observed")
+    __slots__ = ("gen", "_observed")
 
     def __init__(
         self, sim: "Simulator", gen: Generator, name: str = "",
@@ -251,7 +234,6 @@ class Process(Event):
     ) -> None:
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self.gen = gen
-        self._waiting_on: Optional[Event] = None
         self._observed = False
         if at is None:
             sim._call_soon1(self._resume, None)
@@ -267,30 +249,8 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the next step."""
-        if self.triggered:
-            return
-        target = self._waiting_on
-        if target is not None and not target.triggered:
-            # Detach from what we were waiting on; the stale callback
-            # checks identity before resuming.
-            self._waiting_on = None
-            abandon = target._abandon
-            if abandon is not None:
-                # Withdraw the queued resource claim so it is never
-                # granted to this (now dead) waiter.
-                target._abandon = None
-                abandon()
-        self.sim._call_soon(lambda: self._throw(Interrupt(cause)))
-
     # -- kernel --------------------------------------------------------
     def _resume(self, trigger: Optional[Event]) -> None:
-        if self.triggered:
-            return
-        if trigger is not None and trigger is not self._waiting_on:
-            return  # stale wake-up after an interrupt
-        self._waiting_on = None
         try:
             if trigger is not None and trigger._exc is not None:
                 nxt = self.gen.throw(trigger._exc)
@@ -305,20 +265,6 @@ class Process(Event):
             return
         self._wait_on(nxt)
 
-    def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        self._waiting_on = None
-        try:
-            nxt = self.gen.throw(exc)
-        except StopIteration as stop:
-            self.succeed_quiet(stop.value)
-            return
-        except BaseException as err:  # noqa: BLE001
-            self.fail(err)
-            return
-        self._wait_on(nxt)
-
     def _wait_on(self, target: Any) -> None:
         if not isinstance(target, Event):
             self.fail(
@@ -330,7 +276,6 @@ class Process(Event):
         if target.sim is not self.sim:
             self.fail(SimulationError("yielded event belongs to another simulator"))
             return
-        self._waiting_on = target
         # add_callback, inlined (one process resume per event on the hot path)
         cbs = target.callbacks
         if cbs is _DISPATCHED:
@@ -341,13 +286,16 @@ class Process(Event):
             cbs.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf combinators."""
+class AllOf(Event):
+    """Fires when every child event has fired; value is list of values.
+
+    If any child fails, the condition fails with that child's exception.
+    """
 
     __slots__ = ("events", "_pending")
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event], name: str) -> None:
-        super().__init__(sim, name=name)
+    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
+        super().__init__(sim, name="all_of")
         self.events = list(events)
         self._pending = 0
         if not self.events:
@@ -356,21 +304,6 @@ class _Condition(Event):
         for ev in self.events:
             self._pending += 1
             ev.add_callback(self._on_child)
-
-    def _on_child(self, ev: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; value is list of values.
-
-    If any child fails, the condition fails with that child's exception.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, events, name="all_of")
 
     def _on_child(self, ev: Event) -> None:
         if self.triggered:
@@ -381,23 +314,6 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([e.value for e in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first child event fires; value is that event."""
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim, events, name="any_of")
-
-    def _on_child(self, ev: Event) -> None:
-        if self.triggered:
-            return
-        if ev.exception is not None:
-            self.fail(ev.exception)
-            return
-        self.succeed(ev)
 
 
 class Deferrer:
@@ -555,19 +471,12 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling -----------------------------------------------------
     # Heap entries are ``(time, seq, item)`` or ``(time, seq, fn, arg)``;
     # ``seq`` is unique, so the fourth element never participates in
     # tuple comparison.  The 4-tuple form lets hot callers schedule a
     # bound method with one argument without allocating a closure per
     # call (the old ``lambda: fn(arg)`` pattern).
-    def _schedule_event(self, ev: Event, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, ev))
-
     def _call_soon(self, fn: Callable[[], None], delay: float = 0.0) -> None:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn))

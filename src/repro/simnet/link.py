@@ -450,13 +450,9 @@ class Port(Deferrer):
         never form with an armed injector or telemetry on).
         """
         st, c = arg
-        pkt = st.pkts[c]
-        self.tx_packets += 1
-        self.tx_bytes += pkt.size
-        self.busy_ns += pkt.size * self._ns_per_byte
-        st.applied = c + 1
+        self._apply_train_stats(st, c + 1)
         if st.ev is not None:
-            st.ev.succeed(pkt)
+            st.ev.succeed(st.pkts[c])
         self._start_next()
 
     def _train_late_send(self, arg: Tuple[PacketTrain, int]) -> None:

@@ -11,7 +11,9 @@ and NIC models need:
   for NIC memory accounting and egress credits).
 
 All wait operations return :class:`~repro.simnet.engine.Event` objects,
-so processes simply ``yield`` them.
+so processes simply ``yield`` them.  A claim, once made, stays queued
+until it is granted: nothing withdraws a waiter, since nothing in the
+kernel preempts a process.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ class Resource:
             # one ``_call_soon1`` pushed at the yield; one that checks
             # ``triggered`` can carry on without waiting at all.
             req.succeed_quiet(None)
-        else:
-            req._abandon = lambda: self.cancel(req)
         return req
 
     def acquire(self, holder: Any, wake: Any) -> bool:
@@ -122,25 +122,9 @@ class Resource:
                 san.retire("resource-wait", (id(self), id(wake)))
                 san.claim("resource-slot", (id(self), id(nxt)), self.name)
             if nxt is wake:
-                wake._abandon = None
                 wake.succeed(None)
             else:
                 self.sim._call_soon1(wake, None)
-
-    def cancel(self, wake: Any) -> None:
-        """Withdraw a still-queued waiter (no-op if already granted).  A
-        ``wake`` callback matches the queued one by equality (a bound
-        method is rebuilt on each access)."""
-        queue = self.queue
-        try:
-            i = queue.index(wake)
-        except ValueError:
-            return
-        queued = queue[i]
-        del queue[i]
-        san = self.sim.sanitizer
-        if san is not None:
-            san.retire("resource-wait", (id(self), id(queued)))
 
     # -- stats -------------------------------------------------------------
     def _account(self) -> None:
@@ -195,7 +179,6 @@ class Store:
             getter = self._getters.popleft()
             if san is not None:
                 san.retire("store-wait", id(getter))
-            getter._abandon = None
             getter.succeed(item)
             ev.succeed(None)
         elif self.capacity is None or len(self.items) < self.capacity:
@@ -204,7 +187,6 @@ class Store:
             ev.succeed(None)
         else:
             self._putters.append((ev, item))
-            ev._abandon = lambda: self.cancel(ev)
             if san is not None:
                 san.claim("store-wait", id(ev), self.name)
         return ev
@@ -216,7 +198,6 @@ class Store:
             san = self.sim.sanitizer
             if san is not None:
                 san.retire("store-wait", id(getter))
-            getter._abandon = None
             getter.succeed(item)
             return True
         if self.capacity is not None and len(self.items) >= self.capacity:
@@ -233,26 +214,10 @@ class Store:
             ev.succeed(item)
         else:
             self._getters.append(ev)
-            ev._abandon = lambda: self.cancel(ev)
             san = self.sim.sanitizer
             if san is not None:
                 san.claim("store-wait", id(ev), self.name)
         return ev
-
-    def cancel(self, ev: Event) -> None:
-        """Withdraw a still-queued getter or putter (no-op otherwise)."""
-        try:
-            self._getters.remove(ev)
-        except ValueError:
-            for pair in self._putters:
-                if pair[0] is ev:
-                    self._putters.remove(pair)
-                    break
-            else:
-                return
-        san = self.sim.sanitizer
-        if san is not None:
-            san.retire("store-wait", id(ev))
 
     def _admit_putter(self) -> None:
         if self._putters:
@@ -262,7 +227,6 @@ class Store:
             san = self.sim.sanitizer
             if san is not None:
                 san.retire("store-wait", id(pev))
-            pev._abandon = None
             pev.succeed(None)
 
     def __len__(self) -> int:
@@ -316,20 +280,9 @@ class Container:
             ev.succeed(amount)
         else:
             self._getters.append((ev, amount))
-            ev._abandon = lambda: self.cancel(ev)
             if san is not None:
                 san.claim("container-wait", id(ev), self.name)
         return ev
-
-    def cancel(self, ev: Event) -> None:
-        """Withdraw a still-queued getter (no-op otherwise)."""
-        for pair in self._getters:
-            if pair[0] is ev:
-                self._getters.remove(pair)
-                san = self.sim.sanitizer
-                if san is not None:
-                    san.retire("container-wait", id(ev))
-                return
 
     def try_get(self, amount: float) -> bool:
         """Non-blocking take, honouring FIFO waiters (fails if any queued)."""
@@ -363,7 +316,6 @@ class Container:
             if san is not None:
                 san.retire("container-wait", id(ev))
                 san.container_grant(self, amt)
-            ev._abandon = None
             ev.succeed(amt)
 
     @property

@@ -13,9 +13,8 @@ should leave the simulation alone keeps every pin:
   request of the four quick scenario-matrix runs (the per-request cost,
   pinned the way ``test_simulator_fastpath`` pins events per packet).
 
-The rest checks what the generators did implicitly: an interrupted
-``Cpu.run`` gives its core back, and a leak in a handler chain is
-reported under the chain's strand.
+The rest checks what the generators did implicitly: a leak in a
+handler chain is reported under the chain's strand.
 """
 
 from __future__ import annotations
@@ -33,11 +32,9 @@ from repro.dfs.control_rpc import ControlPlaneClient, install_control_plane
 from repro.dfs.monitor import MonitorConfig, install_monitor
 from repro.dfs.replicator import ReplicatorConfig, ReReplicator
 from repro.experiments.common import installer_for
-from repro.hostsim import Cpu
 from repro.params import HostParams, SimParams
 from repro.scenarios import MATRIX_NAMES, get, run_scenario
 from repro.simnet import engine
-from repro.simnet.engine import Interrupt, Simulator
 
 KiB = 1024
 
@@ -277,53 +274,6 @@ def test_quick_scenario_cost_per_request_pinned(name, monkeypatch):
         f"{got[2] / issued:.2f} Process/req ({dict(spy.names)})"
     )
     assert dict(events.kinds) == EVENT_KINDS[name]
-
-
-# ----------------------------------------------------- Cpu.run interrupts
-def _cpu_run_interrupted(kill_at):
-    sim = Simulator(sanitize=True)
-    cpu = Cpu(sim, HostParams(cpu_cores=1))
-    log = []
-
-    def worker(tag):
-        try:
-            yield from cpu.run(100)
-            log.append((tag, "done", sim.now))
-        except Interrupt:
-            log.append((tag, "interrupted", sim.now))
-
-    sim.process(worker("a"), name="a")
-    b = sim.process(worker("b"), name="b")
-    c = sim.process(worker("c"), name="c")
-
-    def killer():
-        yield sim.timeout(kill_at)
-        b.interrupt("stop")
-
-    sim.process(killer(), name="killer")
-    sim.run()
-    sim.sanitizer.check_quiesce()
-    return sim, cpu, log, c
-
-
-def test_cpu_run_interrupted_while_queued_withdraws_its_request():
-    # b is queued behind a at t=50: its request leaves the queue, and
-    # c takes the core when a releases it
-    sim, cpu, log, _ = _cpu_run_interrupted(50)
-    assert log == [("b", "interrupted", 50.0), ("a", "done", 100.0), ("c", "done", 200.0)]
-    assert not cpu.cores.users and not cpu.cores.queue
-    assert cpu.busy_ns == 200.0
-    assert sim.sanitizer.report().ok
-
-
-def test_cpu_run_interrupted_while_holding_releases_the_core():
-    # b holds the core from t=100: the interrupt at t=150 releases it,
-    # unbilled, and c runs from there
-    sim, cpu, log, _ = _cpu_run_interrupted(150)
-    assert log == [("a", "done", 100.0), ("b", "interrupted", 150.0), ("c", "done", 250.0)]
-    assert not cpu.cores.users and not cpu.cores.queue
-    assert cpu.busy_ns == 200.0
-    assert sim.sanitizer.report().ok
 
 
 # -------------------------------------------------------------- simsan

@@ -1,141 +1,12 @@
-"""Interrupting a process must withdraw its queued resource claims.
+"""Container credit accounting: returning more units than were taken is
+a caller bug, and ``put`` raises instead of clamping the level.
 
-Before the ``_abandon`` hook, interrupting a process that was waiting in
-a Resource/Store/Container queue left the dead claim enqueued: the next
-release granted a slot to a corpse and the pool leaked forever.  These
-tests pin the cancellation semantics for all three primitives.
+The module keeps its name so that the test's id stays stable.
 """
 
 import pytest
 
-from repro.simnet import Container, Resource, SimulationError, Simulator, Store
-from repro.simnet.engine import Interrupt
-
-
-# ---------------------------------------------------------------- Resource
-def test_interrupt_while_queued_releases_resource_slot():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    log = []
-
-    def holder():
-        req = res.request()
-        yield req
-        yield sim.timeout(10)
-        res.release(req)
-
-    def waiter():
-        req = res.request()
-        try:
-            yield req
-            log.append("granted")
-            res.release(req)
-        except Interrupt:
-            log.append("interrupted")
-
-    def late():
-        yield sim.timeout(20)
-        req = res.request()
-        yield req
-        log.append(("late", sim.now))
-        res.release(req)
-
-    sim.process(holder())
-    victim = sim.process(waiter())
-    sim.process(late())
-    sim.run(until=5)
-    victim.interrupt("cancelled")
-    sim.run()
-    # the victim never got the slot, and its queued claim did not eat
-    # the grant when the holder released: the late arrival got it
-    assert log == ["interrupted", ("late", 20.0)]
-    assert not res.users and not res.queue
-
-
-def test_interrupt_while_holding_resource_releases_in_finally():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-
-    def holder():
-        req = res.request()
-        yield req
-        try:
-            yield sim.timeout(100)
-        except Interrupt:
-            pass
-        finally:
-            res.release(req)
-
-    p = sim.process(holder())
-    sim.run(until=5)
-    p.interrupt()
-    sim.run()
-    assert not res.users and not res.queue
-
-
-# ------------------------------------------------------------------- Store
-def test_interrupted_store_getter_does_not_consume_item():
-    sim = Simulator()
-    store = Store(sim)
-
-    def getter():
-        with pytest.raises(Interrupt):
-            yield store.get()
-
-    p = sim.process(getter())
-    sim.run(until=1)
-    p.interrupt()
-    sim.run()
-    store.put("x")
-    sim.run()
-    # the cancelled getter must not have swallowed the item
-    assert list(store.items) == ["x"]
-
-
-def test_interrupted_store_putter_does_not_deposit_item():
-    sim = Simulator()
-    store = Store(sim, capacity=1)
-    store.put("first")
-
-    def putter():
-        with pytest.raises(Interrupt):
-            yield store.put("second")
-
-    p = sim.process(putter())
-    sim.run(until=1)
-    p.interrupt()
-    sim.run()
-    assert len(store) == 1
-    got = store.get()
-    sim.run()
-    assert got.value == "first"
-    # the cancelled putter's item never entered the store
-    assert len(store) == 0 and not store._putters
-
-
-# --------------------------------------------------------------- Container
-def test_interrupted_container_getter_leaves_queue_clean():
-    sim = Simulator()
-    box = Container(sim, capacity=10, init=0)
-
-    def getter(n, tag, log):
-        try:
-            yield box.get(n)
-            log.append(tag)
-        except Interrupt:
-            log.append(f"{tag}-interrupted")
-
-    log = []
-    victim = sim.process(getter(8, "a", log))
-    sim.process(getter(4, "b", log))
-    sim.run(until=1)
-    victim.interrupt()
-    sim.run()
-    # the withdrawn 8-unit claim must not block the 4-unit claim behind it
-    box.put(4)
-    sim.run()
-    assert log == ["a-interrupted", "b"]
-    assert box.level == 0 and not box._getters
+from repro.simnet import Container, SimulationError, Simulator
 
 
 def test_container_over_return_raises():

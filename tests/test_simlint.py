@@ -37,7 +37,7 @@ class TestRegistry:
     def test_all_twelve_rules_registered(self):
         assert sorted(RULES) == [
             "SIM101", "SIM102", "SIM103", "SIM104",
-            "SIM201", "SIM202", "SIM203", "SIM301", "SIM401",
+            "SIM201", "SIM203", "SIM301", "SIM401",
             "SIM501", "SIM502", "SIM503",
         ]
 
@@ -262,47 +262,6 @@ class TestYieldNonEvent:
                 ev = sim.timeout(3)
                 yield ev
         """) == []
-
-
-# ---------------------------------------------- SIM202 swallowed interrupt
-class TestSwallowedInterrupt:
-    def test_pass_handler_flagged(self):
-        assert "SIM202" in rules_found("""
-            def proc(sim):
-                while True:
-                    try:
-                        yield sim.timeout(1)
-                    except Interrupt:
-                        pass
-        """)
-
-    def test_return_handler_not_flagged(self):
-        assert rules_found("""
-            def proc(sim):
-                try:
-                    yield sim.timeout(1)
-                except Interrupt:
-                    return
-        """) == []
-
-    def test_cleanup_handler_not_flagged(self):
-        assert rules_found("""
-            def proc(sim, pool, req):
-                try:
-                    yield sim.timeout(1)
-                except Interrupt:
-                    pool.cancel(req)
-                    raise
-        """) == []
-
-    def test_qualified_interrupt_name_flagged(self):
-        assert "SIM202" in rules_found("""
-            def proc(sim, engine):
-                try:
-                    yield sim.timeout(1)
-                except engine.Interrupt:
-                    pass
-        """)
 
 
 # ------------------------------------------------- SIM203 abandoned claim

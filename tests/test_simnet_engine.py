@@ -4,8 +4,6 @@ import pytest
 
 from repro.simnet import (
     AllOf,
-    AnyOf,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -131,23 +129,6 @@ def test_all_of_collects_values_in_order():
     assert sim.now == 3.0
 
 
-def test_any_of_returns_first():
-    sim = Simulator()
-
-    def worker(delay, value):
-        yield sim.timeout(delay)
-        return value
-
-    def main():
-        slow = sim.process(worker(9, "slow"))
-        fast = sim.process(worker(1, "fast"))
-        first = yield AnyOf(sim, [slow, fast])
-        return first.value
-
-    p = sim.process(main())
-    assert sim.run_until_complete(p) == "fast"
-
-
 def test_all_of_empty_fires_immediately():
     sim = Simulator()
 
@@ -157,40 +138,6 @@ def test_all_of_empty_fires_immediately():
 
     p = sim.process(main())
     assert sim.run_until_complete(p) == []
-
-
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-            log.append("slept")
-        except Interrupt as i:
-            log.append(("interrupted", i.cause, sim.now))
-
-    p = sim.process(sleeper())
-
-    def killer():
-        yield sim.timeout(5.0)
-        p.interrupt("reason")
-
-    sim.process(killer())
-    sim.run()
-    assert log == [("interrupted", "reason", 5.0)]
-
-
-def test_interrupt_after_completion_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    p = sim.process(quick())
-    sim.run()
-    p.interrupt("late")  # must not raise
-    sim.run()
 
 
 def test_run_until_limits_time():
@@ -345,7 +292,7 @@ def test_timeout_carries_value():
     assert got == ["payload"]
 
 
-def test_any_of_propagates_failure():
+def test_all_of_propagates_failure():
     sim = Simulator()
 
     def bad():
@@ -355,47 +302,10 @@ def test_any_of_propagates_failure():
     def main():
         p = sim.process(bad())
         try:
-            yield AnyOf(sim, [p, sim.timeout(50.0)])
+            yield AllOf(sim, [p, sim.timeout(50.0)])
         except RuntimeError as e:
-            return str(e)
+            return (str(e), sim.now)
         return "no error"
 
     m = sim.process(main())
-    assert sim.run_until_complete(m) == "child died"
-
-
-def test_interrupt_while_holding_resource():
-    """Interrupting a process mid-critical-section must not corrupt the
-    resource (the holder releases in its except path)."""
-    from repro.simnet import Resource
-
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    log = []
-
-    def holder():
-        req = res.request()
-        yield req
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt:
-            log.append("interrupted")
-        finally:
-            res.release(req)
-
-    def other():
-        req = res.request()
-        yield req
-        log.append(("other-in", sim.now))
-        res.release(req)
-
-    p = sim.process(holder())
-    sim.process(other())
-
-    def killer():
-        yield sim.timeout(5.0)
-        p.interrupt()
-
-    sim.process(killer())
-    sim.run()
-    assert log == ["interrupted", ("other-in", 5.0)]
+    assert sim.run_until_complete(m) == ("child died", 1.0)

@@ -6,9 +6,10 @@ the bug classes it was built for.  Each fixture re-introduces, in a
 throwaway fixture sim (never in the real code), a bug class from this
 repository's history:
 
-* the **PR 2 leak-on-interrupt class** — an interrupt lands between a
-  resource grant and its protecting ``try``/``finally``, the process
-  unwinds, and the slot is never released (``leak-resource``);
+* the **resource-leak class** — an error reaches a process between a
+  resource grant and its release (here: an event it waits on fails),
+  the process unwinds, and the slot is never released
+  (``leak-resource``);
 * the **PR 9 teardown-hang class** — a multi-message transaction is
   opened on the NIC and never completed, and a request span is opened
   and never closed, so teardown hangs with no diagnosis
@@ -25,7 +26,7 @@ import pytest
 from repro.dfs.client import DfsClient
 from repro.dfs.cluster import build_testbed
 from repro.protocols import install_spin_targets
-from repro.simnet.engine import Interrupt, SimulationError, Simulator
+from repro.simnet.engine import SimulationError, Simulator
 from repro.simnet.resources import Container, Resource, Store
 
 
@@ -36,44 +37,45 @@ def _quiesce_report(sim):
 
 
 # ===================================================================
-# PR 2 class: resource slot leaked when an interrupt unwinds the holder
+# Leak class: resource slot leaked when a failed event unwinds the holder
 # ===================================================================
 
-class TestLeakOnInterrupt:
-    def _run_victim(self, swallow_without_release: bool):
+class TestLeakOnFailedEvent:
+    def _run_victim(self, release_in_finally: bool):
         sim = Simulator(sanitize=True)
         pool = Resource(sim, capacity=1, name="hpus")
+        reply = sim.event("reply")
 
         def victim():
             req = pool.request()
             yield req  # granted immediately (capacity 1, empty pool)
-            if swallow_without_release:
-                # the PR 2 bug class: the interrupt unwinds the process
-                # and the grant is never released
+            if release_in_finally:
                 try:
-                    yield sim.timeout(10_000)
-                except Interrupt:
-                    return
-            else:
-                try:
-                    yield sim.timeout(10_000)
-                except Interrupt:
+                    yield reply
+                except RuntimeError:
                     pass
                 finally:
                     pool.release(req)
+            else:
+                # the bug class: the failure unwinds the process
+                # and the grant is never released
+                try:
+                    yield reply
+                except RuntimeError:
+                    return
 
-        vp = sim.process(victim(), name="victim")
+        sim.process(victim(), name="victim")
 
-        def killer():
+        def peer():
             yield sim.timeout(50)
-            vp.interrupt("teardown")
+            reply.fail(RuntimeError("peer crashed"))
 
-        sim.process(killer(), name="killer")
+        sim.process(peer(), name="peer")
         sim.run()
         return sim, pool
 
-    def test_swallowed_interrupt_leaks_granted_slot(self):
-        sim, pool = self._run_victim(swallow_without_release=True)
+    def test_swallowed_failure_leaks_granted_slot(self):
+        sim, pool = self._run_victim(release_in_finally=False)
         assert len(pool.users) == 1  # the fixture really does leak
         report = _quiesce_report(sim)
         assert report.kinds() == {"leak-resource"}
@@ -85,45 +87,10 @@ class TestLeakOnInterrupt:
         assert "test_simsan" in finding.where
 
     def test_release_in_finally_is_clean(self):
-        sim, pool = self._run_victim(swallow_without_release=False)
+        sim, pool = self._run_victim(release_in_finally=True)
         assert not pool.users
         report = _quiesce_report(sim)
         assert report.ok, report.summary()
-
-    def test_interrupt_of_queued_waiter_is_withdrawn(self):
-        """The engine-side fix for the PR 2 class: interrupting a process
-        whose claim is still *queued* withdraws the claim, so the slot is
-        never granted to the dead waiter and nothing leaks."""
-        sim = Simulator(sanitize=True)
-        pool = Resource(sim, capacity=1, name="hpus")
-
-        def holder():
-            req = pool.request()
-            yield req
-            try:
-                yield sim.timeout(1_000)
-            finally:
-                pool.release(req)
-
-        def waiter():
-            req = pool.request()  # queued behind holder
-            try:
-                yield req
-            except Interrupt:
-                return
-
-        sim.process(holder(), name="holder")
-        wp = sim.process(waiter(), name="waiter")
-
-        def killer():
-            yield sim.timeout(100)
-            wp.interrupt("teardown")
-
-        sim.process(killer(), name="killer")
-        sim.run()
-        report = _quiesce_report(sim)
-        assert report.ok, report.summary()
-        assert not pool.users and not pool.queue
 
 
 # ===================================================================
