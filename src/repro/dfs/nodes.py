@@ -275,9 +275,7 @@ class StorageNode(Host):
         self.rpc_handlers[name] = handler
 
     def on_rpc(self, headers: dict, payload: np.ndarray, src: str) -> None:
-        # the queue is unbounded, so try_put always takes the command; it
-        # makes no completion event, which put would and nobody awaits
-        self.rpc_queue.try_put((headers, payload, src))
+        self.rpc_queue.put((headers, payload, src))  # unbounded: always taken
 
     def respond(self, dst: str, greq_id: int, result, error: bool = False) -> Event:
         return self.nic.send_control(

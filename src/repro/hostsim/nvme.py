@@ -81,7 +81,7 @@ class NvmeTarget(MemoryTarget):
         data = np.asarray(data, dtype=np.uint8)
         self.check_range(addr, data.nbytes)
         done = self.sim.event(name=f"{self.name}.cmd")
-        if not self._sq.try_put((addr, data, done)):
+        if not self._sq.put((addr, data, done)):
             self.queue_full_rejections += 1
             # a rejected command is an expected outcome, not a crash:
             # consume the failure so unobserved events don't take the

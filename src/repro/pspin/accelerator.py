@@ -239,9 +239,9 @@ class _HandlerEgress:
     ``put`` returns an event that fires once the queue accepts the
     packet: at once while a slot is free, later for a putter blocked on
     a full queue (FIFO), which is the back-pressure behind Table I's PBT
-    numbers.  The pump is two callbacks: ``_send`` transmits one packet
-    and waits on the port's tx-done event; ``_next`` then takes the next
-    packet or parks.  A put to a parked pump wakes it with one
+    numbers, and the model's only producer that blocks.  The pump is two
+    callbacks: ``_send`` transmits one packet and waits on the port's
+    tx-done event; ``_next`` then takes the next packet or parks.  A put to a parked pump wakes it with one
     ``_call_soon1``.
     """
 
@@ -258,8 +258,8 @@ class _HandlerEgress:
         self.strand = name
         self._put_name = f"put({name})"
         self.items: deque = deque()
-        #: ``(event, packet)`` of each put waiting for a free slot (the
-        #: attribute simsan's store sweep reads)
+        #: ``(event, packet)`` of each put waiting for a free slot (what
+        #: simsan's accelerator sweep reports as ``leak-store``)
         self._putters: deque = deque()
         self.parked = False
         # the pump's first look at its queue

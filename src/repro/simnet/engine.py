@@ -472,17 +472,13 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------
-    # Heap entries are ``(time, seq, item)`` or ``(time, seq, fn, arg)``;
+    # Heap entries are ``(t, seq, event)`` or ``(t, seq, fn, arg)``;
     # ``seq`` is unique, so the fourth element never participates in
     # tuple comparison.  The 4-tuple form lets hot callers schedule a
     # bound method with one argument without allocating a closure per
-    # call (the old ``lambda: fn(arg)`` pattern).
-    def _call_soon(self, fn: Callable[[], None], delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, fn))
-
+    # call.
     def _call_soon1(self, fn: Callable[[Any], None], arg: Any, delay: float = 0.0) -> None:
-        """Schedule ``fn(arg)`` — the closure-free flavour of _call_soon."""
+        """Schedule ``fn(arg)`` ``delay`` ns from now."""
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, self._seq, fn, arg))
 
@@ -616,8 +612,6 @@ class Simulator:
                     elif item._exc is not None:
                         if not isinstance(item, Process) or not item._observed:
                             raise item._exc
-                elif len(entry) == 3:
-                    item()
                 else:
                     item(entry[3])
             return _TRIGGERED

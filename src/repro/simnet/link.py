@@ -1,12 +1,16 @@
 """Links and ports: the serializing, store-and-forward wire model.
 
-Each :class:`Port` owns a bounded egress queue that charges
+Each :class:`Port` owns an unbounded egress queue that charges
 serialization time (``bytes * 8 / bandwidth``) per packet, then delivers
 the packet to the attached peer after the link propagation latency.  The
-bounded queue is what creates *egress back-pressure*: a PsPIN handler
-that forwards two packets per incoming packet (sPIN-PBT) ends up blocked
-on the egress port, which is precisely the mechanism behind the paper's
-observed IPC collapse (Table I, IPC 0.06 for PBT payload handlers).
+port refuses nothing: back-pressure comes from senders that wait on
+``send``'s tx-done event before offering their next packet (the NIC's
+send loop), and from the accelerator's handler egress queue
+(``repro.pspin.accelerator._HandlerEgress``) with its ``egress_credits``
+slots, where a PsPIN handler that forwards two packets per incoming
+packet (sPIN-PBT) blocks.  That stall is the mechanism behind the
+paper's observed IPC collapse (Table I, IPC 0.06 for PBT payload
+handlers).
 
 The egress path is a fused callback chain rather than a server process:
 ``enqueue`` starts serialization immediately when the wire is idle,
@@ -65,25 +69,18 @@ class Port(Deferrer):
     ``_dq`` holds ``[enqueue instant, seq, armed, packet]``) with the
     heap rank its ``enqueue`` would have had.  Visibility rule: the port
     applies its due deferred arrivals, in rank order, before anything
-    reads its queue (``enqueue``, ``try_send``, ``try_send_train``, the
-    tx-done that starts the next packet).  ``_free_t`` is when the wire
-    finishes every packet accepted so far (in service, queued or
-    deferred) while no train is live: the exact float its chain of
-    tx-done instants reaches.
+    reads its queue (``enqueue``, ``try_send_train``, the tx-done that
+    starts the next packet).  ``_free_t`` is when the wire finishes
+    every packet accepted so far (in service, queued or deferred) while
+    no train is live: the exact float its chain of tx-done instants
+    reaches.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        owner_name: str,
-        bandwidth_gbps: float,
-        queue_packets: int = 64,
-    ) -> None:
+    def __init__(self, sim: Simulator, owner_name: str, bandwidth_gbps: float) -> None:
         self.sim = sim
         self.owner_name = owner_name
         self.bandwidth_gbps = bandwidth_gbps
         self._ns_per_byte = gbps_to_ns_per_byte(bandwidth_gbps)
-        self.queue_packets = queue_packets
         #: packets accepted but not yet on the wire (excludes in-service)
         self._q: Deque[Tuple[Packet, Optional[Event]]] = deque()
         self._busy = False
@@ -144,8 +141,8 @@ class Port(Deferrer):
     def enqueue(self, pkt: Packet, done: Optional[Event] = None) -> None:
         """Enqueue a packet; ``done`` (if any) succeeds at its tx-done.
 
-        The port's one enqueue: ``send``, ``try_send``, switch hops and
-        a de-coalesced train's late packets all come here.
+        The port's one enqueue: ``send``, switch hops and a de-coalesced
+        train's late packets all come here.
         """
         if self._train is not None:
             # Cross-traffic invalidates the train's closed-form schedule:
@@ -192,19 +189,6 @@ class Port(Deferrer):
         pkt = rec[3]
         pkt.enqueue_t = rec[0]
         self._q.append((pkt, None))
-
-    def try_send(self, pkt: Packet) -> Optional[Event]:
-        """Non-blocking enqueue; None when the egress queue is full."""
-        if self._train is not None:
-            self._train_abort()
-        dq = self._dq
-        if dq and dq[0][0] <= self.sim.now:
-            self._settle()
-        # The in-service packet counts against capacity: with
-        # queue_packets=1 an idle port accepts exactly one packet.
-        if len(self._q) + self._busy >= self.queue_packets:
-            return None
-        return self.send(pkt)
 
     # -- egress fast path -------------------------------------------------
     def _start(self, pkt: Packet, done: Optional[Event], ser: float) -> None:

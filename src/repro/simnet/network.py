@@ -28,7 +28,6 @@ class NetConfig:
     mtu: int = 2048
     link_latency_ns: float = 20.0
     switch_latency_ns: float = 350.0
-    port_queue_packets: int = 4096
 
 
 class _SwitchPortShim:
@@ -77,21 +76,11 @@ class Switch:
         if node_name in self._out_ports:
             raise ValueError(f"{node_name} already attached to {self.name}")
         # Switch-side output port towards the endpoint.
-        out = Port(
-            self.sim,
-            f"{self.name}->{node_name}",
-            self.cfg.bandwidth_gbps,
-            queue_packets=self.cfg.port_queue_packets,
-        )
+        out = Port(self.sim, f"{self.name}->{node_name}", self.cfg.bandwidth_gbps)
         out.connect(endpoint, self.cfg.link_latency_ns)
         self._out_ports[node_name] = out
         # Endpoint-side port towards the switch.
-        up = Port(
-            self.sim,
-            f"{node_name}->{self.name}",
-            self.cfg.bandwidth_gbps,
-            queue_packets=self.cfg.port_queue_packets,
-        )
+        up = Port(self.sim, f"{node_name}->{self.name}", self.cfg.bandwidth_gbps)
         up.connect(_SwitchPortShim(self, f"{self.name}<-{node_name}"), self.cfg.link_latency_ns)
         return up
 

@@ -33,7 +33,6 @@ __all__ = [
 #: Bytes of transport framing per packet (Ethernet+IP+UDP+BTH-equivalent).
 TRANSPORT_HEADER_BYTES = 64
 
-_pkt_ids = itertools.count()
 _msg_ids = itertools.count()
 
 #: extra reset hooks registered by other modules holding id state that
@@ -48,17 +47,16 @@ def register_id_reset(hook: Callable[[], None]) -> None:
 
 
 def reset_id_state() -> None:
-    """Restart packet/message id allocation and drop memoized derived ids.
+    """Restart message id allocation and drop memoized derived ids.
 
-    The id counters and especially the ``(parent, salt)`` derived-id memo
+    The id counter and especially the ``(parent, salt)`` derived-id memo
     are module-level, so a long sweep (or a pool worker reusing its
     interpreter across points) otherwise accumulates every entry forever
     and produces ids that depend on what ran before — breaking both
     memory and determinism.  ``build_testbed`` calls this at the start of
     every simulation, and runner workers call it between sweep points.
     """
-    global _pkt_ids, _msg_ids
-    _pkt_ids = itertools.count()
+    global _msg_ids
     _msg_ids = itertools.count()
     _derived_ids.clear()
     for hook in _id_reset_hooks:
@@ -93,7 +91,6 @@ class Packet:
     #: on the wire (like RDMA BTH/RETH offsets) so receivers can place
     #: payloads without per-message counters
     payload_offset: int = 0
-    pkt_id: int = field(default_factory=lambda: next(_pkt_ids))
     # Filled in by the network while in flight:
     enqueue_t: float = 0.0
     #: set by the fault injector: the packet arrives but fails the

@@ -6,14 +6,21 @@ and NIC models need:
 * :class:`Resource` — ``capacity`` identical servers with a FIFO queue
   (used for HPU pools, CPU cores, DMA engines);
 * :class:`Store` — an unbounded or bounded FIFO of Python objects (used
-  for egress queues, RPC command queues);
+  for RPC command queues, the NVMe submission queue and the replicator's
+  work queue);
 * :class:`Container` — a counted pool of indistinguishable units (used
-  for NIC memory accounting and egress credits).
+  for NIC memory accounting).
 
-All wait operations return :class:`~repro.simnet.engine.Event` objects,
-so processes simply ``yield`` them.  A claim, once made, stays queued
-until it is granted: nothing withdraws a waiter, since nothing in the
-kernel preempts a process.
+No producer ever blocks here: ``Store.put`` and ``Container.try_get``
+answer at once, and a full store refuses the item.  The one producer
+that stalls on a full queue, a PsPIN handler forwarding packets, waits
+on the accelerator's own egress queue and its ``egress_credits`` slots
+(``repro.pspin.accelerator._HandlerEgress``), not on anything here.
+Consumers wait: ``Resource.request`` and ``Store.get`` return
+:class:`~repro.simnet.engine.Event` objects, so processes simply
+``yield`` them.  A claim, once made, stays queued until it is granted:
+nothing withdraws a waiter, since nothing in the kernel preempts a
+process.
 """
 
 from __future__ import annotations
@@ -34,9 +41,6 @@ class Request(Event):
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.sim, name=resource._req_name)
         self.resource = resource
-
-    def release(self) -> None:
-        self.resource.release(self)
 
 
 class Resource:
@@ -147,7 +151,11 @@ class Resource:
 class Store:
     """FIFO store of items with optional capacity bound.
 
-    ``put`` blocks when the store is full; ``get`` blocks when empty.
+    ``put`` never blocks: it returns False, storing nothing, when a
+    bounded store is full.  ``get`` returns an event that fires with the
+    first item, at once or at the put that brings it.  simsan tracks
+    nothing here: no put can be left blocked, and a getter parked on an
+    empty store is the steady state of a quiesced service loop.
     """
 
     def __init__(
@@ -161,84 +169,36 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        # event names formatted once, not per put/get (hot path)
-        self._put_name = f"put({name})"
-        self._get_name = f"get({name})"
+        self._get_name = f"get({name})"  # formatted once (hot path)
         self.items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
-        self._peak = 0
-        san = sim.sanitizer
-        if san is not None:
-            san.adopt("store", self)
 
-    def put(self, item: Any) -> Event:
-        ev = Event(self.sim, name=self._put_name)
-        san = self.sim.sanitizer
+    def put(self, item: Any) -> bool:
+        """Hand ``item`` to the first waiting getter, or queue it; False
+        when a bounded store is full."""
         if self._getters:
-            getter = self._getters.popleft()
-            if san is not None:
-                san.retire("store-wait", id(getter))
-            getter.succeed(item)
-            ev.succeed(None)
-        elif self.capacity is None or len(self.items) < self.capacity:
-            self.items.append(item)
-            self._peak = max(self._peak, len(self.items))
-            ev.succeed(None)
-        else:
-            self._putters.append((ev, item))
-            if san is not None:
-                san.claim("store-wait", id(ev), self.name)
-        return ev
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False when the store is full."""
-        if self._getters:
-            getter = self._getters.popleft()
-            san = self.sim.sanitizer
-            if san is not None:
-                san.retire("store-wait", id(getter))
-            getter.succeed(item)
+            self._getters.popleft().succeed(item)
             return True
         if self.capacity is not None and len(self.items) >= self.capacity:
             return False
         self.items.append(item)
-        self._peak = max(self._peak, len(self.items))
         return True
 
     def get(self) -> Event:
         ev = Event(self.sim, name=self._get_name)
         if self.items:
-            item = self.items.popleft()
-            self._admit_putter()
-            ev.succeed(item)
+            ev.succeed(self.items.popleft())
         else:
             self._getters.append(ev)
-            san = self.sim.sanitizer
-            if san is not None:
-                san.claim("store-wait", id(ev), self.name)
         return ev
-
-    def _admit_putter(self) -> None:
-        if self._putters:
-            pev, pitem = self._putters.popleft()
-            self.items.append(pitem)
-            self._peak = max(self._peak, len(self.items))
-            san = self.sim.sanitizer
-            if san is not None:
-                san.retire("store-wait", id(pev))
-            pev.succeed(None)
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def peak(self) -> int:
-        return self._peak
-
 
 class Container:
-    """A counted pool of units (credits, bytes of NIC memory, ...)."""
+    """A counted pool of units (bytes of NIC memory): ``try_get`` takes
+    units if the pool has them, ``put`` returns them."""
 
     def __init__(
         self,
@@ -255,38 +215,17 @@ class Container:
         if not 0 <= self.level <= capacity:
             raise SimulationError("initial level out of range")
         self.name = name
-        self._get_name = f"get({name})"  # formatted once (hot path)
-        self._getters: Deque[tuple[Event, float]] = deque()
         self._min_level = self.level
         san = sim.sanitizer
         if san is not None:
             san.adopt("container", self)
 
-    def get(self, amount: float) -> Event:
-        """Take ``amount`` units, blocking until available (FIFO order)."""
+    def try_get(self, amount: float) -> bool:
+        """Take ``amount`` units if the pool holds them (True), else
+        take nothing (False)."""
         if amount < 0:
             raise SimulationError("container get amount must be >= 0")
-        if amount > self.capacity:
-            raise SimulationError(
-                f"get({amount}) exceeds container capacity {self.capacity}"
-            )
-        ev = Event(self.sim, name=self._get_name)
-        san = self.sim.sanitizer
-        if not self._getters and amount <= self.level:
-            self.level -= amount
-            self._min_level = min(self._min_level, self.level)
-            if san is not None:
-                san.container_grant(self, amount)
-            ev.succeed(amount)
-        else:
-            self._getters.append((ev, amount))
-            if san is not None:
-                san.claim("container-wait", id(ev), self.name)
-        return ev
-
-    def try_get(self, amount: float) -> bool:
-        """Non-blocking take, honouring FIFO waiters (fails if any queued)."""
-        if self._getters or amount > self.level:
+        if amount > self.level:
             return False
         self.level -= amount
         self._min_level = min(self._min_level, self.level)
@@ -309,14 +248,6 @@ class Container:
         san = self.sim.sanitizer
         if san is not None:
             san.container_put(self, amount)
-        while self._getters and self._getters[0][1] <= self.level:
-            ev, amt = self._getters.popleft()
-            self.level -= amt
-            self._min_level = min(self._min_level, self.level)
-            if san is not None:
-                san.retire("container-wait", id(ev))
-                san.container_grant(self, amt)
-            ev.succeed(amt)
 
     @property
     def min_level(self) -> float:

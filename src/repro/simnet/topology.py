@@ -100,12 +100,10 @@ class LeafSpineNetwork:
         # wire every leaf to every spine, both directions
         for leaf in self.leaves:
             for spine in self.spines:
-                up = Port(sim, f"{leaf.name}->{spine.name}", self.uplink_gbps,
-                          queue_packets=self.cfg.port_queue_packets)
+                up = Port(sim, f"{leaf.name}->{spine.name}", self.uplink_gbps)
                 up.connect(_Shim(spine, spine.name), self.cfg.link_latency_ns)
                 leaf.uplinks.append(up)
-                down = Port(sim, f"{spine.name}->{leaf.name}", self.uplink_gbps,
-                            queue_packets=self.cfg.port_queue_packets)
+                down = Port(sim, f"{spine.name}->{leaf.name}", self.uplink_gbps)
                 down.connect(_Shim(leaf, leaf.name), self.cfg.link_latency_ns)
                 spine.downlinks[leaf.name] = down
 

@@ -15,7 +15,9 @@ Kinds are stable strings (tests and CI match on them):
 ``clock-rewind``       an entry was scheduled (or popped) behind the clock
 ``leak-resource``      Resource slot still held / waiter still queued at
                        quiesce
-``leak-store``         Store getter/putter still blocked at quiesce
+``leak-store``         handler egress putter (a PsPIN handler blocked on
+                       the accelerator's full egress queue) still blocked
+                       at quiesce
 ``leak-container``     Container units never returned at quiesce
 ``leak-packet-train``  a coalesced packet train still in flight at quiesce
 ``leak-greq``          an RDMA logical request still pending at quiesce

@@ -24,13 +24,14 @@ Detectors (see :mod:`repro.simsan.findings` for the kind strings):
 * **clock rewinds** — an entry scheduled behind its own push time, or
   popped behind ``now`` (recorded before the kernel's "time went
   backwards" error propagates).
-* **resource leaks** — Resource/Store/Container register themselves at
+* **resource leaks** — Resource and Container register themselves at
   construction and record acquisition backtraces per claim, with the
   dispatch context that made the claim (a ``proc:``/``strand:`` chain,
   or "driver"); ports, NICs and accelerators adopt in with their
-  in-flight state.  At :meth:`check_quiesce` anything still held is
-  reported with that chain and the backtrace of the call site that took
-  it.
+  in-flight state (an accelerator's with its handler egress queue,
+  whose blocked putters are the only producers that can leak).  At
+  :meth:`check_quiesce` anything still held is reported with that chain
+  and the backtrace of the call site that took it.
 * **orphaned completions** — request spans opened in telemetry but not
   closed within ``SPAN_BUDGET_NS`` of simulated time.
 * **pending deferred entries** — a deferred record (see
@@ -299,10 +300,7 @@ class Sanitizer:
             s0 = sim._seq
             ctx = self._ctx = _callback_label(item, dlabel)
             try:
-                if len(entry) == 3:
-                    item()
-                else:
-                    item(entry[3])
+                item(entry[3])
             finally:
                 self._ctx = "driver"
             s1 = sim._seq
@@ -378,19 +376,6 @@ class Sanitizer:
                 bt,
             )
 
-    def _sweep_store(self, store: Any) -> None:
-        # blocked getters are the steady state of a quiesced service (an
-        # RPC server or egress pump parked on an empty work queue), so
-        # only producers that could never hand their item off are leaks
-        for ev, _item in store._putters:
-            label, t, bt, chain = self.claim_info("store-wait", id(ev))
-            self._find(
-                "leak-store",
-                f"putter on {store.name!r} still blocked at quiesce "
-                f"(queued t={t} by {chain})",
-                bt,
-            )
-
     def _sweep_container(self, cont: Any) -> None:
         outstanding = cont.capacity - cont.level
         if outstanding > 1e-9 and not getattr(cont, "sanitize_arena", False):
@@ -403,14 +388,6 @@ class Sanitizer:
                 f"{outstanding} unit(s) of {cont.name!r} never returned "
                 f"at quiesce (level {cont.level}/{cont.capacity})",
                 holders,
-            )
-        for ev, amount in cont._getters:
-            label, t, bt, chain = self.claim_info("container-wait", id(ev))
-            self._find(
-                "leak-container",
-                f"getter for {amount} unit(s) of {cont.name!r} still "
-                f"blocked at quiesce (queued t={t} by {chain})",
-                bt,
             )
 
     def _sweep_port(self, port: Any) -> None:
@@ -447,5 +424,15 @@ class Sanitizer:
                 f"accelerator on {accel.node_name!r} still has a "
                 f"paced ingest train at quiesce",
             )
-        # the fused handler egress queue: blocked putters, as for a Store
-        self._sweep_store(accel._egress)
+        # the handler egress queue: a parked pump is the steady state of
+        # a quiesced accelerator, so only putters (handlers blocked on a
+        # full queue) that could never hand their packet off are leaks
+        egress = accel._egress
+        for ev, _pkt in egress._putters:
+            label, t, bt, chain = self.claim_info("store-wait", id(ev))
+            self._find(
+                "leak-store",
+                f"putter on {egress.name!r} still blocked at quiesce "
+                f"(queued t={t} by {chain})",
+                bt,
+            )

@@ -259,6 +259,8 @@ def _pkt(mid, size=1000):
 
 @pytest.mark.parametrize("sender_first", [True, False])
 def test_same_instant_try_send_keeps_fifo_with_a_deferred_hop(sender_first):
+    # a sender's send() settles the port's due deferred hops (enqueue's
+    # guard) before it touches the queue, so rank order decides FIFO
     sim = Simulator()
     port = Port(sim, "sw->sink", 400.0)
     sink = _Sink(sim)
@@ -266,10 +268,10 @@ def test_same_instant_try_send_keeps_fifo_with_a_deferred_hop(sender_first):
     port.enqueue(_pkt(0, 8000))  # busy for 160 ns
     t = 50.0
     if sender_first:
-        sim._call_at1(lambda _: port.try_send(_pkt(2)), None, t)
+        sim._call_at1(lambda _: port.send(_pkt(2)), None, t)
     assert port.defer_enqueue(_pkt(1), t)
     if not sender_first:
-        sim._call_at1(lambda _: port.try_send(_pkt(2)), None, t)
+        sim._call_at1(lambda _: port.send(_pkt(2)), None, t)
     sim.run()
     order = [mid for mid, _t in sink.got]
     assert order == ([0, 2, 1] if sender_first else [0, 1, 2])

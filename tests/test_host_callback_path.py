@@ -154,15 +154,19 @@ CASES = {
 #: (case, telemetry) -> (events_dispatched, final clock, digest).  The
 #: clocks and digests were recorded from the process-based host path, and
 #: so were the event counts less one per RPC delivered: ``on_rpc`` queues
-#: a command with ``Store.try_put``, whose ``put`` event nobody waited on
-#: (e.g. ``rpc_write`` 151 -> 147 events: three writes and one unknown RPC).
+#: a command with a ``Store`` put that makes no event, where that path's
+#: put made one nobody waited on (e.g. ``rpc_write`` 151 -> 147 events:
+#: three writes and one unknown RPC).
 #: ``heartbeat_repair`` untraced was 1340 before its payload DMAs became
-#: deferred entries (same clock and digest).
+#: deferred entries (same clock and digest), then 1314 (traced 1675)
+#: until ``Store.put`` stopped making a completion event: the
+#: replicator's two queued repair tasks made one each, and nobody
+#: waited on either.
 PINS = {
     ("control_plane", False): (135, 2000000, "4b7b8512eadf277d"),
     ("control_plane", True): (156, 2000000, "17e6f4ee957bb0be"),
-    ("heartbeat_repair", False): (1314, 614398.8, "3ea2f6655d9363dc"),
-    ("heartbeat_repair", True): (1675, 614398.8, "4806640bd27bca7f"),
+    ("heartbeat_repair", False): (1312, 614398.8, "3ea2f6655d9363dc"),
+    ("heartbeat_repair", True): (1673, 614398.8, "4806640bd27bca7f"),
     ("repl_pbt", False): (509, 5000000, "ddea2ae735de5bd0"),
     ("repl_pbt", True): (687, 5000000, "2c9d92de137f861d"),
     ("repl_ring", False): (521, 5000000, "f69219d314750c77"),

@@ -12,9 +12,7 @@ from repro.simnet import Container, SimulationError, Simulator
 def test_container_over_return_raises():
     sim = Simulator()
     box = Container(sim, capacity=10, init=10)
-    ev = box.get(3)
-    sim.run()
-    assert ev.triggered and box.level == 7
+    assert box.try_get(3) and box.level == 7
     box.put(3)
     with pytest.raises(SimulationError, match="over-returned"):
         box.put(1)

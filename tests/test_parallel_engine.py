@@ -23,10 +23,10 @@ class TestRunWindow:
         sim = self.make_sim()
         fired = []
         stop = sim.event("stop")
-        sim._call_soon(lambda: fired.append(5.0), delay=5.0)
-        sim._call_soon(lambda: stop.succeed(), delay=10.0)
-        sim._call_soon(lambda: fired.append(10.0), delay=10.0)
-        sim._call_soon(lambda: fired.append(15.0), delay=15.0)
+        sim._call_soon1(lambda _: fired.append(5.0), None, delay=5.0)
+        sim._call_soon1(lambda _: stop.succeed(), None, delay=10.0)
+        sim._call_soon1(lambda _: fired.append(10.0), None, delay=10.0)
+        sim._call_soon1(lambda _: fired.append(15.0), None, delay=15.0)
         sim.run_until_event(stop)
         # the rest of t=10 (queued behind the trigger) has not fired
         assert fired == [5.0]
@@ -39,7 +39,7 @@ class TestRunWindow:
         sim = self.make_sim()
         fired = []
         for t in (5.0, 10.0, 15.0):
-            sim._call_soon(lambda t=t: fired.append(t), delay=t)
+            sim._call_soon1(lambda _, t=t: fired.append(t), None, delay=t)
         sim.run(until=10.0)
         assert fired == [5.0, 10.0]
         assert sim.now == 10.0
@@ -47,7 +47,7 @@ class TestRunWindow:
     def test_events_beyond_bound_stay_queued(self):
         sim = self.make_sim()
         fired = []
-        sim._call_soon(lambda: fired.append(1), delay=20.0)
+        sim._call_soon1(lambda _: fired.append(1), None, delay=20.0)
         sim.run(until=10.0)
         assert fired == [] and sim.now == 10.0
         assert len(sim._heap) == 1
@@ -59,7 +59,7 @@ class TestRunWindow:
         inside the next window is not in the past."""
         sim = self.make_sim()
         fired = []
-        sim._call_soon(lambda: fired.append("a"), delay=3.0)
+        sim._call_soon1(lambda _: fired.append("a"), None, delay=3.0)
         sim.run(until=5.0)
         assert sim.now == 5.0
         sim._call_at1(fired.append, "next", 7.0)  # 7.0 > now: fine
@@ -69,7 +69,7 @@ class TestRunWindow:
     def test_counters_maintained(self):
         sim = self.make_sim()
         for t in (1.0, 2.0, 3.0):
-            sim._call_soon(lambda: None, delay=t)
+            sim._call_soon1(lambda _: None, None, delay=t)
         sim.run(until=2.5)
         assert sim.events_dispatched == 2
         assert sim.heap_high_water >= 3
@@ -80,7 +80,7 @@ class TestRunWindow:
     def test_past_bound_rejected(self):
         sim = self.make_sim()
         fired = []
-        sim._call_soon(lambda: fired.append(20.0), delay=20.0)
+        sim._call_soon1(lambda _: fired.append(20.0), None, delay=20.0)
         sim.run(until=10.0)
         with pytest.raises(SimulationError, match=r"run\(until=5.0\) is in the past \(now=10.0\)"):
             sim.run(until=5.0)

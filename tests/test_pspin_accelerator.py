@@ -33,7 +33,7 @@ class Harness:
             self.sent.append(pkt)
             ev = self.sim.event()
             if self.egress_delay_ns:
-                self.sim._call_soon(lambda: ev.succeed(None), delay=self.egress_delay_ns)
+                self.sim._call_soon1(lambda _: ev.succeed(None), None, delay=self.egress_delay_ns)
             else:
                 ev.succeed(None)
             return ev

@@ -155,7 +155,7 @@ def test_crash_between_tx_done_and_arrival_drops_the_packet():
             tx_done.append(tb.sim.now)
             orig(ser)
             if crash_after_ns is not None:
-                tb.sim._call_soon(sn0.fail, delay=crash_after_ns)
+                tb.sim._call_soon1(lambda _: sn0.fail(), None, delay=crash_after_ns)
 
         port._tx_done = spy
         ev = tb.clients[0].nic.post_write("sn0", _data(100), headers={"addr": 0})

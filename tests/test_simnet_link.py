@@ -98,21 +98,6 @@ def test_send_event_fires_at_serialization_end():
     assert t_done == [pytest.approx(40.96)]
 
 
-def test_try_send_full_queue_returns_none():
-    sim = Simulator()
-    sink = Sink()
-    port = Port(sim, "a", bandwidth_gbps=400, queue_packets=1)
-    port.connect(sink, latency_ns=0)
-    accepted = 0
-    # At t=0 the server has not drained anything yet.
-    for _ in range(5):
-        if port.try_send(_pkt(100)) is not None:
-            accepted += 1
-    assert accepted == 1
-    sim.run()
-    assert len(sink.received) == accepted
-
-
 def test_port_stats():
     sim = Simulator()
     sink = Sink()

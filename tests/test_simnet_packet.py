@@ -101,7 +101,6 @@ def test_child_packet_shares_payload_and_overrides():
     assert fwd.dst == "s1"
     assert fwd.payload is pkts[0].payload
     assert fwd.msg_id == pkts[0].msg_id
-    assert fwd.pkt_id != pkts[0].pkt_id
 
 
 def test_as_payload_accepts_bytes_and_arrays():
@@ -111,9 +110,3 @@ def test_as_payload_accepts_bytes_and_arrays():
     assert as_payload(arr) is arr
     with pytest.raises(TypeError):
         as_payload(np.array([1.0]))
-
-
-def test_packet_ids_unique():
-    pkts = segment_message(_msg(10_000), mtu=2048)
-    ids = [p.pkt_id for p in pkts]
-    assert len(set(ids)) == len(ids)
