@@ -139,9 +139,9 @@ echo "== simulator perf guard (vs committed BENCH_simulator.json) =="
 # (workload.events) are each capped at +5%, and hot_shard_1m's schedule
 # and outcome digests must match exactly.  The pipeline section's
 # telemetry-off time may exceed telemetry-on time by at most 3%:
-# the off run takes the fast paths (packet trains included), the on run
-# the traced per-packet reference path, and collection must cost
-# nothing when off.  Both perf guards
+# the off run takes the untraced fast paths (deferred entries, the
+# one-step handler dispatch), the on run the traced reference path, and
+# collection must cost nothing when off.  Both perf guards
 # always run and report; the stage fails after them if either did
 perf_status=0
 python -m repro perf --check BENCH_simulator.json --tolerance 0.30 \

@@ -53,17 +53,6 @@ class DfsPolicy:
 
     name = "auth-write"
 
-    #: Straight-line contract for the payload path: True promises that
-    #: ``process_pkt`` never yields (no egress sends, no waits — DMA
-    #: posting via ``api.dma_write`` is fire-and-forget and allowed) and
-    #: that ``payload_cost`` is not memory-intensive.  The packet-train
-    #: fast path only paces payload handlers whose effective policy makes
-    #: this promise; anything else de-coalesces to the per-packet path.
-    #: Conservative default: subclasses must opt in explicitly.  Such a
-    #: policy may write ``process_pkt`` as a plain function returning
-    #: None: its handler runs then build no generator at all.
-    straightline = False
-
     # ------------------------------------------------------------- costs
     def header_cost(self, task: Task, pkt: Packet) -> HandlerCost:
         return header_handler_cost()

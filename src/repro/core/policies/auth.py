@@ -30,8 +30,6 @@ class AuthWritePolicy(DfsPolicy):
     """Authenticated plain write (k=1, no resiliency)."""
 
     name = "auth-write"
-    # process_pkt only posts DMA (no sends, no waits): pace-able.
-    straightline = True
 
     def process_pkt(self, api: "HandlerApi", task: "Task", entry: RequestEntry,
                     pkt: Packet) -> None:

@@ -4,7 +4,7 @@ The seed's bump allocator could only ever move its cursor forward, so
 every ``delete()``/``update_layout()`` leaked the old extents and churny
 workloads spuriously exhausted nodes.  This module replaces it with a
 classic address-ordered free list per storage node: ``alloc`` is
-first-fit, ``free`` reinserts the hole and coalesces with both
+first-fit, ``free`` reinserts the hole and merges it with both
 neighbours, and the bookkeeping is exact — ``used_bytes + sum(holes) ==
 capacity`` at all times, which the control-plane tests assert after
 create/delete/recover churn.
@@ -75,7 +75,7 @@ class FreeList:
 
     # -------------------------------------------------------------- free
     def free(self, addr: int, length: int) -> None:
-        """Return ``[addr, addr+length)``; coalesces with both neighbours.
+        """Return ``[addr, addr+length)``; merges with both neighbours.
 
         Raises :class:`AllocError` on double frees or frees overlapping
         an existing hole — corruption is an error here, not at the next
@@ -99,7 +99,7 @@ class FreeList:
                     f"free of [{addr}, {addr + length}) overlaps hole "
                     f"at {n_addr} — double free?"
                 )
-        # coalesce: absorb the previous and/or next hole when adjacent
+        # merge: absorb the previous and/or next hole when adjacent
         start, end = addr, addr + length
         if prev_i >= 0:
             p_addr, p_len = self._holes[prev_i]

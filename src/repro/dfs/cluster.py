@@ -76,7 +76,6 @@ class Testbed:
         # ``sim.telemetry.enabled`` at any time to start recording
         self.sim.telemetry.enabled = telemetry
         self.telemetry = self.sim.telemetry
-        self.sim.coalescing = params.coalescing
         if topology == "star":
             self.faults = install_faults(self.sim, params.faults)
             self.net = Network(self.sim, params.net)

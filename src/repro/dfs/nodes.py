@@ -215,10 +215,10 @@ class StorageNode(Host):
             hpu_quota=hpu_quota,
         )
         accel.install(ctx)
-        # NVMM DMA completes with a timeless memory write, so the
-        # accelerator may pace a train and batch its handler commits;
-        # NVMe completions run a flash program that reads the clock and
-        # must be issued live, so NVMe-backed trains go packet by packet.
+        # NVMM DMA completes with a timeless memory write, so payload
+        # handlers post straight to the host channel; NVMe completions
+        # run a flash program that reads the clock and go through
+        # ``_accel_dma``.
         if self.storage_backend != "nvme":
             accel.dma_channel = self.pcie
             accel.dma_target = self.memory
@@ -250,10 +250,8 @@ class StorageNode(Host):
         program (handlers "directly issue NVMe writes via the system
         interconnect", §III).  NVMM payload writes post straight to the
         channel (``accel.dma_channel``)."""
-        acc = self.accelerator
-        post_t = acc._commit_t if acc is not None else None
         if addr is None:
-            return self.pcie.dma(int(payload), post_t=post_t)
+            return self.pcie.dma(int(payload))
         data = payload
         done = self.sim.event(name=f"{self.name}.nvme-flush")
 
@@ -265,7 +263,7 @@ class StorageNode(Host):
                 else done.succeed(None)
             )
 
-        self.pcie.dma(data.nbytes, on_complete=submit, post_t=post_t)
+        self.pcie.dma(data.nbytes, on_complete=submit)
         return done
 
     # --------------------------------------------------------------- RPC

@@ -37,11 +37,6 @@ class _Flush(Event):
     __slots__ = ("channel", "durable")
 
 
-#: a posted write whose durable instant had already passed at post
-#: (a replayed train commit): applied inline, never pending
-_LANDED = [-float("inf"), 0, True, None, None, None, None]
-
-
 def pending_flushes(sim: Simulator, handles: Iterable) -> list:
     """The DMA handles (``_Flush`` events, other completion events, or
     :meth:`Pcie.post_write` posts) whose flush has not landed yet.  A
@@ -132,17 +127,10 @@ class Pcie:
         nbytes: int,
         on_complete: Optional[Callable[[], None]] = None,
         trace=None,
-        post_t: Optional[float] = None,
     ) -> Event:
         """Move ``nbytes`` across the interconnect; event fires when the
         transfer is durable (flushed) at the far side.  ``trace`` is an
-        optional request trace context attached to the emitted span.
-
-        ``post_t`` lets a paced caller (the accelerator's train commit)
-        post with the transaction's true issue time when it replays
-        handler effects after the fact; it only takes effect on the
-        closed-form path below and must never be in the channel's future.
-        """
+        optional request trace context attached to the emitted span."""
         if nbytes < 0:
             raise ValueError("negative DMA size")
         sim = self.sim
@@ -150,17 +138,8 @@ class Pcie:
         done.channel = self
         ser = nbytes * self._ns_per_byte
         if not sim.telemetry.enabled:
-            durable = done.durable = self._closed_form(nbytes, ser, post_t)
-            if durable <= sim.now:
-                # Replayed post whose completion is already in the past
-                # (train commit): apply it inline — nothing can have
-                # observed the interval, or the train would have been
-                # torn down and this post taken the live branch below.
-                if on_complete is not None:
-                    on_complete()
-                done.succeed_quiet(None)
-            else:
-                sim._call_at1(self._finish, (on_complete, done), durable)
+            durable = done.durable = self._closed_form(nbytes, ser)
+            sim._call_at1(self._finish, (on_complete, done), durable)
             return done
         # The chain starts this transaction now, or when the one queued
         # last ends: the same floats as the closed form above.
@@ -174,14 +153,14 @@ class Pcie:
             self._start(txn)
         return done
 
-    def _closed_form(self, nbytes: int, ser: float, post_t: Optional[float]) -> float:
+    def _closed_form(self, nbytes: int, ser: float) -> float:
         """Closed-form scheduling: with telemetry off the callback
         chain's only externally visible effects are the completion at
         end-of-serialization + latency and the aggregate counters, so
         the whole FIFO schedule collapses to arithmetic on ``_free_t`` —
         same floats as the chain (start = prior end, end = start + ser,
         durable = end + lat).  Returns the durable instant."""
-        t = self.sim.now if post_t is None else post_t
+        t = self.sim.now
         free = self._free_t
         start = free if free > t else t
         end = start + ser
@@ -191,8 +170,7 @@ class Pcie:
         self.transactions += 1
         return end + self.params.pcie_latency_ns
 
-    def post_write(self, target, addr: int, data, post_t: Optional[float] = None,
-                   trace=None):
+    def post_write(self, target, addr: int, data, trace=None):
         """DMA ``data`` into ``target`` at ``addr``; returns the DMA's
         handle for :func:`pending_flushes`.
 
@@ -209,13 +187,9 @@ class Pcie:
         sim = self.sim
         if sim.telemetry.enabled:
             return self.dma(data.nbytes, on_complete=lambda: target.write(addr, data),
-                            trace=trace, post_t=post_t)
+                            trace=trace)
         nbytes = data.nbytes
-        durable = self._closed_form(nbytes, nbytes * self._ns_per_byte, post_t)
-        if durable <= sim.now:
-            # replayed post already durable: apply inline, as dma does
-            target.write(addr, data)
-            return _LANDED
+        durable = self._closed_form(nbytes, nbytes * self._ns_per_byte)
         sim._seq += 1
         rec = [durable, sim._seq, None, addr, data, self, target]
         target._dsim = sim

@@ -125,13 +125,6 @@ class SimParams:
     storage_capacity_bytes: int = 64 * MiB
     #: Fault injection + client reliability layer (defaults to none).
     faults: FaultParams = field(default_factory=FaultParams)
-    #: Packet-train coalescing fast path (simulator optimisation, not a
-    #: model change): with telemetry off, multi-packet messages on
-    #: uncontended links are simulated with one event per train instead
-    #: of per packet, with byte-identical timestamps.  Disable to force
-    #: the per-packet path, which traced runs always take (the
-    #: differential tests compare the two).
-    coalescing: bool = True
 
     def scaled_network(self, bandwidth_gbps: float) -> "SimParams":
         """Same testbed at a different line rate (the paper drops to

@@ -10,9 +10,9 @@
   second; plus the telemetry-off / telemetry-on time ratio of a
   replicated spin write, which must stay at or below
   :data:`TELEMETRY_OFF_ON_CAP` (collection must cost nothing when off).
-  Telemetry on also takes the per-packet reference path (no packet
-  trains, two-step handler dispatch, the PCIe callback chain), so the
-  ratio compares the fast path against the traced reference path;
+  Telemetry on also takes the traced reference path (two-step handler
+  dispatch, the PCIe callback chain, no deferred entries), so the
+  ratio compares the untraced fast paths against it;
 * **workload** — the million-user open-loop ``hot_shard_1m`` scenario
   through the aggregated flow generators: kernel events dispatched,
   simulated users per wall-second on one core, plus the schedule and
@@ -93,8 +93,8 @@ def _kernel_events_per_s(repeats: int = 8) -> float:
 def _pipeline_snapshot(repeats: int = 5, inner: int = 10) -> Dict[str, Any]:
     """Steady-state 64 KiB sPIN writes through the full NIC/accelerator
     stack.  Event and packet counts are deterministic per write; wall
-    time is best-of-N over a burst of ``inner`` writes — coalescing made
-    a single write sub-millisecond, too short to time reliably."""
+    time is best-of-N over a burst of ``inner`` writes, since a single
+    write is too short to time reliably."""
     import numpy as np
 
     from .experiments.common import fresh_client

@@ -70,20 +70,6 @@ from ..simnet.resources import Resource
 
 __all__ = ["PsPinAccelerator", "HandlerApi", "HandlerStats"]
 
-#: Shortest coalesced train the accelerator paces itself; shorter ones
-#: take the NIC's per-packet stepper.  Pacing saves kernel events on any
-#: train, but its set-up (agenda lists, sort, per-cluster HPU sweep)
-#: costs more wall time than the per-packet records it replaces until
-#: about six packets.  Measured with a closed loop of 4 clients writing
-#: plain sPIN writes to 4 storage nodes, paced vs unpaced in alternating
-#: in-process pairs (2-vCPU x86-64 host, CPython 3.11), as the median
-#: over 9 pairs of the unpaced/paced CPU-time ratio minus one (positive:
-#: pacing wins): 2 KiB (2 packets) -9%, 4-8 KiB (3-5) -1% to +2%,
-#: 10 KiB (6) +2% with its whole interquartile range above zero,
-#: 12-16 KiB (7-9) +5% to +9%; 64 KiB (33) +51% over 5 pairs.  The
-#: simulation is identical either way.
-TRAIN_PACE_MIN_PACKETS = 6
-
 
 @dataclass
 class HandlerStats:
@@ -172,63 +158,6 @@ class _MessageRun:
         self.finished = False
         self.trace = None  # request TraceContext (telemetry)
         self.api = None  # memoized HandlerApi (one per run is enough)
-
-
-class _AccelTrain:
-    """Pacing state for one coalesced train inside the accelerator.
-
-    The per-packet pipeline of an uncontended, straight-line message is a
-    closed form: F1 (packet buffer + scheduler) and F2 (L1 copy) depend
-    only on packet size; payload handlers gate on the header handler's
-    completion and their dispatch/compute times follow from it.  The
-    ``agenda`` holds ``(time, index, rank)`` entries for every per-packet
-    effect; ranks order same-instant effects of one packet:
-
-    0 ``in``   NIC rx + ingest accounting        (arrival + nic_rx)
-    1 ``f1``   run bookkeeping + cluster pick    (F1 end)
-    2 ``s2``   leaves the ingress queue          (F2 end)
-    3 ``gate`` completion_seen flips             (hh resume point; completion only)
-    4 ``act``  HPU dispatch done, compute begins (t0)
-    5 ``done`` handler completes: DMA + stats    (e)
-
-    Entries are applied lazily: the driver wakes once, at the last
-    ``done`` time, and DMA posts carry their entry's instant.
-    ``stage[j]`` records how far packet ``j`` got, so a teardown can
-    materialize each packet back into the real per-packet pipeline at
-    precisely the right point.
-
-    Only trains of at least :data:`TRAIN_PACE_MIN_PACKETS` packets get
-    one: building the agenda and sweeping the clusters' HPUs costs more
-    wall time than running a shorter train packet by packet.
-    """
-
-    __slots__ = (
-        "wire", "ctx", "nic", "pkts", "msg_id", "run",
-        "t_in", "f1", "s2", "cl", "g", "t0", "e", "cost",
-        "agenda", "ptr", "stage", "built", "dead",
-    )
-
-    def __init__(self, wire, ctx, nic, t_in, f1, s2):
-        self.wire = wire          # the wire-level PacketTrain (carries cut)
-        self.ctx = ctx
-        self.nic = nic
-        self.pkts = wire.pkts
-        self.msg_id = self.pkts[0].msg_id
-        self.run: Optional[_MessageRun] = None
-        self.t_in = t_in          # NIC dispatch time, per packet
-        self.f1 = f1              # packet buffer + scheduler done
-        self.s2 = s2              # L1 copy done
-        n = len(self.pkts)
-        self.cl = [0] * n         # exec cluster (filled at 'f1')
-        self.g: Optional[list] = None    # HPU grant time (part B)
-        self.t0: Optional[list] = None   # compute start
-        self.e: Optional[list] = None    # handler end
-        self.cost: Optional[list] = None
-        self.agenda: list = []
-        self.ptr = 0
-        self.stage = [0] * n      # 0 none,1 in,2 f1,3 s2,4 gate,5 act,6 done
-        self.built = False        # part B (g/t0/e) computed at hh time
-        self.dead = False
 
 
 class _HandlerEgress:
@@ -320,28 +249,23 @@ class _PacketRecord:
     itself, so a free HPU costs no object) -> ``dispatch`` ->
     [``dispatched``] -> ``run_body`` -> ``step``* (only for a body that
     returned a generator) -> ``handler_done`` ->
-    the next handler or ``completion_gate`` (after ``phs_done``).  A
-    torn-down train re-enters through ``copy_start``, ``gate``,
-    ``hpu_start`` or ``completion_gate`` at the stage each packet
-    reached.
+    the next handler or ``completion_gate`` (after ``phs_done``).
 
     ``strand`` names the chain for simsan, as a process name would.
     """
 
     __slots__ = (
-        "acc", "ctx", "pkt", "strand", "l1_ns", "run", "xcl", "skip_header",
+        "acc", "ctx", "pkt", "l1_ns", "run", "xcl",
         "htype", "cluster", "quota", "cost", "writer", "t0", "act",
-        "own", "body", "at", "j", "mstage",
+        "own", "body",
     )
 
-    def __init__(self, acc: "PsPinAccelerator", ctx: "ExecutionContext", pkt: Packet,
-                 run: Optional[_MessageRun] = None, strand: str = "pspin.pipeline") -> None:
+    strand = "pspin.pipeline"
+
+    def __init__(self, acc: "PsPinAccelerator", ctx: "ExecutionContext", pkt: Packet) -> None:
         self.acc = acc
         self.ctx = ctx
         self.pkt = pkt
-        self.run = run
-        self.strand = strand
-        self.skip_header = False
 
     # ----------------------------------------------------------- ingress
     def f1(self, _) -> None:
@@ -353,24 +277,15 @@ class _PacketRecord:
 
     def l1_done(self, _) -> None:
         acc = self.acc
-        at = acc._train
-        if at is not None and self.pkt is at.pkts[0]:
-            # The lead packet of a paced train runs the real pipeline:
-            # apply agenda effects due by now (arrivals of later train
-            # packets) first, so the shared ingress-queue state mutates
-            # in exactly the per-packet order.
-            acc._train_catchup(at)
         acc._queued -= 1
         acc.packets_processed += 1
         self.gate()
 
     # -------------------------------------------------- handler ordering
-    def gate(self, _=None) -> None:
-        """Handler-ordering stage (post L1 copy).  ``skip_header``: the
-        header handler already ran (a torn-down train's lead packet
-        resuming at its payload handler)."""
+    def gate(self) -> None:
+        """Handler-ordering stage (post L1 copy)."""
         run = self.run
-        if self.pkt.is_header and not self.skip_header:
+        if self.pkt.is_header:
             self.activate("header", run.cluster)
         elif not run.hh_done.triggered:
             run.hh_done.add_callback(self.payload)
@@ -386,7 +301,7 @@ class _PacketRecord:
             run.completion_seen = True
         self.activate("payload", self.xcl)
 
-    def completion_gate(self, _=None) -> None:
+    def completion_gate(self) -> None:
         """Park until every payload handler has finished, then run the
         completion handler."""
         phs_done = self.run.phs_done
@@ -563,80 +478,9 @@ class _PacketRecord:
         elif htype == "header":
             if not run.hh_done.triggered:
                 run.hh_done.succeed_quiet(None)
-            at = acc._train
-            if at is not None and self.pkt is at.pkts[0]:
-                # Hand the lead packet's payload handler to the train
-                # driver: pacing it through the same agenda keeps every
-                # shared mutation (DMA posts, cluster gauges, counters)
-                # in exact per-packet order.  This runs synchronously
-                # after the succeed above, so the driver (parked on
-                # hh_done) sees stage/cluster recorded when it builds.
-                at.cl[0] = self.xcl
-                at.stage[0] = 3
-                return
             self.payload()
         else:
             acc._finish(run)
-
-    # ------------------------------------- a torn-down train's packets
-    def _at(self, t: float, stage: Callable) -> None:
-        """Run ``stage`` at absolute time ``t``: now when it is due, else
-        from one ``_call_at1`` (a coroutine's ``if t > now: yield
-        timeout_at(t)``)."""
-        sim = self.acc.sim
-        if t > sim.now:
-            sim._call_at1(stage, None, t)
-        else:
-            stage(None)
-
-    def copy_start(self, _) -> None:
-        """A packet in F1 (``mstage`` 1: its scheduler pick is still to
-        come) or in its L1 copy (2)."""
-        at = self.at
-        if self.mstage == 1:
-            self._at(at.f1[self.j], self.copy_f1)
-        else:
-            self.run, self.xcl = at.run, at.cl[self.j]
-            self._at(at.s2[self.j], self.l1_done)
-
-    def copy_f1(self, _) -> None:
-        self.run, self.xcl = self.acc._pipeline_front(self.ctx, self.pkt)
-        self._at(self.at.s2[self.j], self.l1_done)
-
-    def hpu_start(self, _) -> None:
-        """A packet whose HPU window [g, e) already opened: re-acquire a
-        real HPU (guaranteed free: the build-time sweep reserved it),
-        backfill its occupancy, and finish on schedule."""
-        self.cluster = cluster = self.acc.clusters[self.at.cl[self.j]]
-        # resumes through one push even when granted at once, as a
-        # coroutine waiting on the granted request would
-        if cluster.hpus.acquire(self, self.hpu_held):
-            self.acc.sim._call_soon1(self.hpu_held, None)
-
-    def hpu_held(self, _) -> None:
-        at = self.at
-        j = self.j
-        self.cluster.hpus._busy_time += self.acc.sim.now - at.g[j]
-        if self.mstage >= 5:
-            self._at(at.e[j], self.hpu_commit)
-        else:
-            self._at(at.t0[j], self.hpu_active)
-
-    def hpu_active(self, _) -> None:
-        self.cluster.active += 1
-        self._at(self.at.e[self.j], self.hpu_commit)
-
-    def hpu_commit(self, _) -> None:
-        at = self.at
-        j = self.j
-        try:
-            self.acc._train_ph_commit(
-                self.run, self.pkt, self.cluster, at.cost[j], at.t0[j], at.e[j]
-            )
-        finally:
-            self.cluster.hpus.release(self)
-        if self.pkt.is_completion:
-            self.completion_gate()
 
 
 _INF = float("inf")
@@ -678,18 +522,13 @@ class _SweepClock:
 class HandlerApi:
     """What a running handler may do (the sPIN device API)."""
 
-    #: logical time override used when a paced train replays a handler
-    #: after the fact — the handler must still see its true finish time
-    _vnow: Optional[float] = None
-
     def __init__(self, accel: "PsPinAccelerator", run: _MessageRun):
         self._accel = accel
         self._run = run
 
     @property
     def now(self) -> float:
-        v = self._vnow
-        return self._accel.sim.now if v is None else v
+        return self._accel.sim.now
 
     @property
     def sim(self) -> Simulator:
@@ -744,7 +583,7 @@ class HandlerApi:
         acc = self._accel
         chan = acc.dma_channel
         if chan is not None:
-            ev = chan.post_write(acc.dma_target, addr, payload, acc._commit_t)
+            ev = chan.post_write(acc.dma_target, addr, payload)
         else:
             ev = acc.dma_fn(addr, payload)
         self._run.dma_events.append(ev)
@@ -909,33 +748,20 @@ class PsPinAccelerator:
         self._sweep_key: Optional[tuple] = None
         self._sweep_t = 0.0
         self._sweep_idle = False
-        #: active paced packet train, if any (see ingest_train)
-        self._train: Optional[_AccelTrain] = None
-        #: issue time of the handler currently being replayed by a train
-        #: commit — threaded to the host DMA channel so late replays post
-        #: with their true times (None outside commits)
-        self._commit_t: Optional[float] = None
         #: host channel and memory of an NVMM node: ``dma_write`` posts
         #: straight to them (None: through dma_fn).  Set by the owning
         #: node when its storage backend completes DMA timelessly (plain
-        #: memory write): only then are trains paced, their handler
-        #: commits batched into one wake-up
+        #: memory write)
         self.dma_channel = None
         self.dma_target = None
         san = sim.sanitizer
         if san is not None:
             san.adopt("accel", self)
-            # the train fast path replays per-packet/per-handler times
-            # from one precomputed array: its driver and the chains that
-            # resume its packets (stages past the L1 copy) coincide with
-            # the paced schedule by design; the per-packet pipeline and
-            # the egress pump both tick on the same line-rate wire clock,
-            # so their same-instant meetings are engineered too
+            # the per-packet pipeline and the egress pump both tick on
+            # the same line-rate wire clock, so their same-instant
+            # meetings are engineered
             san.declare_coincident(
-                f"proc:{node_name}.train",
                 f"strand:{node_name}.accel-egress",
-                "strand:pspin.train-exec",
-                "strand:pspin.train-hpu",
                 "strand:pspin.pipeline",
             )
 
@@ -978,12 +804,6 @@ class PsPinAccelerator:
         ctx = self.match(pkt)
         if ctx is None:
             return False
-        if self._train is not None and pkt is not self._train.pkts[0]:
-            # Any competing packet entering the engine invalidates the
-            # paced train's precomputed schedule (queue depths, cluster
-            # round-robin, HPU occupancy): de-coalesce first so this
-            # packet sees exactly the per-packet state.
-            self._train_teardown(self._train)
         # Admission control is per *message* (§III-C): the decision is
         # taken on the header packet; later packets of an admitted
         # message are always processed, later packets of a denied
@@ -1055,8 +875,7 @@ class PsPinAccelerator:
     # ------------------------------------------------------------ pipeline
     def _pipeline_front(self, ctx: ExecutionContext, pkt: Packet):
         """Post-F1 bookkeeping: run lookup/creation and the scheduler's
-        cluster picks.  Split out so the packet-train fast path can apply
-        it lazily (and the de-coalescing path can replay it exactly)."""
+        cluster picks."""
         sim = self.sim
         p = self.params
         run = self._runs.get(pkt.msg_id)
@@ -1133,367 +952,6 @@ class PsPinAccelerator:
             inv.inc()
             h["lat"][htype].observe(dur)
             h["active"][cluster.idx].set(t1, cluster.active)
-
-    # ------------------------------------------------- packet-train pacing
-    #
-    # A coalesced train reaching an IDLE accelerator whose effective
-    # payload policy is straight-line (never yields, non-memory-intensive
-    # cost) has a fully closed-form pipeline: the header packet runs the
-    # real pipeline, and every other packet's per-stage times are
-    # precomputed.  One driver process wakes once, at the last handler
-    # completion, and replays every per-packet effect with its own
-    # timestamp: a 64 KiB plain sPIN write takes 31 kernel events this
-    # way against 184 with pacing turned off.  That replay needs what
-    # trains already require (telemetry off: wire trains form only
-    # then) plus a storage backend whose DMA completion is timeless, so
-    # NVMe-backed trains go packet by packet.
-    # Any competing traffic tears the train down, materializing each
-    # packet back into the real pipeline at its exact current stage.
-    # Only trains of TRAIN_PACE_MIN_PACKETS or more are paced: below
-    # that, the per-packet records cost less wall time than the train's
-    # set-up, although they dispatch more kernel events.
-
-    def ingest_train(self, wt, nic) -> bool:
-        """Offer a whole coalesced train; True when the accelerator paces
-        it itself, False to fall back to per-packet dispatch."""
-        if self._train is not None:
-            # A second burst is competing traffic for the engine either
-            # way: de-coalesce the active train, then let this one take
-            # the (now exact) per-packet path.
-            self._train_teardown(self._train)
-            return False
-        pkts = wt.pkts
-        n = len(pkts)
-        if n < TRAIN_PACE_MIN_PACKETS or wt.cut < n or self.dma_channel is None:
-            return False
-        pkt0 = pkts[0]
-        ctx = self.match(pkt0)
-        if ctx is None:
-            return False
-        if (
-            not pkt0.is_header
-            or pkt0.is_completion
-            or pkt0.nseq != n
-            or not pkts[-1].is_completion
-            or self._queued != 0
-            or self._runs
-            or ctx._quota_sem is not None
-            or pkt0.msg_id in self._overloaded
-            or pkt0.msg_id in self._admitted
-        ):
-            return False
-        # Cheap pre-filter on the payload policy: forwarding policies
-        # (replication, EC) stall on egress / contend on L1 and can never
-        # be paced — skip the part-A churn for them.  The authoritative
-        # check (via the header handler's scratch) re-runs at build time.
-        ph = ctx.handlers.payload
-        pol = getattr(ph, "policy", None)
-        if pol is None:
-            return False
-        pick = getattr(pol, "_pick", None)
-        eff = pick(pkt0) if pick is not None else pol
-        if not getattr(eff, "straightline", False):
-            return False
-        sim = self.sim
-        p = self.params
-        cyc = p.cycle_ns
-        pbc = p.pkt_buffer_bytes_per_cycle
-        l1c = p.l1_copy_bytes_per_cycle
-        sched = p.sched_cycles
-        nic_rx = nic.params.nic_rx_ns
-        # Same float expressions as the per-packet path — bit-identical.
-        sizes = [p.size for p in pkts]
-        t_in = [a + nic_rx for a in wt.arr]
-        f1 = [
-            t_in[j] + (-(-sizes[j] // pbc) + sched) * cyc for j in range(n)
-        ]
-        s2 = [f1[j] + -(-sizes[j] // l1c) * cyc for j in range(n)]
-        at = _AccelTrain(wt, ctx, nic, t_in, f1, s2)
-        agenda = []
-        for j in range(1, n):
-            agenda.append((t_in[j], j, 0))
-            agenda.append((f1[j], j, 1))
-            agenda.append((s2[j], j, 2))
-        agenda.sort()
-        at.agenda = agenda
-        # The header packet takes the REAL pipeline (its handler opens
-        # the request entry, resolves the policy, acks or nacks).
-        nic.rx_packets += 1
-        self.ingest(pkt0)
-        self._train = at
-        sim.process(self._train_driver(at), name=f"{self.node_name}.train")
-        return True
-
-    def _train_driver(self, at: _AccelTrain):
-        sim = self.sim
-        if at.f1[0] > sim.now:
-            yield sim.timeout_at(at.f1[0])
-        if at.dead:
-            return
-        run = self._runs.get(at.msg_id)
-        if run is None:
-            # The header's pipeline starts at this timestamp; should it
-            # be due after our wake-up, one zero-delay hop lands past it.
-            yield sim.timeout(0.0)
-            if at.dead:
-                return
-            run = self._runs.get(at.msg_id)
-            if run is None:
-                self._train_teardown(at)
-                return
-        at.run = run
-        if not run.hh_done.triggered:
-            yield run.hh_done
-            if at.dead:
-                return
-        self._train_catchup(at)
-        if run.finished or not self._train_build_exec(at):
-            self._train_teardown(at)
-            return
-        # Batched commits: with telemetry off and a timeless storage
-        # backend, nothing observes the interval between a handler's true
-        # finish time and the train's end — every commit is replayed at
-        # one wake-up with its recorded timestamps (DMA posts carry their
-        # true issue times via ``_commit_t``).  A teardown still lands
-        # exactly: teardown's catch-up replays everything due and
-        # materializes the rest live.
-        t = max(at.e)
-        if t > sim.now:
-            yield sim.timeout_at(t)
-            if at.dead:
-                return
-        self._train_catchup(at)
-        self._train = None
-        if at.wire.cut < len(at.pkts):
-            # The wire cut trailing packets: they re-arrive individually
-            # and their own pipelines (completion included) take over.
-            return
-        _PacketRecord(self, run.ctx, at.pkts[-1], run).completion_gate()
-
-    def _train_build_exec(self, at: _AccelTrain) -> bool:
-        """Part B: the HPU grant/dispatch/compute schedule, computable
-        once the header handler has finished (its end gates every payload
-        handler).  False when pacing would not be faithful — the caller
-        then de-coalesces."""
-        run = at.run
-        sim = self.sim
-        p = self.params
-        hh_t = sim.now
-        handler = run.ctx.handlers.payload
-        entry = run.task.mem.get_request(run.task.flow_id)
-        if entry is not None and getattr(entry, "accept", False):
-            # Authoritative straight-line check: the policy the header
-            # handler actually resolved for this request.
-            eff = entry.scratch.get("policy", getattr(handler, "policy", None))
-            if not getattr(eff, "straightline", False):
-                return False
-        # else: rejected/unopened request — payload handlers take the
-        # zero-yield drop path, which is trivially straight-line.
-        pkts = at.pkts
-        n = len(pkts)
-        freq = p.freq_ghz
-        disp = p.hpu_dispatch_ns
-        s2 = at.s2
-        g = [0.0] * n
-        t0 = [0.0] * n
-        e = [0.0] * n
-        cost = [None] * n
-        for j in range(n):
-            c = handler.cost(run.task, pkts[j])
-            if c.mem_intensive:
-                return False
-            # The lead packet's payload handler resumed synchronously at
-            # the header's end; later packets gate on max(L1 copy, hh).
-            gj = s2[j] if j > 0 and s2[j] > hh_t else hh_t
-            g[j] = gj
-            t0[j] = gj + disp
-            e[j] = t0[j] + c.compute_ns(freq, 1.0)
-            cost[j] = c
-        # Every paced window must find a free HPU instantly, or the slow
-        # path would have queued and the schedule lies.  Sweep per-cluster
-        # concurrency over the [g, e) windows (predicting not-yet-applied
-        # round-robin picks — exact while the train owns the engine).
-        # Nothing else runs on the HPUs while the train is paced (the
-        # header already released; the completion handler starts later),
-        # so the full per-cluster pool is available.
-        ncl = p.n_clusters
-        nc = self._next_cluster
-        pred = list(at.cl)
-        for j in range(1, n):
-            if at.stage[j] < 2:
-                pred[j] = nc
-                nc = (nc + 1) % ncl
-        windows: Dict[int, list] = defaultdict(list)
-        for j in range(n):
-            windows[pred[j]].append((g[j], 0, 1))   # acquire before release
-            windows[pred[j]].append((e[j], 1, -1))  # at equal times
-        cap = p.hpus_per_cluster
-        for evs in windows.values():
-            evs.sort()
-            cur = 0
-            for _t, _k, d in evs:
-                cur += d
-                if cur > cap:
-                    return False
-        rest = at.agenda[at.ptr:]
-        for j in range(n):
-            if pkts[j].is_completion:
-                rest.append((g[j], j, 3))
-            rest.append((t0[j], j, 4))
-            rest.append((e[j], j, 5))
-        rest.sort()
-        at.agenda = rest
-        at.ptr = 0
-        at.g = g
-        at.t0 = t0
-        at.e = e
-        at.cost = cost
-        at.built = True
-        return True
-
-    def _train_catchup(self, at: _AccelTrain) -> None:
-        """Apply every agenda entry due by now, in order, skipping
-        packets the wire cut (they never reached this NIC).
-
-        The rank dispatch is inlined in the loop body: applies are the
-        hottest per-packet work left on the fast path (six entries per
-        paced packet), and a call per entry costs as much as the entry.
-        """
-        agenda = at.agenda
-        now = self.sim.now
-        i = at.ptr
-        n = len(agenda)
-        wire = at.wire
-        pkts = at.pkts
-        stage = at.stage
-        while i < n and agenda[i][0] <= now:
-            t, j, rank = agenda[i]
-            i += 1
-            if j >= wire.cut:
-                continue
-            if rank == 0:  # NIC rx + accelerator ingest accounting
-                at.nic.rx_packets += 1
-                pkt = pkts[j]
-                if pkt.is_completion:
-                    self._admitted.discard(pkt.msg_id)
-                self._queued += 1
-                stage[j] = 1
-            elif rank == 1:  # F1 done: run bookkeeping + exec-cluster pick
-                run = at.run
-                run.expected = pkts[j].nseq
-                run.last_activity = t
-                at.cl[j] = self._next_cluster
-                self._next_cluster = (self._next_cluster + 1) % self.params.n_clusters
-                stage[j] = 2
-            elif rank == 2:  # L1 copy done: leaves the ingress queue
-                self._queued -= 1
-                self.packets_processed += 1
-                stage[j] = 3
-            elif rank == 3:  # hh-resume point of the completion packet
-                at.run.completion_seen = True
-                stage[j] = 4
-            elif rank == 4:  # dispatch done: compute begins
-                self.clusters[at.cl[j]].active += 1
-                stage[j] = 5
-            else:  # rank 5: handler completes at exactly ``t == at.e[j]``
-                cluster = self.clusters[at.cl[j]]
-                cluster.hpus._busy_time += at.e[j] - at.g[j]
-                self._train_ph_commit(
-                    at.run, pkts[j], cluster, at.cost[j], at.t0[j], at.e[j]
-                )
-                stage[j] = 6
-        at.ptr = i
-
-    def _train_ph_commit(
-        self,
-        run: _MessageRun,
-        pkt: Packet,
-        cluster: _Cluster,
-        cost,
-        t0: float,
-        t1: float,
-    ) -> None:
-        """Effects + statistics of one paced payload handler finishing at
-        ``t1`` (== sim.now, or an earlier instant when the driver batches
-        commits): the handler body replayed straight-line, then the same
-        ``_handler_end`` and ``_payload_done`` steps as the pipeline's."""
-        api = run.api
-        if api is None:
-            api = run.api = HandlerApi(self, run)
-        api._vnow = t1
-        self._commit_t = t1
-        try:
-            gen = run.ctx.handlers.payload.run(api, run.task, pkt)
-            if gen is not None:
-                for _ in gen:
-                    raise SimulationError(
-                        f"straightline payload policy of {run.ctx.name!r} yielded"
-                    )
-        finally:
-            self._commit_t = None
-            api._vnow = None
-        cluster.active -= 1
-        self._handler_end("payload", run, cluster, cost, t0, t1)
-        self._payload_done(run, pkt, t1)
-
-    # -------------------------------------------- de-coalescing (teardown)
-    def _train_teardown(self, at: _AccelTrain) -> None:
-        """Stop pacing NOW: apply everything due, then hand each not-yet-
-        finished packet back to the real per-packet pipeline at exactly
-        the stage it nominally reached."""
-        if self._train is at:
-            self._train = None
-        at.dead = True
-        if at.run is None:
-            at.run = self._runs.get(at.msg_id)
-        self._train_catchup(at)
-        self._train_materialize(at)
-
-    def _train_materialize(self, at: _AccelTrain) -> None:
-        """Hand each packet to a pipeline record entered at its stage;
-        every entry is one ``_call_soon1``, like a process start."""
-        sim = self.sim
-        for j, pkt in enumerate(at.pkts):
-            stage = at.stage[j]
-            if j >= at.wire.cut or (j == 0 and stage == 0):
-                # Cut packets never reached this NIC (they are re-sent the
-                # slow way); a lead packet at stage 0 never reached the
-                # hand-off point, and its real pipeline carries on.
-                continue
-            if stage == 6:
-                if j == len(at.pkts) - 1 and at.run is not None and not at.run.finished:
-                    # The completion packet's payload handler committed
-                    # during catch-up (its end time can precede other
-                    # packets' — the short tail packet copies and computes
-                    # fastest), so no per-packet pipeline remains to run
-                    # the completion handler once phs_done fires; without
-                    # a successor the run leaks until the cleanup sweeper
-                    # and the initiator never sees an ack.
-                    rec = _PacketRecord(self, at.ctx, pkt, at.run, "pspin.completion")
-                    sim._call_soon1(rec.completion_gate, None)
-                continue
-            if stage == 0:
-                sim._call_at1(at.nic._rx_train_step, (at.wire, j), at.t_in[j])
-                continue
-            if stage < 3:
-                rec = _PacketRecord(self, at.ctx, pkt, at.run, "pspin.train-copy")
-                entry = rec.copy_start
-            elif not at.built:
-                # Past its L1 copy: a later packet parks on hh_done like
-                # the slow path; the lead packet had handed its payload
-                # handler off to the (now dead) driver.
-                rec = _PacketRecord(self, at.ctx, pkt, at.run, "pspin.train-exec")
-                rec.xcl = at.cl[j]
-                rec.skip_header = j == 0
-                entry = rec.gate
-            else:
-                # Part B built: the HPU is nominally held since g[j].
-                rec = _PacketRecord(self, at.ctx, pkt, at.run, "pspin.train-hpu")
-                entry = rec.hpu_start
-            rec.at = at
-            rec.j = j
-            rec.mstage = stage
-            sim._call_soon1(entry, None)
 
     def _finish(self, run: _MessageRun) -> None:
         run.finished = True

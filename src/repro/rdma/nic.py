@@ -32,7 +32,6 @@ from ..simnet.link import Port
 from ..simnet.packet import (
     Message,
     Packet,
-    PacketTrain,
     as_payload,
     fresh_msg_id,
     register_id_reset,
@@ -134,15 +133,14 @@ class _Tx:
 
     ``start`` runs at the message's submit instant (see
     ``RdmaNic._spawn_tx``) and streams the packets: each waits for the
-    previous one's tx-done event, a coalesced train for the train's, and
-    packets cut from an aborted train are re-sent one by one.  At the end
+    previous one's tx-done event.  At the end
     it writes the ``post``/``tx`` spans.  ``serve_read`` is the target
     side of a one-sided read: the PCIe read, the tx pipeline latency,
     then the same stream.  ``strand`` (``<nic>.tx``, ``<nic>.rtx`` for
     retransmissions, ``<nic>.read``) names the chain for simsan.
     """
 
-    __slots__ = ("nic", "msg", "t0", "t_submit", "pkts", "i", "train", "strand")
+    __slots__ = ("nic", "msg", "t0", "t_submit", "pkts", "i", "strand")
 
     def __init__(self, nic: "RdmaNic", msg: Optional[Message], t0: Optional[float],
                  strand: str) -> None:
@@ -163,21 +161,7 @@ class _Tx:
 
     def stream(self, _) -> None:
         """Put the packets on the wire back to back."""
-        nic = self.nic
-        pkts = self.pkts = segment_message(self.msg, nic.params.net.mtu)
-        train = nic.port.try_send_train(pkts) if len(pkts) >= 2 else None
-        if train is not None:
-            # one wakeup for the whole burst
-            self.train = train
-            train.ev.add_callback(self._train_done)
-        else:
-            self._next(None)
-
-    def _train_done(self, _) -> None:
-        # if cross-traffic aborted the train mid-stream, resume packet by
-        # packet exactly where the wire left off
-        self.i = self.train.cut
-        self.train = None
+        self.pkts = segment_message(self.msg, self.nic.params.net.mtu)
         self._next(None)
 
     def _next(self, _) -> None:
@@ -502,9 +486,8 @@ class RdmaNic:
         """
         fp = self.params.faults
         # arm on ``retransmit`` alone: a node crash produces no wire
-        # faults (``active`` stays False so packet-train coalescing is
-        # untouched) yet still needs the watchdog to turn a silently
-        # dropped op into a bounded-time nack
+        # faults (``active`` stays False) yet still needs the watchdog
+        # to turn a silently dropped op into a bounded-time nack
         if not fp.retransmit:
             return
         pending = self._pending.get(gid)
@@ -637,40 +620,6 @@ class RdmaNic:
             return
         self.rx_packets += 1
         self._dispatch(pkt)
-
-    def receive_train(self, st: PacketTrain) -> None:
-        """Coalesced delivery, at the sender's first tx-done (as
-        ``arrive``): the train's packets arrive at their precomputed
-        times.  No corruption / node-down checks — trains only form when
-        ``sim.faults is None``, so neither can occur.  A train whose
-        first packet arrives at a crashed node is dropped whole; one
-        taken in before the crash is delivered whole."""
-        self.sim._call_at1(
-            self._dispatch_train, st, st.arr[0] + self.params.nic_rx_ns
-        )
-
-    def _dispatch_train(self, st: PacketTrain) -> None:
-        if st.cut == 0 or st.arr[0] >= self.crashed_at:
-            return  # fully cut before first arrival (re-sent), or crashed
-        ingest_train = getattr(self.accelerator, "ingest_train", None)
-        if not self.rx_hooks and ingest_train is not None and ingest_train(st, self):
-            return  # the accelerator paces the whole train itself
-        # Fallback stepper: one event per packet at the exact per-packet
-        # dispatch times (arrival + rx pipeline latency); still cheaper
-        # than the fully general path (no port/receive events upstream).
-        sim = self.sim
-        nic_rx = self.params.nic_rx_ns
-        self.rx_packets += 1
-        self._dispatch(st.pkts[0])
-        for j in range(1, len(st.pkts)):
-            sim._call_at1(self._rx_train_step, (st, j), st.arr[j] + nic_rx)
-
-    def _rx_train_step(self, arg) -> None:
-        st, j = arg
-        if j >= st.cut:
-            return  # cut upstream; the re-sent packet arrives normally
-        self.rx_packets += 1
-        self._dispatch(st.pkts[j])
 
     def _dispatch(self, pkt: Packet) -> None:
         for hook in self.rx_hooks:

@@ -147,16 +147,9 @@ class LeakOnInterruptRule(Rule):
         for n in nodes:
             if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)):
                 continue
-            # pool.release(req)
+            # pool.release(req): a Request has no release method of its own
             if n.func.attr == "release" and any(
                 isinstance(a, ast.Name) and a.id == name for a in n.args
-            ):
-                out.append(n)
-            # req.release()
-            elif (
-                n.func.attr == "release"
-                and isinstance(n.func.value, ast.Name)
-                and n.func.value.id == name
             ):
                 out.append(n)
         return out

@@ -431,12 +431,6 @@ class Simulator:
         self._never = Event(self, "never")
         #: fault oracle (see repro.faults.install_faults); None = no faults
         self.faults = None
-        #: packet-train coalescing switch (see repro.simnet.link): with
-        #: telemetry off, ports may collapse an uncontended multi-packet
-        #: burst into one train event with precomputed per-packet
-        #: timestamps.  Purely a simulator fast path — timestamps are
-        #: byte-identical either way.
-        self.coalescing = True
         # -- self-profile (always on: integer bookkeeping only) --------
         self.events_dispatched = 0
         self._heap_high_water = 0
@@ -485,10 +479,12 @@ class Simulator:
     def _call_at1(self, fn: Callable[[Any], None], arg: Any, t: float) -> None:
         """Schedule ``fn(arg)`` at ABSOLUTE simulated time ``t``.
 
-        Used by the packet-train fast path, whose per-packet timestamps
-        are precomputed arrays: pushing ``t`` itself keeps the fire time
-        bit-identical to the per-packet slow path, whereas the delay form
-        ``now + (t - now)`` can differ in the last ulp.
+        Used where an instant is computed ahead of its push (a fused
+        arrival at tx-done, a packet record's next stage, a deferred
+        entry armed at its reserved rank): pushing ``t`` itself keeps
+        the fire time bit-identical to a chain of relative delays,
+        whereas the delay form ``now + (t - now)`` can differ in the
+        last ulp.
         """
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, fn, arg))

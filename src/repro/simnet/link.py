@@ -32,11 +32,11 @@ instant.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Protocol, Tuple
+from typing import Callable, Deque, Optional, Protocol, Tuple
 
 from ..telemetry.metrics import HandleCache
 from .engine import Deferrer, Event, Simulator
-from .packet import Packet, PacketTrain
+from .packet import Packet
 
 __all__ = ["Port", "Endpoint", "gbps_to_ns_per_byte"]
 
@@ -69,11 +69,10 @@ class Port(Deferrer):
     ``_dq`` holds ``[enqueue instant, seq, armed, packet]``) with the
     heap rank its ``enqueue`` would have had.  Visibility rule: the port
     applies its due deferred arrivals, in rank order, before anything
-    reads its queue (``enqueue``, ``try_send_train``, the tx-done that
-    starts the next packet).  ``_free_t`` is when the wire finishes
-    every packet accepted so far (in service, queued or deferred) while
-    no train is live: the exact float its chain of tx-done instants
-    reaches.
+    reads its queue (``enqueue``, the tx-done that starts the next
+    packet).  ``_free_t`` is when the wire finishes every packet
+    accepted so far (in service, queued or deferred): the exact float
+    its chain of tx-done instants reaches.
     """
 
     def __init__(self, sim: Simulator, owner_name: str, bandwidth_gbps: float) -> None:
@@ -90,8 +89,6 @@ class Port(Deferrer):
         self._free_t = 0.0
         self._dsim = sim
         self._dq: Deque[list] = deque()
-        #: active coalesced packet train, if any (see try_send_train)
-        self._train: Optional[PacketTrain] = None
         self.peer: Optional[Endpoint] = None
         self.latency_ns: float = 0.0
         #: the peer's fused delivery entry, if it has one
@@ -103,9 +100,6 @@ class Port(Deferrer):
         # Metric handles are resolved once per registry, not per packet
         # (the old per-packet f"link.{name}.queue_depth" formatting plus
         # dict lookup dominated the enabled-telemetry egress cost).
-        san = sim.sanitizer
-        if san is not None:
-            san.adopt("port", self)
         name = owner_name
         self._handles = HandleCache(
             lambda m: (
@@ -141,14 +135,8 @@ class Port(Deferrer):
     def enqueue(self, pkt: Packet, done: Optional[Event] = None) -> None:
         """Enqueue a packet; ``done`` (if any) succeeds at its tx-done.
 
-        The port's one enqueue: ``send``, switch hops and a de-coalesced
-        train's late packets all come here.
+        The port's one enqueue: ``send`` and switch hops both come here.
         """
-        if self._train is not None:
-            # Cross-traffic invalidates the train's closed-form schedule:
-            # de-coalesce before this packet touches the queue so FIFO
-            # order matches the per-packet path exactly.
-            self._train_abort()
         sim = self.sim
         dq = self._dq
         if dq and dq[0][0] <= sim.now:
@@ -169,13 +157,13 @@ class Port(Deferrer):
 
     def defer_enqueue(self, pkt: Packet, t: float) -> bool:
         """Take ``pkt``'s :meth:`enqueue` at ``t`` as a deferred entry, if
-        nothing can observe it: telemetry off, no live train, and the
-        wire busy strictly past ``t``, so the packet can only join the
+        nothing can observe it: telemetry off and the wire busy strictly
+        past ``t``, so the packet can only join the
         queue (behind the same packets, with the same start instant).
         Returns False, recording nothing, otherwise, or when ``t`` is
         earlier than the last deferred arrival's (rank order)."""
         sim = self.sim
-        if self._train is not None or self._free_t <= t or sim.telemetry.enabled:
+        if self._free_t <= t or sim.telemetry.enabled:
             return False
         dq = self._dq
         if dq and dq[-1][0] > t:
@@ -268,197 +256,6 @@ class Port(Deferrer):
             self._busy = False
             self._cur_pkt = None
             self._cur_done = None
-
-    # -- packet-train coalescing -----------------------------------------
-    #
-    # When a multi-packet burst hits an idle port with telemetry and the
-    # fault injector off, its whole wire schedule is a closed form; we
-    # schedule TWO heap events for the entire burst (train tx-done at the
-    # last serialization end, the hand-off to the peer at the first
-    # serialization end, where ``_tx_done`` hands a packet on) instead of
-    # one per packet.  Per-packet tx statistics are applied lazily — at
-    # train completion, or at the abort point when cross-traffic
-    # de-coalesces the train.  A traced run takes the per-packet path,
-    # which writes each record at its own instant.
-
-    def try_send_train(
-        self,
-        pkts: List[Packet],
-        avail: Optional[List[float]] = None,
-        sender_event: bool = True,
-        enq_push: Optional[List[float]] = None,
-    ) -> Optional[PacketTrain]:
-        """Coalesce ``pkts`` into one train if the port is uncontended.
-
-        ``avail`` gives, per packet, when it becomes available at this
-        port (a forwarding hop whose packets are still arriving); None
-        means sender-paced (packet ``i+1`` is offered the instant ``i``
-        finishes serializing, like the NIC's send loop).  ``enq_push``
-        gives, per packet, when the per-packet path would have *pushed*
-        the enqueue callback (the switch pushes ``out.enqueue`` at the
-        upstream tx-done): when an abort re-sends a packet whose enqueue
-        ties with the in-service packet's tx-done, it decides which runs
-        first; None means enqueues are pushed at their fire time and
-        lose ties, like a sender resuming from the tx-done event.
-        Returns None — and sends nothing — when the closed form would
-        not be valid or telemetry must see each packet: busy wire,
-        queued packets, armed fault injector, telemetry on, coalescing
-        disabled, or a peer that cannot consume trains.
-        """
-        sim = self.sim
-        dq = self._dq
-        if dq and dq[0][0] <= sim.now:
-            self._settle()
-        if (
-            not sim.coalescing
-            or sim.faults is not None
-            or sim.telemetry.enabled
-            or self._busy
-            or self._q
-            or len(pkts) < 2
-            or self._train is not None
-            or getattr(self.peer, "receive_train", None) is None
-        ):
-            return None
-        now = sim.now
-        npb = self._ns_per_byte
-        lat = self.latency_ns
-        s: List[float] = []
-        done: List[float] = []
-        arr: List[float] = []
-        t = now
-        for i, pkt in enumerate(pkts):
-            start = t if avail is None else (avail[i] if avail[i] > t else t)
-            pkt.enqueue_t = start if avail is None else avail[i]
-            end = start + pkt.size * npb
-            s.append(start)
-            done.append(end)
-            arr.append(end + lat)
-            t = end
-        st = PacketTrain(pkts, s, done, arr, avail=avail, enq_push=enq_push)
-        if sender_event:
-            st.ev = Event(sim)
-        self._train = st
-        self._busy = True
-        # Absolute-time pushes: bit-identical to the incremental floats
-        # the per-packet path produces (now + (t - now) can drift an ulp).
-        sim._call_at1(self._train_tx_done, st, done[-1])
-        sim._call_at1(self.peer.receive_train, st, done[0])
-        return st
-
-    def _train_tx_done(self, st: PacketTrain) -> None:
-        """The whole (uncut part of the) train has left the wire."""
-        if st is not self._train:
-            return  # aborted; the abort path owns the bookkeeping
-        self._train = None
-        self._apply_train_stats(st, st.cut)
-        self._start_next()  # nothing queues behind a live train
-        if st.ev is not None:
-            st.ev.succeed(st.pkts[-1])
-
-    def _train_abort(self) -> None:
-        """De-coalesce the active train at the current instant.
-
-        Already-serialized packets keep their (identical) timestamps; a
-        packet mid-serialization finishes on the real wire clock and is
-        still delivered by the train; everything later is cut from the
-        train and re-enters the ordinary per-packet path — either
-        re-queued here (if it already reached this hop) or re-sent by
-        the original sender, which resumes its send loop at ``cut``.
-        """
-        st = self._train
-        assert st is not None
-        self._train = None
-        sim = self.sim
-        now = sim.now
-        cut_old = st.cut
-        c = st.applied
-        while c < cut_old and st.done[c] <= now:
-            c += 1
-        mid = c < cut_old and st.s[c] <= now
-        # A forwarding hop still forwards packets [c + mid, owed).  Those
-        # that already reached it go back into the real queue behind the
-        # one in service and ahead of the competing sender, as FIFO
-        # demands; the others re-enter via send() at their availability
-        # times.
-        owed = min(cut_old, st.have) if st.avail is not None else c + mid
-        reached = c + mid
-        while reached < owed and st.avail[reached] <= now:
-            reached += 1
-        self._apply_train_stats(st, c)
-        for j in range(c + mid, reached):
-            self._q.append((st.pkts[j], None))
-        late = range(reached, owed)
-        # the wire is free after the in-service packet (if any) and the
-        # re-queued ones: the floats their tx-done chain will reach
-        free = st.done[c] if mid else now
-        npb = self._ns_per_byte
-        for pkt, _done in self._q:
-            free += pkt.size * npb
-        self._free_t = free
-        if mid:
-            # Packet c is mid-serialization: it completes at done[c] on
-            # the real clock and the train still delivers it.
-            st.cut = c + 1
-            self._busy = True
-            self._cur_pkt = st.pkts[c]
-            self._cur_done = None
-            # An enqueue tied with done[c] ran first on the slow path when
-            # its callback was pushed before c started serializing.
-            ep = st.enq_push
-            split = late.start
-            while split < late.stop and ep is not None and ep[split] < st.s[c]:
-                sim._call_at1(self._train_late_send, (st, split), st.avail[split])
-                split += 1
-            late = range(split, late.stop)
-            sim._call_at1(self._train_cur_done, (st, c), st.done[c])
-        else:
-            # Nothing in service (a gap before the next available packet,
-            # or the uncut train already drained): free the wire now.
-            st.cut = min(cut_old, c)
-            self._start_next()
-            if st.ev is not None and not st.ev.triggered:
-                # sender-paced: wake the sender so it resumes its
-                # per-packet loop at ``cut``
-                st.ev.succeed(None)
-        for j in late:
-            sim._call_at1(self._train_late_send, (st, j), st.avail[j])
-        if st.on_abort is not None:
-            st.on_abort(st)
-
-    def _train_cur_done(self, arg: Tuple[PacketTrain, int]) -> None:
-        """The in-service packet of an aborted train finished serializing.
-
-        Mirrors ``_tx_done`` minus delivery (the train still carries the
-        packet to the peer) and minus fault checks and telemetry (trains
-        never form with an armed injector or telemetry on).
-        """
-        st, c = arg
-        self._apply_train_stats(st, c + 1)
-        if st.ev is not None:
-            st.ev.succeed(st.pkts[c])
-        self._start_next()
-
-    def _train_late_send(self, arg: Tuple[PacketTrain, int]) -> None:
-        st, j = arg
-        if j >= st.have:
-            return  # an upstream abort cut it; the origin re-sends it
-        self.enqueue(st.pkts[j])
-
-    def _apply_train_stats(self, st: PacketTrain, upto: int) -> None:
-        """Apply per-packet tx statistics for ``[applied, upto)``, in the
-        order the per-packet path accumulates them."""
-        a = st.applied
-        if upto <= a:
-            return
-        st.applied = upto
-        npb = self._ns_per_byte
-        pkts = st.pkts
-        for i in range(a, upto):
-            size = pkts[i].size
-            self.tx_packets += 1
-            self.tx_bytes += size
-            self.busy_ns += size * npb
 
     def utilisation(self) -> float:
         return self.busy_ns / self.sim.now if self.sim.now > 0 else 0.0

@@ -10,12 +10,12 @@ can be composed for sensitivity studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from ..telemetry.metrics import HandleCache
 from .engine import Simulator
 from .link import Port
-from .packet import Packet, PacketTrain
+from .packet import Packet
 
 __all__ = ["NetConfig", "Switch", "Network"]
 
@@ -40,9 +40,6 @@ class _SwitchPortShim:
 
     def receive(self, pkt: Packet) -> None:
         self.switch.forward(pkt)
-
-    def receive_train(self, st: PacketTrain) -> None:
-        self.switch.forward_train(st)
 
 
 class Switch:
@@ -123,81 +120,6 @@ class Switch:
         # an egress free by then cannot defer; skip the call
         if out._free_t <= t or not out.defer_enqueue(pkt, t):
             sim._call_at1(out.enqueue, pkt, t)
-
-    def forward_train(self, st: PacketTrain) -> None:
-        """Forward a coalesced train: one traversal charge for the burst.
-
-        Runs at the upstream's first tx-done, as ``arrive`` does for a
-        packet.  Re-coalesces onto the output port when possible
-        (availability times = per-packet arrival + traversal latency);
-        otherwise falls back to one ``out.enqueue`` per packet at exactly
-        the slow path's times.  An upstream abort
-        propagates through ``on_abort``: packets the sender never put on
-        the wire are un-counted here and cut from the downstream train —
-        they will re-traverse the switch as ordinary packets when the
-        sender re-sends them.
-        """
-        pkts = st.pkts
-        k = st.cut  # packets this train actually delivers to us
-        if k == 0:
-            return
-        out = self._out_ports.get(pkts[0].dst)
-        if out is None:
-            # Not a local egress (multi-tier routing, or genuinely no
-            # route): de-coalesce into per-packet forward() calls at the
-            # per-packet arrival times so subclass routing (ECMP over
-            # uplinks, spine down-routing) sees the exact slow-path
-            # sequence — and routing failures raise where they would.
-            for j in range(k):
-                self.sim._call_at1(
-                    self._forward_train_step, (st, j, self.forward), st.arr[j]
-                )
-            return
-        self.rx_packets += k
-        sl = self.cfg.switch_latency_ns
-        down: Optional[PacketTrain] = None
-        if k == len(pkts):
-            avail = [a + sl for a in st.arr]
-            # enq_push = upstream tx-done: the per-packet path pushes
-            # each ``out.enqueue`` callback there (``arrive``), one hop and
-            # one traversal before it fires.
-            down = out.try_send_train(
-                pkts, avail=avail, sender_event=False, enq_push=st.done
-            )
-        if down is None:
-            # De-coalesce at this hop: one event per packet, at the same
-            # times the per-packet path would use (arrival + traversal).
-            live = out._train
-            if live is not None and live.done[-1] > st.arr[0] + sl:
-                # Our first packet will cut the live train anyway.  Cut it
-                # now, so its re-sends are pushed before our steps, as its
-                # sender's tx-dones pushed them ahead of ours.
-                out._train_abort()
-            for j in range(k):
-                self.sim._call_at1(self._forward_train_step, (st, j, out.enqueue), st.arr[j] + sl)
-        counted = [k]
-
-        def _on_upstream_abort(u_st: PacketTrain) -> None:
-            k2 = u_st.cut
-            if k2 < counted[0]:
-                lost = counted[0] - k2
-                counted[0] = k2
-                self.rx_packets -= lost
-            if down is not None:
-                if k2 < down.have:
-                    down.have = k2
-                if k2 < down.cut:
-                    down.cut = k2
-
-        st.on_abort = _on_upstream_abort
-
-    def _forward_train_step(self, arg: Tuple[Any, int, Callable[[Packet], Any]]) -> None:
-        """Hand packet ``j`` of a de-coalesced train to ``step`` (an output
-        port's ``enqueue``, or ``forward`` when the route is not local)."""
-        st, j, step = arg
-        if j >= st.cut:
-            return  # cut upstream; the origin re-sends it the slow way
-        step(st.pkts[j])
 
     def out_port(self, node_name: str) -> Port:
         return self._out_ports[node_name]

@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "Packet",
-    "PacketTrain",
     "Message",
     "segment_message",
     "TRANSPORT_HEADER_BYTES",
@@ -138,62 +137,6 @@ class Packet:
         return (
             f"<Packet {self.op} {self.src}->{self.dst} "
             f"msg={self.msg_id} {self.seq + 1}/{self.nseq} {self.size}B>"
-        )
-
-
-class PacketTrain:
-    """A coalesced burst of packets with a precomputed wire schedule.
-
-    When a multi-packet message hits an *uncontended* port (idle wire,
-    empty queue, no fault injector armed, telemetry off), the whole burst's per-packet
-    timestamps are a closed form: ``s[i] = max(done[i-1], avail[i])``,
-    ``done[i] = s[i] + ser_i``, ``arr[i] = done[i] + latency``.  The port
-    then schedules ONE train event instead of three heap events per
-    packet, and every consumer walks the precomputed arrays — invoking
-    the same per-packet effects at the same simulated times.
-
-    De-coalescing: any competing ``send()`` on the owning port aborts the
-    train — packets already serialized keep their (identical) schedule,
-    the in-flight packet finishes on the real wire clock, and everything
-    later re-enters the ordinary per-packet path.  ``cut`` is the first
-    index NOT delivered by this train (consumers must re-check it before
-    acting on an index); ``have`` is the first index that never reached
-    this hop at all (an upstream abort propagates it via ``on_abort``),
-    so an aborting port only re-queues packets it actually holds.
-    """
-
-    __slots__ = (
-        "pkts", "s", "done", "arr", "avail", "enq_push", "cut", "have",
-        "applied", "ev", "on_abort",
-    )
-
-    def __init__(self, pkts: "List[Packet]", s: List[float], done: List[float],
-                 arr: List[float], avail: Optional[List[float]] = None,
-                 enq_push: Optional[List[float]] = None) -> None:
-        self.pkts = pkts
-        self.s = s              # serialization start, per packet
-        self.done = done        # serialization end (sender completion)
-        self.arr = arr          # arrival at the peer
-        self.avail = avail      # when each packet reached this hop (None
-                                # for sender-paced trains: avail == s)
-        self.enq_push = enq_push  # when the slow path would have PUSHED
-                                # each enqueue callback (orders an abort's
-                                # re-sends against a tx-done at equal
-                                # timestamps; None: the tx-done first)
-        self.cut = len(pkts)    # first index NOT delivered by the train
-        self.have = len(pkts)   # first index never seen at this hop
-        self.applied = 0        # tx stats applied up to this index
-        self.ev = None          # sender-completion event (sender-paced)
-        self.on_abort = None    # downstream cut propagation hook
-
-    def __len__(self) -> int:
-        return len(self.pkts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        p = self.pkts[0]
-        return (
-            f"<PacketTrain {p.op} {p.src}->{p.dst} msg={p.msg_id} "
-            f"n={len(self.pkts)} cut={self.cut}>"
         )
 
 

@@ -19,7 +19,6 @@ Kinds are stable strings (tests and CI match on them):
                        the accelerator's full egress queue) still blocked
                        at quiesce
 ``leak-container``     Container units never returned at quiesce
-``leak-packet-train``  a coalesced packet train still in flight at quiesce
 ``leak-greq``          an RDMA logical request still pending at quiesce
 ``leak-accel``         accelerator messages still in flight at quiesce
 ``leak-deferred``      a deferred entry (a posted DMA write, a deferred

@@ -27,7 +27,7 @@ Detectors (see :mod:`repro.simsan.findings` for the kind strings):
 * **resource leaks** — Resource and Container register themselves at
   construction and record acquisition backtraces per claim, with the
   dispatch context that made the claim (a ``proc:``/``strand:`` chain,
-  or "driver"); ports, NICs and accelerators adopt in with their
+  or "driver"); NICs and accelerators adopt in with their
   in-flight state (an accelerator's with its handler egress queue,
   whose blocked putters are the only producers that can leak).  At
   :meth:`check_quiesce` anything still held is reported with that chain
@@ -123,8 +123,8 @@ class Sanitizer:
         self._cont_grants: dict[int, list[list[Any]]] = {}
         # components swept at quiesce: (kind, obj)
         self._adopted: list[tuple[str, Any]] = []
-        # origin labels whose same-time coincidence is *designed* (pacing
-        # pipelines replaying shared precomputed timestamp arrays)
+        # origin labels whose same-time coincidence is *designed* (see
+        # declare_coincident)
         self._coincident: set[str] = set()
         self._cur_window = -1
         self._h = hashlib.sha256()
@@ -179,10 +179,10 @@ class Sanitizer:
     def declare_coincident(self, *labels: str) -> None:
         """Exempt origin labels from the tie detector.
 
-        For machinery that *derives* its timestamps from one shared
-        precomputed array (packet-train replay, paced handler commits):
-        same-instant events from these origins coincide by construction,
-        and their relative order is pinned by the differential tests, so
+        For machinery whose timestamps derive from one shared clock (the
+        accelerator's packet pipeline and its egress pump, both ticking
+        at line rate): same-instant events from these origins coincide
+        by construction, and their relative order is pinned by tests, so
         a tie is not insertion-order luck.  Declare at the site that
         engineers the coincidence."""
         self._coincident.update(labels)
@@ -390,16 +390,6 @@ class Sanitizer:
                 holders,
             )
 
-    def _sweep_port(self, port: Any) -> None:
-        train = port._train
-        if train is not None:
-            self._find(
-                "leak-packet-train",
-                f"port {port.owner_name!r} still has a coalesced "
-                f"train of {len(getattr(train, 'pkts', []))} packet(s) in "
-                f"flight at quiesce",
-            )
-
     def _sweep_nic(self, nic: Any) -> None:
         for gid in sorted(nic._pending):
             label, t, bt, chain = self.claim_info("greq", (nic.name, gid))
@@ -417,12 +407,6 @@ class Sanitizer:
                 "leak-accel",
                 f"accelerator on {accel.node_name!r} still has "
                 f"{inflight} message(s) in flight at quiesce",
-            )
-        if accel._train is not None:
-            self._find(
-                "leak-packet-train",
-                f"accelerator on {accel.node_name!r} still has a "
-                f"paced ingest train at quiesce",
             )
         # the handler egress queue: a parked pump is the steady state of
         # a quiesced accelerator, so only putters (handlers blocked on a

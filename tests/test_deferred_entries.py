@@ -35,8 +35,7 @@ from repro.simnet.link import Port
 from repro.simnet.packet import Packet
 from repro.workloads import LoadSpec, closed_loop_write_load
 
-from .test_coalescing_differential import _run_protocol
-from .test_short_train_path import _spin_writes
+from .write_cases import _run_protocol, _spin_writes
 
 KiB = 1024
 
@@ -46,9 +45,9 @@ def _real_entries(m):
     """Both deferral sites push a real entry at post instead."""
     m.setattr(Port, "defer_enqueue", lambda self, pkt, t: False)
 
-    def post_write(self, target, addr, data, post_t=None, trace=None):
+    def post_write(self, target, addr, data, trace=None):
         return self.dma(data.nbytes, on_complete=lambda: target.write(addr, data),
-                        trace=trace, post_t=post_t)
+                        trace=trace)
 
     m.setattr(Pcie, "post_write", post_write)
 
@@ -116,10 +115,10 @@ DIFF_CASES = {
     **{f"scenario-{n}": lambda n=n: run_scenario(get(n, quick=True), seed=1)
        for n in MATRIX_NAMES},
     "closed-64k-k3": _closed_loop_64k_k3,
-    **{f"spin-writes-{kib}k": lambda kib=kib: _spin_writes(kib * KiB, True)
+    **{f"spin-writes-{kib}k": lambda kib=kib: _spin_writes(kib * KiB)
        for kib in (2, 8, 16)},
     "leafspine-k3": _leafspine_k3,
-    **{f"rdma-{p}": lambda p=p: _run_protocol(p, True, False, None)[0]
+    **{f"rdma-{p}": lambda p=p: _run_protocol(p, False, None)[0]
        for p in ("raw", "rdma-flat")},
 }
 

@@ -401,7 +401,9 @@ def _exec_harness(n_hpus):
             for s in seqs:
                 pkt = Packet(src="c", dst="node", op="write", msg_id=1, seq=s,
                              nseq=16, payload=None)
-                _PacketRecord(accel, ctx, pkt, run).activate("payload", 0)
+                rec = _PacketRecord(accel, ctx, pkt)
+                rec.run = run
+                rec.activate("payload", 0)
         sim.process(go())
 
     return sim, accel, start
@@ -501,11 +503,9 @@ def test_blocked_egress_putter_is_a_sanitizer_finding():
     assert "process_pkt" in leaks[0].where  # the blocked send's call site
 
 
-def test_spin_write_runs_no_pspin_process_but_the_train_driver(monkeypatch):
-    """The per-packet pipeline, handler activations and handler egress
-    are heap callbacks: a 64 KiB 3-way replicated write starts no
-    ``Process`` from ``repro.pspin`` except a paced train's driver."""
-    from repro import DfsClient, ReplicationSpec
+def _pspin_processes(monkeypatch):
+    """Names of the ``Process`` bodies from ``repro.pspin`` started from
+    now on."""
     from repro.simnet import engine
 
     started = []
@@ -518,6 +518,16 @@ def test_spin_write_runs_no_pspin_process_but_the_train_driver(monkeypatch):
         orig(self, sim, gen, *a, **kw)
 
     monkeypatch.setattr(engine.Process, "__init__", spy)
+    return started
+
+
+def test_spin_write_runs_no_pspin_process(monkeypatch):
+    """The per-packet pipeline, handler activations and handler egress
+    are heap callbacks: a 64 KiB 3-way replicated write and a 64 KiB
+    plain write start no ``Process`` from ``repro.pspin``."""
+    from repro import DfsClient, ReplicationSpec
+
+    started = _pspin_processes(monkeypatch)
     tb = build_testbed(n_storage=4)
     install_spin_targets(tb)
     c = DfsClient(tb)
@@ -529,4 +539,15 @@ def test_spin_write_runs_no_pspin_process_but_the_train_driver(monkeypatch):
     tb.drain()
     processed = sum(n.accelerator.packets_processed for n in tb.storage_nodes)
     assert processed >= 3 * 32
-    assert set(started) == {"_train_driver"}  # the plain write's paced train
+    assert started == []
+
+
+def test_quick_hot_shard_runs_no_pspin_process(monkeypatch):
+    """Quick ``hot_shard`` (202 sPIN writes from the open loop) starts no
+    ``Process`` on the accelerator's path."""
+    from repro.scenarios import get, run_scenario
+
+    started = _pspin_processes(monkeypatch)
+    row = run_scenario(get("hot_shard", quick=True), seed=1)
+    assert row["issued"] > 0
+    assert started == []

@@ -279,7 +279,7 @@ def test_quick_hot_shard_namespace_digest_pinned():
 def test_fault_free_hops_match_an_armed_idle_injector():
     """With no fault injector armed, wire hops hand packets straight to
     the peer; an armed injector that can never fire takes the per-hop
-    path (and no packet trains).  Every outcome must agree."""
+    path.  Every outcome must agree."""
     from repro.faults import DownWindow, FaultParams
     from repro.params import SimParams
 

@@ -361,6 +361,8 @@ class TestLeakOnInterrupt:
         """, rule_ids=["SIM301"]) == []
 
     def test_request_method_release_form_recognised(self):
+        # recognised as a leak: ``Request`` has no ``release`` method, so
+        # this process raises AttributeError instead of releasing
         assert rules_found("""
             def proc(sim, pool):
                 req = pool.request()
@@ -369,7 +371,7 @@ class TestLeakOnInterrupt:
                     yield sim.timeout(5)
                 finally:
                     req.release()
-        """) == []
+        """) == ["SIM301"]
 
     def test_conditional_quota_shape_not_flagged(self):
         # the restructured accelerator._exec shape: nested claims, each

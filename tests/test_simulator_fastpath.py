@@ -26,17 +26,18 @@ def _spin_write_64k():
 
 
 def test_events_per_packet_budget():
-    """With packet-train coalescing a 64 KiB sPIN write costs 56 events
-    for 34 switched packets (~1.65 events/packet).  Allow modest
-    headroom; the pre-coalescing pipeline sat at ~18.4 and must not
-    return."""
+    """A 64 KiB sPIN write dispatches exactly 283 events for 34 switched
+    packets (8.3 events/packet), every packet, hop and handler taken
+    one at a time.  The pin is exact: a change that adds or removes
+    events updates it on purpose.  (A budget of 2.5 events/packet held
+    while uncontended bursts moved as packet trains; the per-packet
+    pipeline sat at ~18.4 before its stages were fused.)"""
     tb = _spin_write_64k()
     packets = tb.net.switch.rx_packets
     events = tb.sim.events_dispatched
-    assert packets == 34, f"packet count changed: {packets}"
-    assert events / packets <= 2.5, (
-        f"packet pipeline regressed: {events} events / {packets} packets "
-        f"= {events / packets:.1f} events/packet (budget 2.5)"
+    assert (events, packets) == (283, 34), (
+        f"packet pipeline changed: {events} events / {packets} packets "
+        f"= {events / packets:.2f} events/packet (pinned 283 / 34)"
     )
 
 
